@@ -1,6 +1,7 @@
-// Telemetry overhead ablation (DESIGN.md §14): the fused hash-division hot
-// path — the tightest loop in the tree — executed under the three process
-// telemetry modes.
+// Telemetry overhead ablation (DESIGN.md §14): the hash-division hot path —
+// ScanOperator → FilterOperator → HashDivisionOperator drained through
+// NextBatch, the tightest loop in the tree — executed under the three
+// process telemetry modes.
 //
 //   off        RELDIV_TELEMETRY=off semantics: every instrumentation site
 //              reduces to one relaxed mode load and a predicted branch.
@@ -23,8 +24,8 @@
 
 #include "bench/bench_util.h"
 #include "common/metric_names.h"
-#include "exec/fused/fused_division.h"
-#include "exec/kernels/kernels.h"
+#include "division/hash_division.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "obs/telemetry.h"
 
@@ -51,15 +52,17 @@ struct Harness {
   std::unique_ptr<Database> db;
   ResolvedDivision resolved;
   DivisionOptions options;
-  fused::FusedFilter filter;
+  Relation dividend;
   Relation divisor;
+  int64_t divisor_count = 0;
   uint64_t dividend_tuples = 0;
 };
 
 Result<Harness> BuildHarness() {
-  // Same scan-heavy regime as bench/fused_ablation.cc: most tuples pay only
-  // the fused probe loop, which is exactly where telemetry overhead would
-  // show if any instrumentation leaked into the per-tuple path.
+  // Scan-heavy regime: five sixths of the dividend fails the filter, so most
+  // tuples pay only scan decode and the filter, the surviving sixth the
+  // division probes. That per-tuple path is exactly where telemetry overhead
+  // would show if any instrumentation leaked into it.
   WorkloadSpec spec;
   spec.divisor_cardinality = 50;
   spec.quotient_candidates = bench::SmokeMode() ? 80 : 2000;
@@ -73,18 +76,28 @@ Result<Harness> BuildHarness() {
   DatabaseOptions db_options;
   db_options.pool_bytes = 0;  // unbounded pool: keep the loop CPU-bound
   RELDIV_ASSIGN_OR_RETURN(h.db, Database::Open(db_options));
-  Relation dividend;
   RELDIV_RETURN_NOT_OK(
-      LoadWorkload(h.db.get(), workload, "to", &dividend, &h.divisor));
-  DivisionQuery query{dividend, h.divisor, {"divisor_id"}};
+      LoadWorkload(h.db.get(), workload, "to", &h.dividend, &h.divisor));
+  DivisionQuery query{h.dividend, h.divisor, {"divisor_id"}};
   RELDIV_ASSIGN_OR_RETURN(h.resolved, ResolveDivision(query));
   h.options.expected_divisor_cardinality = spec.divisor_cardinality;
   h.options.expected_quotient_cardinality = spec.quotient_candidates;
-  h.filter.enabled = true;
-  h.filter.column = 1;
-  h.filter.op = kernels::CmpOp::kLt;
-  h.filter.constant = static_cast<int64_t>(spec.divisor_cardinality);
+  h.divisor_count = static_cast<int64_t>(spec.divisor_cardinality);
   return h;
+}
+
+/// Dividend is (quotient_id, divisor_id); valid divisor values are [0, |S|),
+/// foreign ones lie above, so the filter keeps `divisor_id < |S|`.
+std::unique_ptr<Operator> MakePlan(const Harness& h) {
+  ExecContext* ctx = h.db->ctx();
+  auto filter = std::make_unique<FilterOperator>(
+      std::make_unique<ScanOperator>(ctx, h.dividend),
+      [divisor_count = h.divisor_count](const Tuple& t) {
+        return t.value(1).int64() < divisor_count;
+      });
+  return std::make_unique<HashDivisionOperator>(
+      ctx, std::move(filter), std::make_unique<ScanOperator>(ctx, h.divisor),
+      h.resolved.match_attrs, h.resolved.quotient_attrs, h.options);
 }
 
 Status MeasureLane(Harness* h, TelemetryMode mode, int repetitions,
@@ -95,10 +108,7 @@ Status MeasureLane(Harness* h, TelemetryMode mode, int repetitions,
       RELDIV_RETURN_NOT_OK(h->db->buffer_manager()->FlushAll());
       RELDIV_RETURN_NOT_OK(h->db->buffer_manager()->DropAll());
       const CpuCounters before = *h->db->counters();
-      std::unique_ptr<Operator> plan = fused::MakeFusedHashDivision(
-          h->db->ctx(), h->resolved,
-          std::make_unique<ScanOperator>(h->db->ctx(), h->divisor),
-          h->options, h->filter);
+      std::unique_ptr<Operator> plan = MakePlan(*h);
       const double t0 = Now();
       RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> quotient,
                               CollectAll(plan.get()));
@@ -142,8 +152,8 @@ Status Run(bench::BenchReporter* report) {
         MeasureLane(&h, TelemetryMode::kSampling, 1, &warmup));
   }
 
-  std::printf("=== Telemetry overhead: fused hash-division under "
-              "off / counting / sampling ===\n\n");
+  std::printf("=== Telemetry overhead: scan -> filter -> hash-division "
+              "under off / counting / sampling ===\n\n");
   std::printf("dividend %llu tuples; best of %d runs per lane; gate: "
               "counting <= %.0f%% of off\n\n",
               static_cast<unsigned long long>(h.dividend_tuples), kRepetitions,

@@ -38,16 +38,6 @@ class Tuple {
   /// New tuple with the values at `indices`, in that order.
   Tuple Project(const std::vector<size_t>& indices) const;
 
-  /// Project into an existing tuple, reusing its value buffer. The fused
-  /// pipelines project every passing tuple; this keeps that loop free of
-  /// per-call allocations.
-  void ProjectInto(const std::vector<size_t>& indices, Tuple* out) const {
-    out->values_.resize(indices.size());
-    for (size_t i = 0; i < indices.size(); ++i) {
-      out->values_[i] = values_[indices[i]];
-    }
-  }
-
   /// Lexicographic three-way comparison over all values.
   int Compare(const Tuple& other) const;
 

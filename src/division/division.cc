@@ -10,7 +10,6 @@
 #include "division/partitioned_hash_division.h"
 #include "division/sort_agg_division.h"
 #include "exec/contract_check.h"
-#include "exec/fused/fused_division.h"
 #include "exec/materialize.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
@@ -219,19 +218,6 @@ Result<std::unique_ptr<Operator>> MakeDivisionPlan(
       if (tuned.expected_divisor_cardinality == 0) {
         tuned.expected_divisor_cardinality =
             resolved.divisor.store->num_records();
-      }
-      if (options.fused_pipelines) {
-        // Fused dividend side: the scan is inlined into the probe loop, so
-        // only the divisor subtree gets its own profiling node. The fused
-        // root composes with MaybeProfile/MaybeContractCheck below like any
-        // operator.
-        const size_t divisor_mark = ProfileMark(ctx);
-        auto divisor_scan = MaybeProfile(
-            ctx, std::make_unique<ScanOperator>(ctx, resolved.divisor),
-            "scan(divisor)", divisor_mark);
-        plan = fused::MakeFusedHashDivision(ctx, resolved,
-                                            std::move(divisor_scan), tuned);
-        break;
       }
       // Build the input wrappers as sequenced statements: the metrics tree
       // relies on creation order, which function arguments do not guarantee.

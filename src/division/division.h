@@ -92,13 +92,6 @@ struct DivisionOptions {
   /// (0 = same as num_partitions).
   size_t num_quotient_subpartitions = 0;
 
-  /// kHashDivision only: build the dividend side as a compile-time fused
-  /// scan→probe pipeline (src/exec/fused/) instead of a chain of virtual
-  /// operators. Pure execution-strategy switch: quotients and Table 1–4
-  /// counter totals are bit-identical to the unfused plan. Ignored together
-  /// with overflow_fallback (the fallback operator owns its own scans).
-  bool fused_pipelines = false;
-
   /// kHashDivision only: in-process quotient partitioning (§6 applied to
   /// intra-node parallelism). 0 = serial (the default). When > 0 the
   /// operator builds the divisor table once, hash-partitions the dividend

@@ -157,13 +157,13 @@ class HashDivisionCore {
   uint64_t early_emits_ = 0;
 };
 
-/// The fragment-parallel half of §6 quotient partitioning in-process, shared
-/// by HashDivisionOperator::OpenParallel and the fused hash-division
-/// pipeline: each bucket of the (already repartitioned) dividend is divided
-/// by a private core borrowing `shared_core`'s divisor table on a private
-/// counter context, and the fragment outputs are concatenated into `results`
-/// in fragment order — deterministic for any worker count. Fragment counters
-/// merge into `ctx` in fragment order even on failure.
+/// The fragment-parallel half of §6 quotient partitioning in-process, run by
+/// HashDivisionOperator::OpenParallel: each bucket of the (already
+/// repartitioned) dividend is divided by a private core borrowing
+/// `shared_core`'s divisor table on a private counter context, and the
+/// fragment outputs are concatenated into `results` in fragment order —
+/// deterministic for any worker count. Fragment counters merge into `ctx` in
+/// fragment order even on failure.
 Status RunDivisionFragments(ExecContext* ctx,
                             const std::vector<size_t>& match_attrs,
                             const std::vector<size_t>& quotient_attrs,

@@ -1,6 +1,5 @@
 #include "exec/kernels/kernels.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -23,26 +22,9 @@ bool SimdAvailable() {
 #endif
 }
 
-namespace {
-
-Level ResolveLevel() {
-  if (const char* env = std::getenv("RELDIV_KERNELS")) {
-    if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-    // "simd" (or anything else) keeps the default resolution below, which
-    // still degrades to scalar on hardware without the instructions.
-  }
-  return SimdAvailable() ? Level::kSimd : Level::kScalar;
-}
-
-}  // namespace
-
 Level ActiveLevel() {
-  static const Level level = ResolveLevel();
+  static const Level level = SimdAvailable() ? Level::kSimd : Level::kScalar;
   return level;
-}
-
-const char* LevelName(Level level) {
-  return level == Level::kSimd ? "simd" : "scalar";
 }
 
 // --- Batched probe hashing --------------------------------------------------
@@ -167,35 +149,6 @@ __attribute__((target("avx2"))) bool AllWordsSetAvx2(const uint64_t* words,
   return true;
 }
 
-__attribute__((target("avx2"))) uint64_t
-PopcountWordsAvx2(const uint64_t* words, size_t num_words) {
-  // Nibble-LUT popcount: per-byte counts via two pshufb lookups, horizontal
-  // byte sums via psadbw into four 64-bit lanes.
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
-  size_t i = 0;
-  for (; i + 4 <= num_words; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                           _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(counts, zero));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < num_words; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-  }
-  return total;
-}
-
 #endif  // RELDIV_KERNELS_X86
 
 bool AllWordsSetSimd(const uint64_t* words, size_t num_bits) {
@@ -213,31 +166,6 @@ bool AllWordsSetSimd(const uint64_t* words, size_t num_bits) {
 bool AllWordsSet(const uint64_t* words, size_t num_bits) {
   if (ActiveLevel() == Level::kSimd) return AllWordsSetSimd(words, num_bits);
   return AllWordsSetScalar(words, num_bits);
-}
-
-uint64_t PopcountWordsScalar(const uint64_t* words, size_t num_words) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < num_words; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-  }
-  return total;
-}
-
-uint64_t PopcountWordsSimd(const uint64_t* words, size_t num_words) {
-#if RELDIV_KERNELS_X86
-  RELDIV_CHECK(SimdAvailable()) << "SIMD kernels not supported on this CPU";
-  return PopcountWordsAvx2(words, num_words);
-#else
-  RELDIV_CHECK(false) << "SIMD kernels not compiled for this target";
-  (void)words;
-  (void)num_words;
-  return 0;
-#endif
-}
-
-uint64_t PopcountWords(const uint64_t* words, size_t num_words) {
-  if (ActiveLevel() == Level::kSimd) return PopcountWordsSimd(words, num_words);
-  return PopcountWordsScalar(words, num_words);
 }
 
 void ClearWords(uint64_t* words, size_t num_words) {

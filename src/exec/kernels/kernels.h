@@ -13,11 +13,11 @@
 namespace reldiv {
 namespace kernels {
 
-/// Vectorized inner-loop kernels shared by the division operators, the sort
-/// family, and the fused pipelines (src/exec/fused/). Every kernel exists in
-/// two variants — a scalar reference implementation and a SIMD one — selected
-/// once per process by ActiveLevel(); callers use the dispatching entry
-/// points and never branch on the level themselves.
+/// Vectorized inner-loop kernels shared by the division operators and the
+/// sort family. Every kernel exists in two variants — a scalar reference
+/// implementation and a SIMD one — selected once per process by
+/// ActiveLevel(); callers use the dispatching entry points and never branch
+/// on the level themselves.
 ///
 /// Counter-accounting invariant (DESIGN.md §12): kernels perform PHYSICAL
 /// work only and never touch ExecContext counters. The caller charges the
@@ -26,8 +26,8 @@ namespace kernels {
 /// compare — so scalar and SIMD runs produce bit-identical counter totals.
 ///
 /// Layering: kernels may depend on common/ and exec/batch.h but never on
-/// Operator — no virtual NextBatch dispatch inside a kernel (enforced by
-/// tools/lint.py `kernel-virtual-next`).
+/// Operator — no exec/operator.h include and no virtual NextBatch dispatch
+/// inside a kernel (enforced by tools/analyze.py `kernel-purity`).
 
 /// Which implementation the dispatching kernels resolved to.
 enum class Level {
@@ -36,13 +36,9 @@ enum class Level {
 };
 
 /// The level selected for this process: the SIMD variants when the CPU
-/// supports them, unless RELDIV_KERNELS=scalar forces the reference
-/// implementations (RELDIV_KERNELS=simd asks for SIMD and still falls back
-/// to scalar on unsupported hardware). Resolved once, then constant.
+/// supports them (SimdAvailable), the scalar reference implementations
+/// otherwise. Resolved once, then constant.
 Level ActiveLevel();
-
-/// "scalar" / "simd" for gauges and bench labels.
-const char* LevelName(Level level);
 
 /// True when the SIMD variants are usable on this CPU (AVX2).
 bool SimdAvailable();
@@ -74,11 +70,6 @@ void HashInt64KeysSimd(const int64_t* keys, size_t n, uint64_t* out);
 bool AllWordsSet(const uint64_t* words, size_t num_bits);
 bool AllWordsSetScalar(const uint64_t* words, size_t num_bits);
 bool AllWordsSetSimd(const uint64_t* words, size_t num_bits);
-
-/// Total set bits over `num_words` whole words.
-uint64_t PopcountWords(const uint64_t* words, size_t num_words);
-uint64_t PopcountWordsScalar(const uint64_t* words, size_t num_words);
-uint64_t PopcountWordsSimd(const uint64_t* words, size_t num_words);
 
 /// Zeroes `num_words` words (bit-map initialization).
 void ClearWords(uint64_t* words, size_t num_words);

@@ -2,15 +2,17 @@
 
 namespace reldiv {
 
-Status RelationSource::Open() {
+Status ScanOperator::Open() {
   if (relation_.store == nullptr) {
     return Status::InvalidArgument("scan of relation without a store");
   }
   RELDIV_ASSIGN_OR_RETURN(scan_, relation_.store->OpenScan());
+  adapter_.Reset(ctx_->batch_capacity());
   return Status::OK();
 }
 
-Status RelationSource::NextBatchInto(TupleBatch* batch, bool* has_more) {
+Status ScanOperator::NextBatch(TupleBatch* batch, bool* has_more) {
+  batch->Clear();
   if (refs_.size() < batch->capacity()) refs_.resize(batch->capacity());
   while (!batch->full()) {
     size_t count = 0;
@@ -32,7 +34,7 @@ Status RelationSource::NextBatchInto(TupleBatch* batch, bool* has_more) {
   return Status::OK();
 }
 
-Status RelationSource::Close() {
+Status ScanOperator::Close() {
   if (scan_ != nullptr) {
     RELDIV_RETURN_NOT_OK(scan_->Close());
     scan_.reset();

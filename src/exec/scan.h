@@ -2,6 +2,7 @@
 #define RELDIV_EXEC_SCAN_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/row_codec.h"
 #include "exec/exec_context.h"
@@ -9,30 +10,6 @@
 #include "exec/relation.h"
 
 namespace reldiv {
-
-/// The scan's decode engine, separated from the Operator protocol so the
-/// fused pipelines (src/exec/fused/) can drive it with a direct member call
-/// instead of a virtual NextBatch. ScanOperator delegates to one of these,
-/// so the two paths can never diverge in decode behavior or accounting.
-class RelationSource {
- public:
-  explicit RelationSource(Relation relation)
-      : relation_(relation), codec_(relation.schema) {}
-
-  const Schema& schema() const { return relation_.schema; }
-
-  Status Open();
-  /// Fills `batch` with decoded tuples; `*has_more` as in
-  /// Operator::NextBatch (the final batch may be partial or empty).
-  Status NextBatchInto(TupleBatch* batch, bool* has_more);
-  Status Close();
-
- private:
-  Relation relation_;
-  RowCodec codec_;
-  std::unique_ptr<RecordScan> scan_;
-  std::vector<RecordRef> refs_;  ///< scratch for RecordScan::NextBatch
-};
 
 /// Sequential file scan decoding stored records into tuples. The underlying
 /// RecordScan keeps the current page fixed; decoding copies values out so the
@@ -43,28 +20,24 @@ class RelationSource {
 class ScanOperator : public Operator {
  public:
   ScanOperator(ExecContext* ctx, Relation relation)
-      : ctx_(ctx), source_(relation) {}
+      : ctx_(ctx), relation_(relation), codec_(relation.schema) {}
 
-  const Schema& output_schema() const override { return source_.schema(); }
+  const Schema& output_schema() const override { return relation_.schema; }
 
-  Status Open() override {
-    RELDIV_RETURN_NOT_OK(source_.Open());
-    adapter_.Reset(ctx_->batch_capacity());
-    return Status::OK();
-  }
+  Status Open() override;
   Status Next(Tuple* tuple, bool* has_next) override {
     return adapter_.Next(this, tuple, has_next);
   }
-  Status NextBatch(TupleBatch* batch, bool* has_more) override {
-    batch->Clear();
-    return source_.NextBatchInto(batch, has_more);
-  }
+  Status NextBatch(TupleBatch* batch, bool* has_more) override;
   bool IsBatchNative() const override { return true; }
-  Status Close() override { return source_.Close(); }
+  Status Close() override;
 
  private:
   ExecContext* ctx_;
-  RelationSource source_;
+  Relation relation_;
+  RowCodec codec_;
+  std::unique_ptr<RecordScan> scan_;
+  std::vector<RecordRef> refs_;  ///< scratch for RecordScan::NextBatch
   TupleAdapter adapter_;
 };
 

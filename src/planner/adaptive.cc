@@ -285,7 +285,6 @@ Status AdaptiveDivisionOperator::DegradeOnMemoryPressure(
   // The §3.4 restart path: FallbackDivisionOperator re-attempts in memory
   // (the budget denies it again) and degrades to partitioned hash-division.
   DivisionOptions options = options_.division;
-  options.fused_pipelines = false;
   options.parallel_fragments = 0;
   options.early_output = false;
   FallbackDivisionOperator fallback(ctx_, resolved_, options);
@@ -301,7 +300,6 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
   // the serial stop-and-go plan so an untriggered run has Table 1 parity
   // with the static operator.
   tuned.overflow_fallback = false;
-  tuned.fused_pipelines = false;
   tuned.parallel_fragments = 0;
   tuned.early_output = false;
   if (tuned.expected_divisor_cardinality == 0) {

@@ -146,9 +146,8 @@ class DivisionStatsCache {
 /// Tuning for adaptive execution.
 struct AdaptiveOptions {
   /// Execution options forwarded to the chosen plan. The adaptive operator
-  /// forces overflow_fallback/fused_pipelines/parallel_fragments/
-  /// early_output off on the instrumented hash-division path (it owns that
-  /// machinery itself).
+  /// forces overflow_fallback/parallel_fragments/early_output off on the
+  /// instrumented hash-division path (it owns that machinery itself).
   DivisionOptions division;
   /// Table 1 unit times for the chooser.
   CostUnits units;

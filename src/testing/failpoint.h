@@ -37,7 +37,7 @@ namespace reldiv {
 /// schedule order, making fire placement — and with it, which thread's
 /// operation failed — irreproducible. That was the latent bug.)
 ///
-/// The full site catalog lives in kFailpointSites below; tools/lint.py
+/// The full site catalog lives in kFailpointSites below; tools/analyze.py
 /// rejects RELDIV_FAILPOINT invocations whose site string is not listed,
 /// and checks that the files owning each site still contain it.
 
@@ -175,7 +175,7 @@ class ScopedFailpoint {
 };
 
 /// Site catalog — one entry per RELDIV_FAILPOINT site compiled into the
-/// tree, with the failure it simulates. tools/lint.py enforces that the
+/// tree, with the failure it simulates. tools/analyze.py enforces that the
 /// macros and this list stay in sync (failpoint-site / failpoint-coverage).
 inline constexpr const char* kFailpointSites[] = {
     "sim_disk/read",          // SimDisk::Read transfer error

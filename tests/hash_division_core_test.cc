@@ -179,8 +179,12 @@ TEST_F(HashDivisionCoreTest, OperatorComposesInDataflow) {
 }
 
 TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
-  // A consumer that abandons the stream after the first tuple must leave
-  // the operator closeable without errors.
+  // A consumer that abandons the stream mid-way must leave the operator
+  // closeable without errors, at either protocol granularity. It is also
+  // the Close() audit: every Comp/Hash/Bit delta must be charged by the
+  // time Next/NextBatch returns. An operator that buffered counts and
+  // flushed them in Close would show a difference between the drained and
+  // closed snapshots below.
   std::vector<Tuple> dividend_rows;
   for (int q = 0; q < 50; ++q) {
     dividend_rows.push_back(T(q, 0));
@@ -191,18 +195,40 @@ TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
   Schema divisor_schema{Field{"d", ValueType::kInt64}};
   DivisionOptions options;
   options.early_output = true;
-  HashDivisionOperator op(
-      db_->ctx(),
-      std::make_unique<MemSourceOperator>(dividend_schema, dividend_rows),
-      std::make_unique<MemSourceOperator>(divisor_schema,
-                                          std::vector<Tuple>{T(0), T(1)}),
-      {1}, {0}, options);
-  ASSERT_OK(op.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(op.Next(&tuple, &has));
-  ASSERT_TRUE(has);
-  ASSERT_OK(op.Close());  // stream abandoned mid-way
+  // Small input batches, so the 8-slot output fills with dividend input
+  // still pending.
+  db_->ctx()->set_batch_capacity(16);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "NextBatch" : "Next");
+    HashDivisionOperator op(
+        db_->ctx(),
+        std::make_unique<MemSourceOperator>(dividend_schema, dividend_rows),
+        std::make_unique<MemSourceOperator>(divisor_schema,
+                                            std::vector<Tuple>{T(0), T(1)}),
+        {1}, {0}, options);
+    const CpuCounters before = *db_->ctx()->counters();
+    ASSERT_OK(op.Open());
+    if (batched) {
+      TupleBatch batch(8);
+      bool has_more = false;
+      ASSERT_OK(op.NextBatch(&batch, &has_more));
+      ASSERT_EQ(batch.size(), 8u);
+      ASSERT_TRUE(has_more) << "partial drain expected input left over";
+    } else {
+      Tuple tuple;
+      bool has = false;
+      ASSERT_OK(op.Next(&tuple, &has));
+      ASSERT_TRUE(has);
+    }
+    const CpuCounters drained = *db_->ctx()->counters() - before;
+    ASSERT_OK(op.Close());  // stream abandoned mid-way
+    const CpuCounters closed = *db_->ctx()->counters() - before;
+    EXPECT_GT(drained.comparisons, 0u);
+    EXPECT_EQ(closed.comparisons, drained.comparisons)
+        << "Close flushed buffered Comp counts";
+    EXPECT_EQ(closed.hashes, drained.hashes);
+    EXPECT_EQ(closed.bit_ops, drained.bit_ops);
+  }
 }
 
 }  // namespace

@@ -141,24 +141,6 @@ TEST(KernelBitmapTest, ScalarAndSimdAllSetAgree) {
   }
 }
 
-TEST(KernelBitmapTest, PopcountMatchesBitmapCountSet) {
-  Rng rng(13);
-  for (size_t bits : kWidths) {
-    Bitmap bitmap(bits);
-    size_t expected = 0;
-    for (size_t i = 0; i < bits; ++i) {
-      if (rng.Next() % 3 == 0) expected += bitmap.Set(i) ? 1 : 0;
-    }
-    EXPECT_EQ(bitmap.CountSet(), expected);
-    EXPECT_EQ(PopcountWords(bitmap.words(), bitmap.num_words()), expected)
-        << "bits=" << bits;
-    if (SimdAvailable()) {
-      EXPECT_EQ(PopcountWordsScalar(bitmap.words(), bitmap.num_words()),
-                PopcountWordsSimd(bitmap.words(), bitmap.num_words()));
-    }
-  }
-}
-
 TEST(KernelBitmapTest, ClearWordsZeroes) {
   std::vector<uint64_t> storage(7, ~uint64_t{0});
   ClearWords(storage.data(), storage.size());
@@ -330,13 +312,8 @@ TEST(KernelNormalizedKeyTest, DistinguishesWhereSafe) {
 }
 
 TEST(KernelLevelTest, DispatchIsResolved) {
-  const Level level = ActiveLevel();
-  EXPECT_TRUE(level == Level::kScalar || level == Level::kSimd);
-  if (level == Level::kSimd) {
-    EXPECT_TRUE(SimdAvailable());
-  }
-  EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(LevelName(Level::kSimd), "simd");
+  // The level follows the CPU alone.
+  EXPECT_EQ(ActiveLevel() == Level::kSimd, SimdAvailable());
 }
 
 }  // namespace

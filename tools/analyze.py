@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Project-rule semantic analyzer for the reldiv tree.
+"""Project-rule analyzer for the reldiv tree.
 
-Where tools/lint.py holds purely syntactic hygiene checks, this tool
-enforces the *semantic* project contracts stated in DESIGN.md §8–§13 —
-rules that need cross-file knowledge (the failpoint catalog), receiver
-resolution (which object a `->Read(...)` lands on), or a curated
-allowlist with written rationale. Rules:
+The one rule engine for src/: the project contracts stated in DESIGN.md
+§8–§13 — rules that need cross-file knowledge (the failpoint catalog),
+receiver resolution (which object a `->Read(...)` lands on), or a curated
+allowlist with written rationale — and the syntactic hygiene checks
+clang-tidy cannot express. Rules:
 
   physical-op-charge   every SimDisk / BufferManager / Interconnect
                        physical-op call site (Read/Write/Seek, Fix,
@@ -15,10 +15,11 @@ allowlist with written rationale. Rules:
                        is a finding until its accounting story is
                        written down (Graefe §4, Table 1 methodology).
   kernel-purity        src/exec/kernels/ never references CpuCounters,
-                       DiskStats, or ExecContext, and never includes the
-                       counter/context/storage headers. Kernels are pure
-                       data-in/data-out loops; the CALLER charges Table 1
-                       (DESIGN.md §12, PR 6 contract).
+                       DiskStats, or ExecContext, never includes the
+                       counter/context/storage/operator headers, and never
+                       calls NextBatch. Kernels are pure data-in/data-out
+                       loops over plain arrays, below the operator tree;
+                       the CALLER charges Table 1 (DESIGN.md §12).
   mutex-guarded-by     every mutex member uses the annotated capability
                        types (reldiv::Mutex / RecursiveMutex from
                        common/mutex.h — a raw std::mutex is invisible to
@@ -65,6 +66,18 @@ allowlist with written rationale. Rules:
                        and rebuilds — a silent cache-off failure the
                        metric alone cannot distinguish from honest churn
                        (DESIGN.md §16).
+  bare-assert          `assert(...)` — use RELDIV_CHECK / RELDIV_DCHECK
+                       (common/check.h) so the intent survives NDEBUG
+                       builds deliberately. static_assert is fine.
+  include-guard        every header must open with the canonical
+                       `RELDIV_<DIR>_<FILE>_H_` guard (#ifndef + #define).
+  no-rand              `rand()` / `srand()` / `std::rand` — experiments must
+                       be reproducible; use common/rng.h (deterministic
+                       xorshift128+) instead.
+  batch-overrides      a header class overriding `NextBatch` is a
+                       batch-native operator and must also override `Open`
+                       and `Close`: its stream carries state that Open must
+                       reset and Close must release (see exec/operator.h).
 
 Suppression syntax (modeled on clang-tidy triage): a finding is silenced
 by `NOLINT(reldiv/<rule>): <rationale>` on the same line, or
@@ -114,6 +127,10 @@ RULES = (
     "telemetry-names",
     "replan-flight-log",
     "qcache-version-sync",
+    "bare-assert",
+    "include-guard",
+    "no-rand",
+    "batch-overrides",
     "suppression-rationale",
 )
 
@@ -454,7 +471,8 @@ class Analyzer:
     KERNEL_TOKEN_RE = re.compile(r"\b(CpuCounters|DiskStats|ExecContext)\b")
     KERNEL_INCLUDE_RE = re.compile(
         r'#\s*include\s+"(common/counters\.h|exec/exec_context\.h|'
-        r'storage/|obs/)')
+        r'exec/operator\.h|storage/|obs/)')
+    KERNEL_NEXTBATCH_RE = re.compile(r"(?:\.|->)\s*NextBatch\s*\(")
 
     def check_kernel_purity(self, path: Path, raw_lines, lines, sup):
         if not self.relpath(path).startswith("src/exec/kernels/"):
@@ -472,8 +490,14 @@ class Analyzer:
                 self.report(
                     path, lineno, "kernel-purity",
                     f"kernel includes \"{m.group(1)}...\"; the kernel layer "
-                    "must stay linkable without counters, contexts, or "
-                    "storage (DESIGN.md §12)", raw_lines, sup)
+                    "must stay linkable without counters, contexts, "
+                    "operators, or storage (DESIGN.md §12)", raw_lines, sup)
+            if self.KERNEL_NEXTBATCH_RE.search(line):
+                self.report(
+                    path, lineno, "kernel-purity",
+                    "NextBatch call inside the kernel layer; kernels sit "
+                    "below the operator tree and take plain arrays, never "
+                    "Operators (DESIGN.md §12)", raw_lines, sup)
 
     GUARD_REF_RE = r"(?:GUARDED_BY|PT_GUARDED_BY|REQUIRES(?:_SHARED)?)\s*\(\s*{}\s*\)"
 
@@ -586,6 +610,65 @@ class Analyzer:
                     "re-invalidates (DESIGN.md §16)",
                     raw_lines, sup)
                 return
+
+    # Per-line bans: rule -> (pattern, message). The lookbehind keeps
+    # static_assert and foo_assert out of bare-assert.
+    LINE_BANS = {
+        "bare-assert": (
+            re.compile(r"(?<![_\w])assert\s*\("),
+            "use RELDIV_CHECK/RELDIV_DCHECK from common/check.h instead of "
+            "assert()"),
+        "no-rand": (
+            re.compile(r"(?:std::)?\b(?:rand|srand)\s*\("),
+            "non-deterministic libc RNG; use common/rng.h (seeded "
+            "xorshift128+) for reproducibility"),
+    }
+
+    def check_line_bans(self, path: Path, raw_lines, lines, sup):
+        for lineno, line in enumerate(lines, start=1):
+            for rule, (pattern, message) in self.LINE_BANS.items():
+                if pattern.search(line):
+                    self.report(path, lineno, rule, message, raw_lines, sup)
+
+    def check_include_guard(self, path: Path, raw_lines, sup):
+        rel = path.relative_to(self.root / "src")
+        stem = "_".join(rel.parts[:-1] + (rel.stem,))
+        guard = "RELDIV_" + re.sub(r"[^A-Za-z0-9]", "_", stem).upper() + "_H_"
+        head = [l.strip() for l in raw_lines[:5] if l.strip()]
+        if head[:2] != [f"#ifndef {guard}", f"#define {guard}"]:
+            self.report(path, 1, "include-guard",
+                        f"header must open with '#ifndef {guard}' / "
+                        f"'#define {guard}'", raw_lines, sup)
+
+    CLASS_RE = re.compile(r"\bclass\s+([A-Za-z_]\w*)[^;{]*\{")
+    NEXTBATCH_OVERRIDE_RE = re.compile(r"\bNextBatch\s*\([^)]*\)\s*override")
+    OPEN_OVERRIDE_RE = re.compile(r"\bOpen\s*\(\s*\)\s*override")
+    CLOSE_OVERRIDE_RE = re.compile(r"\bClose\s*\(\s*\)\s*override")
+
+    def check_batch_overrides(self, path: Path, raw_lines, sup, text):
+        """Reported on the class line, where a suppression goes."""
+        for match in self.CLASS_RE.finditer(text):
+            depth = 1
+            i = match.end()
+            while i < len(text) and depth > 0:
+                if text[i] == "{":
+                    depth += 1
+                elif text[i] == "}":
+                    depth -= 1
+                i += 1
+            body = text[match.end():i]
+            if not self.NEXTBATCH_OVERRIDE_RE.search(body):
+                continue
+            missing = [label for label, rx in (
+                ("Open", self.OPEN_OVERRIDE_RE),
+                ("Close", self.CLOSE_OVERRIDE_RE)) if not rx.search(body)]
+            if missing:
+                self.report(
+                    path, text.count("\n", 0, match.start()) + 1,
+                    "batch-overrides",
+                    f"class {match.group(1)} overrides NextBatch but not "
+                    f"{'/'.join(missing)}; batch-native operators must "
+                    "manage their stream state explicitly", raw_lines, sup)
 
     def check_qcache_coverage(self, texts):
         if "qcache-version-sync" not in self.rules:
@@ -719,6 +802,10 @@ class Analyzer:
                                              text)
                 self.check_qcache_version_sync(path, raw_lines, lines, sup,
                                                text)
+                self.check_line_bans(path, raw_lines, lines, sup)
+                if path.suffix == ".h":
+                    self.check_include_guard(path, raw_lines, sup)
+                    self.check_batch_overrides(path, raw_lines, sup, text)
         self.check_failpoints(texts)
         self.check_replan_coverage(texts)
         self.check_qcache_coverage(texts)

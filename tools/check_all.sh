@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # One-command verification matrix for the reldiv tree:
 #
-#   analyze                    (tools/lint.py syntactic lints, the
-#                               tools/analyze.py semantic contract rules —
+#   analyze                    (tools/analyze.py, the one rule engine —
 #                               physical-op accounting, kernel purity,
 #                               mutex GUARDED_BY coverage, failpoint
-#                               catalog sync — and tools/tools_test.py,
-#                               the unit tests for both tools' rules)
+#                               catalog sync, include guards, bare
+#                               asserts — and tools/tools_test.py, the
+#                               unit tests for its rules)
 #   clang-tidy                 (when installed; skipped with a notice
 #                               otherwise so the matrix stays runnable on
 #                               minimal containers)
@@ -30,8 +30,6 @@
 #                               sanitizer builds: injected disk/memory/
 #                               network faults must recover exactly or
 #                               unwind leak- and race-free — DESIGN.md §10)
-#   fused                      (fused pipelines vs virtual chains, both
-#                               sanitizers, worker counts 1/4/8)
 #   parallel                   (the division property + lane-equivalence +
 #                               scheduler suites at RELDIV_THREADS=1,4,8
 #                               under the TSan build: every worker count
@@ -119,10 +117,9 @@ build_and_test() {
   ctest --preset "$preset" || return 1
 }
 
-# Static analysis: syntactic lints, semantic contract rules, and the unit
-# tests that keep both rule engines honest.
+# Static analysis: the project rules, and the unit tests that keep the rule
+# engine honest.
 analyze_stage() {
-  python3 tools/lint.py || return 1
   python3 tools/analyze.py || return 1
   python3 tools/tools_test.py || return 1
 }
@@ -166,7 +163,7 @@ bench_smoke() {
   out=$(mktemp -d) || return 1
   local benches=(table2_analytical table4_experimental selectivity_sweep
                  overflow_partitioning parallel_scaleup early_output
-                 algorithm_choice hbs_ablation batch_vs_tuple fused_ablation
+                 algorithm_choice hbs_ablation batch_vs_tuple
                  telemetry_overhead adaptive_replan service)
   local b
   for b in "${benches[@]}"; do
@@ -207,23 +204,6 @@ if [[ "$QUICK" == "0" ]]; then
     return "$rc"
   }
   stage "faults" faults
-
-  # Fused stage: the fused pipelines and the kernels behind them must agree
-  # with the virtual operator chains — same quotients, same Table 1 totals —
-  # under both sanitizers and at every interesting worker count (the fused
-  # parallel-fragment path shares the morsel scheduler; DESIGN.md §12).
-  fused_stage() {
-    local preset threads rc=0
-    for preset in asan tsan; do
-      for threads in 1 4 8; do
-        echo "-- fused suites under $preset, RELDIV_THREADS=$threads"
-        RELDIV_THREADS="$threads" ctest --preset "$preset" \
-          -R '(kernels_test|fused_pipeline_test)' || rc=1
-      done
-    done
-    return "$rc"
-  }
-  stage "fused" fused_stage
 
   # Parallel stage: the lane-equivalence contract (DESIGN.md §11) says the
   # worker count must never change a quotient or a Table 1 counter total.

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Unit tests for tools/lint.py, tools/analyze.py, and tools/bench_report.py.
+"""Unit tests for tools/analyze.py and tools/bench_report.py.
 
 Each rule gets at least one positive fixture (the finding fires) and one
-negative fixture (idiomatic code passes), so a regex regression in either
-tool shows up here instead of as silently-vanished CI coverage. Run via
-`python3 tools/tools_test.py` (no third-party deps; part of the `analyze`
-stage in tools/check_all.sh).
+negative fixture (idiomatic code passes), so a regex regression shows up
+here instead of as silently-vanished CI coverage. Run via
+`python3 tools/tools_test.py` (no third-party deps; a ctest test and part
+of the `analyze` stage in tools/check_all.sh).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import analyze  # noqa: E402
 import bench_report  # noqa: E402
-import lint  # noqa: E402
 
 
 class FixtureTree:
@@ -39,19 +38,6 @@ class FixtureTree:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
 
-    def lint_findings(self) -> list[str]:
-        linter = lint.Linter(self.root)
-        files = sorted((self.root / "src").rglob("*"))
-        for path in files:
-            if path.suffix not in lint.SOURCE_SUFFIXES or not path.is_file():
-                continue
-            text = lint.mask_block_comments(path.read_text(encoding="utf-8"))
-            linter.lint_lines(path, text)
-            if path.suffix == lint.HEADER_SUFFIX:
-                linter.lint_include_guard(path, text)
-                linter.lint_batch_overrides(path, text)
-        return linter.findings
-
     def analyze_findings(self, rules, baseline=None):
         baseline_path = self.root / "baseline.json"
         if baseline is not None:
@@ -68,97 +54,6 @@ GUARD = "#ifndef RELDIV_X_H_\n#define RELDIV_X_H_\n"
 
 def rules_of(findings) -> list[str]:
     return [f.rule if hasattr(f, "rule") else f for f in findings]
-
-
-# ---------------------------------------------------------------------------
-# lint.py rules
-# ---------------------------------------------------------------------------
-
-class LintRuleTest(unittest.TestCase):
-    def setUp(self):
-        self.tree = FixtureTree()
-        self.addCleanup(self.tree.cleanup)
-
-    def assert_fires(self, rule: str):
-        found = self.tree.lint_findings()
-        self.assertTrue(any(f"[{rule}]" in f for f in found),
-                        f"expected [{rule}] in {found}")
-
-    def assert_clean(self):
-        self.assertEqual(self.tree.lint_findings(), [])
-
-    def test_bare_assert_fires(self):
-        self.tree.write("src/a.cc", "void F() { assert(x > 0); }\n")
-        self.assert_fires("bare-assert")
-
-    def test_static_assert_and_check_clean(self):
-        self.tree.write("src/a.cc",
-                        "static_assert(sizeof(int) == 4);\n"
-                        "void F() { RELDIV_CHECK(x > 0); }\n")
-        self.assert_clean()
-
-    def test_include_guard_fires_on_wrong_guard(self):
-        self.tree.write("src/exec/a.h",
-                        "#ifndef WRONG_H\n#define WRONG_H\n#endif\n")
-        self.assert_fires("include-guard")
-
-    def test_include_guard_clean(self):
-        self.tree.write(
-            "src/exec/a.h",
-            "#ifndef RELDIV_EXEC_A_H_\n#define RELDIV_EXEC_A_H_\n"
-            "#endif  // RELDIV_EXEC_A_H_\n")
-        self.assert_clean()
-
-    def test_no_rand_fires(self):
-        self.tree.write("src/a.cc", "int R() { return rand(); }\n")
-        self.assert_fires("no-rand")
-
-    def test_rng_header_clean(self):
-        self.tree.write("src/a.cc",
-                        "int R(Rng* rng) { return rng->Next(); }\n")
-        self.assert_clean()
-
-    def test_batch_overrides_fires_without_open_close(self):
-        self.tree.write(
-            "src/exec/a.h", GUARD +
-            "class Op {\n"
-            "  Status NextBatch(TupleBatch* b, bool* m) override;\n"
-            "};\n#endif\n")
-        self.assert_fires("batch-overrides")
-
-    def test_batch_overrides_clean_with_open_close(self):
-        self.tree.write(
-            "src/exec/a.h",
-            "#ifndef RELDIV_EXEC_A_H_\n#define RELDIV_EXEC_A_H_\n"
-            "class Op {\n"
-            "  Status Open() override;\n"
-            "  Status NextBatch(TupleBatch* b, bool* m) override;\n"
-            "  Status Close() override;\n"
-            "};\n#endif  // RELDIV_EXEC_A_H_\n")
-        self.assert_clean()
-
-    def test_kernel_virtual_next_fires(self):
-        self.tree.write("src/exec/kernels/k.cc",
-                        "void F(Operator* op) { op->NextBatch(&b, &m); }\n")
-        self.assert_fires("kernel-virtual-next")
-
-    def test_kernel_plain_loop_clean(self):
-        self.tree.write("src/exec/kernels/k.cc",
-                        "void F(const int64_t* a, size_t n) { "
-                        "for (size_t i = 0; i < n; ++i) {} }\n")
-        self.assert_clean()
-
-    def test_fused_value_access_fires(self):
-        self.tree.write("src/exec/fused/f.cc",
-                        "void F(Tuple& t) { auto v = t.value(0); }\n")
-        self.assert_fires("fused-value-access")
-
-    def test_fused_value_access_suppressible(self):
-        self.tree.write(
-            "src/exec/fused/f.cc",
-            "void F(Tuple& t) { auto v = t.value(0); }"
-            "  // NOLINT(reldiv/fused-value-access): setup path\n")
-        self.assert_clean()
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +114,18 @@ class AnalyzeRuleTest(unittest.TestCase):
     def test_kernel_purity_fires_on_include(self):
         self.tree.write("src/exec/kernels/k.cc",
                         '#include "common/counters.h"\n')
+        found = self.fresh(["kernel-purity"])
+        self.assertEqual(rules_of(found), ["kernel-purity"])
+
+    def test_kernel_purity_fires_on_operator_include(self):
+        self.tree.write("src/exec/kernels/k.cc",
+                        '#include "exec/operator.h"\n')
+        found = self.fresh(["kernel-purity"])
+        self.assertEqual(rules_of(found), ["kernel-purity"])
+
+    def test_kernel_purity_fires_on_next_batch_call(self):
+        self.tree.write("src/exec/kernels/k.cc",
+                        "void F(Operator* op) { op->NextBatch(&b, &m); }\n")
         found = self.fresh(["kernel-purity"])
         self.assertEqual(rules_of(found), ["kernel-purity"])
 
@@ -313,6 +220,71 @@ class AnalyzeRuleTest(unittest.TestCase):
             '                           "algorithm", "hash");\n'
             "}\n")
         self.assertEqual(self.fresh(["telemetry-names"]), [])
+
+    def test_bare_assert_fires(self):
+        self.tree.write("src/a.cc", "void F() { assert(x > 0); }\n")
+        self.assertEqual(rules_of(self.fresh(["bare-assert"])),
+                         ["bare-assert"])
+
+    def test_static_assert_and_check_clean(self):
+        self.tree.write("src/a.cc",
+                        "static_assert(sizeof(int) == 4);\n"
+                        "void F() { RELDIV_CHECK(x > 0); }\n"
+                        "// assert(x) in a comment\n")
+        self.assertEqual(self.fresh(["bare-assert"]), [])
+
+    def test_include_guard_fires_on_wrong_guard(self):
+        self.tree.write("src/exec/a.h",
+                        "#ifndef WRONG_H\n#define WRONG_H\n#endif\n")
+        found = self.fresh(["include-guard"])
+        self.assertEqual(rules_of(found), ["include-guard"])
+        self.assertIn("RELDIV_EXEC_A_H_", found[0].message)
+
+    def test_include_guard_clean(self):
+        self.tree.write(
+            "src/exec/a.h",
+            "#ifndef RELDIV_EXEC_A_H_\n#define RELDIV_EXEC_A_H_\n"
+            "#endif  // RELDIV_EXEC_A_H_\n")
+        self.assertEqual(self.fresh(["include-guard"]), [])
+
+    def test_no_rand_fires(self):
+        self.tree.write("src/a.cc", "int R() { return std::rand(); }\n")
+        self.assertEqual(rules_of(self.fresh(["no-rand"])), ["no-rand"])
+
+    def test_rng_header_clean(self):
+        self.tree.write("src/a.cc",
+                        "int R(Rng* rng) { return rng->Next() + operand(); "
+                        "}\n")
+        self.assertEqual(self.fresh(["no-rand"]), [])
+
+    BATCH_ONLY = (GUARD + "class Op : public Operator {\n"
+                  "  Status NextBatch(TupleBatch* b, bool* m) override;\n"
+                  "};\n#endif\n")
+
+    def test_batch_overrides_fires_without_open_close(self):
+        self.tree.write("src/exec/a.h", self.BATCH_ONLY)
+        found = self.fresh(["batch-overrides"])
+        self.assertEqual(rules_of(found), ["batch-overrides"])
+        self.assertEqual(found[0].lineno, 3)  # the class line
+        self.assertIn("Open/Close", found[0].message)
+
+    def test_batch_overrides_clean_with_open_close(self):
+        self.tree.write(
+            "src/exec/a.h",
+            GUARD + "class Op : public Operator {\n"
+            "  Status Open() override;\n"
+            "  Status NextBatch(TupleBatch* b, bool* m) override;\n"
+            "  Status Close() override;\n"
+            "};\n#endif\n")
+        self.assertEqual(self.fresh(["batch-overrides"]), [])
+
+    def test_batch_overrides_suppressed_on_class_line(self):
+        self.tree.write("src/exec/a.h", self.BATCH_ONLY.replace(
+            "{\n", "{  // NOLINT(reldiv/batch-overrides): wraps Open/Close\n",
+            1))
+        found, analyzer = self.tree.analyze_findings(["batch-overrides"])
+        self.assertEqual(found, [])
+        self.assertEqual(analyzer.suppressed, 1)
 
     def test_failpoint_site_unlisted_fires(self):
         self.tree.write(
@@ -530,10 +502,6 @@ class BenchReportSchemaTest(unittest.TestCase):
 
 class RepoIsCleanTest(unittest.TestCase):
     """The real tree must be clean — this is the CI gate's own invariant."""
-
-    def test_lint_clean(self):
-        root = Path(__file__).resolve().parent.parent
-        self.assertEqual(lint.Linter(root).run(), 0)
 
     def test_analyze_clean(self):
         root = Path(__file__).resolve().parent.parent
