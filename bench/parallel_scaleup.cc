@@ -173,13 +173,13 @@ Status RunIntraNode(bench::BenchReporter* report) {
   size_t quotient1 = 0;
   double speedup_at_4 = 0;
   for (size_t threads : {1, 2, 4, 8}) {
-    FragmentContexts fragment_ctxs(ctx, kFragments);
     std::vector<std::vector<Tuple>> outs(kFragments);
+    std::vector<CpuCounters> fragment_cpu(kFragments);
     std::vector<size_t> lane_of(kFragments, 0);
+    ctx->set_dop(threads);
     const auto t0 = std::chrono::steady_clock::now();
-    const Status status = TaskScheduler::Global().ParallelFor(
-        threads, kFragments, [&](size_t f) -> Status {
-          ExecContext* fctx = fragment_ctxs.fragment(f);
+    const Status status = RunFragments(
+        ctx, kFragments, [&](size_t f, ExecContext* fctx) -> Status {
           HashDivisionCore core(fctx, match_attrs, quotient_attrs,
                                 division_options);
           core.BorrowDivisorTable(base);
@@ -189,12 +189,14 @@ Status RunIntraNode(bench::BenchReporter* report) {
             RELDIV_RETURN_NOT_OK(core.Consume(tuple, nullptr));
           }
           RELDIV_RETURN_NOT_OK(core.EmitComplete(&outs[f]));
+          fragment_cpu[f] = *fctx->counters();
           lane_of[f] = TaskScheduler::CurrentLane();
           return Status::OK();
         });
     const double wall = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+    ctx->set_dop(1);
 
     // Critical path under the Table 1 unit times for the static round-robin
     // fragment-to-lane assignment — the intra-node analogue of E4's
@@ -205,13 +207,12 @@ Status RunIntraNode(bench::BenchReporter* report) {
     double lane_ms[TaskScheduler::kMaxLanes] = {0};
     CpuCounters totals;
     size_t quotient_size = 0;
+    RELDIV_RETURN_NOT_OK(status);
     for (size_t f = 0; f < kFragments; ++f) {
-      lane_ms[f % threads] += CpuCostMs(fragment_ctxs.counters(f));
-      totals += fragment_ctxs.counters(f);
+      lane_ms[f % threads] += CpuCostMs(fragment_cpu[f]);
+      totals += fragment_cpu[f];
       quotient_size += outs[f].size();
     }
-    fragment_ctxs.MergeInto(ctx);
-    RELDIV_RETURN_NOT_OK(status);
     double crit = 0;
     for (double ms : lane_ms) crit = std::max(crit, ms);
     size_t lanes_used = 1;

@@ -46,8 +46,6 @@ inline constexpr char kGaugeParallelFragments[] = "parallel_fragments";
 inline constexpr char kGaugeInMemory[] = "in_memory";
 inline constexpr char kGaugeInitialRuns[] = "initial_runs";
 inline constexpr char kGaugeIntermediateMerges[] = "intermediate_merges";
-inline constexpr char kGaugeExchangeFragments[] = "exchange_fragments";
-inline constexpr char kGaugeExchangeDop[] = "exchange_dop";
 inline constexpr char kGaugePhasesRun[] = "phases_run";
 inline constexpr char kGaugeRepartitions[] = "repartitions";
 inline constexpr char kGaugeEscalations[] = "escalations";

@@ -7,7 +7,6 @@
 #include "common/metric_names.h"
 #include "exec/exchange.h"
 #include "exec/kernels/kernels.h"
-#include "exec/scheduler.h"
 
 namespace reldiv {
 
@@ -429,12 +428,10 @@ Status RunDivisionFragments(ExecContext* ctx,
   // Fragment decomposition fixed by the repartitioning, independent of
   // worker count; only the assignment of fragments to scheduler lanes varies
   // with dop. Each fragment charges a private context, merged in fragment
-  // order below, so counter totals are reproducible at any thread count.
-  FragmentContexts fragment_ctxs(ctx, fragments);
+  // order, so counter totals are reproducible at any thread count.
   std::vector<std::vector<Tuple>> outs(fragments);
-  Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx->dop(), fragments), fragments, [&](size_t f) -> Status {
-        ExecContext* fctx = fragment_ctxs.fragment(f);
+  RELDIV_RETURN_NOT_OK(RunFragments(
+      ctx, fragments, [&](size_t f, ExecContext* fctx) -> Status {
         HashDivisionCore fragment_core(fctx, match_attrs, quotient_attrs,
                                        options);
         fragment_core.BorrowDivisorTable(shared_core);
@@ -451,11 +448,7 @@ Status RunDivisionFragments(ExecContext* ctx,
           RELDIV_RETURN_NOT_OK(fragment_core.Consume(dividend, nullptr));
         }
         return fragment_core.EmitComplete(&outs[f]);
-      });
-  // Merge fragment counters even on failure — counters stay monotone over
-  // the work actually performed.
-  fragment_ctxs.MergeInto(ctx);
-  RELDIV_RETURN_NOT_OK(status);
+      }));
 
   size_t total = 0;
   for (const std::vector<Tuple>& out : outs) total += out.size();

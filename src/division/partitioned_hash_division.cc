@@ -10,7 +10,6 @@
 #include "exec/exchange.h"
 #include "exec/mem_source.h"
 #include "exec/scan.h"
-#include "exec/scheduler.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "storage/record_file.h"
@@ -118,9 +117,9 @@ Result<std::vector<int64_t>> ComputeRangeSplits(ExecContext* ctx,
   return splits;
 }
 
-/// Partitions `input` into temporary record files under `assigner`.
-Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
-    ExecContext* ctx, const Relation& input, const ClusterAssigner& assigner,
+/// Drains `input` into temporary record files under `assigner`.
+Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
+    ExecContext* ctx, Operator* input, const ClusterAssigner& assigner,
     size_t num_partitions, const std::string& label) {
   std::vector<std::unique_ptr<RecordFile>> clusters;
   clusters.reserve(num_partitions);
@@ -129,14 +128,13 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
         ctx->disk(), ctx->buffer_manager(),
         label + "-cluster-" + std::to_string(i)));
   }
-  RowCodec codec(input.schema);
-  ScanOperator scan(ctx, input);
-  RELDIV_RETURN_NOT_OK(scan.Open());
+  RowCodec codec(input->output_schema());
+  RELDIV_RETURN_NOT_OK(input->Open());
   std::string buffer;
   TupleBatch batch(ctx->batch_capacity());
   bool has_more = true;
   while (has_more) {
-    RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
+    RELDIV_RETURN_NOT_OK(input->NextBatch(&batch, &has_more));
     for (const Tuple& tuple : batch) {
       const size_t p = assigner(ctx, tuple);
       // §3.4: the partitioning function must map every tuple into one of
@@ -149,26 +147,111 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
       (void)rid;
     }
   }
-  RELDIV_RETURN_NOT_OK(scan.Close());
+  RELDIV_RETURN_NOT_OK(input->Close());
   return clusters;
 }
 
-/// Scans `input` and feeds every tuple through `core` (step 2), one batch of
-/// ExecContext::batch_capacity() tuples at a time.
+/// Partitions the stored relation `input` into temporary record files.
+Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
+    ExecContext* ctx, const Relation& input, const ClusterAssigner& assigner,
+    size_t num_partitions, const std::string& label) {
+  ScanOperator scan(ctx, input);
+  return PartitionStream(ctx, &scan, assigner, num_partitions, label);
+}
+
+/// Feeds every tuple of `input` through `core` (step 2), one batch of
+/// ExecContext::batch_capacity() tuples at a time. `input` is closed on
+/// success and on error, so a caller may open it again.
+Status ConsumeAll(ExecContext* ctx, HashDivisionCore* core, Operator* input) {
+  RELDIV_RETURN_NOT_OK(input->Open());
+  TupleBatch batch(ctx->batch_capacity());
+  bool has_more = true;
+  Status status;
+  while (has_more && status.ok()) {
+    status = input->NextBatch(&batch, &has_more);
+    if (status.ok()) status = core->ConsumeBatch(batch, nullptr);
+  }
+  const Status close = input->Close();
+  return status.ok() ? close : status;
+}
+
 Status ConsumeScan(ExecContext* ctx, HashDivisionCore* core,
                    const Relation& input) {
   ScanOperator scan(ctx, input);
-  RELDIV_RETURN_NOT_OK(scan.Open());
-  TupleBatch batch(ctx->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
-    RELDIV_RETURN_NOT_OK(core->ConsumeBatch(batch, nullptr));
+  return ConsumeAll(ctx, core, &scan);
+}
+
+/// Counts one recursive split (§3.4 overflow recovery) in the process-wide
+/// registry and the flight recorder.
+void RecordRepartition(const std::string& label, size_t depth) {
+  if (!Telemetry::counting()) return;
+  static TelemetryCounter* repartitions_total =
+      MetricRegistry::Global().FindOrCreateCounter(
+          metric_names::kRepartitionsTotal);
+  repartitions_total->Add(1);
+  FlightRecorder::Global().Record(FlightEventCategory::kFallback,
+                                  "repartition", label, depth + 1);
+}
+
+/// One level of CollectTaggedQuotients. The collector lives for one
+/// attempt only, so a failed attempt's tables are released before its input
+/// is split and spooled.
+Status CollectLevel(ExecContext* ctx, Operator* tagged,
+                    const std::vector<int64_t>& tags,
+                    uint64_t expected_cardinality, size_t depth,
+                    std::vector<Tuple>* out, size_t* repartitions) {
+  const Schema& schema = tagged->output_schema();
+  std::vector<size_t> quotient_cols(schema.num_fields() - 1);
+  for (size_t i = 0; i < quotient_cols.size(); ++i) quotient_cols[i] = i;
+  Status status;
+  {
+    // Step 1 of hash-division is skipped: the tags are seeded with dense
+    // divisor numbers in the given order. The tag is the last column.
+    HashDivisionCore collector(ctx, {quotient_cols.size()}, quotient_cols,
+                               DivisionOptions{});
+    std::vector<std::pair<Tuple, uint64_t>> numbered;
+    numbered.reserve(tags.size());
+    for (size_t i = 0; i < tags.size(); ++i) {
+      numbered.emplace_back(Tuple{Value::Int64(tags[i])}, i);
+    }
+    RELDIV_RETURN_NOT_OK(
+        collector.BuildDivisorTableFromNumbered(numbered, tags.size()));
+    status = collector.ResetQuotientTable(expected_cardinality);
+    if (status.ok()) status = ConsumeAll(ctx, &collector, tagged);
+    if (status.ok()) return collector.EmitComplete(out);
   }
-  return scan.Close();
+  if (status.code() != StatusCode::kResourceExhausted ||
+      depth >= kMaxRepartitionDepth) {
+    return status;
+  }
+  ++*repartitions;
+  RecordRepartition("collection", depth);
+  RELDIV_ASSIGN_OR_RETURN(
+      auto halves,
+      PartitionStream(ctx, tagged,
+                      ClusterAssigner::Hash(std::move(quotient_cols), 2,
+                                            /*salt=*/depth + 1),
+                      2,
+                      "collection-repart-d" + std::to_string(depth + 1) +
+                          "-" + std::to_string(*repartitions)));
+  for (auto& half : halves) {
+    if (half->num_records() == 0) continue;
+    ScanOperator scan(ctx, Relation{schema, half.get()});
+    RELDIV_RETURN_NOT_OK(CollectLevel(ctx, &scan, tags, expected_cardinality,
+                                      depth + 1, out, repartitions));
+  }
+  return Status::OK();
 }
 
 }  // namespace
+
+Status CollectTaggedQuotients(ExecContext* ctx, Operator* tagged,
+                              const std::vector<int64_t>& tags,
+                              uint64_t expected_cardinality,
+                              std::vector<Tuple>* out, size_t* repartitions) {
+  return CollectLevel(ctx, tagged, tags, expected_cardinality, /*depth=*/0,
+                      out, repartitions);
+}
 
 PartitionedHashDivisionOperator::PartitionedHashDivisionOperator(
     ExecContext* ctx, const ResolvedDivision& resolved,
@@ -182,8 +265,8 @@ PartitionedHashDivisionOperator::~PartitionedHashDivisionOperator() = default;
 
 Status PartitionedHashDivisionOperator::DivideQuotientCluster(
     ExecContext* ctx, HashDivisionCore* core, RecordFile* cluster,
-    size_t depth, const std::string& label, std::vector<Tuple>* out,
-    size_t* phases, size_t* repartitions, bool allow_repartition) {
+    size_t depth, const std::string& label, bool allow_repartition,
+    PhaseOutput* out) {
   Relation rel{resolved_.dividend.schema, cluster};
   // The cluster's record count bounds its quotient candidates, and the
   // planner hint (when present) bounds the total; the smaller wins.
@@ -194,8 +277,8 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
   Status status = core->ResetQuotientTable(hint == 0 ? 1 : hint);
   if (status.ok()) status = ConsumeScan(ctx, core, rel);
   if (status.ok()) {
-    RELDIV_RETURN_NOT_OK(core->EmitComplete(out));
-    ++*phases;
+    RELDIV_RETURN_NOT_OK(core->EmitComplete(&out->quotient));
+    ++out->phases;
     return Status::OK();
   }
   if (!allow_repartition || status.code() != StatusCode::kResourceExhausted ||
@@ -206,15 +289,8 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
   // two with a depth-salted hash and divide each half in its own phase.
   // Splitting on the quotient attrs keeps every candidate's dividend
   // tuples together, so per-half quotients concatenate correctly.
-  ++*repartitions;
-  if (Telemetry::counting()) {
-    static TelemetryCounter* repartitions_total =
-        MetricRegistry::Global().FindOrCreateCounter(
-            metric_names::kRepartitionsTotal);
-    repartitions_total->Add(1);
-    FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                    "repartition", label, depth + 1);
-  }
+  ++out->repartitions;
+  RecordRepartition(label, depth);
   RELDIV_ASSIGN_OR_RETURN(
       auto halves,
       PartitionRelation(
@@ -223,15 +299,53 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
                                 /*salt=*/depth + 1),
           2,
           label + "-repart-d" + std::to_string(depth + 1) + "-" +
-              std::to_string(*repartitions)));
+              std::to_string(out->repartitions)));
   for (auto& half : halves) {
     if (half->num_records() == 0) continue;
     RELDIV_RETURN_NOT_OK(DivideQuotientCluster(ctx, core, half.get(),
-                                               depth + 1, label, out, phases,
-                                               repartitions,
-                                               allow_repartition));
+                                               depth + 1, label,
+                                               allow_repartition, out));
   }
   return Status::OK();
+}
+
+Status PartitionedHashDivisionOperator::RunPhaseRegion(
+    size_t num_phases, const PhaseBody& body,
+    std::vector<PhaseOutput>* outputs) {
+  outputs->assign(num_phases, PhaseOutput{});
+  std::vector<char> deferred(num_phases, 0);
+  RELDIV_RETURN_NOT_OK(RunFragments(
+      ctx_, num_phases, [&](size_t i, ExecContext* fctx) -> Status {
+        Status status =
+            body(i, fctx, /*allow_repartition=*/false, &(*outputs)[i]);
+        if (status.code() != StatusCode::kResourceExhausted) return status;
+        // Concurrent phases share the memory budget, so this overflow may
+        // be an artifact of the schedule. Discard the attempt completely —
+        // counters, sub-page Move residue, partial output and gauges — and
+        // defer the phase to the serial rerun below, which sees the whole
+        // budget. A phase that fits alone then contributes its plain
+        // counters at every worker count, and one that genuinely overflows
+        // recovers (or fails) identically at every worker count.
+        *fctx->counters() = CpuCounters{};
+        fctx->ResetMoveAccumulator();
+        (*outputs)[i] = PhaseOutput{};
+        deferred[i] = 1;
+        return Status::OK();
+      }));
+  // Deferred phases rerun one at a time on the parent context with the full
+  // budget and overflow recovery enabled; a phase that STILL overflows
+  // propagates ResourceExhausted so Open() can escalate or restart.
+  Status status;
+  for (size_t i = 0; i < num_phases && status.ok(); ++i) {
+    if (deferred[i]) {
+      status = body(i, ctx_, /*allow_repartition=*/true, &(*outputs)[i]);
+    }
+  }
+  for (const PhaseOutput& out : *outputs) {
+    phases_run_ += out.phases;
+    repartitions_ += out.repartitions;
+  }
+  return status;
 }
 
 Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
@@ -263,77 +377,32 @@ Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   ScanOperator divisor_scan(ctx_, resolved_.divisor);
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
 
-  // One morsel per cluster: each fragment divides its cluster with a private
-  // core borrowing the resident divisor table, charging a private context.
-  // The cluster decomposition above never depends on the worker count, and
-  // the order-merged results/counters below reproduce the serial loop
-  // exactly — this same code path IS the serial plan at dop 1.
-  const size_t num_clusters = clusters.size();
-  FragmentContexts fragment_ctxs(ctx_, num_clusters);
-  std::vector<std::vector<Tuple>> outs(num_clusters);
-  std::vector<size_t> phases(num_clusters, 0);
-  std::vector<size_t> repartitions(num_clusters, 0);
-  std::vector<char> deferred(num_clusters, 0);
-  Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx_->dop(), num_clusters), num_clusters,
-      [&](size_t c) -> Status {
-        ExecContext* fctx = fragment_ctxs.fragment(c);
-        HashDivisionCore cluster_core(fctx, resolved_.match_attrs,
+  // One phase per cluster: each divides its cluster with a private core
+  // borrowing the resident divisor table. The quotient of the whole
+  // division is the concatenation of the per-phase quotients.
+  std::vector<PhaseOutput> outputs;
+  RELDIV_RETURN_NOT_OK(RunPhaseRegion(
+      clusters.size(),
+      [&](size_t c, ExecContext* ectx, bool allow_repartition,
+          PhaseOutput* out) {
+        HashDivisionCore cluster_core(ectx, resolved_.match_attrs,
                                       resolved_.quotient_attrs, core_options);
         cluster_core.BorrowDivisorTable(core);
-        // The quotient of the whole division is the concatenation of the
-        // per-phase quotients. Overflow recovery is NOT attempted here:
-        // concurrent clusters share the memory budget, so an in-region
-        // ResourceExhausted may be an artifact of the schedule. Discard the
-        // attempt completely — counters, sub-page Move residue, partial
-        // output — and defer the cluster to the serial rerun below, which
-        // sees the whole budget. A cluster that fits alone then contributes
-        // its plain build counters at every worker count, and one that
-        // genuinely overflows recovers identically at every worker count.
-        Status cluster_status = DivideQuotientCluster(
-            fctx, &cluster_core, clusters[c].get(), 0,
-            "quotient-part-c" + std::to_string(c), &outs[c], &phases[c],
-            &repartitions[c], /*allow_repartition=*/false);
-        if (cluster_status.code() == StatusCode::kResourceExhausted) {
-          *fctx->counters() = CpuCounters{};
-          fctx->ResetMoveAccumulator();
-          outs[c].clear();
-          phases[c] = 0;
-          repartitions[c] = 0;
-          deferred[c] = 1;
-          return Status::OK();
-        }
-        return cluster_status;
-      });
-  fragment_ctxs.MergeInto(ctx_);
-  RELDIV_RETURN_NOT_OK(status);
-  // Deferred clusters rerun one at a time on the parent context with the
-  // full budget and the recursive splitter enabled; a cluster that STILL
-  // overflows propagates ResourceExhausted so Open() can escalate.
-  Status rerun_status;
-  for (size_t c = 0; c < num_clusters && rerun_status.ok(); ++c) {
-    if (!deferred[c]) continue;
-    HashDivisionCore cluster_core(ctx_, resolved_.match_attrs,
-                                  resolved_.quotient_attrs, core_options);
-    cluster_core.BorrowDivisorTable(core);
-    rerun_status = DivideQuotientCluster(
-        ctx_, &cluster_core, clusters[c].get(), 0,
-        "quotient-part-c" + std::to_string(c), &outs[c], &phases[c],
-        &repartitions[c], /*allow_repartition=*/true);
-  }
-  for (size_t c = 0; c < num_clusters; ++c) {
-    phases_run_ += phases[c];
-    repartitions_ += repartitions[c];
-  }
-  RELDIV_RETURN_NOT_OK(rerun_status);
-  for (std::vector<Tuple>& out : outs) {
-    for (Tuple& tuple : out) results_.push_back(std::move(tuple));
+        return DivideQuotientCluster(
+            ectx, &cluster_core, clusters[c].get(), 0,
+            "quotient-part-c" + std::to_string(c), allow_repartition, out);
+      },
+      &outputs));
+  for (PhaseOutput& out : outputs) {
+    for (Tuple& tuple : out.quotient) results_.push_back(std::move(tuple));
   }
   return Status::OK();
 }
 
 Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
-    size_t num_partitions) {
+    PartitionStrategy strategy, size_t num_partitions) {
+  const bool combined = strategy == PartitionStrategy::kCombined;
+  const std::string label = combined ? "combined" : "divisor-part";
   // The same partitioning function must be applied to the divisor (on all
   // its columns) and the dividend (on the divisor attributes) so matching
   // tuples land in the same cluster.
@@ -343,7 +412,7 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
       ClusterAssigner::Hash(divisor_all, num_partitions);
   ClusterAssigner dividend_assigner =
       ClusterAssigner::Hash(resolved_.match_attrs, num_partitions);
-  if (options_.partition_function == PartitionFunction::kRange) {
+  if (!combined && options_.partition_function == PartitionFunction::kRange) {
     RELDIV_ASSIGN_OR_RETURN(
         std::vector<int64_t> splits,
         ComputeRangeSplits(ctx_, resolved_.divisor, 0, num_partitions));
@@ -354,20 +423,11 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
   RELDIV_ASSIGN_OR_RETURN(
       auto divisor_clusters,
       PartitionRelation(ctx_, resolved_.divisor, divisor_assigner,
-                        num_partitions, "divisor-part-s"));
+                        num_partitions, label + "-s"));
   RELDIV_ASSIGN_OR_RETURN(
       auto dividend_clusters,
       PartitionRelation(ctx_, resolved_.dividend, dividend_assigner,
-                        num_partitions, "divisor-part-r"));
-
-  // Tagged quotient clusters, spooled to one temporary file whose schema is
-  // (quotient attrs..., phase).
-  std::vector<Field> tagged_fields = resolved_.quotient_schema.fields();
-  tagged_fields.push_back(Field{"phase", ValueType::kInt64});
-  Schema tagged_schema(std::move(tagged_fields));
-  RowCodec tagged_codec(tagged_schema);
-  RecordFile tagged_store(ctx_->disk(), ctx_->buffer_manager(),
-                          "quotient-clusters");
+                        num_partitions, label + "-r"));
 
   // Phases whose divisor cluster is empty constrain nothing (their for-all
   // condition is vacuous) and must not appear in the collection divisor.
@@ -378,222 +438,67 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
     }
   }
 
-  // One morsel per participating phase: each phase's divisor cluster is
-  // private, so fragments share nothing but the (thread-safe) storage
-  // layer. Tagging and spooling happen serially afterwards, in phase
-  // order, so the tagged file's contents match the serial loop's.
-  const size_t num_phases = participating.size();
-  phases_run_ += num_phases;
-  FragmentContexts fragment_ctxs(ctx_, num_phases);
-  std::vector<std::vector<Tuple>> phase_quotients(num_phases);
-  std::vector<char> deferred(num_phases, 0);
-  // One phase's whole body, runnable on a fragment context (in-region) or
-  // on the parent context (serial rerun of a deferred phase).
-  auto run_phase = [&](size_t i, ExecContext* ectx) -> Status {
-    const size_t p = static_cast<size_t>(participating[i]);
-    DivisionOptions phase_options = options_;
-    phase_options.early_output = false;
-    HashDivisionCore core(ectx, resolved_.match_attrs,
-                          resolved_.quotient_attrs, phase_options);
-    Relation divisor_rel{resolved_.divisor.schema, divisor_clusters[p].get()};
-    ScanOperator divisor_scan(ectx, divisor_rel);
-    RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
-    RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-
-    Relation dividend_rel{resolved_.dividend.schema,
-                          dividend_clusters[p].get()};
-    RELDIV_RETURN_NOT_OK(ConsumeScan(ectx, &core, dividend_rel));
-    return core.EmitComplete(&phase_quotients[i]);
-  };
-  Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx_->dop(), num_phases), num_phases,
-      [&](size_t i) -> Status {
-        ExecContext* fctx = fragment_ctxs.fragment(i);
-        Status phase_status = run_phase(i, fctx);
-        if (phase_status.code() == StatusCode::kResourceExhausted) {
-          // Concurrent phases share the memory budget, so this overflow may
-          // be an artifact of the schedule. Discard the attempt completely
-          // (counters, Move residue, partial output) and defer the phase to
-          // the serial rerun below, which sees the whole budget — so the
-          // worker count never changes what gets charged or what fails.
-          *fctx->counters() = CpuCounters{};
-          fctx->ResetMoveAccumulator();
-          phase_quotients[i].clear();
-          deferred[i] = 1;
+  // One phase per participating divisor cluster: each builds that
+  // cluster's divisor table and divides the matching dividend cluster.
+  // Phases share nothing but the (thread-safe) storage layer.
+  DivisionOptions phase_options = options_;
+  phase_options.early_output = false;
+  const size_t quotient_parts = options_.num_quotient_subpartitions == 0
+                                    ? num_partitions
+                                    : options_.num_quotient_subpartitions;
+  std::vector<PhaseOutput> outputs;
+  RELDIV_RETURN_NOT_OK(RunPhaseRegion(
+      participating.size(),
+      [&](size_t i, ExecContext* ectx, bool allow_repartition,
+          PhaseOutput* out) -> Status {
+        const size_t p = static_cast<size_t>(participating[i]);
+        HashDivisionCore core(ectx, resolved_.match_attrs,
+                              resolved_.quotient_attrs, phase_options);
+        Relation divisor_rel{resolved_.divisor.schema,
+                             divisor_clusters[p].get()};
+        ScanOperator divisor_scan(ectx, divisor_rel);
+        RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
+        Relation dividend_rel{resolved_.dividend.schema,
+                              dividend_clusters[p].get()};
+        if (!combined) {
+          RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
+          RELDIV_RETURN_NOT_OK(ConsumeScan(ectx, &core, dividend_rel));
+          RELDIV_RETURN_NOT_OK(core.EmitComplete(&out->quotient));
+          ++out->phases;
           return Status::OK();
         }
-        return phase_status;
-      });
-  fragment_ctxs.MergeInto(ctx_);
-  RELDIV_RETURN_NOT_OK(status);
-  // Deferred phases rerun one at a time with the full budget; a phase that
-  // STILL overflows propagates ResourceExhausted so Open() can restart with
-  // more partitions.
-  for (size_t i = 0; i < num_phases; ++i) {
-    if (!deferred[i]) continue;
-    RELDIV_RETURN_NOT_OK(run_phase(i, ctx_));
-  }
+        // §3.4's closing question — neither table fits: the divisor
+        // clusters shrink the divisor table and the bit maps, and
+        // quotient sub-partitioning of the cluster's dividend shrinks the
+        // quotient table; an inner overflow splits just that sub-cluster.
+        const std::string sub_label = "combined-r" + std::to_string(p);
+        RELDIV_ASSIGN_OR_RETURN(
+            auto sub_clusters,
+            PartitionRelation(
+                ectx, dividend_rel,
+                ClusterAssigner::Hash(resolved_.quotient_attrs,
+                                      quotient_parts),
+                quotient_parts, sub_label));
+        for (auto& sub : sub_clusters) {
+          RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
+              ectx, &core, sub.get(), 0, sub_label, allow_repartition, out));
+        }
+        return Status::OK();
+      },
+      &outputs));
 
-  std::string buffer;
-  for (size_t i = 0; i < num_phases; ++i) {
-    for (Tuple& q : phase_quotients[i]) {
-      q.Append(Value::Int64(participating[i]));
-      buffer.clear();
-      RELDIV_RETURN_NOT_OK(tagged_codec.Encode(q, &buffer));
-      RELDIV_ASSIGN_OR_RETURN(Rid rid, tagged_store.Append(Slice(buffer)));
-      (void)rid;
-    }
-  }
-
-  if (participating.empty()) {
-    // Entire divisor was empty: empty quotient by convention.
-    return Status::OK();
-  }
-
-  // Collection phase: divide the union of the tagged quotient clusters over
-  // the set of participating phase numbers. Step 1 of hash-division is
-  // skipped — the phase numbers are seeded with dense divisor numbers.
-  DivisionOptions collect_options;
-  collect_options.expected_quotient_cardinality =
-      options_.expected_quotient_cardinality;
-  std::vector<size_t> collect_quotient_attrs(
-      resolved_.quotient_attrs.size());
-  for (size_t i = 0; i < collect_quotient_attrs.size(); ++i) {
-    collect_quotient_attrs[i] = i;
-  }
-  HashDivisionCore collector(
-      ctx_, {collect_quotient_attrs.size()},  // match attr: the phase column
-      collect_quotient_attrs, collect_options);
-  std::vector<std::pair<Tuple, uint64_t>> numbered;
-  numbered.reserve(participating.size());
-  for (size_t i = 0; i < participating.size(); ++i) {
-    numbered.emplace_back(Tuple{Value::Int64(participating[i])}, i);
-  }
-  RELDIV_RETURN_NOT_OK(collector.BuildDivisorTableFromNumbered(
-      numbered, participating.size()));
-  RELDIV_RETURN_NOT_OK(collector.ResetQuotientTable());
-
-  Relation tagged_rel{tagged_schema, &tagged_store};
-  RELDIV_RETURN_NOT_OK(ConsumeScan(ctx_, &collector, tagged_rel));
-  RELDIV_RETURN_NOT_OK(collector.EmitComplete(&results_));
-  return Status::OK();
-}
-
-Status PartitionedHashDivisionOperator::RunCombined(size_t divisor_parts) {
-  // §3.4's closing question: neither table fits. Outer loop = divisor
-  // partitioning (shrinks the divisor table and the bit maps); inner loop =
-  // quotient partitioning of each divisor cluster's dividend (shrinks the
-  // quotient table); the divisor-cluster tags then go through the standard
-  // collection phase.
-  const size_t quotient_parts = options_.num_quotient_subpartitions == 0
-                                    ? divisor_parts
-                                    : options_.num_quotient_subpartitions;
-
-  std::vector<size_t> divisor_all(resolved_.divisor.schema.num_fields());
-  for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
-  RELDIV_ASSIGN_OR_RETURN(
-      auto divisor_clusters,
-      PartitionRelation(ctx_, resolved_.divisor,
-                        ClusterAssigner::Hash(divisor_all, divisor_parts),
-                        divisor_parts, "combined-s"));
-  RELDIV_ASSIGN_OR_RETURN(
-      auto dividend_clusters,
-      PartitionRelation(
-          ctx_, resolved_.dividend,
-          ClusterAssigner::Hash(resolved_.match_attrs, divisor_parts),
-          divisor_parts, "combined-r"));
-
+  // Tag each phase's quotient cluster with its phase number and spool the
+  // union, in phase order, to one temporary file whose schema is (quotient
+  // attrs..., phase) — so its contents never depend on the worker count.
   std::vector<Field> tagged_fields = resolved_.quotient_schema.fields();
   tagged_fields.push_back(Field{"phase", ValueType::kInt64});
-  Schema tagged_schema(std::move(tagged_fields));
-  RowCodec tagged_codec(tagged_schema);
   RecordFile tagged_store(ctx_->disk(), ctx_->buffer_manager(),
-                          "combined-quotient-clusters");
-
-  std::vector<int64_t> participating;
-  for (size_t p = 0; p < divisor_parts; ++p) {
-    if (divisor_clusters[p]->num_records() != 0) {
-      participating.push_back(static_cast<int64_t>(p));
-    }
-  }
-
-  // One morsel per participating divisor cluster: each fragment builds that
-  // cluster's divisor table, quotient-partitions its dividend, and divides
-  // the sub-clusters through the recursive splitter (an inner overflow
-  // repartitions just that sub-cluster instead of failing the phase).
-  // Tagging and spooling happen serially afterwards, in phase order.
-  const size_t num_phases = participating.size();
-  FragmentContexts fragment_ctxs(ctx_, num_phases);
-  std::vector<std::vector<Tuple>> phase_quotients(num_phases);
-  std::vector<size_t> phases(num_phases, 0);
-  std::vector<size_t> repartitions(num_phases, 0);
-  std::vector<char> deferred(num_phases, 0);
-  // One divisor-cluster phase, runnable on a fragment context (in-region,
-  // no recovery) or on the parent context (serial rerun with the recursive
-  // splitter enabled).
-  auto run_phase = [&](size_t i, ExecContext* ectx,
-                       bool allow_repartition) -> Status {
-    const size_t p = static_cast<size_t>(participating[i]);
-    DivisionOptions phase_options = options_;
-    phase_options.early_output = false;
-    HashDivisionCore core(ectx, resolved_.match_attrs,
-                          resolved_.quotient_attrs, phase_options);
-    Relation divisor_rel{resolved_.divisor.schema, divisor_clusters[p].get()};
-    ScanOperator divisor_scan(ectx, divisor_rel);
-    RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
-
-    Relation dividend_rel{resolved_.dividend.schema,
-                          dividend_clusters[p].get()};
-    RELDIV_ASSIGN_OR_RETURN(
-        auto sub_clusters,
-        PartitionRelation(
-            ectx, dividend_rel,
-            ClusterAssigner::Hash(resolved_.quotient_attrs, quotient_parts),
-            quotient_parts, "combined-r" + std::to_string(p)));
-    for (auto& sub : sub_clusters) {
-      RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
-          ectx, &core, sub.get(), 0, "combined-r" + std::to_string(p),
-          &phase_quotients[i], &phases[i], &repartitions[i],
-          allow_repartition));
-    }
-    return Status::OK();
-  };
-  Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx_->dop(), num_phases), num_phases,
-      [&](size_t i) -> Status {
-        ExecContext* fctx = fragment_ctxs.fragment(i);
-        Status phase_status = run_phase(i, fctx, /*allow_repartition=*/false);
-        if (phase_status.code() == StatusCode::kResourceExhausted) {
-          // See RunQuotientPartitioned: an overflow under concurrent
-          // siblings may be an artifact of the schedule, so the attempt is
-          // discarded wholesale and the phase deferred to the serial rerun,
-          // which alone decides between recovery and restart.
-          *fctx->counters() = CpuCounters{};
-          fctx->ResetMoveAccumulator();
-          phase_quotients[i].clear();
-          phases[i] = 0;
-          repartitions[i] = 0;
-          deferred[i] = 1;
-          return Status::OK();
-        }
-        return phase_status;
-      });
-  fragment_ctxs.MergeInto(ctx_);
-  RELDIV_RETURN_NOT_OK(status);
-  Status rerun_status;
-  for (size_t i = 0; i < num_phases && rerun_status.ok(); ++i) {
-    if (!deferred[i]) continue;
-    rerun_status = run_phase(i, ctx_, /*allow_repartition=*/true);
-  }
-  for (size_t i = 0; i < num_phases; ++i) {
-    phases_run_ += phases[i];
-    repartitions_ += repartitions[i];
-  }
-  RELDIV_RETURN_NOT_OK(rerun_status);
-
+                          label + "-quotient-clusters");
+  Relation tagged{Schema(std::move(tagged_fields)), &tagged_store};
+  RowCodec tagged_codec(tagged.schema);
   std::string buffer;
-  for (size_t i = 0; i < num_phases; ++i) {
-    for (Tuple& q : phase_quotients[i]) {
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    for (Tuple& q : outputs[i].quotient) {
       q.Append(Value::Int64(participating[i]));
       buffer.clear();
       RELDIV_RETURN_NOT_OK(tagged_codec.Encode(q, &buffer));
@@ -601,28 +506,16 @@ Status PartitionedHashDivisionOperator::RunCombined(size_t divisor_parts) {
       (void)rid;
     }
   }
-
+  // Entire divisor empty: empty quotient by convention.
   if (participating.empty()) return Status::OK();
 
-  // Collection phase over the divisor-cluster tags, itself quotient-safe
-  // because its table holds only candidates that completed some cluster.
-  DivisionOptions collect_options;
-  std::vector<size_t> collect_quotient_attrs(resolved_.quotient_attrs.size());
-  for (size_t i = 0; i < collect_quotient_attrs.size(); ++i) {
-    collect_quotient_attrs[i] = i;
-  }
-  HashDivisionCore collector(ctx_, {collect_quotient_attrs.size()},
-                             collect_quotient_attrs, collect_options);
-  std::vector<std::pair<Tuple, uint64_t>> numbered;
-  for (size_t i = 0; i < participating.size(); ++i) {
-    numbered.emplace_back(Tuple{Value::Int64(participating[i])}, i);
-  }
-  RELDIV_RETURN_NOT_OK(collector.BuildDivisorTableFromNumbered(
-      numbered, participating.size()));
-  RELDIV_RETURN_NOT_OK(collector.ResetQuotientTable());
-  Relation tagged_rel{tagged_schema, &tagged_store};
-  RELDIV_RETURN_NOT_OK(ConsumeScan(ctx_, &collector, tagged_rel));
-  return collector.EmitComplete(&results_);
+  // Collection phase: divide the tagged union over the participating
+  // phase numbers.
+  ScanOperator tagged_scan(ctx_, tagged);
+  return CollectTaggedQuotients(
+      ctx_, &tagged_scan, participating,
+      combined ? 0 : options_.expected_quotient_cardinality, &results_,
+      &repartitions_);
 }
 
 Status PartitionedHashDivisionOperator::Open() {
@@ -657,9 +550,7 @@ Status PartitionedHashDivisionOperator::Open() {
   for (size_t attempt = 0;; ++attempt) {
     results_.clear();
     phases_run_ = 0;
-    status = strategy == PartitionStrategy::kDivisor
-                 ? RunDivisorPartitioned(parts)
-                 : RunCombined(parts);
+    status = RunDivisorPartitioned(strategy, parts);
     if (status.code() != StatusCode::kResourceExhausted) return status;
     if (attempt >= kMaxRestarts) return status;
     // A cluster outgrew the budget at this partition count: restart with

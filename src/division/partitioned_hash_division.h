@@ -1,6 +1,7 @@
 #ifndef RELDIV_DIVISION_PARTITIONED_HASH_DIVISION_H_
 #define RELDIV_DIVISION_PARTITIONED_HASH_DIVISION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,25 @@ namespace reldiv {
 
 class HashDivisionCore;
 class RecordFile;
+
+/// The collection phase of divisor partitioning (§3.4) and of §6's
+/// collection sites — "exactly the division problem again": divides
+/// `tagged`, whose tuples are (quotient attrs..., tag) with an int64 tag,
+/// over the set `tags`, and appends the quotient to `out`. Step 1 of
+/// hash-division is skipped: the tags are seeded with dense divisor numbers
+/// in the given order. `expected_cardinality` sizes the quotient table
+/// (0 = the default size). All work is charged to `ctx`.
+///
+/// When the quotient table overflows, the tagged input is split in two on
+/// the quotient attrs with a depth-salted hash (spooled to temporary files
+/// on `ctx`'s disk) and each half is collected on its own, recursively:
+/// every candidate's tags stay together, so the halves' quotients
+/// concatenate. Each split adds one to `*repartitions`. A first attempt
+/// that fits reads `tagged` once; a split reopens it.
+Status CollectTaggedQuotients(ExecContext* ctx, Operator* tagged,
+                              const std::vector<int64_t>& tags,
+                              uint64_t expected_cardinality,
+                              std::vector<Tuple>* out, size_t* repartitions);
 
 /// Hash-division with hash-table-overflow management (§3.4): the inputs are
 /// hash-partitioned into disjoint clusters spooled to temporary files and
@@ -35,7 +55,7 @@ class RecordFile;
 ///
 /// Overflow recovery (§3.4's "overflow avoidance ... may fail"): the
 /// partition count is a planning estimate, so a cluster can still outgrow
-/// the memory budget at run time. Three recovery mechanisms compose:
+/// the memory budget at run time. Four recovery mechanisms compose:
 ///  - Quotient strategy: a dividend cluster whose quotient table overflows
 ///    is recursively split in two with a depth-salted hash and each half is
 ///    divided on its own (`repartitions` gauge).
@@ -46,6 +66,11 @@ class RecordFile;
 ///  - Divisor / combined strategies: a per-phase overflow restarts the whole
 ///    run with twice the partitions (`restarts` gauge), bounded; clusters
 ///    halve in expectation each restart.
+///  - Divisor / combined strategies: an overflowing collection phase splits
+///    the tagged quotient file in two on the quotient attrs and collects
+///    each half on its own (`repartitions` gauge; CollectTaggedQuotients).
+///    More partitions could not help there: the collector holds one entry
+///    per candidate that completed some cluster.
 /// Only ResourceExhausted triggers recovery; any other failure (an I/O
 /// fault, a corrupt page) propagates unchanged.
 ///
@@ -97,29 +122,50 @@ class PartitionedHashDivisionOperator : public Operator {
   }
 
  private:
+  /// What one §3.4 phase (a cluster of the quotient strategy, a divisor
+  /// cluster of the divisor/combined strategies) produced.
+  struct PhaseOutput {
+    std::vector<Tuple> quotient;
+    size_t phases = 0;        ///< phases completed, recursive splits included
+    size_t repartitions = 0;  ///< recursive cluster splits taken
+  };
+  /// Runs phase `i` with all work charged to `ctx`. With
+  /// `allow_repartition` false the first overflow surfaces as
+  /// ResourceExhausted instead of being recovered from.
+  using PhaseBody = std::function<Status(
+      size_t i, ExecContext* ctx, bool allow_repartition, PhaseOutput* out)>;
+
   Status RunQuotientPartitioned();
-  Status RunDivisorPartitioned(size_t num_partitions);
-  Status RunCombined(size_t divisor_parts);
+  /// The divisor and combined strategies: partition divisor and dividend on
+  /// the divisor attrs, run one phase per non-empty divisor cluster, tag
+  /// and spool the phase quotients in phase order, and collect them. The
+  /// strategies differ only in the phase body.
+  Status RunDivisorPartitioned(PartitionStrategy strategy,
+                               size_t num_partitions);
+
+  /// Runs `num_phases` independent phases as one RunFragments region, with
+  /// overflow recovery disallowed. An in-region ResourceExhausted may be an
+  /// artifact of the schedule (concurrent phases share the memory budget),
+  /// and recovery decisions must not depend on the worker count: the
+  /// attempt is discarded wholesale and the phase reruns serially on ctx_
+  /// with recovery allowed. Fills `outputs` in phase order and folds their
+  /// tallies into the operator gauges.
+  Status RunPhaseRegion(size_t num_phases, const PhaseBody& body,
+                        std::vector<PhaseOutput>* outputs);
 
   /// Divides one dividend cluster against `core`'s (possibly borrowed)
   /// divisor table, recursively splitting the cluster when its quotient
   /// table overflows the memory budget. `depth` salts the split hash so a
   /// re-split does not reproduce the parent partitioning. All work is
-  /// charged to `ctx` and all output goes to the explicit sinks, so the
-  /// same code serves the serial path and one parallel fragment: quotient
-  /// tuples append to `out`, phase/split tallies to `phases`/`repartitions`
-  /// (folded into the operator gauges by the caller). `label` prefixes the
-  /// temporary spill files of recursive splits — it must be unique per
-  /// concurrent caller. With `allow_repartition` false the first overflow
-  /// surfaces as ResourceExhausted instead of splitting: parallel fragments
-  /// run in that mode, because an overflow under concurrent siblings may be
-  /// an artifact of the schedule, and recovery decisions must not depend on
-  /// the worker count — the caller defers the cluster and reruns it alone.
+  /// charged to `ctx` and quotient tuples and phase/split tallies go to
+  /// `out`. `label` prefixes the temporary spill files of recursive splits
+  /// — it must be unique per concurrent caller. With `allow_repartition`
+  /// false the first overflow surfaces as ResourceExhausted instead of
+  /// splitting (see RunPhaseRegion).
   Status DivideQuotientCluster(ExecContext* ctx, HashDivisionCore* core,
                                RecordFile* cluster, size_t depth,
                                const std::string& label,
-                               std::vector<Tuple>* out, size_t* phases,
-                               size_t* repartitions, bool allow_repartition);
+                               bool allow_repartition, PhaseOutput* out);
 
   ExecContext* ctx_;
   ResolvedDivision resolved_;

@@ -1,11 +1,7 @@
 #ifndef RELDIV_EXEC_EXCHANGE_H_
 #define RELDIV_EXEC_EXCHANGE_H_
 
-#include <algorithm>
 #include <functional>
-#include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -13,161 +9,28 @@
 
 namespace reldiv {
 
-class MetricsNode;
-
-/// Per-fragment execution contexts for one parallel section. Each fragment
-/// gets a private ExecContext sharing the parent's (thread-safe) disk,
-/// buffer manager, and memory pool but counting Table 1 work into a private
-/// CpuCounters — concurrent fragments never race on the parent's counters.
+/// Runs `num_fragments` independent fragments of one parallel region on up
+/// to min(ctx->dop(), num_fragments) scheduler lanes. Fragment `i` runs
+/// `body(i, fragment_ctx)`, where `fragment_ctx` is a private ExecContext
+/// sharing `ctx`'s (thread-safe) disk, buffer manager and memory pool but
+/// counting Table 1 work into private CpuCounters — concurrent fragments
+/// never race on the parent's counters. It inherits `ctx`'s budgets, batch
+/// capacity, contract checks and trace recorder, and has dop 1.
 ///
-/// MergeInto() folds the fragment counters back into the parent IN FRAGMENT
-/// ORDER, including each fragment's sub-page Move remainder via
-/// ExecContext::CountMoveBytes. Because Move units are a cumulative fold of
-/// byte volume (floor per page with a carried remainder), merging remainders
-/// in a fixed order reproduces the serial fold exactly: the merged totals
-/// are independent of which worker lane ran which fragment and of the
-/// degree of parallelism — the property the lane-equivalence suite pins.
-class FragmentContexts {
- public:
-  FragmentContexts(ExecContext* parent, size_t num_fragments);
-  ~FragmentContexts();
-
-  FragmentContexts(const FragmentContexts&) = delete;
-  FragmentContexts& operator=(const FragmentContexts&) = delete;
-
-  size_t size() const { return contexts_.size(); }
-  ExecContext* fragment(size_t i) { return contexts_[i].get(); }
-  const CpuCounters& counters(size_t i) const { return counters_[i]; }
-
-  /// Adds every fragment's counters and Move remainder to `parent`, in
-  /// fragment order. Call exactly once, after the parallel section ends
-  /// (also on failure: executed work stays counted, keeping the parent's
-  /// counters monotone).
-  void MergeInto(ExecContext* parent);
-
- private:
-  std::vector<CpuCounters> counters_;  // sized once; pointer-stable
-  std::vector<std::unique_ptr<ExecContext>> contexts_;
-  bool merged_ = false;
-};
-
-/// Batch-native source over a slice [begin, end) of a shared tuple vector.
-/// The exchange machinery hands each fragment one of these so parallel
-/// fragments read disjoint slices of one materialized input without
-/// duplicating it (the in-process analogue of a parallel scan split).
-class VectorSliceOperator : public Operator {
- public:
-  /// `tuples` is borrowed and must stay alive and unmodified while open.
-  VectorSliceOperator(Schema schema, const std::vector<Tuple>* tuples,
-                      size_t begin, size_t end)
-      : schema_(std::move(schema)),
-        tuples_(tuples),
-        begin_(begin),
-        end_(std::min(end, tuples->size())) {}
-
-  const Schema& output_schema() const override { return schema_; }
-  bool IsBatchNative() const override { return true; }
-
-  Status Open() override {
-    next_ = begin_;
-    return Status::OK();
-  }
-
-  Status Next(Tuple* tuple, bool* has_next) override {
-    if (next_ >= end_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = (*tuples_)[next_++];
-    *has_next = true;
-    return Status::OK();
-  }
-
-  Status NextBatch(TupleBatch* batch, bool* has_more) override {
-    batch->Clear();
-    const size_t n = std::min(batch->capacity(), end_ - next_);
-    for (size_t i = 0; i < n; ++i) batch->PushBack((*tuples_)[next_ + i]);
-    next_ += n;
-    *has_more = next_ < end_;
-    return Status::OK();
-  }
-
-  Status Close() override { return Status::OK(); }
-
- private:
-  Schema schema_;
-  const std::vector<Tuple>* tuples_;
-  size_t begin_;
-  size_t end_;
-  size_t next_ = 0;
-};
-
-/// Gather policy of an ExchangeOperator.
-enum class GatherOrder {
-  /// Concatenate fragment outputs in fragment order — deterministic across
-  /// worker counts; the default wherever results feed assertions.
-  kFragmentOrder,
-  /// Concatenate in completion order — models Volcano's non-deterministic
-  /// merge; throughput-oriented consumers that re-aggregate anyway.
-  kCompletionOrder,
-};
-
-/// Volcano exchange operator, intra-node edition: runs `num_fragments`
-/// independent sub-pipelines on up to ExecContext::dop() scheduler lanes
-/// and gathers their outputs. The fragment pipelines are built lazily by a
-/// factory, each against a private FragmentContexts context, so parallelism
-/// is encapsulated here and the sub-plans stay oblivious (Graefe's
-/// "encapsulation of parallelism" argument).
-///
-/// The fragment COUNT is the caller's and must not depend on dop; with
-/// kFragmentOrder the output stream and the merged Table 1 counters are
-/// then bit-identical at every worker count.
-///
-/// Observability: when the parent context is profiling, the constructor
-/// registers one child MetricsNode per fragment ("lane[i]"), which the
-/// MaybeProfile wrapper around this operator adopts; each run fills them
-/// with the fragment's tuples, wall time, CPU counters, and the scheduler
-/// lane that executed it. With a TraceRecorder attached, each fragment
-/// emits a Complete span on timeline 100 + lane.
-class ExchangeOperator : public Operator {
- public:
-  using FragmentFactory =
-      std::function<Result<std::unique_ptr<Operator>>(size_t fragment,
-                                                      ExecContext* ctx)>;
-
-  ExchangeOperator(ExecContext* ctx, Schema schema, size_t num_fragments,
-                   FragmentFactory factory,
-                   GatherOrder order = GatherOrder::kFragmentOrder,
-                   std::string label = "exchange");
-
-  const Schema& output_schema() const override { return schema_; }
-  bool IsBatchNative() const override { return true; }
-
-  Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
-  Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  Status Close() override;
-
-  void ExportGauges(GaugeList* gauges) const override;
-
- private:
-  Status RunFragments();
-
-  ExecContext* ctx_;
-  Schema schema_;
-  size_t num_fragments_;
-  FragmentFactory factory_;
-  GatherOrder order_;
-  std::string label_;
-
-  /// Per-fragment metrics lanes (profiling only); owned by the context's
-  /// QueryProfile, adopted as children by this operator's profile node.
-  std::vector<MetricsNode*> lane_nodes_;
-
-  std::vector<Tuple> results_;
-  size_t emit_pos_ = 0;
-  size_t last_dop_ = 1;  ///< lanes used by the most recent Open
-};
+/// After the region, every fragment's counters and sub-page Move remainder
+/// fold back into `ctx` IN FRAGMENT ORDER (through ExecContext::
+/// CountMoveBytes), also on failure: executed work stays counted, keeping
+/// the parent's counters monotone. Because Move units are a cumulative fold
+/// of byte volume (floor per page with a carried remainder), merging the
+/// remainders in a fixed order reproduces the serial fold exactly, so the
+/// merged totals are independent of which lane ran which fragment and of
+/// the degree of parallelism — the property the lane-equivalence suite
+/// pins. The fragment COUNT is the caller's and must not depend on dop.
+/// Returns the first failing fragment's status (TaskScheduler::ParallelFor).
+Status RunFragments(
+    ExecContext* ctx, size_t num_fragments,
+    const std::function<Status(size_t fragment, ExecContext* fragment_ctx)>&
+        body);
 
 /// Drains `source` (open → batches → close) and routes every tuple into
 /// `num_partitions` buckets by hash of `key_attrs` (the §3.4/§6 partitioning

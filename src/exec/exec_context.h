@@ -128,7 +128,7 @@ class ExecContext {
 
   /// The sub-page Move remainder currently carried. Parallel sections run
   /// each fragment on its own context and fold the fragments' remainders
-  /// back into the parent IN FRAGMENT ORDER (FragmentContexts::MergeInto),
+  /// back into the parent IN FRAGMENT ORDER (RunFragments in exec/exchange.h),
   /// which reproduces the serial cumulative fold exactly.
   uint64_t move_remainder_bytes() const { return move_accumulator_; }
 

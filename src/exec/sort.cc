@@ -6,7 +6,6 @@
 #include "common/config.h"
 #include "exec/exchange.h"
 #include "exec/kernels/kernels.h"
-#include "exec/scheduler.h"
 
 namespace reldiv {
 
@@ -319,13 +318,10 @@ Status SortOperator::FlushChunkWindow(
   // the sorting of the chunks held in this window runs concurrently. Runs
   // are written below, serially and in chunk order, so the on-disk layout
   // never depends on the worker count.
-  FragmentContexts fragment_ctxs(ctx_, num_chunks);
-  Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx_->dop(), num_chunks), num_chunks, [&](size_t i) -> Status {
-        return SortChunk(fragment_ctxs.fragment(i), &(*window)[i]);
-      });
-  fragment_ctxs.MergeInto(ctx_);
-  RELDIV_RETURN_NOT_OK(status);
+  RELDIV_RETURN_NOT_OK(RunFragments(
+      ctx_, num_chunks, [&](size_t i, ExecContext* fragment_ctx) {
+        return SortChunk(fragment_ctx, &(*window)[i]);
+      }));
   for (std::vector<Tuple>& chunk : *window) {
     RELDIV_RETURN_NOT_OK(WriteSortedRun(&chunk));
     initial_runs_++;

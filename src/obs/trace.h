@@ -25,9 +25,7 @@ namespace reldiv {
 /// Timestamps are microseconds on the recorder's own steady clock (origin =
 /// construction), so spans from different layers line up. `tid` separates
 /// timeline lanes; convention: 0 = the query thread, 1 + node_id = a
-/// shared-nothing worker node, 100 + lane = an intra-node scheduler lane
-/// (exec/scheduler.h; lane 0 is the query thread working inside a parallel
-/// region).
+/// shared-nothing worker node.
 ///
 /// Thread-safe: worker nodes append concurrently. The event list is bounded
 /// (kMaxEvents); past the cap events are counted as dropped rather than

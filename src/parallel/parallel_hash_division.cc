@@ -6,6 +6,7 @@
 #include "common/row_codec.h"
 #include "cost/cost_model.h"
 #include "division/hash_division.h"
+#include "division/partitioned_hash_division.h"
 #include "exec/mem_source.h"
 #include "exec/scheduler.h"
 #include "parallel/bit_vector_filter.h"
@@ -35,8 +36,7 @@ Result<uint64_t> BatchBytes(const Schema& schema,
 
 /// Runs one node's local hash-division over in-memory fragments, filling
 /// `metrics` and (with `trace`) emitting one span on the node's lane.
-Status LocalDivision(WorkerNode* node, const Schema& dividend_schema,
-                     const Schema& divisor_schema,
+Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
                      std::vector<Tuple> dividend, std::vector<Tuple> divisor,
                      const std::vector<size_t>& match_attrs,
                      const std::vector<size_t>& quotient_attrs,
@@ -78,7 +78,6 @@ Status LocalDivision(WorkerNode* node, const Schema& dividend_schema,
                     {{"tuples_in", metrics->dividend_tuples},
                      {"quotient", metrics->quotient_tuples}});
   }
-  (void)dividend_schema;
   return Status::OK();
 }
 
@@ -190,10 +189,9 @@ ParallelHashDivisionEngine::RunQuotientPartitioned(
   RELDIV_RETURN_NOT_OK(
       TaskScheduler::Global().ParallelFor(n, n, [&](size_t i) -> Status {
         local_status[i] = LocalDivision(
-            nodes_[i].get(), dividend_schema, divisor_schema,
-            std::move(incoming[i]), full_divisor, match_attrs, quotient_attrs,
-            options_.division, &local_quotients[i], &node_metrics[i],
-            options_.trace);
+            nodes_[i].get(), divisor_schema, std::move(incoming[i]),
+            full_divisor, match_attrs, quotient_attrs, options_.division,
+            &local_quotients[i], &node_metrics[i], options_.trace);
         return Status::OK();
       }));
   // Quotient partitioning (§6): the clusters are disjoint by construction,
@@ -297,10 +295,10 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
       participating.size(), participating.size(), [&](size_t k) -> Status {
         const size_t i = participating[k];
         local_status[i] = LocalDivision(
-            nodes_[i].get(), dividend_schema, divisor_schema,
-            std::move(dividend_in[i]), std::move(divisor_in[i]), match_attrs,
-            quotient_attrs, options_.division, &local_quotients[i],
-            &node_metrics[i], options_.trace);
+            nodes_[i].get(), divisor_schema, std::move(dividend_in[i]),
+            std::move(divisor_in[i]), match_attrs, quotient_attrs,
+            options_.division, &local_quotients[i], &node_metrics[i],
+            options_.trace);
         return Status::OK();
       }));
 
@@ -318,29 +316,13 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
   // quotient values that hash to it.
   Schema quotient_schema = dividend_schema.Project(quotient_attrs);
   RowCodec quotient_codec(quotient_schema);
-  DivisionOptions collect_options;
   std::vector<size_t> collect_quotient_attrs(quotient_attrs.size());
   for (size_t i = 0; i < collect_quotient_attrs.size(); ++i) {
     collect_quotient_attrs[i] = i;
   }
-  std::vector<std::pair<Tuple, uint64_t>> numbered;
-  for (size_t i = 0; i < participating.size(); ++i) {
-    numbered.emplace_back(
-        Tuple{Value::Int64(static_cast<int64_t>(participating[i]))}, i);
-  }
   const size_t collector_count = options_.decentralized_collection ? n : 1;
-  std::vector<std::unique_ptr<HashDivisionCore>> collectors;
-  collectors.reserve(collector_count);
-  for (size_t c = 0; c < collector_count; ++c) {
-    collectors.push_back(std::make_unique<HashDivisionCore>(
-        nodes_[c]->ctx(),
-        std::vector<size_t>{collect_quotient_attrs.size()},
-        collect_quotient_attrs, collect_options));
-    RELDIV_RETURN_NOT_OK(collectors[c]->BuildDivisorTableFromNumbered(
-        numbered, participating.size()));
-    RELDIV_RETURN_NOT_OK(collectors[c]->ResetQuotientTable());
-  }
-
+  std::vector<std::vector<Tuple>> tagged(collector_count);
+  std::vector<int64_t> tags;
   for (size_t i : participating) {
     RELDIV_RETURN_NOT_OK(local_status[i]);
     result.max_node_ms = std::max(result.max_node_ms,
@@ -348,6 +330,7 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
     result.max_node_cpu_ms = std::max(result.max_node_cpu_ms,
                                       node_metrics[i].cpu_model_ms);
     result.node_metrics.push_back(node_metrics[i]);
+    tags.push_back(static_cast<int64_t>(i));
     for (Tuple& q : local_quotients[i]) {
       const size_t collector =
           options_.decentralized_collection
@@ -357,11 +340,18 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
       RELDIV_RETURN_NOT_OK(
           interconnect_.Ship(i, collector, bytes + sizeof(int64_t)));
       q.Append(Value::Int64(static_cast<int64_t>(i)));
-      RELDIV_RETURN_NOT_OK(collectors[collector]->Consume(q, nullptr));
+      tagged[collector].push_back(std::move(q));
     }
   }
+  std::vector<Field> tagged_fields = quotient_schema.fields();
+  tagged_fields.push_back(Field{"node", ValueType::kInt64});
+  const Schema tagged_schema(std::move(tagged_fields));
   for (size_t c = 0; c < collector_count; ++c) {
-    RELDIV_RETURN_NOT_OK(collectors[c]->EmitComplete(&result.quotient));
+    MemSourceOperator source(tagged_schema, std::move(tagged[c]));
+    size_t splits = 0;
+    RELDIV_RETURN_NOT_OK(CollectTaggedQuotients(
+        nodes_[c]->ctx(), &source, tags, /*expected_cardinality=*/0,
+        &result.quotient, &splits));
   }
 
   result.wall_ms = MsSince(wall_start);

@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/metric_names.h"
 #include "division/division.h"
 #include "exec/database.h"
 #include "gtest/gtest.h"
+#include "obs/telemetry.h"
 #include "testing/failpoint.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -143,22 +145,42 @@ TEST_F(IntraParallelTest, ParallelFragmentsAreLaneEquivalentPerFragmentCount) {
 }
 
 TEST_F(IntraParallelTest, PartitionedStrategiesAreLaneEquivalent) {
-  for (PartitionStrategy strategy :
-       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor,
-        PartitionStrategy::kCombined}) {
+  // hash_memory_bytes 0 is unbounded. The 8 KiB budget makes in-region
+  // phases overflow, so the defer-and-rerun path runs at every worker count
+  // (and, for the combined strategy, the collection split as well).
+  constexpr size_t kTight = 8 * 1024;
+  const struct {
+    PartitionStrategy strategy;
+    size_t hash_memory_bytes;
+  } cases[] = {{PartitionStrategy::kQuotient, 0},
+               {PartitionStrategy::kDivisor, 0},
+               {PartitionStrategy::kCombined, 0},
+               {PartitionStrategy::kQuotient, kTight},
+               {PartitionStrategy::kCombined, kTight}};
+  TelemetryCounter* repartitions_total =
+      MetricRegistry::Global().FindOrCreateCounter(
+          metric_names::kRepartitionsTotal);
+  for (const auto& c : cases) {
     DivisionOptions options;
-    options.partition_strategy = strategy;
+    options.partition_strategy = c.strategy;
     options.num_partitions = 3;
     options.num_quotient_subpartitions = 2;
     const std::string name =
-        strategy == PartitionStrategy::kQuotient
-            ? "quotient"
-            : (strategy == PartitionStrategy::kDivisor ? "divisor"
-                                                       : "combined");
+        std::string(c.strategy == PartitionStrategy::kQuotient
+                        ? "quotient"
+                        : (c.strategy == PartitionStrategy::kDivisor
+                               ? "divisor"
+                               : "combined")) +
+        " with hash_memory_bytes " + std::to_string(c.hash_memory_bytes);
+    db_->ctx()->set_hash_memory_bytes(c.hash_memory_bytes);
+    const uint64_t repartitions_before = repartitions_total->value();
     ASSERT_OK_AND_ASSIGN(
         RunOutcome base,
         RunAt(1, DivisionAlgorithm::kHashDivisionPartitioned, options));
     EXPECT_EQ(Sorted(base.quotient), workload_.expected_quotient) << name;
+    if (c.hash_memory_bytes != 0) {
+      EXPECT_GT(repartitions_total->value(), repartitions_before) << name;
+    }
     for (size_t dop : {4u, 8u}) {
       ASSERT_OK_AND_ASSIGN(
           RunOutcome run,

@@ -11,7 +11,6 @@
 #include "exec/database.h"
 #include "exec/exchange.h"
 #include "exec/scan.h"
-#include "exec/scheduler.h"
 #include "exec/sort.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -138,17 +137,16 @@ TEST_F(IoAccountingTest, ConcurrentScansReadEachPageExactlyOnce) {
   const DiskStats before = db_->disk()->stats();
 
   constexpr size_t kScans = 4;
-  FragmentContexts fragments(db_->ctx(), kScans);
+  db_->ctx()->set_dop(kScans);
   std::vector<size_t> rows_seen(kScans, 0);
-  ASSERT_OK(TaskScheduler::Global().ParallelFor(
-      kScans, kScans, [&](size_t i) -> Status {
-        ScanOperator scan(fragments.fragment(i), dividend);
+  ASSERT_OK(RunFragments(
+      db_->ctx(), kScans, [&](size_t i, ExecContext* fragment_ctx) -> Status {
+        ScanOperator scan(fragment_ctx, dividend);
         RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
                                 CollectAll(&scan));
         rows_seen[i] = rows.size();
         return Status::OK();
       }));
-  fragments.MergeInto(db_->ctx());
 
   for (size_t i = 0; i < kScans; ++i) {
     EXPECT_EQ(rows_seen[i], workload.dividend.size()) << "scan " << i;
@@ -162,16 +160,14 @@ TEST_F(IoAccountingTest, ConcurrentScansReadEachPageExactlyOnce) {
   // Warm repeat: every page is resident, so the counters must not move at
   // all — monotone totals with nothing double-counted on hits.
   const DiskStats warm_before = db_->disk()->stats();
-  FragmentContexts warm(db_->ctx(), kScans);
-  ASSERT_OK(TaskScheduler::Global().ParallelFor(
-      kScans, kScans, [&](size_t i) -> Status {
-        ScanOperator scan(warm.fragment(i), dividend);
+  ASSERT_OK(RunFragments(
+      db_->ctx(), kScans, [&](size_t, ExecContext* fragment_ctx) -> Status {
+        ScanOperator scan(fragment_ctx, dividend);
         RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> rows, CollectAll(&scan));
         return rows.size() == workload.dividend.size()
                    ? Status::OK()
                    : Status::Internal("warm scan lost tuples");
       }));
-  warm.MergeInto(db_->ctx());
   const DiskStats warm_delta = db_->disk()->stats() - warm_before;
   EXPECT_EQ(warm_delta.transfers, 0u);
   EXPECT_EQ(warm_delta.sectors_transferred, 0u);

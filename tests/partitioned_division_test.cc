@@ -163,6 +163,32 @@ TEST_F(PartitionedDivisionTest, CombinedStrategyResolvesDoubleOverflow) {
   EXPECT_EQ(Sorted(combined.MoveValue()), workload.expected_quotient);
 }
 
+TEST_F(PartitionedDivisionTest, CollectionOverflowSplitsInsteadOfRestarting) {
+  // Every combined phase fits 24 KiB once its dividend is sub-partitioned,
+  // but the collector holds one entry per candidate that completed some
+  // divisor cluster, which no partition count shrinks: restarting with
+  // doubled partitions would only redo the whole run. The collection phase
+  // splits the tagged file on the quotient attrs instead.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
+  Relation dividend, divisor;
+  std::vector<Tuple> expected;
+  LoadBig(db.get(), &dividend, &divisor, &expected);
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved,
+                       ResolveDivision(
+                           DivisionQuery{dividend, divisor, {"divisor_id"}}));
+  DivisionOptions div_options;
+  div_options.partition_strategy = PartitionStrategy::kCombined;
+  div_options.num_partitions = 2;
+  div_options.num_quotient_subpartitions = 2;
+  db->ctx()->set_hash_memory_bytes(24 * 1024);
+  PartitionedHashDivisionOperator op(db->ctx(), resolved, div_options);
+  Result<std::vector<Tuple>> out = CollectAll(&op);
+  ASSERT_TRUE(out.ok()) << out.status().ToString() << " after "
+                        << op.restarts() << " restarts";
+  EXPECT_EQ(Sorted(out.MoveValue()), expected);
+  EXPECT_EQ(op.restarts(), 0u);
+}
+
 TEST_F(PartitionedDivisionTest, RangePartitioningMatchesHashPartitioning) {
   DatabaseOptions options;
   options.pool_bytes = 0;

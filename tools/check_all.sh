@@ -20,6 +20,13 @@
 #                               BENCH_*.json schema validation and a
 #                               bench_report.py self-diff — fails on
 #                               schema drift)
+#   e2e smoke                  (bench/e2e/run.py --smoke, untraced and
+#                               traced: builds the frozen end-to-end
+#                               benchmark into build/e2e/, so an API break
+#                               it depends on fails here, and checks that
+#                               the traced plan rebuilt from the library's
+#                               parts reproduces Divide's quotient and
+#                               counters)
 #   asan build + ctest         (address + UB sanitizers, DCHECKs forced on)
 #   ubsan build + ctest        (standalone UBSan: catches UB whose
 #                               detection the address instrumentation
@@ -63,7 +70,8 @@
 # conditional.
 #
 # Usage: tools/check_all.sh [--quick]
-#   --quick   analyze + release + bench smoke only (inner-loop use)
+#   --quick   analyze + release + bench smoke + e2e smoke only (inner-loop
+#             use)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -184,6 +192,16 @@ bench_smoke() {
   return "$status"
 }
 stage "bench smoke" bench_smoke
+
+# The end-to-end benchmark builds its own tree from every src/ file, outside
+# CMake's test targets. A traced run rebuilds hash-division from
+# HashDivisionCore, DrainAndHashRepartition and RunDivisionFragments and
+# fails unless it reproduces Divide's quotient and counts. The run's last
+# line (every metric as one JSON object) is left out of the log.
+e2e_smoke() {
+  python3 bench/e2e/run.py --smoke --trace both | grep -v '^{'
+}
+stage "e2e smoke" e2e_smoke
 
 if [[ "$QUICK" == "0" ]]; then
   stage "asan build+ctest" build_and_test asan
