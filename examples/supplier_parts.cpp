@@ -10,11 +10,11 @@
 //      computes the same result where the plain operator reports overflow;
 //   4. the observability layer: EXPLAIN ANALYZE prints the §4 cost-model
 //      predictions beside measured per-operator metrics (with the
-//      cost-drift line comparing this run against the model), and a
-//      TraceRecorder writes a chrome://tracing timeline to
+//      cost-drift line comparing this run against the model), and an
+//      EventLog trace writes a chrome://tracing timeline to
 //      supplier_parts_trace.json;
 //   5. the process-telemetry layer (DESIGN.md §14): the metric registry
-//      dumped in Prometheus exposition format, and the flight recorder
+//      dumped in Prometheus exposition format, and the flight ring
 //      replaying the structured events around an injected disk fault.
 
 #include <algorithm>
@@ -171,13 +171,12 @@ Status Run() {
     return Status::Internal("partitioned mismatch");
   }
 
-  // 4: EXPLAIN ANALYZE over the same query, with a trace recorder attached:
-  // each algorithm's run adds operator-lifecycle spans and disk-transfer
-  // events to a chrome://tracing timeline.
+  // 4: EXPLAIN ANALYZE over the same query, with a trace attached: each
+  // algorithm's run adds operator-lifecycle spans and disk-transfer events
+  // to a chrome://tracing timeline.
   std::printf("\n");
-  TraceRecorder trace;
+  EventLog trace;
   db->ctx()->set_trace(&trace);
-  db->disk()->set_trace(&trace);
   ExplainAnalyzeOptions explain_options;
   explain_options.algorithms = {DivisionAlgorithm::kNaive,
                                 DivisionAlgorithm::kSortAggregate,
@@ -188,23 +187,22 @@ Status Run() {
       ExplainAnalyzeResult explained,
       ExplainAnalyzeDivision(db->ctx(), query, explain_options));
   std::printf("%s", explained.text.c_str());
-  db->disk()->set_trace(nullptr);
   db->ctx()->set_trace(nullptr);
   const char* trace_path = "supplier_parts_trace.json";
   RELDIV_RETURN_NOT_OK(trace.WriteFile(trace_path));
   std::printf("\nwrote %zu trace events to %s "
               "(load in chrome://tracing or https://ui.perfetto.dev)\n",
-              trace.num_events(), trace_path);
+              trace.size(), trace_path);
 
   // 5a: every run above also updated the process-wide metric registry;
   // this is what a scrape endpoint would serve.
   std::printf("\nProcess metrics (Prometheus exposition, excerpt):\n");
   PrintPrometheusExcerpt();
 
-  // 5b: inject a disk fault and replay the flight recorder — the same ring
-  // the RELDIV_CHECK failure handler dumps on a crash, here read back after
-  // a query that failed cleanly.
-  FlightRecorder& recorder = FlightRecorder::Global();
+  // 5b: inject a disk fault and replay the flight ring — the same ring the
+  // RELDIV_CHECK failure handler dumps on a crash, here read back after a
+  // query that failed cleanly.
+  EventLog& recorder = EventLog::Flight();
   recorder.Clear();
   RELDIV_RETURN_NOT_OK(db->buffer_manager()->FlushAll());
   RELDIV_RETURN_NOT_OK(db->buffer_manager()->DropAll());
@@ -222,13 +220,14 @@ Status Run() {
   }
   std::printf("\nInjected fault: query failed with: %s\n",
               injected.ToString().c_str());
-  std::printf("Flight recorder (%zu events retained, oldest first):\n",
+  std::printf("Flight ring (%zu events retained, oldest first):\n",
               recorder.size());
-  for (const FlightEvent& event : recorder.Events()) {
-    std::printf("  #%llu +%lluus [%s] %s %s value=%llu\n",
+  for (const Event& event : recorder.Events()) {
+    std::printf("  #%llu +%lluus [%.*s] %s %s value=%llu\n",
                 static_cast<unsigned long long>(event.seq),
                 static_cast<unsigned long long>(event.ts_us),
-                FlightEventCategoryName(event.category), event.label.c_str(),
+                static_cast<int>(event.category.size()),
+                event.category.data(), event.name.c_str(),
                 event.detail.c_str(),
                 static_cast<unsigned long long>(event.value));
   }

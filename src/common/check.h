@@ -37,9 +37,9 @@ using CheckFailureHandler = void (*)(const char* file, int line,
 CheckFailureHandler SetCheckFailureHandler(CheckFailureHandler handler);
 
 /// Last-words hook run by the DEFAULT (aborting) failure handler after
-/// printing the message and before abort() — the flight recorder
-/// (obs/flight_recorder.h) installs its stderr dump here so the events
-/// leading up to an invariant violation appear in the crash output. The
+/// printing the message and before abort() — the flight ring
+/// (EventLog::Flight, obs/event_log.h) installs its stderr dump here so the
+/// events leading up to an invariant violation appear in the crash output. The
 /// hook must not fail a check itself. Custom handlers installed via
 /// SetCheckFailureHandler are not affected (a throwing test handler keeps
 /// the process alive; it can dump explicitly if it wants to).

@@ -90,9 +90,16 @@ inline constexpr char kNetRetriesTotal[] = "reldiv_net_retries_total";
 // algorithm where noted.
 inline constexpr char kQueryWallMicros[] = "reldiv_query_wall_us";
 inline constexpr char kQueryFailuresTotal[] = "reldiv_query_failures_total";
+/// EXPLAIN ANALYZE's per-run |relative error| of the §4 model against the
+/// measured Table 1 + Table 3 cost, in parts per million; labelled per
+/// algorithm. count = runs, sum/count = the `drift:` line's mean |error|.
+inline constexpr char kDriftAbsErrorPpm[] =
+    "reldiv_cost_drift_abs_error_ppm";
 
 // Observability internals.
-inline constexpr char kTraceSpansDropped[] = "reldiv_trace_spans_dropped";
+/// Events an EventLog overwrote; labelled log="trace"|"flight".
+inline constexpr char kEventLogDroppedTotal[] =
+    "reldiv_event_log_dropped_total";
 inline constexpr char kFailpointFiresTotal[] = "reldiv_failpoint_fires_total";
 inline constexpr char kFallbacksTotal[] = "reldiv_fallbacks_total";
 inline constexpr char kRepartitionsTotal[] = "reldiv_repartitions_total";

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/metric_names.h"
-#include "division/fallback_division.h"
 #include "division/hash_agg_division.h"
 #include "division/hash_division.h"
 #include "division/naive_division.h"
@@ -206,14 +205,6 @@ Result<std::unique_ptr<Operator>> MakeDivisionPlan(
       break;
     }
     case DivisionAlgorithm::kHashDivision: {
-      if (options.overflow_fallback) {
-        // The fallback operator builds its own scans (it may need to build
-        // them twice — once per attempt), so it bypasses the per-input
-        // profiling wrappers; its own node still joins the metrics tree.
-        plan = std::make_unique<FallbackDivisionOperator>(ctx, resolved,
-                                                          options);
-        break;
-      }
       DivisionOptions tuned = options;
       if (tuned.expected_divisor_cardinality == 0) {
         tuned.expected_divisor_cardinality =

@@ -76,13 +76,6 @@ struct DivisionOptions {
   uint64_t expected_divisor_cardinality = 0;
   uint64_t expected_quotient_cardinality = 0;
 
-  /// kHashDivision only: when the in-memory build is denied memory
-  /// (ResourceExhausted from the pool or the hash_memory_bytes budget),
-  /// tear it down and restart as partitioned hash-division instead of
-  /// failing the query — §3.4 as a recovery path. The partitioned run uses
-  /// the partition settings below.
-  bool overflow_fallback = false;
-
   /// Partitioned hash-division (§3.4).
   PartitionStrategy partition_strategy = PartitionStrategy::kQuotient;
   PartitionFunction partition_function = PartitionFunction::kHash;

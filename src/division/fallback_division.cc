@@ -6,7 +6,7 @@
 #include "division/hash_division.h"
 #include "division/partitioned_hash_division.h"
 #include "exec/scan.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
@@ -52,9 +52,8 @@ Status FallbackDivisionOperator::Open() {
         MetricRegistry::Global().FindOrCreateCounter(
             metric_names::kFallbacksTotal);
     fallbacks->Add(1);
-    FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                    "fallback_to_partitioned",
-                                    status.message());
+    EventLog::Flight().Record("fallback", "fallback_to_partitioned",
+                              status.message());
   }
   auto secondary = std::make_unique<PartitionedHashDivisionOperator>(
       ctx_, resolved_, options_);

@@ -10,7 +10,7 @@
 #include "exec/exchange.h"
 #include "exec/mem_source.h"
 #include "exec/scan.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 #include "storage/record_file.h"
 
@@ -182,15 +182,14 @@ Status ConsumeScan(ExecContext* ctx, HashDivisionCore* core,
 }
 
 /// Counts one recursive split (§3.4 overflow recovery) in the process-wide
-/// registry and the flight recorder.
+/// registry and the flight ring.
 void RecordRepartition(const std::string& label, size_t depth) {
   if (!Telemetry::counting()) return;
   static TelemetryCounter* repartitions_total =
       MetricRegistry::Global().FindOrCreateCounter(
           metric_names::kRepartitionsTotal);
   repartitions_total->Add(1);
-  FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                  "repartition", label, depth + 1);
+  EventLog::Flight().Record("fallback", "repartition", label, depth + 1);
 }
 
 /// One level of CollectTaggedQuotients. The collector lives for one
@@ -536,9 +535,8 @@ Status PartitionedHashDivisionOperator::Open() {
     // the combined strategy, which also shrinks the divisor table.
     escalations_++;
     if (Telemetry::counting()) {
-      FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                      "escalate_to_combined",
-                                      "partitioned_hash_division");
+      EventLog::Flight().Record("fallback", "escalate_to_combined",
+                                "partitioned_hash_division");
     }
     strategy = PartitionStrategy::kCombined;
   } else if (strategy != PartitionStrategy::kDivisor &&
@@ -557,9 +555,8 @@ Status PartitionedHashDivisionOperator::Open() {
     // twice the partitions, which halves every cluster in expectation.
     restarts_++;
     if (Telemetry::counting()) {
-      FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                      "restart_doubled_partitions",
-                                      "partitioned_hash_division", parts * 2);
+      EventLog::Flight().Record("fallback", "restart_doubled_partitions",
+                                "partitioned_hash_division", parts * 2);
     }
     parts *= 2;
   }

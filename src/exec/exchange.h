@@ -15,7 +15,7 @@ namespace reldiv {
 /// sharing `ctx`'s (thread-safe) disk, buffer manager and memory pool but
 /// counting Table 1 work into private CpuCounters — concurrent fragments
 /// never race on the parent's counters. It inherits `ctx`'s budgets, batch
-/// capacity, contract checks and trace recorder, and has dop 1.
+/// capacity, contract checks and trace, and has dop 1.
 ///
 /// After the region, every fragment's counters and sub-page Move remainder
 /// fold back into `ctx` IN FRAGMENT ORDER (through ExecContext::

@@ -2,7 +2,6 @@
 
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace reldiv {
 
@@ -25,7 +24,7 @@ void ExecContext::set_profiling(bool enabled) {
   }
 }
 
-void ExecContext::set_trace(TraceRecorder* trace) {
+void ExecContext::set_trace(EventLog* trace) {
   trace_ = trace;
   if (disk_ != nullptr) disk_->set_trace(trace);
   if (buffer_manager_ != nullptr) buffer_manager_->set_trace(trace);

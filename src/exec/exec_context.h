@@ -15,7 +15,7 @@
 namespace reldiv {
 
 class QueryProfile;
-class TraceRecorder;
+class EventLog;
 
 /// Shared services handed to every operator in a query evaluation plan:
 /// the simulated disk, the buffer manager, the main memory pool from which
@@ -84,12 +84,12 @@ class ExecContext {
   /// profiling back off, until the next set_profiling(true) clears them).
   QueryProfile* profile() const { return profile_.get(); }
 
-  /// Attaches a chrome://tracing span recorder (obs/trace.h) to this context
-  /// AND to its disk and buffer manager, so operator lifecycle spans, page
-  /// traffic, and disk transfers land on one timeline. nullptr detaches.
-  /// Not owned; the recorder must outlive the attachment.
-  void set_trace(TraceRecorder* trace);
-  TraceRecorder* trace() const { return trace_; }
+  /// Attaches a trace (an obs/event_log.h EventLog) to this context AND to
+  /// its disk and buffer manager, so operator lifecycle spans, page traffic,
+  /// and disk transfers land on one timeline. nullptr detaches. Not owned;
+  /// the log must outlive the attachment.
+  void set_trace(EventLog* trace);
+  EventLog* trace() const { return trace_; }
 
   /// Cooperative cancellation (DivisionService): points this context at an
   /// externally owned flag (the query ticket's; must outlive the plan).
@@ -145,7 +145,7 @@ class ExecContext {
   bool contract_checks_ = false;
   bool profiling_ = false;
   std::unique_ptr<QueryProfile> profile_;
-  TraceRecorder* trace_ = nullptr;
+  EventLog* trace_ = nullptr;
   mutable uint64_t move_accumulator_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "exec/operator.h"
 
 #include "common/metric_names.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
@@ -9,7 +9,7 @@ namespace reldiv {
 namespace {
 
 /// A non-OK status surfacing at a query root is exactly the moment the
-/// flight recorder exists for: note it (with the failing stage) so a later
+/// flight ring exists for: note it (with the failing stage) so a later
 /// dump shows what the query died of, and count it process-wide.
 void RecordRootFailure(const char* stage, const Status& status) {
   if (!Telemetry::counting()) return;
@@ -17,8 +17,7 @@ void RecordRootFailure(const char* stage, const Status& status) {
       MetricRegistry::Global().FindOrCreateCounter(
           metric_names::kQueryFailuresTotal);
   failures->Add(1);
-  FlightRecorder::Global().Record(FlightEventCategory::kStatus, stage,
-                                  status.message());
+  EventLog::Flight().Record("status", stage, status.message());
 }
 
 }  // namespace

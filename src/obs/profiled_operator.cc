@@ -3,9 +3,8 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace reldiv {
 
@@ -19,12 +18,11 @@ uint64_t NowNs() {
 }
 
 /// Operator lifecycle transitions are rare (two per operator per query), so
-/// the flight recorder notes them even in counting mode — a post-mortem dump
+/// the flight ring notes them even in counting mode — a post-mortem dump
 /// then shows how far the plan got before dying.
 void RecordLifecycle(const char* transition, const std::string& label) {
   if (!Telemetry::counting()) return;
-  FlightRecorder::Global().Record(FlightEventCategory::kOperator, transition,
-                                  label);
+  EventLog::Flight().Record("operator", transition, label);
 }
 
 }  // namespace
@@ -75,8 +73,8 @@ Status ProfiledOperator::Open() {
   drain_started_ = false;
   gauges_collected_ = false;
   RecordLifecycle("open", label_);
-  TraceRecorder* trace = ctx_->trace();
-  if (trace != nullptr) open_start_us_ = trace->NowMicros();
+  EventLog* trace = ctx_->trace();
+  if (trace != nullptr) open_start_us_ = NowMicros();
   Status status;
   {
     CallScope scope(ctx_, &m, &m.open_ns);
@@ -84,7 +82,7 @@ Status ProfiledOperator::Open() {
   }
   if (trace != nullptr) {
     trace->Complete("open " + label_, "operator", open_start_us_,
-                    trace->NowMicros() - open_start_us_);
+                    NowMicros() - open_start_us_);
   }
   return status;
 }
@@ -92,9 +90,9 @@ Status ProfiledOperator::Open() {
 Status ProfiledOperator::Next(Tuple* tuple, bool* has_next) {
   OperatorMetrics& m = node_->metrics();
   m.next_calls++;
-  TraceRecorder* trace = ctx_->trace();
+  EventLog* trace = ctx_->trace();
   if (!drain_started_ && trace != nullptr) {
-    drain_start_us_ = trace->NowMicros();
+    drain_start_us_ = NowMicros();
   }
   drain_started_ = true;
   Status status;
@@ -107,7 +105,7 @@ Status ProfiledOperator::Next(Tuple* tuple, bool* has_next) {
     CollectGauges();
     if (trace != nullptr) {
       trace->Complete("drain " + label_, "operator", drain_start_us_,
-                      trace->NowMicros() - drain_start_us_,
+                      NowMicros() - drain_start_us_,
                       /*tid=*/0, {{"tuples", m.tuples_out}});
     }
   }
@@ -117,9 +115,9 @@ Status ProfiledOperator::Next(Tuple* tuple, bool* has_next) {
 Status ProfiledOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   OperatorMetrics& m = node_->metrics();
   m.next_batch_calls++;
-  TraceRecorder* trace = ctx_->trace();
+  EventLog* trace = ctx_->trace();
   if (!drain_started_ && trace != nullptr) {
-    drain_start_us_ = trace->NowMicros();
+    drain_start_us_ = NowMicros();
   }
   drain_started_ = true;
   Status status;
@@ -134,7 +132,7 @@ Status ProfiledOperator::NextBatch(TupleBatch* batch, bool* has_more) {
       CollectGauges();
       if (trace != nullptr) {
         trace->Complete("drain " + label_, "operator", drain_start_us_,
-                        trace->NowMicros() - drain_start_us_,
+                        NowMicros() - drain_start_us_,
                         /*tid=*/0, {{"tuples", m.tuples_out}});
       }
     }
@@ -150,8 +148,8 @@ Status ProfiledOperator::Close() {
   // chance to read its gauges.
   CollectGauges();
   RecordLifecycle("close", label_);
-  TraceRecorder* trace = ctx_->trace();
-  const uint64_t start_us = trace != nullptr ? trace->NowMicros() : 0;
+  EventLog* trace = ctx_->trace();
+  const uint64_t start_us = trace != nullptr ? NowMicros() : 0;
   Status status;
   {
     CallScope scope(ctx_, &m, &m.close_ns);
@@ -159,7 +157,7 @@ Status ProfiledOperator::Close() {
   }
   if (trace != nullptr) {
     trace->Complete("close " + label_, "operator", start_us,
-                    trace->NowMicros() - start_us);
+                    NowMicros() - start_us);
   }
   return status;
 }

@@ -25,7 +25,7 @@ namespace reldiv {
 /// into its node — before, not after, Close() releases the state the gauges
 /// describe.
 ///
-/// When a TraceRecorder is attached (ExecContext::set_trace), the wrapper
+/// When a trace is attached (ExecContext::set_trace), the wrapper
 /// additionally emits chrome://tracing spans for the operator lifecycle:
 /// one "open" span, one "drain" span covering first pull to end-of-stream,
 /// and one "close" span, all in category "operator".

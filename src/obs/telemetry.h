@@ -16,8 +16,8 @@ namespace reldiv {
 
 /// Process-wide telemetry level. Unlike the per-query QueryProfile
 /// (obs/metrics.h), these metrics are always-on and outlive any single
-/// query — they feed service-level dashboards and the cost-model drift
-/// store.
+/// query — they feed service-level dashboards and hold EXPLAIN ANALYZE's
+/// cost-model drift history.
 ///
 ///   kOff      — instrumentation sites do nothing (one relaxed load + a
 ///               predicted branch).

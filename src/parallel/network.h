@@ -7,7 +7,7 @@
 
 #include "common/check.h"
 #include "common/status.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 
 namespace reldiv {
 
@@ -77,10 +77,10 @@ class Interconnect {
            " retries=" + std::to_string(retries_);
   }
 
-  /// Attaches a span recorder: every remote shipment then emits an instant
-  /// event on the sending node's timeline lane with destination and byte
-  /// count. nullptr detaches. Must outlive the attachment.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
+  /// Attaches a trace (obs/event_log.h): every remote shipment then emits
+  /// an instant event on the sending node's timeline lane with destination
+  /// and byte count. nullptr detaches. Must outlive the attachment.
+  void set_trace(EventLog* trace) { trace_ = trace; }
 
  private:
   /// One wire attempt: evaluates the send/recv failpoints, then accounts
@@ -88,7 +88,7 @@ class Interconnect {
   Status TrySend(size_t from, size_t to, uint64_t bytes);
 
   size_t num_nodes_;
-  TraceRecorder* trace_ = nullptr;
+  EventLog* trace_ = nullptr;
   NetworkRetryPolicy retry_;
   uint64_t messages_ = 0;
   uint64_t bytes_ = 0;

@@ -42,9 +42,9 @@ Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
                      const std::vector<size_t>& quotient_attrs,
                      const DivisionOptions& options,
                      std::vector<Tuple>* quotient,
-                     NodeExecutionMetrics* metrics, TraceRecorder* trace) {
+                     NodeExecutionMetrics* metrics, EventLog* trace) {
   const auto start = std::chrono::steady_clock::now();
-  const uint64_t span_start_us = trace != nullptr ? trace->NowMicros() : 0;
+  const uint64_t span_start_us = trace != nullptr ? NowMicros() : 0;
   metrics->node_id = node->node_id();
   metrics->dividend_tuples = dividend.size();
   const size_t quotient_before = quotient->size();
@@ -73,7 +73,7 @@ Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
   metrics->cpu_model_ms = CpuCostMs(delta);
   if (trace != nullptr) {
     trace->Complete("local-division", "parallel", span_start_us,
-                    trace->NowMicros() - span_start_us,
+                    NowMicros() - span_start_us,
                     static_cast<uint32_t>(1 + node->node_id()),
                     {{"tuples_in", metrics->dividend_tuples},
                      {"quotient", metrics->quotient_tuples}});

@@ -42,11 +42,11 @@ struct ParallelDivisionOptions {
   /// Hash-division tuning forwarded to each local operator.
   DivisionOptions division;
 
-  /// Optional span recorder (obs/trace.h): the engine attaches it to the
+  /// Optional trace (obs/event_log.h): the engine attaches it to the
   /// interconnect (per-shipment events on the sender's timeline lane) and
   /// emits one "local-division" span per worker node. Not owned; must
   /// outlive the engine's Execute() calls.
-  TraceRecorder* trace = nullptr;
+  EventLog* trace = nullptr;
 };
 
 /// Measured behavior of one worker node's local division section.

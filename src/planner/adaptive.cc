@@ -7,8 +7,7 @@
 #include "division/fallback_division.h"
 #include "division/hash_division.h"
 #include "exec/scan.h"
-#include "obs/cost_drift.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
@@ -185,39 +184,18 @@ AdaptiveDivisionOperator::AdaptiveDivisionOperator(
 
 AdaptiveDivisionOperator::~AdaptiveDivisionOperator() = default;
 
-AlgorithmChoice AdaptiveDivisionOperator::Choose(
-    const DivisionStats& stats) const {
-  AlgorithmChoice choice = ChooseDivisionAlgorithm(stats, options_.units);
-  if (!options_.calibrate_from_drift) return choice;
-  for (auto& [algorithm, ms] : choice.predicted_ms) {
-    const CostDriftAggregate aggregate =
-        CostDriftTracker::Global().AggregateFor(
-            DivisionAlgorithmName(algorithm));
-    if (aggregate.runs == 0) continue;
-    // measured ≈ predicted * (1 + mean signed error); clamp so a wild
-    // history can at most reorder, never zero out or explode a candidate.
-    ms *= 1.0 + std::clamp(aggregate.mean_error(), -0.9, 9.0);
-  }
-  // Re-run the argmin with the chooser's deterministic tie-break: std::map
-  // iterates in enum order and strict < keeps the first (lowest) algorithm.
-  double best = 1e300;
-  for (const auto& [algorithm, ms] : choice.predicted_ms) {
-    if (ms < best) {
-      best = ms;
-      choice.algorithm = algorithm;
-    }
-  }
-  return choice;
-}
+namespace {
 
-bool AdaptiveDivisionOperator::Diverges(double planned,
-                                        double observed) const {
+/// |observed / planned| beyond the threshold in either direction.
+bool Diverges(double planned, double observed) {
   const double lo = std::min(planned, observed);
   const double hi = std::max(planned, observed);
   if (hi <= 0) return false;
   if (lo <= 0) return true;
-  return hi / lo >= options_.divergence_threshold;
+  return hi / lo >= AdaptiveDivisionOperator::kDivergenceThreshold;
 }
+
+}  // namespace
 
 void AdaptiveDivisionOperator::RecordDecision(ReplanEvent event) {
   report_.events.push_back(event);
@@ -226,8 +204,8 @@ void AdaptiveDivisionOperator::RecordDecision(ReplanEvent event) {
       .FindOrCreateCounter(metric_names::kReplansTotal, "trigger",
                            ReplanTriggerName(event.trigger))
       ->Add(1);
-  FlightRecorder::Global().Record(
-      FlightEventCategory::kFallback, "replan",
+  EventLog::Flight().Record(
+      "fallback", "replan",
       std::string(DivisionAlgorithmName(event.from)) + "->" +
           DivisionAlgorithmName(event.to) + " (" +
           ReplanTriggerName(event.trigger) + ")",
@@ -299,7 +277,6 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
   // The adaptive drive owns fallback/checkpoint machinery itself and mirrors
   // the serial stop-and-go plan so an untriggered run has Table 1 parity
   // with the static operator.
-  tuned.overflow_fallback = false;
   tuned.parallel_fragments = 0;
   tuned.early_output = false;
   if (tuned.expected_divisor_cardinality == 0) {
@@ -329,7 +306,8 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
         observed_divisor_distinct_ > 0
             ? corrected.dividend_tuples / observed_divisor_distinct_
             : corrected.dividend_tuples;
-    const AlgorithmChoice rechoice = Choose(corrected);
+    const AlgorithmChoice rechoice =
+        ChooseDivisionAlgorithm(corrected, options_.units);
     RecordDecision(ReplanEvent{ReplanTrigger::kDivisorCardinality,
                                DivisionAlgorithm::kHashDivision,
                                rechoice.algorithm, stats.divisor_tuples,
@@ -352,7 +330,7 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
   const double total =
       static_cast<double>(resolved_.dividend.store->num_records());
   uint64_t seen = 0;
-  uint64_t next_checkpoint = options_.checkpoint_interval;
+  uint64_t next_checkpoint = kCheckpointInterval;
   bool has_more = true;
   while (has_more) {
     Status step = dividend_scan.NextBatch(&input_batch_, &has_more);
@@ -364,11 +342,8 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
     RELDIV_RETURN_NOT_OK(step);
     seen += input_batch_.size();
 
-    if (options_.checkpoint_interval > 0 && seen >= next_checkpoint &&
-        has_more) {
-      while (next_checkpoint <= seen) {
-        next_checkpoint += options_.checkpoint_interval;
-      }
+    if (seen >= next_checkpoint && has_more) {
+      while (next_checkpoint <= seen) next_checkpoint += kCheckpointInterval;
       CountCheckpoint();
       // The quotient-group width so far is a hard lower bound on the final
       // width, so testing it (one-sided) cannot fire on the concave
@@ -378,7 +353,7 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
       const double candidates =
           static_cast<double>(core_->quotient_candidates());
       const double planned = std::max(1.0, stats.quotient_estimate);
-      if (candidates >= planned * options_.divergence_threshold) {
+      if (candidates >= planned * kDivergenceThreshold) {
         // The lower bound already proves the plan wrong; the forward
         // extrapolation is the better estimate to re-plan from.
         const double projected =
@@ -390,7 +365,8 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
         corrected.quotient_estimate = std::max(candidates, projected);
         corrected.divisor_tuples =
             static_cast<double>(core_->divisor_count());
-        const AlgorithmChoice rechoice = Choose(corrected);
+        const AlgorithmChoice rechoice =
+            ChooseDivisionAlgorithm(corrected, options_.units);
         RecordDecision(ReplanEvent{ReplanTrigger::kQuotientGrowth,
                                    DivisionAlgorithm::kHashDivision,
                                    rechoice.algorithm, planned, projected,
@@ -467,7 +443,7 @@ Status AdaptiveDivisionOperator::Open() {
     }
   }
 
-  AlgorithmChoice choice = Choose(stats);
+  AlgorithmChoice choice = ChooseDivisionAlgorithm(stats, options_.units);
   if (options_.forced_initial.has_value()) {
     choice.algorithm = *options_.forced_initial;
   }
@@ -493,7 +469,7 @@ Status AdaptiveDivisionOperator::Open() {
     } else if (current == DivisionAlgorithm::kSortAggregateWithJoin) {
       to = DivisionAlgorithm::kHashAggregateWithJoin;
     } else {
-      to = Choose(corrected).algorithm;
+      to = ChooseDivisionAlgorithm(corrected, options_.units).algorithm;
     }
     RecordDecision(ReplanEvent{ReplanTrigger::kDividendCardinality, current,
                                to, stats.dividend_tuples,

@@ -40,7 +40,7 @@ enum class ReplanTrigger {
   kMemoryPressure,
 };
 
-/// Stable label for metrics/flight-recorder events
+/// Stable label for metrics/flight-ring events
 /// ("dividend-cardinality", "memory-pressure", ...).
 const char* ReplanTriggerName(ReplanTrigger trigger);
 
@@ -146,22 +146,14 @@ class DivisionStatsCache {
 /// Tuning for adaptive execution.
 struct AdaptiveOptions {
   /// Execution options forwarded to the chosen plan. The adaptive operator
-  /// forces overflow_fallback/parallel_fragments/early_output off on the
-  /// instrumented hash-division path (it owns that machinery itself).
+  /// forces parallel_fragments/early_output off on the instrumented
+  /// hash-division path (it owns that machinery itself).
   DivisionOptions division;
   /// Table 1 unit times for the chooser.
   CostUnits units;
-  /// Observed/planned ratio (either direction) at which a checkpoint
-  /// declares the estimate wrong and re-plans. Must be > 1.
-  double divergence_threshold = 4.0;
-  /// Dividend tuples between mid-consume quotient-growth checkpoints.
-  uint64_t checkpoint_interval = 256;
   /// Consult DivisionStatsCache::Global() before choosing and write the
   /// observed cardinalities back on success.
   bool use_stats_cache = true;
-  /// Scale each algorithm's predicted cost by its historical signed drift
-  /// (CostDriftTracker aggregates) before picking the minimum.
-  bool calibrate_from_drift = false;
   /// Non-zero replaces DivisionStats::memory_pages: tests pin the planner's
   /// memory picture independently of the pool/hash budgets that enforce it.
   double memory_pages_override = 0;
@@ -189,11 +181,10 @@ struct AdaptiveReport {
 };
 
 /// Division under cardinality-checkpoint instrumentation: chooses with
-/// ChooseDivisionAlgorithm (seeded from the stats cache and, optionally,
-/// CostDriftTracker calibration), then executes the choice while comparing
-/// observed cardinalities — dividend count, distinct divisor count,
-/// quotient-candidate growth, hash-table memory — against the planned
-/// DivisionStats. Divergence beyond AdaptiveOptions::divergence_threshold
+/// ChooseDivisionAlgorithm (seeded from the stats cache), then executes the
+/// choice while comparing observed cardinalities — dividend count, distinct
+/// divisor count, quotient-candidate growth, hash-table memory — against
+/// the planned DivisionStats. Divergence beyond kDivergenceThreshold
 /// abandons or degrades mid-query:
 ///
 ///   - dividend-cardinality (checkpoint 0): sort-aggregation degrades to
@@ -205,7 +196,7 @@ struct AdaptiveReport {
 ///   - memory-pressure: ResourceExhausted degrades through the existing
 ///     FallbackDivisionOperator restart path.
 ///
-/// Every decision lands in the flight recorder and the reldiv_replan_*
+/// Every decision lands in the flight ring and the reldiv_replan_*
 /// metric family; successful runs feed observations back into the stats
 /// cache. A run whose checkpoints never fire performs exactly the counted
 /// operations of the equivalent static plan (the differential corpus
@@ -216,6 +207,12 @@ class AdaptiveDivisionOperator : public Operator {
                            ResolvedDivision resolved,
                            const AdaptiveOptions& options);
   ~AdaptiveDivisionOperator() override;  // HashDivisionCore is incomplete here
+
+  /// Observed/planned ratio (either direction) at which a checkpoint
+  /// declares the estimate wrong and re-plans.
+  static constexpr double kDivergenceThreshold = 4.0;
+  /// Dividend tuples between mid-consume quotient-growth checkpoints.
+  static constexpr uint64_t kCheckpointInterval = 256;
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
@@ -229,15 +226,8 @@ class AdaptiveDivisionOperator : public Operator {
   const AdaptiveReport& report() const { return report_; }
 
  private:
-  /// Choice under optional drift calibration, preserving the chooser's
-  /// deterministic lowest-enum tie-break.
-  AlgorithmChoice Choose(const DivisionStats& stats) const;
-
-  /// |observed / planned| beyond the threshold in either direction.
-  bool Diverges(double planned, double observed) const;
-
   /// Records one decision in the report, the metric family, and the flight
-  /// recorder (the latter two only under Telemetry::counting()).
+  /// ring (the latter two only under Telemetry::counting()).
   void RecordDecision(ReplanEvent event);
   void CountCheckpoint();
 

@@ -1,11 +1,13 @@
 #include "planner/explain.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
+#include "common/metric_names.h"
 #include "exec/operator.h"
-#include "obs/cost_drift.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 
 namespace reldiv {
 
@@ -32,6 +34,9 @@ std::map<DivisionAlgorithm, double> PredictAlgorithmCosts(
 }
 
 namespace {
+
+/// Drift histogram unit: |relative error| is recorded in parts per million.
+constexpr double kPpm = 1e6;
 
 std::string Ms(double ms) {
   char buf[48];
@@ -131,23 +136,23 @@ Result<ExplainAnalyzeResult> ExplainAnalyzeDivision(
     run.quotient_tuples = rows_result.value().size();
     run.operator_tree = ctx->profile()->ToString();
 
-    // Feed the drift tracker, then read back the historical aggregate so
-    // the report can put this run's error in context.
-    CostDriftSample sample;
-    sample.algorithm = DivisionAlgorithmName(algorithm);
-    sample.predicted_ms = run.predicted_ms;
-    sample.measured_cpu_ms = run.measured.cpu_ms;
-    sample.measured_io_ms = run.measured.io_ms;
-    sample.wall_ms = run.measured.wall_ms;
-    CostDriftTracker::Global().Record(sample);
-    const CostDriftAggregate aggregate =
-        CostDriftTracker::Global().AggregateFor(sample.algorithm);
+    // Record this run's |error| in the per-algorithm drift histogram, then
+    // read the history back so the report can put the run in context.
+    // Recorded in every telemetry mode: the drift line depends on it.
     run.drift_relative_error =
         run.predicted_ms == 0
             ? 0
             : (run.measured.total_ms() - run.predicted_ms) / run.predicted_ms;
-    run.drift_historical_mean_abs_error = aggregate.mean_abs_error();
-    run.drift_historical_runs = aggregate.runs;
+    Histogram* drift = MetricRegistry::Global().FindOrCreateHistogram(
+        metric_names::kDriftAbsErrorPpm, "algorithm",
+        DivisionAlgorithmName(algorithm));
+    drift->Record(
+        static_cast<uint64_t>(std::llround(
+            std::fabs(run.drift_relative_error) * kPpm)));
+    run.drift_historical_runs = drift->count();
+    run.drift_historical_mean_abs_error =
+        static_cast<double>(drift->sum()) /
+        (kPpm * static_cast<double>(run.drift_historical_runs));
     result.runs.push_back(std::move(run));
   }
 

@@ -33,10 +33,12 @@ struct ExplainedRun {
   ExperimentalCost measured;
   uint64_t quotient_tuples = 0;
   /// Cost-model drift of this run: signed (measured - predicted) / predicted,
-  /// 0 when the prediction is 0. Also recorded in CostDriftTracker::Global().
+  /// 0 when the prediction is 0. Its magnitude is recorded in the registry
+  /// histogram reldiv_cost_drift_abs_error_ppm{algorithm=...}.
   double drift_relative_error = 0;
-  /// Historical mean |relative error| for this algorithm over every profiled
-  /// run since process start, this run included (CostDriftAggregate).
+  /// Historical mean |relative error| for this algorithm over every EXPLAIN
+  /// ANALYZE run since process start (or the last registry reset), this run
+  /// included: the drift histogram's sum / count.
   double drift_historical_mean_abs_error = 0;
   /// Runs contributing to the historical mean, this run included.
   uint64_t drift_historical_runs = 0;

@@ -34,13 +34,11 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
-#include "obs/cost_drift.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/profiled_operator.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "parallel/parallel_hash_division.h"
 #include "planner/explain.h"
 #include "planner/logical_plan.h"

@@ -4,7 +4,7 @@
 
 #include "common/metric_names.h"
 #include "common/row_codec.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
@@ -285,8 +285,7 @@ void QuotientCache::CountInvalidation(const char* reason) {
     MetricRegistry::Global()
         .FindOrCreateCounter(metric_names::kQcacheInvalidationsTotal)
         ->Add(1);
-    FlightRecorder::Global().Record(FlightEventCategory::kFallback,
-                                    "qcache_invalidate", reason);
+    EventLog::Flight().Record("fallback", "qcache_invalidate", reason);
   }
 }
 

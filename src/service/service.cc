@@ -45,22 +45,20 @@ class GrantGuard {
 DivisionService::DivisionService(Database* db, ServiceOptions options)
     : db_(db),
       options_(options),
-      cache_(std::make_shared<QuotientCache>(options.cache_max_entries)) {
+      cache_(std::make_shared<QuotientCache>()) {
   if (db_->pool() != nullptr && options_.grant_timeout.count() > 0) {
     // Contending queries park on the pool condvar instead of failing or
     // spinning; see MemoryPool::set_wait_timeout.
     db_->pool()->set_wait_timeout(options_.grant_timeout);
   }
-  if (options_.use_quotient_cache) {
-    // The observer captures the cache by shared_ptr: the database may
-    // outlive this service, and observers are never deregistered.
-    std::shared_ptr<QuotientCache> cache = cache_;
-    db_->AddUpdateObserver(
-        [cache](const std::string& /*table*/, RecordStore* store,
-                const Tuple& tuple, bool inserted) {
-          cache->OnStoreUpdate(store, tuple, inserted);
-        });
-  }
+  // The observer captures the cache by shared_ptr: the database may
+  // outlive this service, and observers are never deregistered.
+  std::shared_ptr<QuotientCache> cache = cache_;
+  db_->AddUpdateObserver(
+      [cache](const std::string& /*table*/, RecordStore* store,
+              const Tuple& tuple, bool inserted) {
+        cache->OnStoreUpdate(store, tuple, inserted);
+      });
 }
 
 void DivisionService::RegisterTenant(const std::string& tenant,
@@ -223,7 +221,7 @@ Status DivisionService::RunQuery(QueryTicket* ticket) {
                   local_pool.has_value() ? &*local_pool : nullptr, &counters);
   ctx.set_cancellation_flag(&ticket->cancel_);
 
-  if (options_.use_quotient_cache && !ticket->request_.bypass_cache) {
+  if (!ticket->request_.bypass_cache) {
     RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved,
                             ResolveDivision(ticket->request_.query));
     bool hit = false;

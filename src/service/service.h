@@ -39,9 +39,6 @@ struct ServiceOptions {
   /// MemoryPool::set_wait_timeout, how long Fix/Arena wait under pressure)
   /// before failing with kResourceExhausted.
   std::chrono::milliseconds grant_timeout{500};
-  /// Serve repeat queries from the incrementally maintained quotient cache.
-  bool use_quotient_cache = true;
-  size_t cache_max_entries = QuotientCache::kDefaultMaxEntries;
 };
 
 /// One division request as submitted to the service.
@@ -51,7 +48,7 @@ struct QueryRequest {
   /// all four algorithms produce the same quotient).
   DivisionAlgorithm algorithm = DivisionAlgorithm::kHashDivision;
   DivisionOptions options;
-  /// Force a direct plan execution even when the cache is enabled
+  /// Force a direct plan execution instead of the quotient cache
   /// (differential tests compare the two paths).
   bool bypass_cache = false;
 };

@@ -16,7 +16,7 @@
 
 namespace reldiv {
 
-class TraceRecorder;
+class EventLog;
 
 /// Buffer-pool statistics (deterministic; asserted in tests).
 struct BufferStats {
@@ -98,10 +98,10 @@ class BufferManager {
     stats_ = BufferStats{};
   }
 
-  /// Attaches a span recorder (obs/trace.h): page reads from disk, dirty
+  /// Attaches a trace (obs/event_log.h): page reads from disk, dirty
   /// write-backs, and evictions then emit instant trace events carrying the
   /// page number. nullptr detaches.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
+  void set_trace(EventLog* trace) { trace_ = trace; }
 
  private:
   struct Frame {
@@ -131,7 +131,7 @@ class BufferManager {
   mutable RecursiveMutex mu_;
   SimDisk* disk_;
   MemoryPool* pool_;
-  TraceRecorder* trace_ = nullptr;  ///< attached during setup (see set_trace)
+  EventLog* trace_ = nullptr;  ///< attached during setup (see set_trace)
   std::unordered_map<uint64_t, Frame> frames_ GUARDED_BY(mu_);
   /// Unfixed pages, least recent first.
   std::list<uint64_t> lru_ GUARDED_BY(mu_);

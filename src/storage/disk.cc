@@ -4,7 +4,7 @@
 
 #include "common/metric_names.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
+#include "obs/event_log.h"
 #include "testing/failpoint.h"
 
 namespace reldiv {

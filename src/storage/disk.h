@@ -16,7 +16,7 @@
 
 namespace reldiv {
 
-class TraceRecorder;
+class EventLog;
 
 /// I/O statistics collected by the simulated disk. The experimental harness
 /// converts these into milliseconds with the Table 3 cost weights (physical
@@ -127,11 +127,11 @@ class SimDisk {
     stats_ = DiskStats{};
   }
 
-  /// Attaches a span recorder (obs/trace.h): every transfer then emits one
-  /// trace event carrying its sector, length, direction, and whether the arm
+  /// Attaches a trace (obs/event_log.h): every transfer then emits one
+  /// instant event carrying its sector, length, direction, and whether the arm
   /// moved (a seek). nullptr detaches. Not safe concurrently with transfers;
   /// attach during setup.
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
+  void set_trace(EventLog* trace) { trace_ = trace; }
 
  private:
   Status CheckRange(uint64_t sector, uint64_t count) const REQUIRES(mu_);
@@ -141,7 +141,7 @@ class SimDisk {
   /// Serializes AllocateSectors/Read/Write/stats across worker lanes.
   mutable Mutex mu_;
   Backing backing_;
-  TraceRecorder* trace_ = nullptr;  ///< attached during setup (see set_trace)
+  EventLog* trace_ = nullptr;  ///< attached during setup (see set_trace)
   uint64_t num_sectors_ GUARDED_BY(mu_) = 0;
   /// Sector just past the last transfer.
   uint64_t arm_position_ GUARDED_BY(mu_) = 0;

@@ -3,7 +3,7 @@
 #include <chrono>
 
 #include "common/metric_names.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 #include "testing/failpoint.h"
 
@@ -60,8 +60,8 @@ bool MemoryPool::Reserve(size_t bytes) {
           MetricRegistry::Global().FindOrCreateCounter(
               metric_names::kMemGrantDenialsTotal);
       denials->Add(1);
-      FlightRecorder::Global().Record(FlightEventCategory::kMemory,
-                                      "grant_denied", "memory_pool", bytes);
+      EventLog::Flight().Record("memory", "grant_denied", "memory_pool",
+                                bytes);
     }
     if (sample) {
       static Histogram* latency = MetricRegistry::Global().FindOrCreateHistogram(
@@ -116,8 +116,8 @@ Status MemoryPool::ReserveWithDeadline(size_t bytes,
         MetricRegistry::Global().FindOrCreateCounter(
             metric_names::kMemGrantTimeoutsTotal);
     timeouts->Add(1);
-    FlightRecorder::Global().Record(FlightEventCategory::kMemory,
-                                    "grant_timeout", "memory_pool", bytes);
+    EventLog::Flight().Record("memory", "grant_timeout", "memory_pool",
+                              bytes);
   }
   return Status::ResourceExhausted(
       "memory grant of " + std::to_string(bytes) + " bytes not satisfied in " +

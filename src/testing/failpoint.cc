@@ -1,7 +1,7 @@
 #include "testing/failpoint.h"
 
 #include "common/metric_names.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
@@ -17,8 +17,7 @@ void RecordFire(const char* site) {
       MetricRegistry::Global().FindOrCreateCounter(
           metric_names::kFailpointFiresTotal);
   fires->Add(1);
-  FlightRecorder::Global().Record(FlightEventCategory::kFailpoint,
-                                  "failpoint_fire", site);
+  EventLog::Flight().Record("failpoint", "failpoint_fire", site);
 }
 
 /// SplitMix64 finalizer over (seed, hit index) — the stateless per-hit draw

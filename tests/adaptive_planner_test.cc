@@ -11,7 +11,7 @@
 #include "exec/database.h"
 #include "exec/operator.h"
 #include "gtest/gtest.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/telemetry.h"
 #include "planner/logical_plan.h"
 #include "planner/physical_planner.h"
@@ -460,7 +460,7 @@ TEST_F(AdaptiveTriggerTest, DivisorCardinalityLieAbandonsAfterBuild) {
   TelemetryCounter* replans = MetricRegistry::Global().FindOrCreateCounter(
       metric_names::kReplansTotal, "trigger", "divisor-cardinality");
   const uint64_t replans_before = replans->value();
-  const uint64_t flight_before = FlightRecorder::Global().total_recorded();
+  const uint64_t flight_before = EventLog::Flight().total_recorded();
 
   AdaptiveOptions options;
   options.memory_pages_override = 8;
@@ -484,11 +484,10 @@ TEST_F(AdaptiveTriggerTest, DivisorCardinalityLieAbandonsAfterBuild) {
   EXPECT_NE(report_.ToLine().find("divisor-cardinality"), std::string::npos);
 
   EXPECT_GE(replans->value(), replans_before + 1);
-  EXPECT_GT(FlightRecorder::Global().total_recorded(), flight_before);
+  EXPECT_GT(EventLog::Flight().total_recorded(), flight_before);
   bool saw_flight_event = false;
-  for (const FlightEvent& fe : FlightRecorder::Global().Events()) {
-    if (fe.label == "replan" &&
-        fe.category == FlightEventCategory::kFallback) {
+  for (const Event& fe : EventLog::Flight().Events()) {
+    if (fe.name == "replan" && fe.category == "fallback") {
       saw_flight_event = true;
     }
   }
@@ -523,7 +522,6 @@ TEST_F(AdaptiveTriggerTest, QuotientGrowthLieAbandonsMidConsume) {
   AdaptiveOptions options;
   options.memory_pages_override = 8;
   options.forced_initial = DivisionAlgorithm::kHashDivision;
-  options.checkpoint_interval = 256;
   std::vector<Tuple> rows = Run(query, options);
 
   EXPECT_EQ(Sorted(std::move(rows)), data.expected);
@@ -534,7 +532,7 @@ TEST_F(AdaptiveTriggerTest, QuotientGrowthLieAbandonsMidConsume) {
     EXPECT_EQ(event.from, DivisionAlgorithm::kHashDivision);
     EXPECT_GE(event.dividend_tuples_seen, 256u);
     EXPECT_GE(event.observed,
-              event.expected * options.divergence_threshold);
+              event.expected * AdaptiveDivisionOperator::kDivergenceThreshold);
   }
   EXPECT_NE(report_.final_algorithm, DivisionAlgorithm::kHashDivision);
   EXPECT_GE(replans->value(), replans_before + 1);

@@ -1,24 +1,28 @@
 // Tests for the observability layer (obs/): the per-operator metrics tree
 // recorded by ProfiledOperator, the zero-overhead guarantee when profiling
-// is off, trace-span emission, and EXPLAIN ANALYZE's predicted-vs-actual
-// agreement with the §4 cost model fixtures.
+// is off, trace-span emission on the flight ring's clock, and EXPLAIN
+// ANALYZE's predicted-vs-actual agreement with the §4 cost model fixtures.
 
+#include <chrono>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metric_names.h"
 #include "cost/cost_model.h"
 #include "division/division.h"
 #include "exec/materialize.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "gtest/gtest.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/profiled_operator.h"
-#include "obs/trace.h"
+#include "obs/telemetry.h"
 #include "planner/explain.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -175,10 +179,16 @@ TEST_F(ObservabilityTest, SecondPlanBecomesSiblingRoot) {
   EXPECT_EQ(ctx->profile()->roots()[1]->label(), "naive-division");
 }
 
-TEST_F(ObservabilityTest, TraceRecorderEmitsOperatorSpans) {
+TEST_F(ObservabilityTest, TraceEmitsOperatorSpans) {
+  ScopedTelemetryMode count(TelemetryMode::kCounting);
+  // Touch the flight ring well before the trace exists: were each log on a
+  // clock of its own, the two records of one transition would sit at least
+  // 2 ms apart.
+  EventLog::Flight();
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
   ExecContext* ctx = db_->ctx();
   ctx->set_profiling(true);
-  TraceRecorder trace;
+  EventLog trace;
   ctx->set_trace(&trace);
   ASSERT_OK_AND_ASSIGN(
       std::unique_ptr<Operator> plan,
@@ -186,11 +196,28 @@ TEST_F(ObservabilityTest, TraceRecorderEmitsOperatorSpans) {
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(plan.get()));
   ctx->set_trace(nullptr);
   EXPECT_EQ(quotient.size(), 2u);
-  EXPECT_GT(trace.num_events(), 0u);
-  const std::string json = trace.ToJson();
+  EXPECT_GT(trace.size(), 0u);
+  const std::string json = trace.ToChromeJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"operator\""), std::string::npos);
   EXPECT_NE(json.find("hash-division"), std::string::npos);
+
+  // One clock: the plan root's flight open/close events fall within 1 ms of
+  // its trace open span's start and close span's end.
+  std::optional<uint64_t> span_open, span_close_end, flight_open, flight_close;
+  for (const Event& e : trace.Events()) {
+    if (e.name == "open hash-division") span_open = e.ts_us;
+    if (e.name == "close hash-division") span_close_end = e.ts_us + e.dur_us;
+  }
+  for (const Event& e : EventLog::Flight().Events()) {
+    if (e.category != "operator" || e.detail != "hash-division") continue;
+    if (e.name == "open") flight_open = e.ts_us;
+    if (e.name == "close") flight_close = e.ts_us;
+  }
+  ASSERT_TRUE(span_open && span_close_end && flight_open && flight_close);
+  const auto gap = [](uint64_t a, uint64_t b) { return a > b ? a - b : b - a; };
+  EXPECT_LE(gap(*flight_open, *span_open), 1000u);
+  EXPECT_LE(gap(*flight_close, *span_close_end), 1000u);
 }
 
 TEST_F(ObservabilityTest, ProfiledParallelDivisionStaysConsistent) {
@@ -201,7 +228,7 @@ TEST_F(ObservabilityTest, ProfiledParallelDivisionStaysConsistent) {
   ExecContext* ctx = db_->ctx();
   ctx->set_profiling(true);
   ctx->set_dop(4);
-  TraceRecorder trace;
+  EventLog trace;
   ctx->set_trace(&trace);
   DivisionOptions options;
   options.parallel_fragments = 4;
@@ -226,7 +253,7 @@ TEST_F(ObservabilityTest, ProfiledParallelDivisionStaysConsistent) {
   EXPECT_EQ(root->metrics().cpu.hashes, delta.hashes);
   EXPECT_EQ(root->metrics().cpu.moves, delta.moves);
   EXPECT_EQ(root->metrics().cpu.bit_ops, delta.bit_ops);
-  EXPECT_GT(trace.num_events(), 0u);
+  EXPECT_GT(trace.size(), 0u);
 }
 
 TEST(QueryProfileConcurrencyTest, ConcurrentNodeRegistrationLosesNothing) {
@@ -269,8 +296,8 @@ TEST(QueryProfileConcurrencyTest, ConcurrentNodeRegistrationLosesNothing) {
   EXPECT_NE(profile.ToJson().find("lane3-0"), std::string::npos);
 }
 
-TEST(TraceRecorderConcurrencyTest, ConcurrentEmissionCountsEveryEvent) {
-  TraceRecorder trace;
+TEST(EventLogConcurrencyTest, ConcurrentEmissionCountsEveryEvent) {
+  EventLog trace;
   constexpr int kThreads = 4;
   constexpr int kSpansPerThread = 300;
   std::vector<std::thread> threads;
@@ -278,7 +305,7 @@ TEST(TraceRecorderConcurrencyTest, ConcurrentEmissionCountsEveryEvent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&trace, t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        const uint64_t start = trace.NowMicros();
+        const uint64_t start = NowMicros();
         trace.Complete("morsel", "scheduler", start, 1,
                        static_cast<uint32_t>(100 + t),
                        {{"morsel", static_cast<uint64_t>(i)}});
@@ -286,10 +313,9 @@ TEST(TraceRecorderConcurrencyTest, ConcurrentEmissionCountsEveryEvent) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(trace.num_events(),
-            static_cast<size_t>(kThreads) * kSpansPerThread);
-  EXPECT_EQ(trace.dropped_events(), 0u);
-  EXPECT_NE(trace.ToJson().find("\"morsel\""), std::string::npos);
+  EXPECT_EQ(trace.size(), static_cast<size_t>(kThreads) * kSpansPerThread);
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_NE(trace.ToChromeJson().find("\"morsel\""), std::string::npos);
 }
 
 // EXPLAIN ANALYZE's prediction column is PredictAlgorithmCosts over the
@@ -325,7 +351,8 @@ TEST(ExplainPredictionTest, MatchesPaperTable2OnAllCells) {
 
 // End-to-end EXPLAIN ANALYZE on the §5.1 25×25 configuration: all four
 // paper algorithms run, return the right quotient, and report the Table 2
-// predictions beside per-algorithm measurements.
+// predictions beside per-algorithm measurements and a drift line whose
+// history grows by one run per EXPLAIN.
 TEST(ExplainAnalyzeTest, FourAlgorithmsOnPaperConfiguration) {
   GeneratedWorkload workload = GenerateWorkload(PaperCell(25, 25));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
@@ -360,6 +387,31 @@ TEST(ExplainAnalyzeTest, FourAlgorithmsOnPaperConfiguration) {
     EXPECT_NE(result.text.find(DivisionAlgorithmName(run.algorithm)),
               std::string::npos);
   }
+
+  ASSERT_OK_AND_ASSIGN(ExplainAnalyzeResult again,
+                       ExplainAnalyzeDivision(db->ctx(), query, options));
+  ASSERT_EQ(again.runs.size(), 4u);
+  for (const ExplainAnalyzeResult* report : {&result, &again}) {
+    size_t drift_lines = 0;
+    for (size_t pos = report->text.find("\n  drift: ");
+         pos != std::string::npos;
+         pos = report->text.find("\n  drift: ", pos + 1)) {
+      ++drift_lines;
+    }
+    EXPECT_EQ(drift_lines, report->runs.size()) << report->text;
+  }
+  const auto hash_division = [](const ExplainAnalyzeResult& report) {
+    for (const ExplainedRun& run : report.runs) {
+      if (run.algorithm == DivisionAlgorithm::kHashDivision) return run;
+    }
+    return ExplainedRun{};
+  };
+  EXPECT_GE(hash_division(result).drift_historical_runs, 1u);
+  EXPECT_EQ(hash_division(again).drift_historical_runs,
+            hash_division(result).drift_historical_runs + 1);
+  EXPECT_NE(MetricRegistry::Global().ToPrometheusText().find(
+                metric_names::kDriftAbsErrorPpm),
+            std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "division/division.h"
+#include "division/fallback_division.h"
 #include "exec/database.h"
 #include "gtest/gtest.h"
 #include "testing/failpoint.h"
@@ -127,6 +128,16 @@ TEST(StressSingle, RepeatedQueriesReuseTheSameDatabase) {
   EXPECT_EQ(db->pool()->used(), 0u);
 }
 
+/// Hash-division under the §3.4 memory-pressure restart, as the adaptive
+/// planner runs it.
+Result<std::vector<Tuple>> DivideWithFallback(ExecContext* ctx,
+                                              const DivisionQuery& query,
+                                              const DivisionOptions& options) {
+  RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved, ResolveDivision(query));
+  FallbackDivisionOperator op(ctx, resolved, options);
+  return CollectAll(&op, ctx->batch_capacity());
+}
+
 // Randomized failpoint-schedule fuzzer: each iteration draws a schedule
 // (which sites, which trigger policies, which error codes) and one of the
 // seven algorithms from a seeded Rng, then demands the differential
@@ -210,10 +221,14 @@ TEST(FailpointFuzz, RandomSchedulesEndInExactQuotientOrCleanError) {
         algorithm == DivisionAlgorithm::kSortAggregateWithJoin ||
         algorithm == DivisionAlgorithm::kHashAggregateWithJoin;
     div_options.num_partitions = 4;
-    div_options.overflow_fallback = rng.Chance(50);
+    // On the coin, hash-division runs inside the §3.4 memory-pressure
+    // restart (FallbackDivisionOperator) instead of the plain plan.
+    const bool with_fallback = rng.Chance(50);
+    const DivisionQuery query{dividend, divisor, {"divisor_id"}};
     Result<std::vector<Tuple>> result =
-        Divide(db->ctx(), DivisionQuery{dividend, divisor, {"divisor_id"}},
-               algorithm, div_options);
+        with_fallback && algorithm == DivisionAlgorithm::kHashDivision
+            ? DivideWithFallback(db->ctx(), query, div_options)
+            : Divide(db->ctx(), query, algorithm, div_options);
     FailpointRegistry::Global().DisarmAll();
 
     if (result.ok()) {

@@ -1,9 +1,9 @@
 /// Tests for the process-wide telemetry layer (DESIGN.md §14): log-linear
 /// histograms (exact percentile bounds at bucket edges, concurrent
 /// recording, snapshot-merge associativity, zero-allocation on the record
-/// path), the MetricRegistry and its exporters, the flight recorder and its
-/// check-failure dump hook, the cost-model drift tracker, and the trace
-/// recorder's drop accounting.
+/// path), the MetricRegistry and its exporters, and the event log: the
+/// flight ring and its check-failure dump hook, and a trace's drop
+/// accounting.
 
 #include <atomic>
 #include <cstdlib>
@@ -15,11 +15,9 @@
 #include "common/check.h"
 #include "common/metric_names.h"
 #include "gtest/gtest.h"
-#include "obs/cost_drift.h"
-#include "obs/flight_recorder.h"
+#include "obs/event_log.h"
 #include "obs/histogram.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace reldiv {
@@ -66,17 +64,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace reldiv {
 namespace {
-
-/// Restores the telemetry mode on scope exit so tests compose.
-class ScopedTelemetryMode {
- public:
-  explicit ScopedTelemetryMode(TelemetryMode mode)
-      : previous_(Telemetry::SetMode(mode)) {}
-  ~ScopedTelemetryMode() { Telemetry::SetMode(previous_); }
-
- private:
-  TelemetryMode previous_;
-};
 
 // ---- Histogram bucketing ----
 
@@ -354,35 +341,34 @@ TEST(MetricRegistryTest, ResetZeroesValuesButKeepsRegistrations) {
                          metric_names::kBufferEvictionsTotal));
 }
 
-// ---- Flight recorder ----
+// ---- Flight ring ----
 
-TEST(FlightRecorderTest, RingKeepsMostRecentEventsOldestFirst) {
-  FlightRecorder& recorder = FlightRecorder::Global();
+TEST(FlightRingTest, RingKeepsMostRecentEventsOldestFirst) {
+  EventLog& recorder = EventLog::Flight();
   recorder.Clear();
   const uint64_t seq_before = recorder.total_recorded();
-  const size_t total = FlightRecorder::kCapacity + 10;
+  const size_t total = EventLog::kFlightCapacity + 10;
   for (size_t i = 0; i < total; ++i) {
-    recorder.Record(FlightEventCategory::kOperator, "open",
-                    "op" + std::to_string(i), i);
+    recorder.Record("operator", "open", "op" + std::to_string(i), i);
   }
-  EXPECT_EQ(recorder.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(recorder.size(), EventLog::kFlightCapacity);
   EXPECT_EQ(recorder.total_recorded(), seq_before + total);
-  const std::vector<FlightEvent> events = recorder.Events();
-  ASSERT_EQ(events.size(), FlightRecorder::kCapacity);
+  EXPECT_EQ(recorder.dropped(), 10u);
+  const std::vector<Event> events = recorder.Events();
+  ASSERT_EQ(events.size(), EventLog::kFlightCapacity);
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
   }
-  // The survivors are the LAST kCapacity events.
+  // The survivors are the LAST kFlightCapacity events.
   EXPECT_EQ(events.back().value, total - 1);
-  EXPECT_EQ(events.front().value, total - FlightRecorder::kCapacity);
+  EXPECT_EQ(events.front().value, total - EventLog::kFlightCapacity);
   recorder.Clear();
 }
 
-TEST(FlightRecorderTest, DumpJsonHasSchema) {
-  FlightRecorder& recorder = FlightRecorder::Global();
+TEST(FlightRingTest, DumpJsonHasSchema) {
+  EventLog& recorder = EventLog::Flight();
   recorder.Clear();
-  recorder.Record(FlightEventCategory::kFallback, "repartition", "cluster3",
-                  2);
+  recorder.Record("fallback", "repartition", "cluster3", 2);
   const std::string json = recorder.DumpJson();
   EXPECT_NE(json.find("\"flight_recorder\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"total\""), std::string::npos) << json;
@@ -392,65 +378,14 @@ TEST(FlightRecorderTest, DumpJsonHasSchema) {
   recorder.Clear();
 }
 
-TEST(FlightRecorderDeathTest, CheckFailureDumpsTheRing) {
-  // Touch Global() so the check-failure dump hook is installed, then seed an
+TEST(FlightRingDeathTest, CheckFailureDumpsTheRing) {
+  // Touch Flight() so the check-failure dump hook is installed, then seed an
   // event the crash output must replay.
-  FlightRecorder::Global().Clear();
-  FlightRecorder::Global().Record(FlightEventCategory::kMemory,
-                                  "grant_denied", "memory_pool", 4096);
+  EventLog::Flight().Clear();
+  EventLog::Flight().Record("memory", "grant_denied", "memory_pool", 4096);
   EXPECT_DEATH(RELDIV_CHECK(1 == 2) << "telemetry death test",
                "grant_denied memory_pool value=4096");
-  FlightRecorder::Global().Clear();
-}
-
-// ---- Cost drift ----
-
-TEST(CostDriftTest, RecordComputesRelativeErrorAndAggregates) {
-  CostDriftTracker& tracker = CostDriftTracker::Global();
-  tracker.Clear();
-  CostDriftSample sample;
-  sample.algorithm = "hash division";
-  sample.predicted_ms = 100.0;
-  sample.measured_cpu_ms = 80.0;
-  sample.measured_io_ms = 40.0;  // total 120 => error +0.2
-  tracker.Record(sample);
-  sample.measured_io_ms = 0.0;  // total 80 => error -0.2
-  tracker.Record(sample);
-  EXPECT_EQ(tracker.num_samples(), 2u);
-  const CostDriftAggregate aggregate = tracker.AggregateFor("hash division");
-  EXPECT_EQ(aggregate.runs, 2u);
-  EXPECT_NEAR(aggregate.mean_error(), 0.0, 1e-9);       // bias cancels
-  EXPECT_NEAR(aggregate.mean_abs_error(), 0.2, 1e-9);   // magnitude doesn't
-  const std::string json = tracker.ToJson();
-  EXPECT_NE(json.find("\"cost_drift\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"hash division\""), std::string::npos) << json;
-  tracker.Clear();
-}
-
-TEST(CostDriftTest, RingBoundsSamplesButAggregatesPersist) {
-  CostDriftTracker& tracker = CostDriftTracker::Global();
-  tracker.Clear();
-  CostDriftSample sample;
-  sample.algorithm = "naive";
-  sample.predicted_ms = 10.0;
-  sample.measured_cpu_ms = 11.0;
-  const size_t total = CostDriftTracker::kMaxSamples + 20;
-  for (size_t i = 0; i < total; ++i) tracker.Record(sample);
-  EXPECT_EQ(tracker.num_samples(), CostDriftTracker::kMaxSamples);
-  EXPECT_EQ(tracker.AggregateFor("naive").runs, total);
-  tracker.Clear();
-}
-
-TEST(CostDriftTest, ZeroPredictionYieldsZeroError) {
-  CostDriftTracker& tracker = CostDriftTracker::Global();
-  tracker.Clear();
-  CostDriftSample sample;
-  sample.algorithm = "sort aggregation";
-  sample.predicted_ms = 0.0;
-  sample.measured_cpu_ms = 5.0;
-  tracker.Record(sample);
-  EXPECT_EQ(tracker.AggregateFor("sort aggregation").mean_error(), 0.0);
-  tracker.Clear();
+  EventLog::Flight().Clear();
 }
 
 // ---- Trace drop accounting (satellite of the same PR) ----
@@ -458,27 +393,28 @@ TEST(CostDriftTest, ZeroPredictionYieldsZeroError) {
 TEST(TraceDropTest, DropsCountIntoRegistryAndTrailerEvent) {
   ScopedTelemetryMode count(TelemetryMode::kCounting);
   TelemetryCounter* drops = MetricRegistry::Global().FindOrCreateCounter(
-      metric_names::kTraceSpansDropped);
+      metric_names::kEventLogDroppedTotal, "log", "trace");
   const uint64_t before = drops->value();
 
-  TraceRecorder trace;
-  trace.SetMaxEventsForTest(4);
+  EventLog trace(4);
   for (int i = 0; i < 10; ++i) {
     trace.Instant("e" + std::to_string(i), "test");
   }
-  EXPECT_EQ(trace.num_events(), 4u);
-  EXPECT_EQ(trace.dropped_events(), 6u);
+  EXPECT_EQ(trace.size(), 4u);
+  EXPECT_EQ(trace.dropped(), 6u);
   EXPECT_EQ(drops->value(), before + 6);
+  EXPECT_EQ(trace.Events().front().name, "e6");  // the newest four survive
 
-  const std::string json = trace.ToJson();
+  const std::string json = trace.ToChromeJson();
   EXPECT_NE(json.find("\"trace_spans_dropped\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"dropped\":6"), std::string::npos) << json;
 }
 
 TEST(TraceDropTest, NoTrailerWhenNothingDropped) {
-  TraceRecorder trace;
+  EventLog trace;
   trace.Instant("only", "test");
-  EXPECT_EQ(trace.ToJson().find("trace_spans_dropped"), std::string::npos);
+  EXPECT_EQ(trace.ToChromeJson().find("trace_spans_dropped"),
+            std::string::npos);
 }
 
 }  // namespace

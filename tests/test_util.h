@@ -9,6 +9,7 @@
 #include "exec/database.h"
 #include "exec/relation.h"
 #include "gtest/gtest.h"
+#include "obs/telemetry.h"
 
 namespace reldiv {
 
@@ -56,6 +57,17 @@ inline Tuple T(int64_t a, int64_t b) {
 inline Tuple T(int64_t a, int64_t b, int64_t c) {
   return Tuple{Value::Int64(a), Value::Int64(b), Value::Int64(c)};
 }
+
+/// Restores the telemetry mode on scope exit so tests compose.
+class ScopedTelemetryMode {
+ public:
+  explicit ScopedTelemetryMode(TelemetryMode mode)
+      : previous_(Telemetry::SetMode(mode)) {}
+  ~ScopedTelemetryMode() { Telemetry::SetMode(previous_); }
+
+ private:
+  TelemetryMode previous_;
+};
 
 }  // namespace reldiv
 

@@ -49,8 +49,8 @@ clang-tidy cannot express. Rules:
                        silently forks a new time series.
   replan-flight-log    every file that bumps the re-plan metric family
                        (metric_names::kReplansTotal) must also record the
-                       decision in the flight recorder
-                       (FlightRecorder::Global().Record), and the adaptive
+                       decision in the flight ring
+                       (EventLog::Flight().Record), and the adaptive
                        planner keeps both. A re-plan that only shows up as
                        a counter is undiagnosable post-mortem: the metric
                        says HOW OFTEN, only the flight event says WHICH
@@ -252,10 +252,10 @@ FAILPOINT_COVERAGE = {
 }
 
 # replan-flight-log: re-plan decision points (DESIGN.md §15). Files that
-# must keep BOTH the metric bump and the flight-recorder record.
+# must keep BOTH the metric bump and the flight-ring record.
 REPLAN_FLIGHT_COVERAGE = ("src/planner/adaptive.cc",)
 REPLAN_METRIC_RE = re.compile(r"\bmetric_names::kReplansTotal\b")
-REPLAN_RECORDER_RE = re.compile(r"\bFlightRecorder::Global\(\)\s*\.\s*Record\b")
+REPLAN_RECORDER_RE = re.compile(r"\bEventLog::Flight\(\)\s*\.\s*Record\b")
 
 # qcache-version-sync: quotient-cache invalidation points (DESIGN.md §16).
 # Files that count an invalidation must also re-stamp the entry's synced
@@ -582,7 +582,7 @@ class Analyzer:
                 self.report(
                     path, lineno, "replan-flight-log",
                     "this file bumps metric_names::kReplansTotal but never "
-                    "calls FlightRecorder::Global().Record; every re-plan "
+                    "calls EventLog::Flight().Record; every re-plan "
                     "decision point must leave a flight event naming the "
                     "trigger and transition (DESIGN.md §15)",
                     raw_lines, sup)
@@ -710,13 +710,13 @@ class Analyzer:
             for pattern, what in ((REPLAN_METRIC_RE,
                                    "metric_names::kReplansTotal bump"),
                                   (REPLAN_RECORDER_RE,
-                                   "FlightRecorder::Global().Record call")):
+                                   "EventLog::Flight().Record call")):
                 if not pattern.search(text):
                     self.findings.append(Finding(
                         "replan-flight-log", rel, 1,
                         f"expected {what} is no longer present in this "
                         "file; re-plan decisions must stay observable in "
-                        "both the metric family and the flight recorder "
+                        "both the metric family and the flight ring "
                         "(DESIGN.md §15)", ""))
 
     def failpoint_catalog(self) -> set[str]:

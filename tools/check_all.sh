@@ -15,7 +15,9 @@
 #                               positive/negative compile-fail tests;
 #                               skipped with a notice when clang++ is
 #                               absent — GCC ignores the annotations)
-#   release build + ctest      (the tier-1 gate)
+#   release build + ctest      (the tier-1 gate; ctest also runs the five
+#                               examples, so the sanitizer stages below
+#                               run them too)
 #   bench smoke                (every bench binary on a shrunken workload,
 #                               BENCH_*.json schema validation and a
 #                               bench_report.py self-diff — fails on
@@ -43,11 +45,12 @@
 #                               must produce bit-identical quotients and
 #                               Table 1 counters, race-free — DESIGN.md §11)
 #   telemetry                  (the process-telemetry suites — histogram
-#                               percentile bounds, registry exporters,
-#                               flight recorder, cost-drift tracking — under
-#                               BOTH sanitizer builds, with the concurrent
-#                               histogram tests swept across RELDIV_THREADS
-#                               under TSan; DESIGN.md §14)
+#                               percentile bounds, registry exporters, the
+#                               event log's flight ring and trace drops —
+#                               under BOTH sanitizer builds, with the
+#                               concurrent histogram tests swept across
+#                               RELDIV_THREADS under TSan; DESIGN.md §9.2,
+#                               §14)
 #   adaptive                   (the adaptive-planner differential corpus and
 #                               rewrite suites under BOTH sanitizer builds,
 #                               swept across RELDIV_THREADS=1,4,8: re-plan
@@ -241,10 +244,10 @@ if [[ "$QUICK" == "0" ]]; then
 
   # Telemetry stage: the observability layer itself must be clean under the
   # sanitizers — the lock-free histogram record path is exactly the kind of
-  # code TSan exists for — and the flight-recorder/fault coupling reruns
-  # with the failpoint suites to prove the recorder captures every injected
-  # fault. The TSan leg sweeps worker counts so the concurrent recording
-  # tests race real scheduler traffic, not just their own threads.
+  # code TSan exists for — and the flight-ring/fault coupling reruns with
+  # the failpoint suites to prove the ring captures every injected fault.
+  # The TSan leg sweeps worker counts so the concurrent recording tests race
+  # real scheduler traffic, not just their own threads.
   telemetry_stage() {
     local preset threads rc=0
     for preset in asan tsan; do

@@ -329,8 +329,7 @@ class AnalyzeRuleTest(unittest.TestCase):
         "  MetricRegistry::Global()\n"
         '      .FindOrCreateCounter(metric_names::kReplansTotal, "trigger",\n'
         '                           name)->Increment();\n'
-        "  FlightRecorder::Global().Record(FlightEventCategory::kFallback,\n"
-        '                                  "replan", detail, seen);\n'
+        '  EventLog::Flight().Record("fallback", "replan", detail, seen);\n'
         "}\n")
 
     def test_replan_metric_without_flight_event_fires(self):
