@@ -62,9 +62,6 @@ class [[nodiscard]] Result {
 #define RELDIV_ASSIGN_OR_RETURN(lhs, rexpr)                                  \
   RELDIV_ASSIGN_OR_RETURN_IMPL(RELDIV_CONCAT_(_result_, __LINE__), lhs, rexpr)
 
-#define RELDIV_CONCAT_INNER_(a, b) a##b
-#define RELDIV_CONCAT_(a, b) RELDIV_CONCAT_INNER_(a, b)
-
 }  // namespace reldiv
 
 #endif  // RELDIV_COMMON_RESULT_H_

@@ -41,6 +41,11 @@ uint64_t LoadLE64(const char* p) {
   return out;
 }
 
+// Unchecked little-endian store, the mirror of LoadLE64.
+void StoreLE64(uint64_t v, char* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
 bool GetU32(Slice payload, size_t* pos, uint32_t* v) {
   if (*pos + 4 > payload.size()) return false;
   uint32_t out = 0;
@@ -62,6 +67,30 @@ Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
                                    std::to_string(tuple.size()) +
                                    " does not match schema " +
                                    schema_.ToString());
+  }
+  if (fixed_width_) {
+    // All columns are 8-byte numerics: the row's size is known up front, so
+    // the buffer grows once and each value is stored in place.
+    const size_t base = out->size();
+    out->resize(base + tuple.size() * 8);
+    char* p = out->data() + base;
+    for (size_t i = 0; i < tuple.size(); ++i, p += 8) {
+      const Value& v = tuple.value(i);
+      if (v.type() != types_[i]) {
+        out->resize(base);
+        return Status::InvalidArgument(
+            "value type mismatch in field '" + schema_.field(i).name + "'");
+      }
+      uint64_t bits;
+      if (types_[i] == ValueType::kInt64) {
+        bits = static_cast<uint64_t>(v.int64());
+      } else {
+        const double d = v.double_value();
+        std::memcpy(&bits, &d, sizeof(bits));
+      }
+      StoreLE64(bits, p);
+    }
+    return Status::OK();
   }
   for (size_t i = 0; i < tuple.size(); ++i) {
     const Value& v = tuple.value(i);

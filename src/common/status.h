@@ -95,11 +95,19 @@ class [[nodiscard]] Status {
 /// Name of a status code, e.g. "InvalidArgument".
 std::string_view StatusCodeName(StatusCode code);
 
+#define RELDIV_CONCAT_INNER_(a, b) a##b
+#define RELDIV_CONCAT_(a, b) RELDIV_CONCAT_INNER_(a, b)
+
 /// Propagate a non-OK Status to the caller. `expr` must evaluate to a Status.
-#define RELDIV_RETURN_NOT_OK(expr)         \
-  do {                                     \
-    ::reldiv::Status _st = (expr);         \
-    if (!_st.ok()) return _st;             \
+/// The temporary is named per line, so a use inside a lambda that is itself
+/// the argument of an outer use does not shadow the outer one.
+#define RELDIV_RETURN_NOT_OK(expr) \
+  RELDIV_RETURN_NOT_OK_IMPL(RELDIV_CONCAT_(_st_, __LINE__), expr)
+
+#define RELDIV_RETURN_NOT_OK_IMPL(tmp, expr) \
+  do {                                       \
+    ::reldiv::Status tmp = (expr);           \
+    if (!tmp.ok()) return tmp;               \
   } while (false)
 
 }  // namespace reldiv

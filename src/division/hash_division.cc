@@ -1,11 +1,11 @@
 #include "division/hash_division.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/bitmap.h"
 #include "common/check.h"
 #include "common/metric_names.h"
-#include "exec/exchange.h"
 #include "exec/kernels/kernels.h"
 
 namespace reldiv {
@@ -417,14 +417,25 @@ Status HashDivisionOperator::Open() {
   return Status::OK();
 }
 
-Status RunDivisionFragments(ExecContext* ctx,
-                            const std::vector<size_t>& match_attrs,
-                            const std::vector<size_t>& quotient_attrs,
-                            const DivisionOptions& options,
-                            const HashDivisionCore& shared_core,
-                            const std::vector<std::vector<Tuple>>& buckets,
-                            std::vector<Tuple>* results) {
-  const size_t fragments = buckets.size();
+namespace {
+
+/// Refills `batch` with rows [begin, begin + batch->capacity()) of one
+/// fragment, clipped at its end.
+using FragmentReader =
+    std::function<Status(size_t fragment, size_t begin, TupleBatch* batch)>;
+
+/// The fragment body of both RunDivisionFragments entry points: fragment f
+/// holds rows[f] rows, which `read` hands over a batch at a time to a
+/// private core's ConsumeBatch.
+Status DivideFragments(ExecContext* ctx,
+                       const std::vector<size_t>& match_attrs,
+                       const std::vector<size_t>& quotient_attrs,
+                       const DivisionOptions& options,
+                       const HashDivisionCore& shared_core,
+                       const std::vector<size_t>& rows,
+                       const FragmentReader& read,
+                       std::vector<Tuple>* results) {
+  const size_t fragments = rows.size();
   // Fragment decomposition fixed by the repartitioning, independent of
   // worker count; only the assignment of fragments to scheduler lanes varies
   // with dop. Each fragment charges a private context, merged in fragment
@@ -435,17 +446,23 @@ Status RunDivisionFragments(ExecContext* ctx,
         HashDivisionCore fragment_core(fctx, match_attrs, quotient_attrs,
                                        options);
         fragment_core.BorrowDivisorTable(shared_core);
-        // Size the fragment's quotient table from its own bucket — the
+        // Size the fragment's quotient table from its own row count — the
         // query-wide hint would oversize every fragment F-fold.
-        uint64_t hint = buckets[f].size();
+        uint64_t hint = rows[f];
         if (options.expected_quotient_cardinality != 0) {
           hint = std::min<uint64_t>(hint,
                                     options.expected_quotient_cardinality);
         }
         RELDIV_RETURN_NOT_OK(
             fragment_core.ResetQuotientTable(hint == 0 ? 1 : hint));
-        for (const Tuple& dividend : buckets[f]) {
-          RELDIV_RETURN_NOT_OK(fragment_core.Consume(dividend, nullptr));
+        // Not charged to the pool, like the drain's batch: up to dop
+        // concurrent fragment batches would otherwise take a share of a
+        // small pool that depends on the schedule, and the tables could
+        // overflow at one dop but not at another.
+        TupleBatch batch(fctx->batch_capacity());
+        for (size_t begin = 0; begin < rows[f]; begin += batch.size()) {
+          RELDIV_RETURN_NOT_OK(read(f, begin, &batch));
+          RELDIV_RETURN_NOT_OK(fragment_core.ConsumeBatch(batch, nullptr));
         }
         return fragment_core.EmitComplete(&outs[f]);
       }));
@@ -459,6 +476,50 @@ Status RunDivisionFragments(ExecContext* ctx,
   return Status::OK();
 }
 
+}  // namespace
+
+Status RunDivisionFragments(ExecContext* ctx,
+                            const std::vector<size_t>& match_attrs,
+                            const std::vector<size_t>& quotient_attrs,
+                            const DivisionOptions& options,
+                            const HashDivisionCore& shared_core,
+                            const RowCodec& codec,
+                            const std::vector<EncodedPartition>& partitions,
+                            std::vector<Tuple>* results) {
+  std::vector<size_t> rows;
+  for (const EncodedPartition& partition : partitions) {
+    rows.push_back(partition.rows());
+  }
+  return DivideFragments(
+      ctx, match_attrs, quotient_attrs, options, shared_core, rows,
+      [&](size_t f, size_t begin, TupleBatch* batch) {
+        return DecodeRows(codec, partitions[f], begin, batch);
+      },
+      results);
+}
+
+Status RunDivisionFragments(ExecContext* ctx,
+                            const std::vector<size_t>& match_attrs,
+                            const std::vector<size_t>& quotient_attrs,
+                            const DivisionOptions& options,
+                            const HashDivisionCore& shared_core,
+                            const std::vector<std::vector<Tuple>>& buckets,
+                            std::vector<Tuple>* results) {
+  std::vector<size_t> rows;
+  for (const std::vector<Tuple>& bucket : buckets) rows.push_back(bucket.size());
+  return DivideFragments(
+      ctx, match_attrs, quotient_attrs, options, shared_core, rows,
+      [&](size_t f, size_t begin, TupleBatch* batch) {
+        batch->Clear();
+        const size_t end = std::min(rows[f], begin + batch->capacity());
+        for (size_t i = begin; i < end; ++i) {
+          *batch->AddSlotForOverwrite() = buckets[f][i];
+        }
+        return Status::OK();
+      },
+      results);
+}
+
 Status HashDivisionOperator::OpenParallel() {
   // §6 quotient partitioning applied in-process: the divisor table is built
   // ONCE on the query context and shared read-only; the dividend is hash-
@@ -468,14 +529,16 @@ Status HashDivisionOperator::OpenParallel() {
                                              quotient_attrs_, options_);
   RELDIV_RETURN_NOT_OK(core_->BuildDivisorTable(divisor_.get()));
 
-  const size_t fragments = options_.parallel_fragments;
-  RELDIV_ASSIGN_OR_RETURN(std::vector<std::vector<Tuple>> buckets,
-                          DrainAndHashRepartition(ctx_, dividend_.get(),
-                                                  quotient_attrs_, fragments));
-  dividend_done_ = true;  // DrainAndHashRepartition closed the input
-
+  // The drain stays on this thread: one scanning thread keeps the SimDisk
+  // transfer order, and with it the seek count, deterministic.
+  const RowCodec codec(dividend_->output_schema());
+  dividend_done_ = true;  // the drain closes the input on every path
+  RELDIV_ASSIGN_OR_RETURN(
+      std::vector<EncodedPartition> partitions,
+      DrainAndEncodeRepartition(ctx_, dividend_.get(), codec, quotient_attrs_,
+                                options_.parallel_fragments));
   return RunDivisionFragments(ctx_, match_attrs_, quotient_attrs_, options_,
-                              *core_, buckets, &results_);
+                              *core_, codec, partitions, &results_);
 }
 
 Status HashDivisionOperator::Next(Tuple* tuple, bool* has_next) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "division/division.h"
+#include "exec/exchange.h"
 #include "exec/exec_context.h"
 #include "exec/hash_table.h"
 #include "exec/operator.h"
@@ -158,12 +159,24 @@ class HashDivisionCore {
 };
 
 /// The fragment-parallel half of §6 quotient partitioning in-process, run by
-/// HashDivisionOperator::OpenParallel: each bucket of the (already
-/// repartitioned) dividend is divided by a private core borrowing
-/// `shared_core`'s divisor table on a private counter context, and the
-/// fragment outputs are concatenated into `results` in fragment order —
+/// HashDivisionOperator::OpenParallel on the partitions of
+/// DrainAndEncodeRepartition (exec/exchange.h): each partition is decoded a
+/// batch at a time into ConsumeBatch of a private core that borrows
+/// `shared_core`'s divisor table, charges a private counter context and
+/// sizes its quotient table from the partition's row count. The fragment
+/// outputs are concatenated into `results` in fragment order —
 /// deterministic for any worker count. Fragment counters merge into `ctx` in
 /// fragment order even on failure.
+Status RunDivisionFragments(ExecContext* ctx,
+                            const std::vector<size_t>& match_attrs,
+                            const std::vector<size_t>& quotient_attrs,
+                            const DivisionOptions& options,
+                            const HashDivisionCore& shared_core,
+                            const RowCodec& codec,
+                            const std::vector<EncodedPartition>& partitions,
+                            std::vector<Tuple>* results);
+
+/// The same fragment body over DrainAndHashRepartition's tuple buckets.
 Status RunDivisionFragments(ExecContext* ctx,
                             const std::vector<size_t>& match_attrs,
                             const std::vector<size_t>& quotient_attrs,

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/check.h"
+#include "exec/kernels/kernels.h"
 #include "exec/scheduler.h"
 #include "parallel/partitioner.h"
 
@@ -28,6 +29,7 @@ Status RunFragments(
     // Profiling stays off in fragments: their work reports through the
     // parent's counters, not as free-standing profile roots.
     if (ctx->trace() != nullptr) fragment_ctx->set_trace(ctx->trace());
+    fragment_ctx->set_cancellation_flag(ctx->cancellation_flag());
     // Nested parallel regions run inline (exec/scheduler.h); making the
     // fragment context serial keeps dop-aware operators below from even
     // trying.
@@ -45,28 +47,75 @@ Status RunFragments(
   return status;
 }
 
-Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
-    ExecContext* ctx, Operator* source, const std::vector<size_t>& key_attrs,
-    size_t num_partitions) {
+Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
+    ExecContext* ctx, Operator* source, const RowCodec& codec,
+    const std::vector<size_t>& key_attrs, size_t num_partitions) {
   RELDIV_CHECK(num_partitions > 0);
-  std::vector<std::vector<Tuple>> buckets(num_partitions);
+  std::vector<EncodedPartition> partitions(num_partitions);
   RELDIV_RETURN_NOT_OK(source->Open());
   TupleBatch batch(ctx->batch_capacity());
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> hashes;
   bool has_more = true;
   Status status;
-  while (has_more) {
-    status = source->NextBatch(&batch, &has_more);
+  while (has_more && status.ok()) {
+    status = ctx->CheckCancelled();
+    if (status.ok()) status = source->NextBatch(&batch, &has_more);
     if (!status.ok()) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Tuple& tuple = batch.tuple(i);
-      ctx->CountHashes(1);  // one partitioning-function application (§3.4)
-      buckets[HashPartitionOf(tuple, key_attrs, num_partitions)].push_back(
-          std::move(tuple));
+    // A single int64 key is hashed for the whole batch by the kernel, which
+    // equals Tuple::HashAt bit for bit, so rows land where HashPartitionOf
+    // would put them.
+    const bool kernel_hash =
+        key_attrs.size() == 1 &&
+        kernels::ExtractInt64Column(batch, key_attrs[0], &keys);
+    if (kernel_hash) {
+      hashes.resize(batch.size());
+      kernels::HashInt64Keys(keys.data(), batch.size(), hashes.data());
+    }
+    // One partitioning-function application per routed tuple (§3.4).
+    ctx->CountHashes(batch.size());
+    for (size_t i = 0; status.ok() && i < batch.size(); ++i) {
+      const Tuple& tuple = batch.tuple(i);
+      const size_t p =
+          kernel_hash ? static_cast<size_t>(hashes[i] % num_partitions)
+                      : HashPartitionOf(tuple, key_attrs, num_partitions);
+      status = codec.Encode(tuple, &partitions[p].bytes);
+      partitions[p].ends.push_back(partitions[p].bytes.size());
     }
   }
   const Status close = source->Close();
   if (status.ok()) status = close;
   RELDIV_RETURN_NOT_OK(status);
+  return partitions;
+}
+
+Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
+                  size_t begin, TupleBatch* batch) {
+  batch->Clear();
+  const size_t end = std::min(partition.rows(), begin + batch->capacity());
+  for (size_t i = begin; i < end; ++i) {
+    RELDIV_RETURN_NOT_OK(
+        codec.Decode(partition.row(i), batch->AddSlotForOverwrite()));
+  }
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
+    ExecContext* ctx, Operator* source, const std::vector<size_t>& key_attrs,
+    size_t num_partitions) {
+  const RowCodec codec(source->output_schema());
+  RELDIV_ASSIGN_OR_RETURN(
+      std::vector<EncodedPartition> partitions,
+      DrainAndEncodeRepartition(ctx, source, codec, key_attrs,
+                                num_partitions));
+  std::vector<std::vector<Tuple>> buckets(num_partitions);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    buckets[p].resize(partitions[p].rows());
+    for (size_t i = 0; i < partitions[p].rows(); ++i) {
+      RELDIV_RETURN_NOT_OK(codec.Decode(partitions[p].row(i), &buckets[p][i]));
+    }
+    partitions[p] = EncodedPartition{};  // keep one copy alive at a time
+  }
   return buckets;
 }
 

@@ -2,8 +2,12 @@
 #define RELDIV_EXEC_EXCHANGE_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "common/row_codec.h"
+#include "common/slice.h"
+#include "exec/batch.h"
 #include "exec/exec_context.h"
 #include "exec/operator.h"
 
@@ -15,7 +19,7 @@ namespace reldiv {
 /// sharing `ctx`'s (thread-safe) disk, buffer manager and memory pool but
 /// counting Table 1 work into private CpuCounters — concurrent fragments
 /// never race on the parent's counters. It inherits `ctx`'s budgets, batch
-/// capacity, contract checks and trace, and has dop 1.
+/// capacity, contract checks, trace and cancellation flag, and has dop 1.
 ///
 /// After the region, every fragment's counters and sub-page Move remainder
 /// fold back into `ctx` IN FRAGMENT ORDER (through ExecContext::
@@ -32,12 +36,41 @@ Status RunFragments(
     const std::function<Status(size_t fragment, ExecContext* fragment_ctx)>&
         body);
 
-/// Drains `source` (open → batches → close) and routes every tuple into
-/// `num_partitions` buckets by hash of `key_attrs` (the §3.4/§6 partitioning
-/// function via parallel/partitioner.h), counting one Hash per routed tuple
-/// on `ctx`. The serial repartition half of an in-process hash exchange:
-/// bucket contents depend only on the data and the partition count, never
-/// on the worker count.
+/// One partition of an in-process hash exchange: its rows back to back in
+/// RowCodec encoding, row i ending at byte ends[i]. Routing a row appends
+/// its encoding — no per-row allocation, and the source's batch slots stay
+/// reusable — and the receiving fragment decodes rows into a batch of its
+/// own (DecodeRows).
+struct EncodedPartition {
+  std::string bytes;
+  std::vector<size_t> ends;
+
+  size_t rows() const { return ends.size(); }
+  Slice row(size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends[i - 1];
+    return Slice(bytes.data() + begin, ends[i] - begin);
+  }
+};
+
+/// The serial repartition half of an in-process hash exchange: drains
+/// `source` (open → batches → close) and appends every tuple, encoded with
+/// `codec` (the source's output schema), to partition HashPartitionOf(tuple,
+/// key_attrs, num_partitions) — the §3.4/§6 partitioning function of
+/// parallel/partitioner.h — counting one Hash per routed tuple on `ctx`.
+/// Partition contents, row order included, depend only on the data and the
+/// partition count, never on the worker count. Polls ctx->CheckCancelled()
+/// once per batch. The source is closed on every path after a good Open.
+Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
+    ExecContext* ctx, Operator* source, const RowCodec& codec,
+    const std::vector<size_t>& key_attrs, size_t num_partitions);
+
+/// Decodes rows [begin, begin + batch->capacity()) of `partition`, clipped
+/// at its end, into `batch` (cleared first), reusing the batch's slots.
+Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
+                  size_t begin, TupleBatch* batch);
+
+/// DrainAndEncodeRepartition decoded back into one tuple vector per
+/// partition: the same routing, counts and row order.
 Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
     ExecContext* ctx, Operator* source, const std::vector<size_t>& key_attrs,
     size_t num_partitions);

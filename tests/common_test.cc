@@ -185,6 +185,23 @@ TEST(RowCodecTest, RejectsTypeMismatch) {
       codec.Encode(Tuple{Value::String("x")}, &buf).IsInvalidArgument());
 }
 
+TEST(RowCodecTest, FixedWidthEncodeAppendsLittleEndianRows) {
+  RowCodec codec(Schema{Field{"i", ValueType::kInt64},
+                        Field{"d", ValueType::kDouble}});
+  std::string buf = "ab";
+  ASSERT_OK(codec.Encode(Tuple{Value::Int64(0x0102), Value::Double(-0.5)},
+                         &buf));
+  ASSERT_EQ(buf.size(), 2u + 16u);
+  EXPECT_EQ(buf.substr(0, 4), std::string("ab\x02\x01", 4));
+  Tuple out;
+  ASSERT_OK(codec.Decode(Slice(buf.data() + 2, 16), &out));
+  EXPECT_EQ(out, (Tuple{Value::Int64(0x0102), Value::Double(-0.5)}));
+  // A rejected row leaves the buffer as it was.
+  EXPECT_TRUE(codec.Encode(Tuple{Value::Int64(1), Value::Int64(2)}, &buf)
+                  .IsInvalidArgument());
+  EXPECT_EQ(buf.size(), 18u);
+}
+
 TEST(RowCodecTest, DetectsTruncation) {
   Schema schema{Field{"i", ValueType::kInt64}};
   RowCodec codec(schema);

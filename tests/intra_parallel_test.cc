@@ -7,12 +7,16 @@
 // a fixed order. tools/check_all.sh re-runs this binary under TSan at
 // RELDIV_THREADS=1,4,8.
 
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "common/metric_names.h"
 #include "division/division.h"
+#include "division/hash_division.h"
 #include "exec/database.h"
+#include "exec/exchange.h"
+#include "exec/scan.h"
 #include "gtest/gtest.h"
 #include "obs/telemetry.h"
 #include "testing/failpoint.h"
@@ -25,6 +29,8 @@ namespace {
 struct RunOutcome {
   std::vector<Tuple> quotient;  ///< in emission order, NOT sorted
   CpuCounters cpu;
+  DiskStats disk;
+  BufferStats buffer;
 };
 
 /// Workload with non-matching tuples, incomplete candidates, and duplicates
@@ -54,6 +60,17 @@ class IntraParallelTest : public ::testing::Test {
   /// every run starts from the same storage state.
   Result<RunOutcome> RunAt(size_t dop, DivisionAlgorithm algorithm,
                            const DivisionOptions& options) {
+    return ColdRun(dop, [&](ExecContext* ctx, std::vector<Tuple>* out) {
+      RELDIV_ASSIGN_OR_RETURN(*out,
+                              Divide(ctx, Query(), algorithm, options));
+      return Status::OK();
+    });
+  }
+
+  /// Runs `run` cold at the given worker count and measures its quotient
+  /// and its counter, disk and buffer deltas.
+  template <typename Run>
+  Result<RunOutcome> ColdRun(size_t dop, const Run& run) {
     ExecContext* ctx = db_->ctx();
     RELDIV_RETURN_NOT_OK(db_->buffer_manager()->FlushAll());
     RELDIV_RETURN_NOT_OK(db_->buffer_manager()->DropAll());
@@ -62,15 +79,48 @@ class IntraParallelTest : public ::testing::Test {
     // identical runs report identical Move deltas (see CountMoveBytes).
     ctx->ResetMoveAccumulator();
     const CpuCounters before = *ctx->counters();
-    Result<std::vector<Tuple>> quotient =
-        Divide(ctx, Query(), algorithm, options);
-    const CpuCounters after = *ctx->counters();
-    ctx->set_dop(1);
-    RELDIV_RETURN_NOT_OK(quotient.status());
+    const DiskStats disk_before = db_->disk()->stats();
+    const BufferStats buffer_before = db_->buffer_manager()->stats();
     RunOutcome outcome;
-    outcome.quotient = quotient.MoveValue();
-    outcome.cpu = after - before;
+    const Status status = run(ctx, &outcome.quotient);
+    ctx->set_dop(1);
+    RELDIV_RETURN_NOT_OK(status);
+    outcome.cpu = *ctx->counters() - before;
+    outcome.disk = db_->disk()->stats() - disk_before;
+    const BufferStats buffer_after = db_->buffer_manager()->stats();
+    outcome.buffer.fixes = buffer_after.fixes - buffer_before.fixes;
+    outcome.buffer.hits = buffer_after.hits - buffer_before.hits;
+    outcome.buffer.misses = buffer_after.misses - buffer_before.misses;
+    outcome.buffer.evictions =
+        buffer_after.evictions - buffer_before.evictions;
     return outcome;
+  }
+
+  /// Divide(kHashDivision) with `fragments` parallel fragments, rebuilt from
+  /// the public entry points the way bench/e2e's traced run rebuilds it:
+  /// the same steps, inputs and cardinality hints.
+  static Status RebuiltParallelHashDivision(ExecContext* ctx,
+                                            const DivisionQuery& query,
+                                            size_t fragments,
+                                            std::vector<Tuple>* out) {
+    RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved,
+                            ResolveDivision(query));
+    DivisionOptions options;
+    options.parallel_fragments = fragments;
+    options.expected_divisor_cardinality =
+        resolved.divisor.store->num_records();
+    HashDivisionCore core(ctx, resolved.match_attrs, resolved.quotient_attrs,
+                          options);
+    ScanOperator divisor(ctx, resolved.divisor);
+    RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor));
+    ScanOperator dividend(ctx, resolved.dividend);
+    RELDIV_ASSIGN_OR_RETURN(
+        std::vector<std::vector<Tuple>> buckets,
+        DrainAndHashRepartition(ctx, &dividend, resolved.quotient_attrs,
+                                fragments));
+    return RunDivisionFragments(ctx, resolved.match_attrs,
+                                resolved.quotient_attrs, options, core,
+                                buckets, out);
   }
 
   static void ExpectIdentical(const RunOutcome& base, const RunOutcome& run,
@@ -80,6 +130,18 @@ class IntraParallelTest : public ::testing::Test {
     EXPECT_EQ(run.cpu.hashes, base.cpu.hashes) << what;
     EXPECT_EQ(run.cpu.moves, base.cpu.moves) << what;
     EXPECT_EQ(run.cpu.bit_ops, base.cpu.bit_ops) << what;
+  }
+
+  static void ExpectSameStorage(const RunOutcome& base, const RunOutcome& run,
+                                const std::string& what) {
+    EXPECT_EQ(run.disk.transfers, base.disk.transfers) << what;
+    EXPECT_EQ(run.disk.seeks, base.disk.seeks) << what;
+    EXPECT_EQ(run.disk.sectors_transferred, base.disk.sectors_transferred)
+        << what;
+    EXPECT_EQ(run.buffer.fixes, base.buffer.fixes) << what;
+    EXPECT_EQ(run.buffer.hits, base.buffer.hits) << what;
+    EXPECT_EQ(run.buffer.misses, base.buffer.misses) << what;
+    EXPECT_EQ(run.buffer.evictions, base.buffer.evictions) << what;
   }
 
   GeneratedWorkload workload_;
@@ -216,6 +278,112 @@ TEST_F(IntraParallelTest, InjectedFaultSurfacesCleanlyFromAParallelPlan) {
       Divide(db_->ctx(), Query(), DivisionAlgorithm::kHashDivision, options));
   db_->ctx()->set_dop(1);
   EXPECT_EQ(Sorted(std::move(quotient)), workload_.expected_quotient);
+}
+
+TEST_F(IntraParallelTest, ParallelDivideEqualsThePublicRebuild) {
+  // The dividend again with a variable-length string quotient column, so
+  // the exchange's byte buffers carry rows of different sizes.
+  const Schema string_schema{Field{"student", ValueType::kString},
+                             Field{"divisor_id", ValueType::kInt64}};
+  const auto student = [](const Value& id) {
+    return Value::String("s" + std::string(id.int64() % 7, '#') +
+                         std::to_string(id.int64()));
+  };
+  ASSERT_OK_AND_ASSIGN(Relation string_dividend,
+                       db_->CreateTable("lane_strings", string_schema));
+  for (const Tuple& tuple : workload_.dividend) {
+    ASSERT_OK(db_->Insert("lane_strings",
+                          Tuple{student(tuple.value(0)), tuple.value(1)}));
+  }
+  std::vector<Tuple> string_expected;
+  for (const Tuple& tuple : workload_.expected_quotient) {
+    string_expected.push_back(Tuple{student(tuple.value(0))});
+  }
+
+  const struct {
+    DivisionQuery query;
+    std::vector<Tuple> expected;
+    const char* name;
+  } cases[] = {{Query(), workload_.expected_quotient, "int64"},
+               {{string_dividend, divisor_, {"divisor_id"}},
+                Sorted(string_expected),
+                "string"}};
+  for (const auto& c : cases) {
+    for (size_t fragments : {1u, 3u, 16u}) {
+      DivisionOptions options;
+      options.parallel_fragments = fragments;
+      for (size_t dop : {1u, 3u}) {
+        const std::string what = std::string(c.name) + ", " +
+                                 std::to_string(fragments) +
+                                 " fragments at dop " + std::to_string(dop);
+        ASSERT_OK_AND_ASSIGN(
+            RunOutcome divided,
+            ColdRun(dop, [&](ExecContext* ctx, std::vector<Tuple>* out) {
+              RELDIV_ASSIGN_OR_RETURN(
+                  *out, Divide(ctx, c.query, DivisionAlgorithm::kHashDivision,
+                               options));
+              return Status::OK();
+            }));
+        EXPECT_EQ(Sorted(divided.quotient), c.expected) << what;
+        ASSERT_OK_AND_ASSIGN(
+            RunOutcome rebuilt,
+            ColdRun(dop, [&](ExecContext* ctx, std::vector<Tuple>* out) {
+              return RebuiltParallelHashDivision(ctx, c.query, fragments,
+                                                 out);
+            }));
+        ExpectIdentical(divided, rebuilt, what);
+        ExpectSameStorage(divided, rebuilt, what);
+      }
+    }
+  }
+}
+
+TEST_F(IntraParallelTest, FragmentsSeeTheQueryCancellationFlag) {
+  std::atomic<bool> cancel{true};
+  ExecContext* ctx = db_->ctx();
+  ctx->set_cancellation_flag(&cancel);
+  ctx->set_dop(3);
+  const Status region =
+      RunFragments(ctx, 4, [](size_t, ExecContext* fragment_ctx) {
+        return fragment_ctx->CheckCancelled();
+      });
+  EXPECT_EQ(region.code(), StatusCode::kCancelled) << region.ToString();
+
+  DivisionOptions options;
+  options.parallel_fragments = 8;
+  const Status divided =
+      Divide(ctx, Query(), DivisionAlgorithm::kHashDivision, options)
+          .status();
+  EXPECT_EQ(divided.code(), StatusCode::kCancelled) << divided.ToString();
+  ctx->set_cancellation_flag(nullptr);
+  ASSERT_OK(db_->buffer_manager()->FlushAll());
+  ASSERT_OK(db_->buffer_manager()->DropAll());
+  EXPECT_EQ(db_->pool()->used(), 0u) << "the cancelled run leaked memory";
+
+  // The flag raised only once the dividend is repartitioned: the fragments'
+  // batch checkpoints must stop the region.
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved, ResolveDivision(Query()));
+  HashDivisionCore core(ctx, resolved.match_attrs, resolved.quotient_attrs,
+                        options);
+  ScanOperator divisor(ctx, resolved.divisor);
+  ASSERT_OK(core.BuildDivisorTable(&divisor));
+  ScanOperator dividend(ctx, resolved.dividend);
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<std::vector<Tuple>> buckets,
+      DrainAndHashRepartition(ctx, &dividend, resolved.quotient_attrs, 8));
+  ctx->set_cancellation_flag(&cancel);
+  std::vector<Tuple> partial;
+  const Status fragments =
+      RunDivisionFragments(ctx, resolved.match_attrs, resolved.quotient_attrs,
+                           options, core, buckets, &partial);
+  EXPECT_EQ(fragments.code(), StatusCode::kCancelled) << fragments.ToString();
+  ctx->set_cancellation_flag(nullptr);
+  ctx->set_dop(1);
+
+  // Nothing was left behind: the same parallel plan succeeds.
+  ASSERT_OK_AND_ASSIGN(RunOutcome run,
+                       RunAt(3, DivisionAlgorithm::kHashDivision, options));
+  EXPECT_EQ(Sorted(run.quotient), workload_.expected_quotient);
 }
 
 }  // namespace
