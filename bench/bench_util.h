@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -123,7 +124,11 @@ inline double PercentileNs(std::vector<double> samples, double p) {
 /// the working directory (or $RELDIV_BENCH_DIR when set).
 class BenchReporter {
  public:
-  explicit BenchReporter(std::string name) : name_(std::move(name)) {}
+  /// Every report records the host's core count (`host_cores`): wall
+  /// columns mean little without it.
+  explicit BenchReporter(std::string name) : name_(std::move(name)) {
+    AddParam("host_cores", std::thread::hardware_concurrency());
+  }
 
   void AddParam(const std::string& key, double value) {
     numeric_params_.emplace_back(key, value);

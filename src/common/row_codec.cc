@@ -190,10 +190,4 @@ Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
   return Status::OK();
 }
 
-Result<size_t> RowCodec::EncodedSize(const Tuple& tuple) const {
-  std::string tmp;
-  RELDIV_RETURN_NOT_OK(Encode(tuple, &tmp));
-  return tmp.size();
-}
-
 }  // namespace reldiv

@@ -39,9 +39,6 @@ class RowCodec {
   /// Decodes one record payload into `tuple`.
   Status Decode(Slice payload, Tuple* tuple) const;
 
-  /// Encoded size of `tuple` in bytes.
-  Result<size_t> EncodedSize(const Tuple& tuple) const;
-
  private:
   Schema schema_;
   std::vector<ValueType> types_;  ///< densely packed field types (hot loop)

@@ -6,9 +6,14 @@
 #include "common/check.h"
 #include "exec/kernels/kernels.h"
 #include "exec/scheduler.h"
-#include "parallel/partitioner.h"
 
 namespace reldiv {
+
+size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
+                       size_t num_partitions) {
+  RELDIV_DCHECK_GT(num_partitions, 0u) << "partitioning into zero clusters";
+  return static_cast<size_t>(tuple.HashAt(attrs) % num_partitions);
+}
 
 Status RunFragments(
     ExecContext* ctx, size_t num_fragments,
@@ -79,8 +84,7 @@ Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
       const size_t p =
           kernel_hash ? static_cast<size_t>(hashes[i] % num_partitions)
                       : HashPartitionOf(tuple, key_attrs, num_partitions);
-      status = codec.Encode(tuple, &partitions[p].bytes);
-      partitions[p].ends.push_back(partitions[p].bytes.size());
+      status = partitions[p].Append(codec, tuple);
     }
   }
   const Status close = source->Close();
@@ -97,6 +101,19 @@ Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
     RELDIV_RETURN_NOT_OK(
         codec.Decode(partition.row(i), batch->AddSlotForOverwrite()));
   }
+  return Status::OK();
+}
+
+Status PartitionSourceOperator::Next(Tuple* tuple, bool* has_next) {
+  *has_next = next_ < partition_->rows();
+  if (!*has_next) return Status::OK();
+  return codec_->Decode(partition_->row(next_++), tuple);
+}
+
+Status PartitionSourceOperator::NextBatch(TupleBatch* batch, bool* has_more) {
+  RELDIV_RETURN_NOT_OK(DecodeRows(*codec_, *partition_, next_, batch));
+  next_ += batch->size();
+  *has_more = next_ < partition_->rows();
   return Status::OK();
 }
 

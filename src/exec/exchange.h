@@ -36,11 +36,19 @@ Status RunFragments(
     const std::function<Status(size_t fragment, ExecContext* fragment_ctx)>&
         body);
 
+/// The §3.4/§6 partitioning function: the cluster of `tuple` among
+/// `num_partitions` by a hash of its `attrs`. Deterministic — the same
+/// tuple always lands in the same cluster, which both overflow handling and
+/// shared-nothing redistribution rely on.
+size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
+                       size_t num_partitions);
+
 /// One partition of an in-process hash exchange: its rows back to back in
 /// RowCodec encoding, row i ending at byte ends[i]. Routing a row appends
 /// its encoding — no per-row allocation, and the source's batch slots stay
 /// reusable — and the receiving fragment decodes rows into a batch of its
-/// own (DecodeRows).
+/// own (DecodeRows). The encoded rows are also what the §6 engine's
+/// interconnect ships: a shipment's bytes are the rows it appended.
 struct EncodedPartition {
   std::string bytes;
   std::vector<size_t> ends;
@@ -50,13 +58,19 @@ struct EncodedPartition {
     const size_t begin = i == 0 ? 0 : ends[i - 1];
     return Slice(bytes.data() + begin, ends[i] - begin);
   }
+
+  /// Appends `tuple`, encoded with `codec`, as the next row.
+  Status Append(const RowCodec& codec, const Tuple& tuple) {
+    RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &bytes));
+    ends.push_back(bytes.size());
+    return Status::OK();
+  }
 };
 
 /// The serial repartition half of an in-process hash exchange: drains
 /// `source` (open → batches → close) and appends every tuple, encoded with
 /// `codec` (the source's output schema), to partition HashPartitionOf(tuple,
-/// key_attrs, num_partitions) — the §3.4/§6 partitioning function of
-/// parallel/partitioner.h — counting one Hash per routed tuple on `ctx`.
+/// key_attrs, num_partitions), counting one Hash per routed tuple on `ctx`.
 /// Partition contents, row order included, depend only on the data and the
 /// partition count, never on the worker count. Polls ctx->CheckCancelled()
 /// once per batch. The source is closed on every path after a good Open.
@@ -68,6 +82,32 @@ Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
 /// at its end, into `batch` (cleared first), reusing the batch's slots.
 Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
                   size_t begin, TupleBatch* batch);
+
+/// Reads one partition back as an operator, a batch at a time through
+/// DecodeRows: the receiving end of a shipment for consumers that pull their
+/// input, such as a divisor-table build or a collection division. Borrows
+/// `codec` and `partition`, which must outlive it.
+class PartitionSourceOperator : public Operator {
+ public:
+  PartitionSourceOperator(const RowCodec* codec,
+                          const EncodedPartition* partition)
+      : codec_(codec), partition_(partition) {}
+
+  const Schema& output_schema() const override { return codec_->schema(); }
+  Status Open() override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override;
+  bool IsBatchNative() const override { return true; }
+  Status Close() override { return Status::OK(); }
+
+ private:
+  const RowCodec* codec_;
+  const EncodedPartition* partition_;
+  size_t next_ = 0;
+};
 
 /// DrainAndEncodeRepartition decoded back into one tuple vector per
 /// partition: the same routing, counts and row order.

@@ -7,10 +7,9 @@
 #include "cost/cost_model.h"
 #include "division/hash_division.h"
 #include "division/partitioned_hash_division.h"
-#include "exec/mem_source.h"
+#include "exec/exchange.h"
 #include "exec/scheduler.h"
 #include "parallel/bit_vector_filter.h"
-#include "parallel/partitioner.h"
 
 namespace reldiv {
 
@@ -22,22 +21,23 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Approximate wire size of a tuple batch under its schema.
-Result<uint64_t> BatchBytes(const Schema& schema,
-                            const std::vector<Tuple>& tuples) {
-  RowCodec codec(schema);
-  uint64_t bytes = 0;
-  for (const Tuple& tuple : tuples) {
-    RELDIV_ASSIGN_OR_RETURN(size_t size, codec.EncodedSize(tuple));
-    bytes += size;
-  }
-  return bytes;
+/// Hands `tuple` from node `from` to node `to`: appends its encoding to the
+/// receiver's partition and ships exactly those bytes (a local hand-off is
+/// free, Interconnect::Ship).
+Status Route(Interconnect* net, size_t from, size_t to, const RowCodec& codec,
+             const Tuple& tuple, EncodedPartition* partition) {
+  RELDIV_RETURN_NOT_OK(partition->Append(codec, tuple));
+  return net->Ship(from, to, partition->row(partition->rows() - 1).size());
 }
 
-/// Runs one node's local hash-division over in-memory fragments, filling
-/// `metrics` and (with `trace`) emitting one span on the node's lane.
-Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
-                     std::vector<Tuple> dividend, std::vector<Tuple> divisor,
+/// Runs one node's local hash-division: the divisor table is built from the
+/// node's divisor rows, and its dividend partition is decoded a batch at a
+/// time into ConsumeBatch, the read loop of Divide's fragments. Fills
+/// `metrics` and (with `trace`) emits one span on the node's lane.
+Status LocalDivision(WorkerNode* node, const RowCodec& divisor_codec,
+                     const EncodedPartition& divisor,
+                     const RowCodec& dividend_codec,
+                     const EncodedPartition& dividend,
                      const std::vector<size_t>& match_attrs,
                      const std::vector<size_t>& quotient_attrs,
                      const DivisionOptions& options,
@@ -46,24 +46,18 @@ Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
   const auto start = std::chrono::steady_clock::now();
   const uint64_t span_start_us = trace != nullptr ? NowMicros() : 0;
   metrics->node_id = node->node_id();
-  metrics->dividend_tuples = dividend.size();
+  metrics->dividend_tuples = dividend.rows();
   const size_t quotient_before = quotient->size();
   const CpuCounters before = *node->counters();
   HashDivisionCore core(node->ctx(), match_attrs, quotient_attrs, options);
-  MemSourceOperator divisor_source(divisor_schema, std::move(divisor));
+  PartitionSourceOperator divisor_source(&divisor_codec, &divisor);
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_source));
   RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-  // The node's dividend stream is consumed a batch at a time; the fragment
-  // is owned here, so tuples are moved into the batch rather than copied.
   TupleBatch batch(node->ctx()->batch_capacity());
-  size_t pos = 0;
-  do {
-    batch.Clear();
-    while (!batch.full() && pos < dividend.size()) {
-      batch.PushBack(std::move(dividend[pos++]));
-    }
+  for (size_t begin = 0; begin < dividend.rows(); begin += batch.size()) {
+    RELDIV_RETURN_NOT_OK(DecodeRows(dividend_codec, dividend, begin, &batch));
     RELDIV_RETURN_NOT_OK(core.ConsumeBatch(batch, quotient));
-  } while (pos < dividend.size());
+  }
   RELDIV_RETURN_NOT_OK(core.EmitComplete(quotient));
   metrics->local_ms = MsSince(start);
   metrics->quotient_tuples = quotient->size() - quotient_before;
@@ -79,6 +73,13 @@ Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
                      {"quotient", metrics->quotient_tuples}});
   }
   return Status::OK();
+}
+
+/// 0, 1, ..., n - 1: every column of an n-column schema.
+std::vector<size_t> AllColumns(size_t n) {
+  std::vector<size_t> columns(n);
+  for (size_t i = 0; i < n; ++i) columns[i] = i;
+  return columns;
 }
 
 }  // namespace
@@ -112,217 +113,97 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
     return Status::InvalidArgument("division without quotient attributes");
   }
 
+  interconnect_.Reset();
   interconnect_.set_trace(options_.trace);
-
-  // Initial declustered placement of the base relations.
-  auto dividend_frags = RoundRobinSplit(dividend, options_.num_nodes);
-  auto divisor_frags = RoundRobinSplit(divisor, options_.num_nodes);
-
-  if (options_.strategy == PartitionStrategy::kQuotient) {
-    return RunQuotientPartitioned(dividend_schema, divisor_schema,
-                                  dividend_frags, divisor_frags, match_attrs,
-                                  quotient_attrs);
-  }
-  return RunDivisorPartitioned(dividend_schema, divisor_schema,
-                               dividend_frags, divisor_frags, match_attrs,
-                               quotient_attrs);
-}
-
-Result<ParallelDivisionResult>
-ParallelHashDivisionEngine::RunQuotientPartitioned(
-    const Schema& dividend_schema, const Schema& divisor_schema,
-    const std::vector<std::vector<Tuple>>& dividend_frags,
-    const std::vector<std::vector<Tuple>>& divisor_frags,
-    const std::vector<size_t>& match_attrs,
-    const std::vector<size_t>& quotient_attrs) {
   const size_t n = options_.num_nodes;
+  const bool by_quotient = options_.strategy == PartitionStrategy::kQuotient;
   ParallelDivisionResult result;
   const auto wall_start = std::chrono::steady_clock::now();
-
-  // Replicate the divisor: every node's fragment is broadcast so that each
-  // node holds the full divisor table.
-  std::vector<Tuple> full_divisor;
-  for (size_t i = 0; i < n; ++i) {
-    RELDIV_ASSIGN_OR_RETURN(uint64_t bytes,
-                            BatchBytes(divisor_schema, divisor_frags[i]));
-    RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(i, bytes));
-    full_divisor.insert(full_divisor.end(), divisor_frags[i].begin(),
-                        divisor_frags[i].end());
-  }
-
-  // Optional bit-vector filter over the divisor's match-key hashes.
+  // The base relations start round-robin declustered, as in GAMMA: tuple i
+  // lives on node i mod n, so node `from` sends the stride from its id.
+  //
+  // Divisor placement. Quotient partitioning replicates the divisor: every
+  // node broadcasts its fragment, and all nodes build from the one
+  // partition holding the fragments in node order. Divisor partitioning
+  // redistributes it on all its attributes. Babb's bit-vector filter (§6)
+  // covers every divisor tuple either way; under divisor partitioning each
+  // node builds one over its cluster and broadcasts it, and their union,
+  // which every sender applies, is this filter over the whole divisor.
+  const std::vector<size_t> divisor_all =
+      AllColumns(divisor_schema.num_fields());
+  const RowCodec divisor_codec(divisor_schema);
+  std::vector<EncodedPartition> divisor_in(by_quotient ? 1 : n);
   std::unique_ptr<BitVectorFilter> filter;
-  std::vector<size_t> divisor_all(divisor_schema.num_fields());
-  for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
   if (options_.use_bit_vector_filter) {
     filter = std::make_unique<BitVectorFilter>(options_.bit_vector_bits);
-    for (const Tuple& tuple : full_divisor) {
-      filter->InsertHash(tuple.HashAt(divisor_all));
-    }
   }
-
-  // Redistribute the dividend on the quotient attributes.
-  RowCodec dividend_codec(dividend_schema);
-  std::vector<std::vector<Tuple>> incoming(n);
   for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : dividend_frags[from]) {
-      if (filter != nullptr &&
-          !filter->MayContain(tuple.HashAt(match_attrs))) {
-        result.tuples_filtered++;
+    const size_t fragment_begin = divisor_in[0].bytes.size();
+    for (size_t i = from; i < divisor.size(); i += n) {
+      if (filter != nullptr) filter->InsertHash(divisor[i].HashAt(divisor_all));
+      if (by_quotient) {
+        RELDIV_RETURN_NOT_OK(divisor_in[0].Append(divisor_codec, divisor[i]));
         continue;
       }
-      const size_t to = HashPartitionOf(tuple, quotient_attrs, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, dividend_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
-      if (to != from) result.tuples_shipped++;
-      incoming[to].push_back(tuple);
+      const size_t to = HashPartitionOf(divisor[i], divisor_all, n);
+      RELDIV_RETURN_NOT_OK(Route(&interconnect_, from, to, divisor_codec,
+                                 divisor[i], &divisor_in[to]));
+    }
+    if (by_quotient) {
+      RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(
+          from, divisor_in[0].bytes.size() - fragment_begin));
     }
   }
-
-  // All local hash-division operators work completely independently.
-  std::vector<std::vector<Tuple>> local_quotients(n);
-  std::vector<NodeExecutionMetrics> node_metrics(n);
-  std::vector<Status> local_status(n);
-  // One scheduler morsel per node. Node failures land in local_status and
-  // are reported in node order below, so error precedence never depends on
-  // which lane ran which node.
-  RELDIV_RETURN_NOT_OK(
-      TaskScheduler::Global().ParallelFor(n, n, [&](size_t i) -> Status {
-        local_status[i] = LocalDivision(
-            nodes_[i].get(), divisor_schema, std::move(incoming[i]),
-            full_divisor, match_attrs, quotient_attrs, options_.division,
-            &local_quotients[i], &node_metrics[i], options_.trace);
-        return Status::OK();
-      }));
-  // Quotient partitioning (§6): the clusters are disjoint by construction,
-  // so the quotient of the whole division is their plain concatenation.
-  // Executable form: every local quotient tuple must hash back to the node
-  // that produced it under the redistribution function (the projected
-  // quotient columns hash identically to the dividend's quotient columns).
-  std::vector<size_t> projected_attrs(quotient_attrs.size());
-  for (size_t i = 0; i < projected_attrs.size(); ++i) projected_attrs[i] = i;
-  for (size_t i = 0; i < n; ++i) {
-    RELDIV_RETURN_NOT_OK(local_status[i]);
-    for ([[maybe_unused]] const Tuple& q : local_quotients[i]) {
-      RELDIV_DCHECK_EQ(HashPartitionOf(q, projected_attrs, n), i)
-          << "quotient tuple emitted by a node outside its hash cluster";
-    }
-    result.quotient.insert(result.quotient.end(), local_quotients[i].begin(),
-                           local_quotients[i].end());
-    result.max_node_ms = std::max(result.max_node_ms,
-                                  node_metrics[i].local_ms);
-    result.max_node_cpu_ms = std::max(result.max_node_cpu_ms,
-                                      node_metrics[i].cpu_model_ms);
-  }
-  result.node_metrics = std::move(node_metrics);
-  result.wall_ms = MsSince(wall_start);
-  result.network_messages = interconnect_.messages();
-  result.network_bytes = interconnect_.bytes();
-  return result;
-}
-
-Result<ParallelDivisionResult>
-ParallelHashDivisionEngine::RunDivisorPartitioned(
-    const Schema& dividend_schema, const Schema& divisor_schema,
-    const std::vector<std::vector<Tuple>>& dividend_frags,
-    const std::vector<std::vector<Tuple>>& divisor_frags,
-    const std::vector<size_t>& match_attrs,
-    const std::vector<size_t>& quotient_attrs) {
-  const size_t n = options_.num_nodes;
-  ParallelDivisionResult result;
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  std::vector<size_t> divisor_all(divisor_schema.num_fields());
-  for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
-
-  // Redistribute the divisor on all its attributes.
-  RowCodec divisor_codec(divisor_schema);
-  std::vector<std::vector<Tuple>> divisor_in(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : divisor_frags[from]) {
-      const size_t to = HashPartitionOf(tuple, divisor_all, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, divisor_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
-      divisor_in[to].push_back(tuple);
-    }
-  }
-
-  // Optional bit-vector filtering: each node builds a filter from its
-  // divisor cluster; the union is shipped to every node and applied before
-  // dividend redistribution.
-  std::unique_ptr<BitVectorFilter> filter;
-  if (options_.use_bit_vector_filter) {
-    filter = std::make_unique<BitVectorFilter>(options_.bit_vector_bits);
+  if (filter != nullptr && !by_quotient) {
     for (size_t i = 0; i < n; ++i) {
-      BitVectorFilter local(options_.bit_vector_bits);
-      for (const Tuple& tuple : divisor_in[i]) {
-        local.InsertHash(tuple.HashAt(divisor_all));
-      }
-      RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(i, local.byte_size()));
-      filter->UnionWith(local);
+      RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(i, filter->byte_size()));
     }
   }
 
-  // Redistribute the dividend with the same function on the divisor attrs.
-  RowCodec dividend_codec(dividend_schema);
-  std::vector<std::vector<Tuple>> dividend_in(n);
+  // Redistribute the dividend: on the quotient attributes, or with the
+  // divisor's function on the divisor attributes.
+  const std::vector<size_t>& key_attrs =
+      by_quotient ? quotient_attrs : match_attrs;
+  const RowCodec dividend_codec(dividend_schema);
+  std::vector<EncodedPartition> dividend_in(n);
   for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : dividend_frags[from]) {
+    for (size_t i = from; i < dividend.size(); i += n) {
+      const Tuple& tuple = dividend[i];
       if (filter != nullptr &&
           !filter->MayContain(tuple.HashAt(match_attrs))) {
         result.tuples_filtered++;
         continue;
       }
-      const size_t to = HashPartitionOf(tuple, match_attrs, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, dividend_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
+      const size_t to = HashPartitionOf(tuple, key_attrs, n);
+      RELDIV_RETURN_NOT_OK(Route(&interconnect_, from, to, dividend_codec,
+                                 tuple, &dividend_in[to]));
       if (to != from) result.tuples_shipped++;
-      dividend_in[to].push_back(tuple);
     }
   }
 
-  // Parallel phase: each node with a non-empty divisor cluster divides.
-  std::vector<std::vector<Tuple>> local_quotients(n);
-  std::vector<NodeExecutionMetrics> node_metrics(n);
-  std::vector<Status> local_status(n);
+  // The local hash-division operators work completely independently: all
+  // nodes under quotient partitioning, the nodes holding a divisor cluster
+  // under divisor partitioning (an empty cluster constrains nothing). One
+  // scheduler morsel per node; failures land in local_status and are
+  // reported in node order below, so error precedence never depends on
+  // which lane ran which node.
   std::vector<size_t> participating;
   for (size_t i = 0; i < n; ++i) {
-    if (!divisor_in[i].empty()) participating.push_back(i);
+    if (by_quotient || divisor_in[i].rows() > 0) participating.push_back(i);
   }
-  // One scheduler morsel per participating node; statuses surface in node
-  // order during collection below.
+  std::vector<std::vector<Tuple>> local_quotients(n);
+  std::vector<NodeExecutionMetrics> node_metrics(n);
+  std::vector<Status> local_status(n);
   RELDIV_RETURN_NOT_OK(TaskScheduler::Global().ParallelFor(
       participating.size(), participating.size(), [&](size_t k) -> Status {
         const size_t i = participating[k];
         local_status[i] = LocalDivision(
-            nodes_[i].get(), divisor_schema, std::move(dividend_in[i]),
-            std::move(divisor_in[i]), match_attrs, quotient_attrs,
+            nodes_[i].get(), divisor_codec, divisor_in[by_quotient ? 0 : i],
+            dividend_codec, dividend_in[i], match_attrs, quotient_attrs,
             options_.division, &local_quotients[i], &node_metrics[i],
             options_.trace);
         return Status::OK();
       }));
-
-  if (participating.empty()) {
-    // Entire divisor empty: empty quotient by convention.
-    result.wall_ms = MsSince(wall_start);
-    result.network_messages = interconnect_.messages();
-    result.network_bytes = interconnect_.bytes();
-    return result;
-  }
-
-  // Collection: quotient clusters arrive tagged with their processor
-  // network address; divide them over the set of addresses. Either one
-  // central site (node 0) or — decentralized — every node collects the
-  // quotient values that hash to it.
-  Schema quotient_schema = dividend_schema.Project(quotient_attrs);
-  RowCodec quotient_codec(quotient_schema);
-  std::vector<size_t> collect_quotient_attrs(quotient_attrs.size());
-  for (size_t i = 0; i < collect_quotient_attrs.size(); ++i) {
-    collect_quotient_attrs[i] = i;
-  }
-  const size_t collector_count = options_.decentralized_collection ? n : 1;
-  std::vector<std::vector<Tuple>> tagged(collector_count);
-  std::vector<int64_t> tags;
   for (size_t i : participating) {
     RELDIV_RETURN_NOT_OK(local_status[i]);
     result.max_node_ms = std::max(result.max_node_ms,
@@ -330,28 +211,57 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
     result.max_node_cpu_ms = std::max(result.max_node_cpu_ms,
                                       node_metrics[i].cpu_model_ms);
     result.node_metrics.push_back(node_metrics[i]);
-    tags.push_back(static_cast<int64_t>(i));
-    for (Tuple& q : local_quotients[i]) {
-      const size_t collector =
-          options_.decentralized_collection
-              ? HashPartitionOf(q, collect_quotient_attrs, n)
-              : 0;
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, quotient_codec.EncodedSize(q));
-      RELDIV_RETURN_NOT_OK(
-          interconnect_.Ship(i, collector, bytes + sizeof(int64_t)));
-      q.Append(Value::Int64(static_cast<int64_t>(i)));
-      tagged[collector].push_back(std::move(q));
-    }
   }
-  std::vector<Field> tagged_fields = quotient_schema.fields();
-  tagged_fields.push_back(Field{"node", ValueType::kInt64});
-  const Schema tagged_schema(std::move(tagged_fields));
-  for (size_t c = 0; c < collector_count; ++c) {
-    MemSourceOperator source(tagged_schema, std::move(tagged[c]));
-    size_t splits = 0;
-    RELDIV_RETURN_NOT_OK(CollectTaggedQuotients(
-        nodes_[c]->ctx(), &source, tags, /*expected_cardinality=*/0,
-        &result.quotient, &splits));
+
+  const std::vector<size_t> projected_attrs =
+      AllColumns(quotient_attrs.size());
+  if (by_quotient) {
+    // Quotient partitioning (§6): the clusters are disjoint by
+    // construction, so the quotient of the whole division is their plain
+    // concatenation. Executable form: every local quotient tuple must hash
+    // back to the node that produced it (the projected quotient columns
+    // hash identically to the dividend's quotient columns).
+    for (size_t i = 0; i < n; ++i) {
+      for ([[maybe_unused]] const Tuple& q : local_quotients[i]) {
+        RELDIV_DCHECK_EQ(HashPartitionOf(q, projected_attrs, n), i)
+            << "quotient tuple emitted by a node outside its hash cluster";
+      }
+      result.quotient.insert(result.quotient.end(),
+                             local_quotients[i].begin(),
+                             local_quotients[i].end());
+    }
+  } else if (!participating.empty()) {
+    // Collection: quotient clusters arrive tagged with their processor
+    // network address; divide them over the set of addresses. Either one
+    // central site (node 0) or — decentralized — every node collects the
+    // quotient values that hash to it. (An empty divisor leaves no node
+    // participating and the quotient empty by convention.)
+    std::vector<Field> tagged_fields =
+        dividend_schema.Project(quotient_attrs).fields();
+    tagged_fields.push_back(Field{"node", ValueType::kInt64});
+    const RowCodec tagged_codec{Schema(std::move(tagged_fields))};
+    const size_t collector_count = options_.decentralized_collection ? n : 1;
+    std::vector<EncodedPartition> tagged(collector_count);
+    std::vector<int64_t> tags;
+    for (size_t i : participating) {
+      tags.push_back(static_cast<int64_t>(i));
+      for (Tuple& q : local_quotients[i]) {
+        const size_t collector =
+            options_.decentralized_collection
+                ? HashPartitionOf(q, projected_attrs, n)
+                : 0;
+        q.Append(Value::Int64(static_cast<int64_t>(i)));
+        RELDIV_RETURN_NOT_OK(Route(&interconnect_, i, collector, tagged_codec,
+                                   q, &tagged[collector]));
+      }
+    }
+    for (size_t c = 0; c < collector_count; ++c) {
+      PartitionSourceOperator source(&tagged_codec, &tagged[c]);
+      size_t splits = 0;
+      RELDIV_RETURN_NOT_OK(CollectTaggedQuotients(
+          nodes_[c]->ctx(), &source, tags, /*expected_cardinality=*/0,
+          &result.quotient, &splits));
+    }
   }
 
   result.wall_ms = MsSince(wall_start);

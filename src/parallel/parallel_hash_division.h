@@ -81,14 +81,18 @@ struct ParallelDivisionResult {
 /// Simulated shared-nothing execution of hash-division: worker threads with
 /// private memory, an accounting interconnect, and the two §6 partitioning
 /// strategies with optional bit-vector filtering. Base relations start
-/// round-robin declustered across the nodes, as in GAMMA.
+/// round-robin declustered across the nodes, as in GAMMA. Both strategies
+/// move data the way the in-process exchange does (exec/exchange.h): every
+/// routed tuple is appended to its receiver's EncodedPartition, and the
+/// shipment's byte count is that encoded row.
 class ParallelHashDivisionEngine {
  public:
   explicit ParallelHashDivisionEngine(const ParallelDivisionOptions& options);
   ~ParallelHashDivisionEngine();
 
   /// Runs dividend ÷ divisor. `match_attrs` are the dividend columns matched
-  /// positionally against all divisor columns.
+  /// positionally against all divisor columns. The interconnect is reset
+  /// first, so interconnect() describes the last run only.
   Result<ParallelDivisionResult> Execute(
       const Schema& dividend_schema, const Schema& divisor_schema,
       const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
@@ -97,20 +101,6 @@ class ParallelHashDivisionEngine {
   const Interconnect& interconnect() const { return interconnect_; }
 
  private:
-  Result<ParallelDivisionResult> RunQuotientPartitioned(
-      const Schema& dividend_schema, const Schema& divisor_schema,
-      const std::vector<std::vector<Tuple>>& dividend_frags,
-      const std::vector<std::vector<Tuple>>& divisor_frags,
-      const std::vector<size_t>& match_attrs,
-      const std::vector<size_t>& quotient_attrs);
-
-  Result<ParallelDivisionResult> RunDivisorPartitioned(
-      const Schema& dividend_schema, const Schema& divisor_schema,
-      const std::vector<std::vector<Tuple>>& dividend_frags,
-      const std::vector<std::vector<Tuple>>& divisor_frags,
-      const std::vector<size_t>& match_attrs,
-      const std::vector<size_t>& quotient_attrs);
-
   ParallelDivisionOptions options_;
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
   Interconnect interconnect_;

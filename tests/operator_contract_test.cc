@@ -7,6 +7,7 @@
 #include "division/count_filter.h"
 #include "division/division.h"
 #include "exec/database.h"
+#include "exec/exchange.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
 #include "exec/materialize.h"
@@ -59,6 +60,23 @@ TEST_F(OperatorContractTest, SortReopensFromTheStart) {
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> second, CollectAll(&sorter));
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.front(), T(1, 0));
+}
+
+TEST_F(OperatorContractTest, PartitionSourceReopensAndAgreesAcrossLanes) {
+  const RowCodec codec(Schema{Field{"name", ValueType::kString},
+                              Field{"b", ValueType::kInt64}});
+  std::vector<Tuple> input;
+  EncodedPartition partition;
+  for (int i = 0; i < 5; ++i) {
+    input.push_back(Tuple{Value::String(std::string(i, 'x')), Value::Int64(i)});
+    ASSERT_OK(partition.Append(codec, input.back()));
+  }
+  PartitionSourceOperator source(&codec, &partition);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> batches, CollectAll(&source, 2));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> tuples,
+                       CollectAllTupleAtATime(&source));
+  EXPECT_EQ(batches, input);
+  EXPECT_EQ(tuples, input);
 }
 
 TEST_F(OperatorContractTest, DivisionPlanReopens) {

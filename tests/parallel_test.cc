@@ -4,7 +4,6 @@
 #include "gtest/gtest.h"
 #include "parallel/bit_vector_filter.h"
 #include "parallel/network.h"
-#include "parallel/partitioner.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -56,38 +55,6 @@ TEST(BitVectorFilterTest, UnionWith) {
   a.UnionWith(b);
   EXPECT_TRUE(a.MayContain(Hash64(1)));
   EXPECT_TRUE(a.MayContain(Hash64(2)));
-}
-
-TEST(PartitionerTest, HashPartitionIsDisjointAndComplete) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 100; ++i) tuples.push_back(T(i, i));
-  auto parts = HashPartition(tuples, {0}, 7);
-  size_t total = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (const Tuple& t : parts[p]) {
-      EXPECT_EQ(HashPartitionOf(t, {0}, 7), p);
-    }
-    total += parts[p].size();
-  }
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(PartitionerTest, RangePartition) {
-  std::vector<Tuple> tuples = {T(1, 0), T(5, 0), T(10, 0), T(15, 0)};
-  auto parts = RangePartition(tuples, 0, {5, 12});
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], std::vector<Tuple>{T(1, 0)});           // < 5
-  EXPECT_EQ(parts[1], (std::vector<Tuple>{T(5, 0), T(10, 0)}));  // [5, 12)
-  EXPECT_EQ(parts[2], std::vector<Tuple>{T(15, 0)});          // >= 12
-}
-
-TEST(PartitionerTest, RoundRobinBalances) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 10; ++i) tuples.push_back(T(i, 0));
-  auto parts = RoundRobinSplit(tuples, 3);
-  EXPECT_EQ(parts[0].size(), 4u);
-  EXPECT_EQ(parts[1].size(), 3u);
-  EXPECT_EQ(parts[2].size(), 3u);
 }
 
 class ParallelDivisionTest : public ::testing::Test {
@@ -246,6 +213,126 @@ TEST_F(ParallelDivisionTest, EmptyDivisorYieldsEmptyQuotient) {
         engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend, {},
                        {1}));
     EXPECT_TRUE(result.quotient.empty());
+  }
+}
+
+/// Everything a §6 run reports about its traffic and work, in one line:
+/// the quotient in emission order, wire bytes and messages, shipped and
+/// filtered tuples, each node's routed dividend tuples and the summed node
+/// counters (comparisons/hashes/moves/bit_ops).
+std::string Accounting(const ParallelDivisionResult& result) {
+  std::string out = "quotient=";
+  for (const Tuple& tuple : result.quotient) out += tuple.ToString();
+  out += " bytes=" + std::to_string(result.network_bytes) +
+         " messages=" + std::to_string(result.network_messages) +
+         " shipped=" + std::to_string(result.tuples_shipped) +
+         " filtered=" + std::to_string(result.tuples_filtered) + " nodes=";
+  CpuCounters cpu;
+  for (const NodeExecutionMetrics& node : result.node_metrics) {
+    out += std::to_string(node.dividend_tuples) + ",";
+    cpu += node.cpu;
+  }
+  return out + " cpu=" + std::to_string(cpu.comparisons) + "/" +
+         std::to_string(cpu.hashes) + "/" + std::to_string(cpu.moves) + "/" +
+         std::to_string(cpu.bit_ops);
+}
+
+TEST_F(ParallelDivisionTest, ReusedEngineReportsTrafficOfTheLastRun) {
+  GeneratedWorkload w = MakeWorkload(29);
+  for (PartitionStrategy strategy :
+       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor}) {
+    ParallelDivisionOptions options;
+    options.num_nodes = 4;
+    options.strategy = strategy;
+    ParallelHashDivisionEngine engine(options);
+    ASSERT_OK_AND_ASSIGN(
+        ParallelDivisionResult first,
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1}));
+    ASSERT_OK_AND_ASSIGN(
+        ParallelDivisionResult second,
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1}));
+    EXPECT_GT(first.network_bytes, 0u);
+    EXPECT_EQ(Accounting(second), Accounting(first));
+    EXPECT_EQ(engine.interconnect().bytes(), second.network_bytes);
+    EXPECT_EQ(engine.interconnect().messages(), second.network_messages);
+  }
+}
+
+// The §6 accounting at four nodes, pinned: emission order, wire sizes,
+// routing and local work are what E4 reports, so a change to the data path
+// must leave every one of them as it is. The string-keyed runs ship
+// variable-length rows (quotient names of 1 to 8 bytes).
+TEST_F(ParallelDivisionTest, GoldenAccountingAtFourNodes) {
+  const GeneratedWorkload ints = MakeWorkload(30);
+  GeneratedWorkload strings = ints;
+  strings.dividend_schema =
+      Schema({{"name", ValueType::kString}, ints.dividend_schema.field(1)});
+  for (Tuple& tuple : strings.dividend) {
+    const int64_t id = tuple.value(0).int64();
+    tuple = Tuple{Value::String(std::string(id % 7, 'x') + std::to_string(id)),
+                  tuple.value(1)};
+  }
+  struct Golden {
+    PartitionStrategy strategy;
+    bool filter;
+    bool decentralized;
+    const GeneratedWorkload* workload;
+    const char* accounting;
+  };
+  constexpr PartitionStrategy kQ = PartitionStrategy::kQuotient;
+  constexpr PartitionStrategy kD = PartitionStrategy::kDivisor;
+  const Golden goldens[] = {
+      {kQ, false, false, &ints,
+       "quotient=(23)(14)(8)(21)(10)(15)(20)(11)(7)(22)(18)(19)(5)(12)(9)"
+       "(16)(17)(6)(3)(2)(4)(1)(0)(13) bytes=11696 messages=707"
+       " shipped=695 filtered=0 nodes=145,338,193,245, cpu=2429/1888/0/991"},
+      {kQ, true, false, &ints,
+       "quotient=(23)(14)(8)(21)(10)(15)(20)(11)(7)(22)(18)(19)(5)(12)(9)"
+       "(16)(17)(6)(3)(2)(4)(1)(0)(13) bytes=11072 messages=668"
+       " shipped=656 filtered=50 nodes=134,320,180,237,"
+       " cpu=2361/1838/0/991"},
+      {kD, false, false, &ints,
+       "quotient=(21)(16)(17)(10)(15)(19)(20)(6)(3)(2)(4)(5)(23)(1)(12)"
+       "(14)(11)(7)(8)(0)(22)(9)(13)(18) bytes=12624 messages=799"
+       " shipped=692 filtered=0 nodes=92,241,187,401, cpu=2211/1816/0/1299"},
+      {kD, true, false, &ints,
+       "quotient=(21)(16)(17)(10)(15)(19)(20)(6)(3)(2)(4)(5)(23)(1)(12)"
+       "(14)(11)(7)(8)(0)(22)(9)(13)(18) bytes=18128 messages=771"
+       " shipped=652 filtered=50 nodes=84,216,179,392,"
+       " cpu=2143/1766/0/1299"},
+      {kD, false, true, &ints,
+       "quotient=(23)(14)(8)(21)(10)(15)(20)(11)(7)(22)(18)(19)(5)(12)(9)"
+       "(16)(17)(6)(3)(2)(4)(1)(0)(13) bytes=12688 messages=803"
+       " shipped=692 filtered=0 nodes=92,241,187,401, cpu=2211/1816/0/1299"},
+      {kQ, true, false, &strings,
+       "quotient=(x8)(xxxx11)(xx2)(x1)(xx23)(xx16)(xxxxx5)(xxxxx12)(0)(14)"
+       "(xxxx4)(xxx3)(21)(xxx17)(xxxxxx13)(7)(x15)(xxxxx19)(xx9)(xxxxxx6)"
+       "(xxxx18)(xxx10)(xxxxxx20)(x22) bytes=11763 messages=685"
+       " shipped=673 filtered=50 nodes=196,254,238,183,"
+       " cpu=2325/1838/0/991"},
+      {kD, true, true, &strings,
+       "quotient=(x8)(xxxx11)(xx2)(x1)(xx23)(xx16)(xxxxx5)(xxxxx12)(0)(14)"
+       "(xxxx4)(xxx3)(21)(xxx17)(xxxxxx13)(7)(x15)(xxxxx19)(xx9)(xxxxxx6)"
+       "(xxxx18)(xxx10)(x22)(xxxxxx20) bytes=18681 messages=775"
+       " shipped=652 filtered=50 nodes=84,216,179,392,"
+       " cpu=2115/1766/0/1299"},
+  };
+  for (const Golden& golden : goldens) {
+    ParallelDivisionOptions options;
+    options.num_nodes = 4;
+    options.strategy = golden.strategy;
+    options.use_bit_vector_filter = golden.filter;
+    options.decentralized_collection = golden.decentralized;
+    ParallelHashDivisionEngine engine(options);
+    const GeneratedWorkload& w = *golden.workload;
+    ASSERT_OK_AND_ASSIGN(
+        ParallelDivisionResult result,
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1}));
+    EXPECT_EQ(Accounting(result), golden.accounting)
+        << "golden row " << &golden - goldens;
   }
 }
 
