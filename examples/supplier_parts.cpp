@@ -72,7 +72,7 @@ Status LoadCatalog(Database* db, Relation* supplies, Relation* parts) {
 // ToPrometheusText() call; this keeps the example output readable).
 void PrintPrometheusExcerpt() {
   static const char* kSeries[] = {"reldiv_disk_", "reldiv_buffer_",
-                                  "reldiv_query_", "reldiv_fallbacks_total"};
+                                  "reldiv_query_", "reldiv_replans_total"};
   const std::string text = MetricRegistry::Global().ToPrometheusText();
   size_t start = 0;
   while (start < text.size()) {

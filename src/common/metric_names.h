@@ -50,7 +50,6 @@ inline constexpr char kGaugePhasesRun[] = "phases_run";
 inline constexpr char kGaugeRepartitions[] = "repartitions";
 inline constexpr char kGaugeEscalations[] = "escalations";
 inline constexpr char kGaugeRestarts[] = "restarts";
-inline constexpr char kGaugeFallbackTaken[] = "fallback_taken";
 
 // ---- Process-wide telemetry (obs/telemetry.h MetricRegistry). Prometheus
 // naming conventions: `_total` suffix on monotone counters, unit suffix on
@@ -101,7 +100,6 @@ inline constexpr char kDriftAbsErrorPpm[] =
 inline constexpr char kEventLogDroppedTotal[] =
     "reldiv_event_log_dropped_total";
 inline constexpr char kFailpointFiresTotal[] = "reldiv_failpoint_fires_total";
-inline constexpr char kFallbacksTotal[] = "reldiv_fallbacks_total";
 inline constexpr char kRepartitionsTotal[] = "reldiv_repartitions_total";
 
 // Adaptive re-planning (planner/adaptive.cc). kReplansTotal is labelled by

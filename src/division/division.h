@@ -38,14 +38,6 @@ enum class PartitionStrategy {
   kCombined,
 };
 
-/// §3.4 partitioning functions ("a partitioning strategy such as
-/// range-partitioning or hash-partitioning").
-enum class PartitionFunction {
-  kHash,   ///< hash of the partitioning attributes, modulo partition count
-  kRange,  ///< uniform ranges over the FIRST partitioning attribute, which
-           ///< must be int64 (splits derived from the input's min/max)
-};
-
 /// Tuning and semantics options shared by the algorithm entry points.
 struct DivisionOptions {
   /// Pre-process both inputs with duplicate elimination. Hash-division never
@@ -78,7 +70,6 @@ struct DivisionOptions {
 
   /// Partitioned hash-division (§3.4).
   PartitionStrategy partition_strategy = PartitionStrategy::kQuotient;
-  PartitionFunction partition_function = PartitionFunction::kHash;
   size_t num_partitions = 4;
 
   /// kCombined only: quotient sub-partitions within each divisor cluster

@@ -28,102 +28,30 @@ constexpr size_t kMaxRepartitionDepth = 16;
 /// before the ResourceExhausted is accepted as final.
 constexpr size_t kMaxRestarts = 6;
 
-/// Maps a tuple to its cluster index: hash of the partitioning attrs, or
-/// the range of the first partitioning attr under precomputed splits.
-class ClusterAssigner {
- public:
-  /// `salt` != 0 perturbs the hash (depth salt): a recursive re-split of an
-  /// overflowing cluster must not reproduce the parent partitioning, or
-  /// every tuple would land in the same half again.
-  static ClusterAssigner Hash(std::vector<size_t> attrs,
-                              size_t num_partitions, uint64_t salt = 0) {
-    ClusterAssigner assigner;
-    assigner.attrs_ = std::move(attrs);
-    assigner.num_partitions_ = num_partitions;
-    assigner.salt_ = salt;
-    return assigner;
-  }
-
-  /// Range splits ascending; tuple goes to the first range whose split
-  /// exceeds its value (splits.size() + 1 == num_partitions).
-  static ClusterAssigner Range(size_t attr, std::vector<int64_t> splits) {
-    ClusterAssigner assigner;
-    assigner.attrs_ = {attr};
-    assigner.num_partitions_ = splits.size() + 1;
-    assigner.splits_ = std::move(splits);
-    assigner.by_range_ = true;
-    return assigner;
-  }
+/// Maps a tuple to its cluster: a hash of the key columns modulo the
+/// partition count, which with salt 0 is HashPartitionOf. A non-zero salt
+/// (the recursion depth) perturbs the hash: a recursive re-split of an
+/// overflowing cluster must not reproduce the parent partitioning, or every
+/// tuple would land in the same half again.
+struct ClusterAssigner {
+  std::vector<size_t> attrs;
+  size_t num_partitions = 1;
+  uint64_t salt = 0;
 
   size_t operator()(ExecContext* ctx, const Tuple& tuple) const {
-    if (by_range_) {
-      ctx->CountComparisons(1);
-      const int64_t v = tuple.value(attrs_[0]).int64();
-      size_t p = 0;
-      while (p < splits_.size() && v >= splits_[p]) p++;
-      return p;
-    }
     ctx->CountHashes(1);
-    uint64_t h = tuple.HashAt(attrs_);
-    if (salt_ != 0) h = HashCombine(h, salt_);
-    return h % num_partitions_;
+    if (salt == 0) return HashPartitionOf(tuple, attrs, num_partitions);
+    return HashCombine(tuple.HashAt(attrs), salt) % num_partitions;
   }
-
- private:
-  std::vector<size_t> attrs_;
-  size_t num_partitions_ = 1;
-  uint64_t salt_ = 0;
-  std::vector<int64_t> splits_;
-  bool by_range_ = false;
 };
-
-/// Uniform range splits over `attr` of `input` (int64 required), derived
-/// from its min/max in one scan.
-Result<std::vector<int64_t>> ComputeRangeSplits(ExecContext* ctx,
-                                                const Relation& input,
-                                                size_t attr,
-                                                size_t num_partitions) {
-  if (input.schema.field(attr).type != ValueType::kInt64) {
-    return Status::InvalidArgument(
-        "range partitioning requires an int64 first partitioning attribute "
-        "('" +
-        input.schema.field(attr).name + "' is not)");
-  }
-  int64_t min_v = 0, max_v = 0;
-  bool any = false;
-  ScanOperator scan(ctx, input);
-  RELDIV_RETURN_NOT_OK(scan.Open());
-  TupleBatch batch(ctx->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
-    for (const Tuple& tuple : batch) {
-      const int64_t v = tuple.value(attr).int64();
-      if (!any || v < min_v) min_v = v;
-      if (!any || v > max_v) max_v = v;
-      any = true;
-    }
-  }
-  RELDIV_RETURN_NOT_OK(scan.Close());
-  std::vector<int64_t> splits;
-  if (!any || num_partitions <= 1) return splits;
-  const double width =
-      static_cast<double>(max_v - min_v + 1) /
-      static_cast<double>(num_partitions);
-  for (size_t i = 1; i < num_partitions; ++i) {
-    splits.push_back(min_v +
-                     static_cast<int64_t>(width * static_cast<double>(i)));
-  }
-  return splits;
-}
 
 /// Drains `input` into temporary record files under `assigner`.
 Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
     ExecContext* ctx, Operator* input, const ClusterAssigner& assigner,
-    size_t num_partitions, const std::string& label) {
+    const std::string& label) {
   std::vector<std::unique_ptr<RecordFile>> clusters;
-  clusters.reserve(num_partitions);
-  for (size_t i = 0; i < num_partitions; ++i) {
+  clusters.reserve(assigner.num_partitions);
+  for (size_t i = 0; i < assigner.num_partitions; ++i) {
     clusters.push_back(std::make_unique<RecordFile>(
         ctx->disk(), ctx->buffer_manager(),
         label + "-cluster-" + std::to_string(i)));
@@ -139,7 +67,7 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
       const size_t p = assigner(ctx, tuple);
       // §3.4: the partitioning function must map every tuple into one of
       // the declared clusters, or the overflow pass would drop tuples.
-      RELDIV_DCHECK_LT(p, num_partitions)
+      RELDIV_DCHECK_LT(p, assigner.num_partitions)
           << "cluster assigner produced an out-of-range partition";
       buffer.clear();
       RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
@@ -154,9 +82,9 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
 /// Partitions the stored relation `input` into temporary record files.
 Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
     ExecContext* ctx, const Relation& input, const ClusterAssigner& assigner,
-    size_t num_partitions, const std::string& label) {
+    const std::string& label) {
   ScanOperator scan(ctx, input);
-  return PartitionStream(ctx, &scan, assigner, num_partitions, label);
+  return PartitionStream(ctx, &scan, assigner, label);
 }
 
 /// Feeds every tuple of `input` through `core` (step 2), one batch of
@@ -228,9 +156,8 @@ Status CollectLevel(ExecContext* ctx, Operator* tagged,
   RELDIV_ASSIGN_OR_RETURN(
       auto halves,
       PartitionStream(ctx, tagged,
-                      ClusterAssigner::Hash(std::move(quotient_cols), 2,
-                                            /*salt=*/depth + 1),
-                      2,
+                      ClusterAssigner{std::move(quotient_cols), 2,
+                                      /*salt=*/depth + 1},
                       "collection-repart-d" + std::to_string(depth + 1) +
                           "-" + std::to_string(*repartitions)));
   for (auto& half : halves) {
@@ -294,9 +221,7 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
       auto halves,
       PartitionRelation(
           ctx, rel,
-          ClusterAssigner::Hash(resolved_.quotient_attrs, 2,
-                                /*salt=*/depth + 1),
-          2,
+          ClusterAssigner{resolved_.quotient_attrs, 2, /*salt=*/depth + 1},
           label + "-repart-d" + std::to_string(depth + 1) + "-" +
               std::to_string(out->repartitions)));
   for (auto& half : halves) {
@@ -350,19 +275,11 @@ Status PartitionedHashDivisionOperator::RunPhaseRegion(
 Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   const size_t num_partitions =
       options_.num_partitions == 0 ? 1 : options_.num_partitions;
-  ClusterAssigner assigner =
-      ClusterAssigner::Hash(resolved_.quotient_attrs, num_partitions);
-  if (options_.partition_function == PartitionFunction::kRange) {
-    RELDIV_ASSIGN_OR_RETURN(
-        std::vector<int64_t> splits,
-        ComputeRangeSplits(ctx_, resolved_.dividend,
-                           resolved_.quotient_attrs[0], num_partitions));
-    assigner = ClusterAssigner::Range(resolved_.quotient_attrs[0],
-                                      std::move(splits));
-  }
   RELDIV_ASSIGN_OR_RETURN(
       auto clusters,
-      PartitionRelation(ctx_, resolved_.dividend, assigner, num_partitions,
+      PartitionRelation(ctx_, resolved_.dividend,
+                        ClusterAssigner{resolved_.quotient_attrs,
+                                        num_partitions},
                         "quotient-part"));
 
   // The divisor table is built once and kept in memory during all phases.
@@ -407,26 +324,18 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
   // tuples land in the same cluster.
   std::vector<size_t> divisor_all(resolved_.divisor.schema.num_fields());
   for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
-  ClusterAssigner divisor_assigner =
-      ClusterAssigner::Hash(divisor_all, num_partitions);
-  ClusterAssigner dividend_assigner =
-      ClusterAssigner::Hash(resolved_.match_attrs, num_partitions);
-  if (!combined && options_.partition_function == PartitionFunction::kRange) {
-    RELDIV_ASSIGN_OR_RETURN(
-        std::vector<int64_t> splits,
-        ComputeRangeSplits(ctx_, resolved_.divisor, 0, num_partitions));
-    divisor_assigner = ClusterAssigner::Range(0, splits);
-    dividend_assigner =
-        ClusterAssigner::Range(resolved_.match_attrs[0], std::move(splits));
-  }
   RELDIV_ASSIGN_OR_RETURN(
       auto divisor_clusters,
-      PartitionRelation(ctx_, resolved_.divisor, divisor_assigner,
-                        num_partitions, label + "-s"));
+      PartitionRelation(ctx_, resolved_.divisor,
+                        ClusterAssigner{std::move(divisor_all),
+                                        num_partitions},
+                        label + "-s"));
   RELDIV_ASSIGN_OR_RETURN(
       auto dividend_clusters,
-      PartitionRelation(ctx_, resolved_.dividend, dividend_assigner,
-                        num_partitions, label + "-r"));
+      PartitionRelation(ctx_, resolved_.dividend,
+                        ClusterAssigner{resolved_.match_attrs,
+                                        num_partitions},
+                        label + "-r"));
 
   // Phases whose divisor cluster is empty constrain nothing (their for-all
   // condition is vacuous) and must not appear in the collection divisor.
@@ -475,9 +384,8 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
             auto sub_clusters,
             PartitionRelation(
                 ectx, dividend_rel,
-                ClusterAssigner::Hash(resolved_.quotient_attrs,
-                                      quotient_parts),
-                quotient_parts, sub_label));
+                ClusterAssigner{resolved_.quotient_attrs, quotient_parts},
+                sub_label));
         for (auto& sub : sub_clusters) {
           RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
               ectx, &core, sub.get(), 0, sub_label, allow_repartition, out));

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/config.h"
 #include "common/metric_names.h"
-#include "division/fallback_division.h"
 #include "division/hash_division.h"
 #include "exec/scan.h"
 #include "obs/event_log.h"
@@ -221,26 +219,12 @@ void AdaptiveDivisionOperator::CountCheckpoint() {
   }
 }
 
-DivisionOptions AdaptiveDivisionOperator::PartitionedOptionsFor(
-    const DivisionStats& stats) const {
-  DivisionOptions options = options_.division;
-  // The PlanDivision partition-count formula over the corrected stats.
-  const double memory_bytes =
-      stats.memory_pages * static_cast<double>(kPageSize);
-  const double table_bytes =
-      (stats.divisor_tuples + stats.quotient_estimate) * 96 +
-      stats.quotient_estimate * (stats.divisor_tuples / 8);
-  options.num_partitions = static_cast<size_t>(
-      std::max(2.0, 2 * table_bytes / std::max(1.0, memory_bytes)) + 1);
-  return options;
-}
-
 Status AdaptiveDivisionOperator::RunStatic(DivisionAlgorithm algorithm,
-                                           const DivisionStats& stats) {
-  DivisionOptions options =
-      algorithm == DivisionAlgorithm::kHashDivisionPartitioned
-          ? PartitionedOptionsFor(stats)
-          : options_.division;
+                                           size_t num_partitions) {
+  DivisionOptions options = options_.division;
+  if (algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
+    options.num_partitions = num_partitions;
+  }
   std::unique_ptr<Operator> plan;
   RELDIV_ASSIGN_OR_RETURN(plan,
                           MakeDivisionPlan(ctx_, query_, algorithm, options));
@@ -260,16 +244,10 @@ Status AdaptiveDivisionOperator::DegradeOnMemoryPressure(
       ReplanTrigger::kMemoryPressure, DivisionAlgorithm::kHashDivision,
       DivisionAlgorithm::kHashDivisionPartitioned,
       static_cast<double>(ctx_->hash_memory_bytes()), used, tuples_seen});
-  // The §3.4 restart path: FallbackDivisionOperator re-attempts in memory
-  // (the budget denies it again) and degrades to partitioned hash-division.
-  DivisionOptions options = options_.division;
-  options.parallel_fragments = 0;
-  options.early_output = false;
-  FallbackDivisionOperator fallback(ctx_, resolved_, options);
-  RELDIV_ASSIGN_OR_RETURN(results_,
-                          CollectAll(&fallback, ctx_->batch_capacity()));
-  report_.final_algorithm = DivisionAlgorithm::kHashDivisionPartitioned;
-  return Status::OK();
+  // §3.4: the denial already proved the tables do not fit, so partition
+  // the inputs and divide one cluster per phase.
+  return RunStatic(DivisionAlgorithm::kHashDivisionPartitioned,
+                   options_.division.num_partitions);
 }
 
 Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
@@ -316,7 +294,7 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
     if (rechoice.algorithm != DivisionAlgorithm::kHashDivision) {
       // Abandon: only the divisor table was built; the dividend is unread.
       core_.reset();
-      return RunStatic(rechoice.algorithm, stats);
+      return RunStatic(rechoice.algorithm, rechoice.num_partitions);
     }
   }
 
@@ -377,7 +355,7 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
         if (rechoice.algorithm != DivisionAlgorithm::kHashDivision) {
           (void)dividend_scan.Close();
           core_.reset();
-          return RunStatic(rechoice.algorithm, stats);
+          return RunStatic(rechoice.algorithm, rechoice.num_partitions);
         }
       }
     }
@@ -451,6 +429,7 @@ Status AdaptiveDivisionOperator::Open() {
   report_.planning_stats = stats;
   report_.final_algorithm = choice.algorithm;
   DivisionAlgorithm current = choice.algorithm;
+  size_t num_partitions = choice.num_partitions;
 
   // Checkpoint 0, before any execution: the stores' exact counts are free
   // metadata, so a cached dividend cardinality can be validated without
@@ -460,7 +439,9 @@ Status AdaptiveDivisionOperator::Open() {
     DivisionStats corrected = stats;
     corrected.dividend_tuples = exact.dividend_tuples;
     corrected.dividend_pages = exact.dividend_pages;
-    DivisionAlgorithm to;
+    const AlgorithmChoice rechoice =
+        ChooseDivisionAlgorithm(corrected, options_.units);
+    DivisionAlgorithm to = rechoice.algorithm;
     if (current == DivisionAlgorithm::kSortAggregate) {
       // Degrade within the aggregation family before the first merge pass:
       // hash aggregation keeps the same pipeline shape without the sort
@@ -468,20 +449,19 @@ Status AdaptiveDivisionOperator::Open() {
       to = DivisionAlgorithm::kHashAggregate;
     } else if (current == DivisionAlgorithm::kSortAggregateWithJoin) {
       to = DivisionAlgorithm::kHashAggregateWithJoin;
-    } else {
-      to = ChooseDivisionAlgorithm(corrected, options_.units).algorithm;
     }
     RecordDecision(ReplanEvent{ReplanTrigger::kDividendCardinality, current,
                                to, stats.dividend_tuples,
                                exact.dividend_tuples, 0});
     current = to;
+    num_partitions = rechoice.num_partitions;
     stats = corrected;
     report_.final_algorithm = current;
   }
 
   RELDIV_RETURN_NOT_OK(current == DivisionAlgorithm::kHashDivision
                            ? RunHashDivision(stats)
-                           : RunStatic(current, stats));
+                           : RunStatic(current, num_partitions));
   RecordFeedback();
   return Status::OK();
 }

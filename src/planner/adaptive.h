@@ -193,8 +193,8 @@ struct AdaptiveReport {
 ///   - divisor-cardinality / quotient-growth: hash-division re-chooses from
 ///     corrected stats and abandons to the partitioned form when the
 ///     corrected tables no longer fit;
-///   - memory-pressure: ResourceExhausted degrades through the existing
-///     FallbackDivisionOperator restart path.
+///   - memory-pressure: ResourceExhausted degrades straight into
+///     partitioned hash-division with the caller's DivisionOptions.
 ///
 /// Every decision lands in the flight ring and the reldiv_replan_*
 /// metric family; successful runs feed observations back into the stats
@@ -232,20 +232,18 @@ class AdaptiveDivisionOperator : public Operator {
   void CountCheckpoint();
 
   /// Runs `algorithm` as a static plan into results_ (the abandon path and
-  /// every non-hash-division initial choice).
-  Status RunStatic(DivisionAlgorithm algorithm, const DivisionStats& stats);
+  /// every non-hash-division initial choice). A partitioned plan runs with
+  /// `num_partitions` clusters (AlgorithmChoice::num_partitions).
+  Status RunStatic(DivisionAlgorithm algorithm, size_t num_partitions);
 
   /// The instrumented hash-division drive: mirrors the serial
   /// HashDivisionOperator::Open counted operations exactly, adding only
   /// metadata checkpoints.
   Status RunHashDivision(DivisionStats stats);
 
-  /// ResourceExhausted recovery through FallbackDivisionOperator.
+  /// ResourceExhausted recovery: records the decision and runs the
+  /// partitioned plan with the caller's DivisionOptions.
   Status DegradeOnMemoryPressure(uint64_t tuples_seen);
-
-  /// §3.4 partition-count sizing for a degraded plan (the PlanDivision
-  /// formula applied to corrected stats).
-  DivisionOptions PartitionedOptionsFor(const DivisionStats& stats) const;
 
   void RecordFeedback();
 

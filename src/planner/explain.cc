@@ -11,28 +11,6 @@
 
 namespace reldiv {
 
-std::map<DivisionAlgorithm, double> PredictAlgorithmCosts(
-    const AnalyticalConfig& config, const CostUnits& units) {
-  CostModel model(units);
-  std::map<DivisionAlgorithm, double> predicted;
-  predicted[DivisionAlgorithm::kNaive] = model.NaiveDivisionCost(config);
-  predicted[DivisionAlgorithm::kSortAggregate] =
-      model.SortAggregationCost(config, /*with_join=*/false);
-  predicted[DivisionAlgorithm::kSortAggregateWithJoin] =
-      model.SortAggregationCost(config, /*with_join=*/true);
-  predicted[DivisionAlgorithm::kHashAggregate] =
-      model.HashAggregationCost(config, /*with_join=*/false);
-  predicted[DivisionAlgorithm::kHashAggregateWithJoin] =
-      model.HashAggregationCost(config, /*with_join=*/true);
-  predicted[DivisionAlgorithm::kHashDivision] =
-      model.HashDivisionCost(config);
-  // The §3.4 partitioned form executes the same formulas plus partitioning
-  // I/O; the model's base figure is the closest published prediction.
-  predicted[DivisionAlgorithm::kHashDivisionPartitioned] =
-      model.HashDivisionCost(config);
-  return predicted;
-}
-
 namespace {
 
 /// Drift histogram unit: |relative error| is recorded in parts per million.
@@ -79,6 +57,39 @@ void AppendIndented(const std::string& tree, std::string* out) {
   }
 }
 
+double PredictedMs(const std::map<DivisionAlgorithm, double>& predicted,
+                   DivisionAlgorithm algorithm) {
+  auto it = predicted.find(algorithm);
+  return it != predicted.end() ? it->second : 0;
+}
+
+/// Builds a plan with `make_plan` and runs it to completion with profiling
+/// on, filling `run`'s measured columns, row count and operator tree. Plan
+/// construction is inside the measurement: it may pre-process the inputs.
+/// Returns the finished plan so the caller can read its report.
+template <typename MakePlan>
+auto MeasureRun(ExecContext* ctx, const ExplainAnalyzeOptions& options,
+                const MakePlan& make_plan, ExplainedRun* run)
+    -> decltype(make_plan()) {
+  ctx->set_profiling(true);  // fresh QueryProfile per run
+  const CpuCounters cpu_before = *ctx->counters();
+  const DiskStats io_before = ctx->disk()->stats();
+  const auto wall_start = std::chrono::steady_clock::now();
+  RELDIV_ASSIGN_OR_RETURN(auto plan, make_plan());
+  RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                          CollectAll(plan.get(), ctx->batch_capacity()));
+  run->measured.cpu_counters = *ctx->counters() - cpu_before;
+  run->measured.io_stats = ctx->disk()->stats() - io_before;
+  run->measured.cpu_ms = CpuCostMs(run->measured.cpu_counters, options.units);
+  run->measured.io_ms = IoCostMs(run->measured.io_stats, options.io_weights);
+  run->measured.wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - wall_start)
+                              .count();
+  run->quotient_tuples = rows.size();
+  run->operator_tree = ctx->profile()->ToString();
+  return plan;
+}
+
 }  // namespace
 
 Result<ExplainAnalyzeResult> ExplainAnalyzeDivision(
@@ -101,40 +112,24 @@ Result<ExplainAnalyzeResult> ExplainAnalyzeDivision(
                   DivisionAlgorithm::kHashDivision};
   }
 
-  const bool was_profiling = ctx->profiling();
+  // Every run profiles; the caller's setting is restored on every return.
+  struct RestoreProfiling {
+    ExecContext* ctx;
+    bool enabled;
+    ~RestoreProfiling() { ctx->set_profiling(enabled); }
+  } restore{ctx, ctx->profiling()};
   for (DivisionAlgorithm algorithm : algorithms) {
-    ctx->set_profiling(true);  // fresh QueryProfile per run
-    const CpuCounters cpu_before = *ctx->counters();
-    const DiskStats io_before = ctx->disk()->stats();
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    auto plan_result = MakeDivisionPlan(ctx, query, algorithm,
-                                        options.division);
-    if (!plan_result.ok()) {
-      ctx->set_profiling(was_profiling);
-      return plan_result.status();
-    }
-    auto rows_result =
-        CollectAll(plan_result.value().get(), ctx->batch_capacity());
-    if (!rows_result.ok()) {
-      ctx->set_profiling(was_profiling);
-      return rows_result.status();
-    }
-
     ExplainedRun run;
     run.algorithm = algorithm;
-    auto it = predicted.find(algorithm);
-    run.predicted_ms = it != predicted.end() ? it->second : 0;
-    run.measured.cpu_counters = *ctx->counters() - cpu_before;
-    run.measured.io_stats = ctx->disk()->stats() - io_before;
-    run.measured.cpu_ms = CpuCostMs(run.measured.cpu_counters, options.units);
-    run.measured.io_ms = IoCostMs(run.measured.io_stats, options.io_weights);
-    run.measured.wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    run.quotient_tuples = rows_result.value().size();
-    run.operator_tree = ctx->profile()->ToString();
+    RELDIV_RETURN_NOT_OK(
+        MeasureRun(ctx, options,
+                   [&] {
+                     return MakeDivisionPlan(ctx, query, algorithm,
+                                             options.division);
+                   },
+                   &run)
+            .status());
+    run.predicted_ms = PredictedMs(predicted, algorithm);
 
     // Record this run's |error| in the per-algorithm drift histogram, then
     // read the history back so the report can put the run in context.
@@ -157,42 +152,20 @@ Result<ExplainAnalyzeResult> ExplainAnalyzeDivision(
   }
 
   if (options.adaptive) {
-    ctx->set_profiling(true);
-    const CpuCounters cpu_before = *ctx->counters();
-    const DiskStats io_before = ctx->disk()->stats();
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    auto plan_result =
-        PlanAdaptiveDivision(ctx, query, options.adaptive_options);
-    if (!plan_result.ok()) {
-      ctx->set_profiling(was_profiling);
-      return plan_result.status();
-    }
-    AdaptiveDivisionOperator* plan = plan_result.value().get();
-    auto rows_result = CollectAll(plan, ctx->batch_capacity());
-    if (!rows_result.ok()) {
-      ctx->set_profiling(was_profiling);
-      return rows_result.status();
-    }
-
     ExplainedRun run;
+    RELDIV_ASSIGN_OR_RETURN(
+        std::unique_ptr<AdaptiveDivisionOperator> plan,
+        MeasureRun(ctx, options,
+                   [&] {
+                     return PlanAdaptiveDivision(ctx, query,
+                                                 options.adaptive_options);
+                   },
+                   &run));
     run.algorithm = plan->report().final_algorithm;
-    auto it = predicted.find(run.algorithm);
-    run.predicted_ms = it != predicted.end() ? it->second : 0;
-    run.measured.cpu_counters = *ctx->counters() - cpu_before;
-    run.measured.io_stats = ctx->disk()->stats() - io_before;
-    run.measured.cpu_ms = CpuCostMs(run.measured.cpu_counters, options.units);
-    run.measured.io_ms = IoCostMs(run.measured.io_stats, options.io_weights);
-    run.measured.wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    run.quotient_tuples = rows_result.value().size();
-    run.operator_tree = ctx->profile()->ToString();
+    run.predicted_ms = PredictedMs(predicted, run.algorithm);
     run.replan_line = plan->report().ToLine();
     result.runs.push_back(std::move(run));
   }
-  ctx->set_profiling(was_profiling);
 
   // ---- Rendering: prediction table (Table 2 columns), then one annotated
   // operator tree per run (Table 4 measurements). ----

@@ -1,7 +1,6 @@
 #ifndef RELDIV_PLANNER_EXPLAIN_H_
 #define RELDIV_PLANNER_EXPLAIN_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,13 +13,6 @@
 #include "planner/physical_planner.h"
 
 namespace reldiv {
-
-/// Predicted total milliseconds per candidate algorithm under the §4
-/// analytical model — the columns of paper Table 2 for one parameter point.
-/// EXPLAIN ANALYZE prints these beside measurements; tests tie them back to
-/// the PaperTable2 fixtures via AnalyticalConfig::Paper.
-std::map<DivisionAlgorithm, double> PredictAlgorithmCosts(
-    const AnalyticalConfig& config, const CostUnits& units = CostUnits{});
 
 /// One algorithm's measured execution inside an EXPLAIN ANALYZE report.
 struct ExplainedRun {

@@ -47,6 +47,28 @@ constexpr double kHashEntryBytes = 96;
 
 }  // namespace
 
+std::map<DivisionAlgorithm, double> PredictAlgorithmCosts(
+    const AnalyticalConfig& config, const CostUnits& units) {
+  CostModel model(units);
+  std::map<DivisionAlgorithm, double> predicted;
+  predicted[DivisionAlgorithm::kNaive] = model.NaiveDivisionCost(config);
+  predicted[DivisionAlgorithm::kSortAggregate] =
+      model.SortAggregationCost(config, /*with_join=*/false);
+  predicted[DivisionAlgorithm::kSortAggregateWithJoin] =
+      model.SortAggregationCost(config, /*with_join=*/true);
+  predicted[DivisionAlgorithm::kHashAggregate] =
+      model.HashAggregationCost(config, /*with_join=*/false);
+  predicted[DivisionAlgorithm::kHashAggregateWithJoin] =
+      model.HashAggregationCost(config, /*with_join=*/true);
+  predicted[DivisionAlgorithm::kHashDivision] =
+      model.HashDivisionCost(config);
+  // The §3.4 partitioned form executes the same formulas plus partitioning
+  // I/O; the model's base figure is the closest published prediction.
+  predicted[DivisionAlgorithm::kHashDivisionPartitioned] =
+      model.HashDivisionCost(config);
+  return predicted;
+}
+
 AnalyticalConfig AnalyticalConfigFromStats(const DivisionStats& stats) {
   AnalyticalConfig config;
   config.dividend_tuples = stats.dividend_tuples;
@@ -66,6 +88,8 @@ AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
                                         const CostUnits& units) {
   CostModel model(units);
   AnalyticalConfig config = AnalyticalConfigFromStats(stats);
+  const std::map<DivisionAlgorithm, double> base =
+      PredictAlgorithmCosts(config, units);
   AlgorithmChoice choice;
 
   // Duplicate-elimination surcharge for the aggregation strategies: sort
@@ -81,27 +105,28 @@ AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
           : 0;
 
   choice.predicted_ms[DivisionAlgorithm::kNaive] =
-      model.NaiveDivisionCost(config);
-  choice.predicted_ms[stats.divisor_restricted
-                          ? DivisionAlgorithm::kSortAggregateWithJoin
-                          : DivisionAlgorithm::kSortAggregate] =
-      model.SortAggregationCost(config, stats.divisor_restricted) +
-      dedup_surcharge;
-  choice.predicted_ms[stats.divisor_restricted
-                          ? DivisionAlgorithm::kHashAggregateWithJoin
-                          : DivisionAlgorithm::kHashAggregate] =
-      model.HashAggregationCost(config, stats.divisor_restricted) +
-      dedup_surcharge;
+      base.at(DivisionAlgorithm::kNaive);
+  const DivisionAlgorithm sort_agg =
+      stats.divisor_restricted ? DivisionAlgorithm::kSortAggregateWithJoin
+                               : DivisionAlgorithm::kSortAggregate;
+  const DivisionAlgorithm hash_agg =
+      stats.divisor_restricted ? DivisionAlgorithm::kHashAggregateWithJoin
+                               : DivisionAlgorithm::kHashAggregate;
+  choice.predicted_ms[sort_agg] = base.at(sort_agg) + dedup_surcharge;
+  choice.predicted_ms[hash_agg] = base.at(hash_agg) + dedup_surcharge;
 
   // Hash-division: check that divisor table + quotient table fit; predict
   // the §3.4 partitioned form (one extra partitioning read+write of the
-  // dividend) otherwise.
+  // dividend) otherwise, with enough clusters that each one's tables take
+  // half the memory.
   const double table_bytes =
       (stats.divisor_tuples + stats.quotient_estimate) * kHashEntryBytes +
       stats.quotient_estimate * (stats.divisor_tuples / 8);
   const double memory_bytes =
       stats.memory_pages * static_cast<double>(kPageSize);
-  double hash_div = model.HashDivisionCost(config);
+  choice.num_partitions = static_cast<size_t>(
+      std::max(2.0, 2 * table_bytes / std::max(1.0, memory_bytes)) + 1);
+  const double hash_div = base.at(DivisionAlgorithm::kHashDivision);
   if (table_bytes > 0.8 * memory_bytes) {
     choice.needs_partitioning = true;
     // Prefer the strategy that shrinks whichever table is oversized; the
@@ -110,9 +135,8 @@ AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
         stats.divisor_tuples * kHashEntryBytes > 0.5 * memory_bytes
             ? PartitionStrategy::kDivisor
             : PartitionStrategy::kQuotient;
-    hash_div += 2 * config.dividend_pages * units.sio_ms;  // partition pass
     choice.predicted_ms[DivisionAlgorithm::kHashDivisionPartitioned] =
-        hash_div;
+        hash_div + 2 * config.dividend_pages * units.sio_ms;  // partition pass
   } else {
     choice.predicted_ms[DivisionAlgorithm::kHashDivision] = hash_div;
   }
@@ -143,15 +167,8 @@ Result<std::unique_ptr<Operator>> PlanDivision(ExecContext* ctx,
   if (choice_out != nullptr) *choice_out = choice;
   DivisionOptions options = base_options;
   options.partition_strategy = choice.partition_strategy;
-  if (choice.needs_partitioning &&
-      choice.algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
-    const double memory_bytes =
-        stats.memory_pages * static_cast<double>(kPageSize);
-    const double table_bytes =
-        (stats.divisor_tuples + stats.quotient_estimate) * 96 +
-        stats.quotient_estimate * (stats.divisor_tuples / 8);
-    options.num_partitions = static_cast<size_t>(
-        std::max(2.0, 2 * table_bytes / std::max(1.0, memory_bytes)) + 1);
+  if (choice.algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
+    options.num_partitions = choice.num_partitions;
   }
   return MakeDivisionPlan(ctx, query, choice.algorithm, options);
 }

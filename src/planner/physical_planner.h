@@ -43,6 +43,14 @@ DivisionStats EstimateDivisionStats(const ResolvedDivision& resolved,
 /// ANALYZE can print the model's predictions beside measurements).
 AnalyticalConfig AnalyticalConfigFromStats(const DivisionStats& stats);
 
+/// Predicted total milliseconds per candidate algorithm under the §4
+/// analytical model — the columns of paper Table 2 for one parameter point.
+/// ChooseDivisionAlgorithm prices from these; EXPLAIN ANALYZE prints them
+/// beside measurements; tests tie them back to the PaperTable2 fixtures via
+/// AnalyticalConfig::Paper.
+std::map<DivisionAlgorithm, double> PredictAlgorithmCosts(
+    const AnalyticalConfig& config, const CostUnits& units = CostUnits{});
+
 /// Outcome of cost-based algorithm selection.
 struct AlgorithmChoice {
   DivisionAlgorithm algorithm = DivisionAlgorithm::kHashDivision;
@@ -54,6 +62,11 @@ struct AlgorithmChoice {
   /// because divisor + quotient tables exceed memory.
   bool needs_partitioning = false;
   PartitionStrategy partition_strategy = PartitionStrategy::kQuotient;
+  /// §3.4 partition count for the partitioned plan: enough clusters that
+  /// each holds about half the memory's worth of table, and at least 3.
+  /// Set whatever the chosen algorithm, because a re-plan or an optimizer
+  /// hint can still run the partitioned plan.
+  size_t num_partitions = 3;
 };
 
 /// Picks the cheapest applicable algorithm under the §4 cost model. This is

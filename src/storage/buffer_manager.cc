@@ -118,10 +118,13 @@ Result<char*> BufferManager::FixAttempt(uint64_t page_no, bool create,
   }
 
   // Grow the pool if possible; otherwise evict an unfixed frame.
-  while (pool_ != nullptr && !pool_->Reserve(kPageSize)) {
+  MemoryPool::Grant grant = MemoryPool::Grant::kGranted;
+  while (pool_ != nullptr && (grant = pool_->TryReserve(kPageSize)) !=
+                                 MemoryPool::Grant::kGranted) {
     RELDIV_ASSIGN_OR_RETURN(bool evicted, EvictOne());
     if (!evicted) {
-      *would_block = true;
+      // Waiting for a release helps only a budget that had no room.
+      *would_block = grant == MemoryPool::Grant::kExhausted;
       return Status::ResourceExhausted(
           "buffer pool: all frames fixed and memory pool exhausted");
     }
@@ -162,9 +165,9 @@ Result<char*> BufferManager::Fix(uint64_t page_no, bool create) {
     // condvar with mu_ DROPPED — the Release that frees budget comes from
     // another query's Unfix/Reset, which needs this manager's mutex — then
     // re-run the whole attempt (re-lookup included; the page may have
-    // arrived meanwhile). A denial while the pool has room is a forced
-    // failpoint denial: surface it immediately, as before.
-    if (timeout.count() <= 0 || pool_->HasSpaceFor(kPageSize)) return result;
+    // arrived meanwhile). A forced failpoint denial never sets
+    // would_block, so it surfaced above at once.
+    if (timeout.count() <= 0) return result;
     if (!deadline_set) {
       deadline = std::chrono::steady_clock::now() + timeout;
       deadline_set = true;

@@ -115,8 +115,9 @@ class BufferManager {
 
   /// One locked fix attempt. Counts statistics and fires the failpoint only
   /// when `first_attempt` (Fix classifies hit/miss once per call, however
-  /// many waits it takes). Sets `*would_block` instead of failing when the
-  /// pool is exhausted with nothing evictable, so Fix can wait unlocked.
+  /// many waits it takes). Sets `*would_block` when the pool is exhausted
+  /// (not failpoint-denied) with nothing evictable, so Fix can wait
+  /// unlocked.
   Result<char*> FixAttempt(uint64_t page_no, bool create, bool first_attempt,
                            bool* would_block);
 

@@ -9,15 +9,15 @@
 
 namespace reldiv {
 
-bool MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
-  if (RELDIV_FAILPOINT_DENIED("memory/reserve")) return false;
+MemoryPool::Grant MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
+  if (RELDIV_FAILPOINT_DENIED("memory/reserve")) return Grant::kForced;
   while (true) {
     {
       MutexLock lock(mu_);
       if (used_ + bytes <= budget_) {
         used_ += bytes;
         *used_after = used_;
-        return true;
+        return Grant::kGranted;
       }
     }
     // Reclaim with the pool unlocked: the reclaimer re-enters the buffer
@@ -32,14 +32,14 @@ bool MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
       if (used_ + bytes <= budget_) {
         used_ += bytes;
         *used_after = used_;
-        return true;
+        return Grant::kGranted;
       }
-      return false;
+      return Grant::kExhausted;
     }
   }
 }
 
-bool MemoryPool::Reserve(size_t bytes) {
+MemoryPool::Grant MemoryPool::TryReserve(size_t bytes) {
   // Grant latency covers the whole decision including reclaimer passes —
   // the §3.4 pressure signal. Clock reads only under kSampling.
   const bool sample = Telemetry::sampling();
@@ -47,10 +47,10 @@ bool MemoryPool::Reserve(size_t bytes) {
   if (sample) start = std::chrono::steady_clock::now();
 
   size_t used_after = 0;
-  const bool granted = ReserveInner(bytes, &used_after);
+  const Grant grant = ReserveInner(bytes, &used_after);
 
   if (Telemetry::counting()) {
-    if (granted) {
+    if (grant == Grant::kGranted) {
       static TelemetryGauge* high_water =
           MetricRegistry::Global().FindOrCreateGauge(
               metric_names::kMemHighWaterBytes);
@@ -72,7 +72,7 @@ bool MemoryPool::Reserve(size_t bytes) {
               .count()));
     }
   }
-  return granted;
+  return grant;
 }
 
 bool MemoryPool::WaitForSpace(
@@ -93,23 +93,26 @@ bool MemoryPool::WaitForSpace(
 
 Status MemoryPool::ReserveWithDeadline(size_t bytes,
                                        std::chrono::milliseconds timeout) {
-  if (Reserve(bytes)) return Status::OK();
+  Grant grant = TryReserve(bytes);
+  if (grant == Grant::kGranted) return Status::OK();
   if (Telemetry::counting()) {
     static TelemetryCounter* waits = MetricRegistry::Global().FindOrCreateCounter(
         metric_names::kMemGrantWaitsTotal);
     waits->Add(1);
   }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (true) {
-    // A denial with room in the pool is a forced failpoint denial or a lost
-    // race against a concurrent grant — waiting on the condvar would return
-    // immediately and degenerate into the busy spin this path replaces.
-    if (HasSpaceFor(bytes)) {
-      return Status::ResourceExhausted(
-          "memory grant of " + std::to_string(bytes) + " bytes denied");
-    }
-    if (!WaitForSpace(bytes, deadline)) break;
-    if (Reserve(bytes)) return Status::OK();
+  // Only exhaustion waits. It was decided under the pool lock, so a Release
+  // that lands after it is seen by WaitForSpace: a release racing the
+  // denial is never mistaken for a forced one.
+  while (grant == Grant::kExhausted && WaitForSpace(bytes, deadline)) {
+    grant = TryReserve(bytes);
+    if (grant == Grant::kGranted) return Status::OK();
+  }
+  // A forced denial fails at once: waiting on the condvar would return
+  // immediately and degenerate into a busy spin on the deadline.
+  if (grant == Grant::kForced) {
+    return Status::ResourceExhausted(
+        "memory grant of " + std::to_string(bytes) + " bytes denied");
   }
   if (Telemetry::counting()) {
     static TelemetryCounter* timeouts =
@@ -134,7 +137,9 @@ void* Arena::Allocate(size_t bytes) {
       const std::chrono::milliseconds timeout = pool_->wait_timeout();
       bool deadline_set = false;
       std::chrono::steady_clock::time_point deadline;
-      while (!pool_->Reserve(chunk_size)) {
+      MemoryPool::Grant grant = MemoryPool::Grant::kGranted;
+      while ((grant = pool_->TryReserve(chunk_size)) !=
+             MemoryPool::Grant::kGranted) {
         if (chunk_size > aligned) {
           // Adapt downward first: a small remaining budget should satisfy a
           // small allocation before anyone blocks.
@@ -146,8 +151,8 @@ void* Arena::Allocate(size_t bytes) {
         // pool's release condvar until another query frees memory or the
         // deadline passes (the old code re-polled Reserve in a busy spin,
         // letting two contending queries starve each other indefinitely).
-        // A denial with free space is failpoint-forced: also fail fast.
-        if (timeout.count() <= 0 || pool_->HasSpaceFor(chunk_size)) {
+        // A forced denial also fails fast: no release can lift it.
+        if (timeout.count() <= 0 || grant == MemoryPool::Grant::kForced) {
           return nullptr;
         }
         if (!deadline_set) {

@@ -34,19 +34,30 @@ class MemoryPool {
   MemoryPool(const MemoryPool&) = delete;
   MemoryPool& operator=(const MemoryPool&) = delete;
 
-  /// Claims `bytes` from the pool; false if that would exceed the budget.
-  /// On pressure, the registered reclaimer (the buffer manager shedding
-  /// unfixed frames — §5.1 "shrinks as buffer slots are unfixed") is invoked
-  /// repeatedly until enough space frees up or it reports nothing left.
-  /// Out-of-line: this is the "memory/reserve" failpoint, which forces a
-  /// denial to trigger §3.4 overflow handling at adversarial moments.
-  bool Reserve(size_t bytes);
+  /// Outcome of one grant attempt.
+  enum class Grant {
+    kGranted,
+    /// The budget had no room. Decided under the pool lock, so a Release
+    /// after it is seen by the next WaitForSpace.
+    kExhausted,
+    /// The "memory/reserve" failpoint denied it; no Release can lift that.
+    kForced,
+  };
 
-  /// Blocking grant for multi-query contention: Reserve(), and while the
-  /// pool is full, park on the condition variable Release() signals — no
-  /// busy spin — re-trying after each wakeup until `timeout` elapses, then
-  /// kResourceExhausted. A denial while the pool HAS room (the
-  /// "memory/reserve" failpoint, or a racing grant) also returns
+  /// Claims `bytes` from the pool, or reports why not. On pressure, the
+  /// registered reclaimer (the buffer manager shedding unfixed frames —
+  /// §5.1 "shrinks as buffer slots are unfixed") is invoked repeatedly
+  /// until enough space frees up or it reports nothing left. Out-of-line:
+  /// this is the "memory/reserve" failpoint, which forces a denial to
+  /// trigger §3.4 overflow handling at adversarial moments.
+  Grant TryReserve(size_t bytes);
+  /// TryReserve without the reason; false if the grant was refused.
+  bool Reserve(size_t bytes) { return TryReserve(bytes) == Grant::kGranted; }
+
+  /// Blocking grant for multi-query contention: TryReserve(), and while
+  /// the pool is exhausted, park on the condition variable Release()
+  /// signals — no busy spin — re-trying after each wakeup until `timeout`
+  /// elapses, then kResourceExhausted. A forced denial returns
   /// kResourceExhausted immediately rather than spinning on the deadline.
   Status ReserveWithDeadline(size_t bytes, std::chrono::milliseconds timeout);
 
@@ -58,14 +69,6 @@ class MemoryPool {
   /// budget comes from a concurrent Unfix that needs that mutex.
   bool WaitForSpace(size_t bytes,
                     std::chrono::steady_clock::time_point deadline);
-
-  /// True when `bytes` currently fits under the budget (snapshot; a racing
-  /// grant can take the space immediately after). Distinguishes a forced or
-  /// raced denial from genuine exhaustion on the waiting paths.
-  bool HasSpaceFor(size_t bytes) const {
-    MutexLock lock(mu_);
-    return used_ + bytes <= budget_;
-  }
 
   /// Deadline the blocking callers (BufferManager::Fix, Arena chunk growth)
   /// apply when a grant is denied and nothing is reclaimable. Zero — the
@@ -109,10 +112,10 @@ class MemoryPool {
   }
 
  private:
-  /// Grant/deny decision proper; Reserve wraps it with telemetry (denial
+  /// Grant/deny decision proper; TryReserve wraps it with telemetry (denial
   /// counter, high-water gauge, grant-latency histogram when sampling).
   /// `used_after` reports the pool usage right after a successful grant.
-  bool ReserveInner(size_t bytes, size_t* used_after);
+  Grant ReserveInner(size_t bytes, size_t* used_after);
 
   /// Guards used_ and waiters_ only; budget_ is immutable and reclaimer_ is
   /// set once at setup (see class comment).

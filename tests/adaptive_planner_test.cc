@@ -538,10 +538,11 @@ TEST_F(AdaptiveTriggerTest, QuotientGrowthLieAbandonsMidConsume) {
   EXPECT_GE(replans->value(), replans_before + 1);
 }
 
-TEST_F(AdaptiveTriggerTest, MemoryPressureDegradesThroughFallback) {
+TEST_F(AdaptiveTriggerTest, MemoryPressureDegradesStraightToPartitioned) {
   // No lies: the hash budget itself denies the build, which must degrade
-  // through the FallbackDivisionOperator restart path to the partitioned
-  // form.
+  // straight into partitioned hash-division with the caller's options. The
+  // denied in-memory attempt runs once: the adaptive run costs exactly one
+  // failed static hash-division plus one static partitioned run.
   WorkloadSpec spec;
   spec.divisor_cardinality = 8;
   spec.quotient_candidates = 40;
@@ -549,24 +550,47 @@ TEST_F(AdaptiveTriggerTest, MemoryPressureDegradesThroughFallback) {
   spec.seed = 7;
   Loaded data = Load(spec, "memlie");
   DivisionQuery query{data.dividend, data.divisor, {"divisor_id"}};
+  ExecContext* ctx = db_->ctx();
 
   TelemetryCounter* replans = MetricRegistry::Global().FindOrCreateCounter(
       metric_names::kReplansTotal, "trigger", "memory-pressure");
   const uint64_t replans_before = replans->value();
 
-  db_->ctx()->set_hash_memory_bytes(2 * 1024);
+  ctx->set_hash_memory_bytes(2 * 1024);
   AdaptiveOptions options;
   options.forced_initial = DivisionAlgorithm::kHashDivision;
   options.division.num_partitions = 8;
   std::vector<Tuple> rows = Run(query, options);
-  db_->ctx()->set_hash_memory_bytes(0);
+  const CpuCounters adaptive_delta = counter_delta_;
+
+  const CpuCounters before_failed = *ctx->counters();
+  Result<std::vector<Tuple>> failed =
+      Divide(ctx, query, DivisionAlgorithm::kHashDivision, options.division);
+  const CpuCounters failed_delta = *ctx->counters() - before_failed;
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsResourceExhausted());
+  const CpuCounters before_partitioned = *ctx->counters();
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<Tuple> partitioned,
+      Divide(ctx, query, DivisionAlgorithm::kHashDivisionPartitioned,
+             options.division));
+  const CpuCounters partitioned_delta =
+      *ctx->counters() - before_partitioned;
+  ctx->set_hash_memory_bytes(0);
 
   EXPECT_EQ(Sorted(std::move(rows)), data.expected);
+  EXPECT_EQ(Sorted(std::move(partitioned)), data.expected);
   ASSERT_TRUE(HasTrigger(ReplanTrigger::kMemoryPressure))
       << report_.ToLine();
   EXPECT_EQ(report_.final_algorithm,
             DivisionAlgorithm::kHashDivisionPartitioned);
   EXPECT_GE(replans->value(), replans_before + 1);
+  CpuCounters expected = failed_delta;
+  expected += partitioned_delta;
+  EXPECT_EQ(adaptive_delta.comparisons, expected.comparisons);
+  EXPECT_EQ(adaptive_delta.hashes, expected.hashes);
+  EXPECT_EQ(adaptive_delta.moves, expected.moves);
+  EXPECT_EQ(adaptive_delta.bit_ops, expected.bit_ops);
 }
 
 TEST_F(AdaptiveTriggerTest, DividendCardinalityLieDegradesSortAggToHashAgg) {

@@ -6,19 +6,20 @@
 /// ASan and TSan to prove the second half).
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
 #include "common/counters.h"
 #include "division/division.h"
-#include "division/fallback_division.h"
 #include "division/partitioned_hash_division.h"
 #include "exec/database.h"
 #include "gtest/gtest.h"
 #include "obs/event_log.h"
 #include "parallel/network.h"
 #include "parallel/parallel_hash_division.h"
+#include "planner/adaptive.h"
 #include "testing/failpoint.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -226,33 +227,29 @@ TEST_F(FaultInjectionTest, TransientMemoryDenialRecoversExactly) {
   }
 }
 
-// Degradation path of the tentpole: plain hash-division denied its memory
-// grant falls back to partitioned hash-division and completes exactly.
+// Degradation path: hash-division denied its memory grant degrades, at the
+// adaptive planner's memory-pressure checkpoint, to partitioned
+// hash-division and completes exactly.
 TEST_F(FaultInjectionTest, HashDivisionFallsBackWhenGrantDenied) {
-  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved, ResolveDivision(query_));
   ExecContext* ctx = db_->ctx();
   // A budget generous enough for every partitioned phase but far too small
   // for the whole quotient table at once.
   ctx->set_hash_memory_bytes(2 * 1024);
-  DivisionOptions options;
-  options.num_partitions = 8;
-  FallbackDivisionOperator op(ctx, resolved, options);
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(&op));
+  AdaptiveOptions options;
+  options.forced_initial = DivisionAlgorithm::kHashDivision;
+  options.use_stats_cache = false;
+  options.division.num_partitions = 8;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AdaptiveDivisionOperator> op,
+                       PlanAdaptiveDivision(ctx, query_, options));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(op.get()));
   ctx->set_hash_memory_bytes(0);
   EXPECT_EQ(Sorted(std::move(quotient)), workload_.expected_quotient);
-  EXPECT_TRUE(op.fallback_taken());
-  GaugeList gauges;
-  op.ExportGauges(&gauges);
-  bool saw_gauge = false;
-  for (const auto& [name, value] : gauges) {
-    if (name == "fallback_taken") {
-      saw_gauge = true;
-      EXPECT_EQ(value, 1.0);
-    }
-  }
-  EXPECT_TRUE(saw_gauge);
+  ASSERT_EQ(op->report().events.size(), 1u) << op->report().ToLine();
+  EXPECT_EQ(op->report().events[0].trigger, ReplanTrigger::kMemoryPressure);
+  EXPECT_EQ(op->report().final_algorithm,
+            DivisionAlgorithm::kHashDivisionPartitioned);
 
-  // Without the fallback the same budget is a hard failure.
+  // Static hash-division under the same budget is a hard failure.
   ctx->set_hash_memory_bytes(2 * 1024);
   DivisionOptions no_fallback;
   Result<std::vector<Tuple>> hard =

@@ -414,5 +414,56 @@ TEST(ExplainAnalyzeTest, FourAlgorithmsOnPaperConfiguration) {
             std::string::npos);
 }
 
+// EXPLAIN ANALYZE with the adaptive run on: a hash budget too small for the
+// in-memory tables makes the adaptive run degrade at its memory-pressure
+// checkpoint, and the report renders that chain as the run's "replan:" line
+// beside the static partitioned run.
+TEST(ExplainAnalyzeTest, AdaptiveRunRendersReplanLine) {
+  WorkloadSpec spec;
+  spec.divisor_cardinality = 8;
+  spec.quotient_candidates = 40;
+  spec.candidate_completeness = 0.5;
+  spec.seed = 7;
+  GeneratedWorkload workload = GenerateWorkload(spec);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
+  Relation dividend, divisor;
+  ASSERT_OK(LoadWorkload(db.get(), workload, "ead", &dividend, &divisor));
+  DivisionQuery query{dividend, divisor, {"divisor_id"}};
+
+  ExplainAnalyzeOptions options;
+  options.algorithms = {DivisionAlgorithm::kHashDivisionPartitioned};
+  options.division.num_partitions = 8;
+  options.adaptive = true;
+  options.adaptive_options.division.num_partitions = 8;
+  options.adaptive_options.forced_initial = DivisionAlgorithm::kHashDivision;
+  options.adaptive_options.use_stats_cache = false;
+  db->ctx()->set_hash_memory_bytes(2 * 1024);
+  ASSERT_OK_AND_ASSIGN(ExplainAnalyzeResult result,
+                       ExplainAnalyzeDivision(db->ctx(), query, options));
+  db->ctx()->set_hash_memory_bytes(0);
+  EXPECT_FALSE(db->ctx()->profiling());
+
+  ASSERT_EQ(result.runs.size(), 2u);
+  for (const ExplainedRun& run : result.runs) {
+    EXPECT_EQ(run.algorithm, DivisionAlgorithm::kHashDivisionPartitioned);
+    EXPECT_EQ(run.quotient_tuples, workload.expected_quotient.size());
+  }
+  EXPECT_TRUE(result.runs[0].replan_line.empty());
+  const ExplainedRun& adaptive = result.runs[1];
+  EXPECT_NE(adaptive.operator_tree.find("hash-division-partitioned"),
+            std::string::npos)
+      << adaptive.operator_tree;
+  const std::string replan =
+      "\n  replan: hash-division -> hash-division-partitioned "
+      "(memory-pressure at ";
+  EXPECT_NE(result.text.find(replan), std::string::npos) << result.text;
+  const std::string rows =
+      ", " + std::to_string(workload.expected_quotient.size()) + " rows]";
+  const size_t adaptive_header = result.text.find("\nadaptive  [predicted ");
+  ASSERT_NE(adaptive_header, std::string::npos) << result.text;
+  EXPECT_LT(result.text.find(rows, adaptive_header), result.text.find(replan))
+      << result.text;
+}
+
 }  // namespace
 }  // namespace reldiv

@@ -189,61 +189,105 @@ TEST_F(PartitionedDivisionTest, CollectionOverflowSplitsInsteadOfRestarting) {
   EXPECT_EQ(op.restarts(), 0u);
 }
 
-TEST_F(PartitionedDivisionTest, RangePartitioningMatchesHashPartitioning) {
-  DatabaseOptions options;
-  options.pool_bytes = 0;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open(options));
+// Pins the operator's observable behaviour: for each strategy, and under
+// hash budgets that force each overflow recovery (a recursive split, the
+// escalation from quotient to combined partitioning, restarts with doubled
+// partitions), the quotient in emission order, the Table 1 counters, the
+// disk transfers and the recovery gauges. The run is serial (dop 1) so the
+// transfers follow one schedule, and each case gets a fresh database with
+// a 64 KiB pool, so spill files really reach the disk.
+TEST_F(PartitionedDivisionTest, GoldenRunsPinEveryStrategyAndRecovery) {
+  struct Case {
+    const char* name;
+    PartitionStrategy strategy;
+    size_t num_partitions;
+    size_t num_quotient_subpartitions;
+    size_t hash_memory_bytes;
+    std::vector<int64_t> quotient;  // quotient_id in emission order
+    CpuCounters counters;
+    uint64_t read_transfers;
+    uint64_t write_transfers;
+    uint64_t seeks;
+    double phases_run, repartitions, escalations, restarts;
+  };
+  const Case cases[] = {
+      {"quotient", PartitionStrategy::kQuotient, 4, 0, 0,
+       {8, 7, 5, 9, 1, 6, 3, 4, 2, 0}, {534, 655, 0, 289}, 2, 0, 2,
+       4, 0, 0, 0},
+      {"quotient+repartition", PartitionStrategy::kQuotient, 4, 0, 800,
+       {8, 7, 5, 9, 6, 1, 0, 4, 2, 3}, {1095, 1734, 0, 410}, 4, 14, 18,
+       12, 8, 0, 0},
+      {"quotient+escalation", PartitionStrategy::kQuotient, 4, 0, 500,
+       {6, 9, 5, 8, 7, 0, 1, 4, 2, 3}, {1845, 3946, 0, 773}, 21, 115, 136,
+       35, 51, 1, 0},
+      {"divisor", PartitionStrategy::kDivisor, 2, 0, 0,
+       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {499, 735, 0, 424}, 2, 0, 2,
+       2, 0, 0, 0},
+      {"divisor+restart", PartitionStrategy::kDivisor, 2, 0, 2800,
+       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {1223, 2148, 0, 1054}, 12, 19, 31,
+       4, 0, 0, 2},
+      {"combined", PartitionStrategy::kCombined, 2, 2, 0,
+       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {556, 954, 0, 424}, 3, 4, 7,
+       4, 0, 0, 0},
+      {"combined+repartition", PartitionStrategy::kCombined, 2, 2, 1000,
+       {6, 5, 8, 9, 1, 7, 0, 3, 2, 4}, {1135, 2246, 0, 620}, 7, 23, 30,
+       10, 8, 0, 0},
+  };
   WorkloadSpec spec;
-  spec.divisor_cardinality = 12;
-  spec.quotient_candidates = 90;
-  spec.candidate_completeness = 0.4;
-  spec.nonmatching_tuples = 40;
-  spec.dividend_duplicates = 10;
-  spec.seed = 33;
-  GeneratedWorkload workload = GenerateWorkload(spec);
-  Relation dividend, divisor;
-  ASSERT_OK(LoadWorkload(db.get(), workload, "rng", &dividend, &divisor));
-  DivisionQuery query{dividend, divisor, {"divisor_id"}};
-  for (PartitionStrategy strategy :
-       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor}) {
-    for (size_t partitions : {1, 4, 9}) {
-      DivisionOptions div_options;
-      div_options.partition_strategy = strategy;
-      div_options.partition_function = PartitionFunction::kRange;
-      div_options.num_partitions = partitions;
-      ASSERT_OK_AND_ASSIGN(
-          std::vector<Tuple> quotient,
-          Divide(db->ctx(), query,
-                 DivisionAlgorithm::kHashDivisionPartitioned, div_options));
-      EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient)
-          << (strategy == PartitionStrategy::kQuotient ? "quotient"
-                                                       : "divisor")
-          << " range partitioning, " << partitions << " partitions";
-    }
-  }
-}
+  spec.divisor_cardinality = 8;
+  spec.quotient_candidates = 40;
+  spec.candidate_completeness = 0.25;
+  spec.nonmatching_tuples = 10;
+  spec.dividend_duplicates = 5;
+  spec.seed = 23;
+  const GeneratedWorkload workload = GenerateWorkload(spec);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DatabaseOptions options;
+    options.pool_bytes = 64 * 1024;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                         Database::Open(options));
+    Relation dividend, divisor;
+    ASSERT_OK(LoadWorkload(db.get(), workload, "g", &dividend, &divisor));
+    ASSERT_OK(db->buffer_manager()->FlushAll());
+    ASSERT_OK(db->buffer_manager()->DropAll());
+    ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved,
+                         ResolveDivision(DivisionQuery{
+                             dividend, divisor, {"divisor_id"}}));
+    ExecContext* ctx = db->ctx();
+    ctx->set_dop(1);
+    ctx->set_hash_memory_bytes(c.hash_memory_bytes);
+    DivisionOptions div_options;
+    div_options.partition_strategy = c.strategy;
+    div_options.num_partitions = c.num_partitions;
+    div_options.num_quotient_subpartitions = c.num_quotient_subpartitions;
+    const CpuCounters cpu_before = *ctx->counters();
+    const DiskStats io_before = ctx->disk()->stats();
+    PartitionedHashDivisionOperator op(ctx, resolved, div_options);
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(&op));
+    const CpuCounters cpu = *ctx->counters() - cpu_before;
+    const DiskStats io = ctx->disk()->stats() - io_before;
 
-TEST_F(PartitionedDivisionTest, RangePartitioningRejectsNonIntAttribute) {
-  DatabaseOptions options;
-  options.pool_bytes = 0;
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open(options));
-  Schema dividend_schema{Field{"q", ValueType::kString},
-                         Field{"d", ValueType::kInt64}};
-  Schema divisor_schema{Field{"d", ValueType::kInt64}};
-  ASSERT_OK_AND_ASSIGN(Relation dividend,
-                       db->CreateTable("sd", dividend_schema));
-  ASSERT_OK_AND_ASSIGN(Relation divisor, db->CreateTable("ss", divisor_schema));
-  ASSERT_OK(db->Insert("sd", Tuple{Value::String("x"), Value::Int64(1)}));
-  ASSERT_OK(db->Insert("ss", Tuple{Value::Int64(1)}));
-  DivisionQuery query{dividend, divisor, {"d"}};
-  DivisionOptions div_options;
-  div_options.partition_strategy = PartitionStrategy::kQuotient;
-  div_options.partition_function = PartitionFunction::kRange;
-  auto result = Divide(db->ctx(), query,
-                       DivisionAlgorithm::kHashDivisionPartitioned,
-                       div_options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
+    std::vector<int64_t> ids;
+    for (const Tuple& tuple : quotient) ids.push_back(tuple.value(0).int64());
+    EXPECT_EQ(ids, c.quotient);
+    EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
+    EXPECT_EQ(cpu.comparisons, c.counters.comparisons);
+    EXPECT_EQ(cpu.hashes, c.counters.hashes);
+    EXPECT_EQ(cpu.moves, c.counters.moves);
+    EXPECT_EQ(cpu.bit_ops, c.counters.bit_ops);
+    EXPECT_EQ(io.read_transfers, c.read_transfers);
+    EXPECT_EQ(io.write_transfers, c.write_transfers);
+    EXPECT_EQ(io.seeks, c.seeks);
+    GaugeList gauges;
+    op.ExportGauges(&gauges);
+    const GaugeList expected_gauges = {
+        {metric_names::kGaugePhasesRun, c.phases_run},
+        {metric_names::kGaugeRepartitions, c.repartitions},
+        {metric_names::kGaugeEscalations, c.escalations},
+        {metric_names::kGaugeRestarts, c.restarts}};
+    EXPECT_EQ(gauges, expected_gauges);
+  }
 }
 
 TEST_F(PartitionedDivisionTest, SinglePartitionDegeneratesToPlain) {

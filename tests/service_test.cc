@@ -18,6 +18,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk.h"
 #include "storage/memory_manager.h"
+#include "testing/failpoint.h"
 #include "tests/test_util.h"
 
 namespace reldiv {
@@ -93,6 +94,18 @@ TEST(MemoryPoolGrantTest, TwoQueriesContendOverOnePageBudget) {
   EXPECT_EQ(completed.load(), 2);
   EXPECT_EQ(pool.used(), 0u);
   EXPECT_LE(max_used.load(), pool.budget()) << "grants exceeded the budget";
+}
+
+TEST(MemoryPoolGrantTest, ForcedDenialFailsFastInsteadOfWaiting) {
+  // A failpoint denial is not exhaustion: no release can lift it, so the
+  // grant fails at once instead of waiting out the deadline.
+  MemoryPool pool(kPageSize);
+  ScopedFailpoint always("memory/reserve", FailpointPolicy::Always());
+  const auto start = steady_clock::now();
+  Status denied = pool.ReserveWithDeadline(kPageSize, milliseconds(5000));
+  EXPECT_TRUE(denied.IsResourceExhausted()) << denied.ToString();
+  EXPECT_LT(steady_clock::now() - start, milliseconds(1000));
+  EXPECT_EQ(pool.used(), 0u);
 }
 
 TEST(MemoryPoolGrantTest, TortureEightThreadsUsedNeverExceedsBudget) {

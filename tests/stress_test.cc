@@ -9,9 +9,9 @@
 
 #include "common/rng.h"
 #include "division/division.h"
-#include "division/fallback_division.h"
 #include "exec/database.h"
 #include "gtest/gtest.h"
+#include "planner/adaptive.h"
 #include "testing/failpoint.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
@@ -128,21 +128,25 @@ TEST(StressSingle, RepeatedQueriesReuseTheSameDatabase) {
   EXPECT_EQ(db->pool()->used(), 0u);
 }
 
-/// Hash-division under the §3.4 memory-pressure restart, as the adaptive
-/// planner runs it.
-Result<std::vector<Tuple>> DivideWithFallback(ExecContext* ctx,
-                                              const DivisionQuery& query,
-                                              const DivisionOptions& options) {
-  RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved, ResolveDivision(query));
-  FallbackDivisionOperator op(ctx, resolved, options);
-  return CollectAll(&op, ctx->batch_capacity());
+/// Hash-division under the adaptive planner, whose memory-pressure
+/// checkpoint degrades a denied build to partitioned hash-division (§3.4).
+Result<std::vector<Tuple>> DivideAdaptively(ExecContext* ctx,
+                                            const DivisionQuery& query,
+                                            const DivisionOptions& options) {
+  AdaptiveOptions adaptive;
+  adaptive.division = options;
+  adaptive.forced_initial = DivisionAlgorithm::kHashDivision;
+  RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveDivisionOperator> op,
+                          PlanAdaptiveDivision(ctx, query, adaptive));
+  return CollectAll(op.get(), ctx->batch_capacity());
 }
 
 // Randomized failpoint-schedule fuzzer: each iteration draws a schedule
 // (which sites, which trigger policies, which error codes) and one of the
 // seven algorithms from a seeded Rng, then demands the differential
 // contract — either the exact reference quotient (the faults were absorbed
-// by eviction, fallback, or restart) or a clean non-OK Status at the root.
+// by eviction, the memory-pressure degrade, or a restart) or a clean non-OK
+// Status at the root.
 // The faults stage of tools/check_all.sh reruns this under ASan/TSan, which
 // upgrades "clean" to "no leak, no use-after-free, no race". Iteration
 // count can be raised via RELDIV_STRESS_ITERS; the seed of a failing
@@ -221,13 +225,17 @@ TEST(FailpointFuzz, RandomSchedulesEndInExactQuotientOrCleanError) {
         algorithm == DivisionAlgorithm::kSortAggregateWithJoin ||
         algorithm == DivisionAlgorithm::kHashAggregateWithJoin;
     div_options.num_partitions = 4;
-    // On the coin, hash-division runs inside the §3.4 memory-pressure
-    // restart (FallbackDivisionOperator) instead of the plain plan.
-    const bool with_fallback = rng.Chance(50);
+    // On the coin, hash-division runs under the adaptive planner, whose
+    // memory-pressure checkpoint degrades to the §3.4 partitioned plan,
+    // instead of the plain plan. Its stats cache is keyed by store
+    // addresses, which a fresh database may reuse: cleared, a seed
+    // reproduces when run alone.
+    const bool adaptive = rng.Chance(50);
+    DivisionStatsCache::Global().Clear();
     const DivisionQuery query{dividend, divisor, {"divisor_id"}};
     Result<std::vector<Tuple>> result =
-        with_fallback && algorithm == DivisionAlgorithm::kHashDivision
-            ? DivideWithFallback(db->ctx(), query, div_options)
+        adaptive && algorithm == DivisionAlgorithm::kHashDivision
+            ? DivideAdaptively(db->ctx(), query, div_options)
             : Divide(db->ctx(), query, algorithm, div_options);
     FailpointRegistry::Global().DisarmAll();
 

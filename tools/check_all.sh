@@ -65,7 +65,9 @@
 #                               grant waits, cancellation unwinds, and
 #                               incremental cache maintenance must stay
 #                               correct and race-free at every worker
-#                               count; DESIGN.md §16)
+#                               count; plus the memory-pool grant tests
+#                               repeated 2000x under release and TSan;
+#                               DESIGN.md §16)
 #
 # Every stage is timed; the summary prints a per-stage wall-clock table.
 # Exits nonzero if ANY stage fails, so it can gate CI directly. Stage
@@ -305,6 +307,15 @@ if [[ "$QUICK" == "0" ]]; then
       echo "-- service suites under tsan, RELDIV_THREADS=$threads"
       RELDIV_THREADS="$threads" ctest --preset tsan \
         -R '(service_test|quotient_cache_test)' || rc=1
+    done
+    # The grant race (a release landing between a denial and the waiter's
+    # decision to wait) shows up only over many runs; repeat the pool's
+    # grant tests under the release and tsan builds so it stays fixed.
+    local dir
+    for dir in build build-tsan; do
+      echo "-- MemoryPoolGrantTest x2000 under $dir"
+      "$dir/tests/service_test" --gtest_filter='MemoryPoolGrantTest.*' \
+        --gtest_repeat=2000 --gtest_brief=1 || rc=1
     done
     return "$rc"
   }
