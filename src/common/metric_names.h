@@ -40,6 +40,7 @@ inline constexpr char kWrites[] = "writes";
 inline constexpr char kGaugeBitmapFillRatio[] = "bitmap_fill_ratio";
 inline constexpr char kGaugeDivisorCount[] = "divisor_count";
 inline constexpr char kGaugeQuotientCandidates[] = "quotient_candidates";
+inline constexpr char kGaugeQuotientBuckets[] = "quotient_buckets";
 inline constexpr char kGaugeHashMemoryBytes[] = "hash_memory_bytes";
 inline constexpr char kGaugeEarlyOutputHits[] = "early_output_hits";
 inline constexpr char kGaugeParallelFragments[] = "parallel_fragments";

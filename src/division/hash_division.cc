@@ -153,6 +153,7 @@ Status HashDivisionCore::ResetQuotientTable(uint64_t expected_cardinality) {
   quotient_table_ = std::make_unique<TupleHashTable>(
       ctx_, quotient_arena_.get(), std::move(stored_keys),
       TupleHashTable::BucketsFor(hint == 0 ? 1024 : hint));
+  quotient_table_->set_growable(hint == 0);
   return Status::OK();
 }
 
@@ -446,8 +447,12 @@ Status DivideFragments(ExecContext* ctx,
         HashDivisionCore fragment_core(fctx, match_attrs, quotient_attrs,
                                        options);
         fragment_core.BorrowDivisorTable(shared_core);
-        // Size the fragment's quotient table from its own row count — the
-        // query-wide hint would oversize every fragment F-fold.
+        // Size the fragment's quotient table from its own row count, not
+        // the unhinted default that grows with the candidates: the fragment
+        // index is hash % F and the bucket index hash % B, so with a
+        // power-of-two B a fragment's candidates reach only B/F buckets,
+        // and a table grown to 2 candidates per bucket would still run
+        // F-fold longer chains.
         uint64_t hint = rows[f];
         if (options.expected_quotient_cardinality != 0) {
           hint = std::min<uint64_t>(hint,
@@ -604,6 +609,8 @@ void HashDivisionOperator::ExportGauges(GaugeList* gauges) const {
   const double candidates = static_cast<double>(core_->quotient_candidates());
   gauges->emplace_back(metric_names::kGaugeDivisorCount, divisor);
   gauges->emplace_back(metric_names::kGaugeQuotientCandidates, candidates);
+  gauges->emplace_back(metric_names::kGaugeQuotientBuckets,
+                       static_cast<double>(core_->quotient_buckets()));
   gauges->emplace_back(metric_names::kGaugeHashMemoryBytes,
                        static_cast<double>(core_->memory_bytes()));
   const double cells = divisor * candidates;

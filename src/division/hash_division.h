@@ -56,7 +56,12 @@ class HashDivisionCore {
   void BorrowDivisorTable(const HashDivisionCore& owner);
 
   /// Prepares an empty quotient table (step 2 state). May be called again
-  /// to start a new phase; the previous table's memory is released.
+  /// to start a new phase; the previous table's memory is released. A
+  /// cardinality hint (the argument, else
+  /// DivisionOptions::expected_quotient_cardinality) fixes the bucket count
+  /// for an average bucket size of 2. Without one the table starts at 512
+  /// buckets and doubles whenever it holds more than 2 candidates per
+  /// bucket.
   Status ResetQuotientTable(uint64_t expected_cardinality = 0);
 
   /// Step 2, one dividend tuple. With early output enabled, quotient tuples
@@ -78,6 +83,9 @@ class HashDivisionCore {
   uint64_t divisor_count() const { return divisor_count_; }
   size_t quotient_candidates() const {
     return quotient_table_ == nullptr ? 0 : quotient_table_->size();
+  }
+  size_t quotient_buckets() const {
+    return quotient_table_ == nullptr ? 0 : quotient_table_->num_buckets();
   }
   size_t memory_bytes() const {
     return divisor_arena_.bytes_allocated() + borrowed_divisor_bytes_ +
@@ -217,8 +225,9 @@ class HashDivisionOperator : public Operator {
   }
   Status Close() override;
 
-  /// Divisor cardinality, quotient candidates, table memory, bit-map fill
-  /// ratio, and (with early output) eager emissions. Live only while the
+  /// Divisor cardinality, quotient candidates and buckets (their ratio is
+  /// the load factor the query ran at), table memory, bit-map fill ratio,
+  /// and (with early output) eager emissions. Live only while the
   /// core exists, i.e. between Open() and Close().
   void ExportGauges(GaugeList* gauges) const override;
 

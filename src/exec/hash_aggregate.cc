@@ -38,6 +38,7 @@ Status HashAggregateOperator::Open() {
                              : TupleHashTable::BucketsFor(expected_groups_);
   table_ = std::make_unique<TupleHashTable>(ctx_, arena_.get(),
                                             std::move(stored_keys), buckets);
+  table_->set_growable(expected_groups_ == 0);
   states_.clear();
   group_order_.clear();
   emit_pos_ = 0;

@@ -19,7 +19,8 @@ namespace reldiv {
 /// Output order is hash-table bucket order.
 class HashAggregateOperator : public Operator {
  public:
-  /// `expected_groups` sizes the hash table (0 = default).
+  /// `expected_groups` fixes the hash table's size; 0 starts it at 1,024
+  /// buckets and lets it double at more than 2 groups per bucket.
   HashAggregateOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                         std::vector<size_t> group_indices,
                         std::vector<AggSpec> aggs,

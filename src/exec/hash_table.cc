@@ -50,7 +50,22 @@ Result<TupleHashTable::Entry*> TupleHashTable::InsertIntoBucket(
   entry->next = buckets_[bucket];
   buckets_[bucket] = entry;
   size_++;
+  if (growable_ && size_ > 2 * buckets_.size()) Rehash(2 * buckets_.size());
   return entry;
+}
+
+void TupleHashTable::Rehash(size_t num_buckets) {
+  std::vector<Entry*> old = std::move(buckets_);
+  buckets_.assign(num_buckets == 0 ? 1 : num_buckets, nullptr);
+  for (Entry* head : old) {
+    for (Entry* e = head; e != nullptr;) {
+      Entry* next = e->next;
+      Entry*& bucket = buckets_[e->hash % buckets_.size()];
+      e->next = bucket;
+      bucket = e;
+      e = next;
+    }
+  }
 }
 
 Result<TupleHashTable::Entry*> TupleHashTable::Insert(Tuple tuple) {

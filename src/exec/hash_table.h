@@ -38,9 +38,12 @@ class TupleHashTable {
     uint64_t* extra = nullptr;
   };
 
-  /// `key_indices`: the stored tuples' key columns. `num_buckets` is fixed
-  /// for the table's lifetime (the paper sizes tables for an average bucket
-  /// size of ~2 and handles overflow by partitioning, not rehashing).
+  /// `key_indices`: the stored tuples' key columns. `num_buckets` is the
+  /// initial bucket count; it changes only through Rehash, or by growth once
+  /// set_growable(true) is called. Memory overflow is never answered by
+  /// resizing: the paper sizes tables for an average bucket size of ~2
+  /// (hbs) and handles overflow by partitioning (§3.4). Bucket arrays are
+  /// not charged to the Arena, so resizing moves no overflow point.
   TupleHashTable(ExecContext* ctx, Arena* arena,
                  std::vector<size_t> key_indices, size_t num_buckets);
 
@@ -192,6 +195,20 @@ class TupleHashTable {
     }
   }
 
+  /// Relinks every entry into a fresh array of `num_buckets` buckets by its
+  /// memoized hash. Hashes no key and compares no key, so it charges no
+  /// Table 1 counter. Tuples and entries stay where they are: Entry*
+  /// pointers held by callers remain valid. Must not run while the table is
+  /// shared (FindCounted).
+  void Rehash(size_t num_buckets);
+
+  /// For tables built without a cardinality hint: an insert that leaves more
+  /// than 2 entries per bucket on average doubles the bucket array
+  /// (Rehash), so chains stay at the paper's hbs = 2. Growth depends only on
+  /// the number of inserts, so counters stay identical across batch sizes
+  /// and lanes. A hinted table keeps its size.
+  void set_growable(bool growable) { growable_ = growable; }
+
   size_t size() const { return size_; }
   size_t num_buckets() const { return buckets_.size(); }
   Arena* arena() const { return arena_; }
@@ -232,6 +249,7 @@ class TupleHashTable {
   std::vector<Entry*> buckets_;
   std::deque<Tuple> tuples_;  ///< owns tuple storage (strings not arena-safe)
   size_t size_ = 0;
+  bool growable_ = false;
 };
 
 }  // namespace reldiv

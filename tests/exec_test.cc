@@ -165,6 +165,51 @@ TEST_F(ExecTest, CountersAccumulateAcrossOperators) {
   EXPECT_GT(db_->counters()->comparisons, 0u);
 }
 
+TEST_F(ExecTest, HashTableRehashRelinksWithoutCounting) {
+  Arena arena(nullptr);
+  TupleHashTable table(db_->ctx(), &arena, {0}, 16);
+  std::vector<TupleHashTable::Entry*> entries;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_OK_AND_ASSIGN(TupleHashTable::Entry * e, table.Insert(T(i, i)));
+    entries.push_back(e);
+  }
+  const CpuCounters before = *db_->counters();
+  table.Rehash(64);
+  // Relinking reuses the memoized hashes: no key is hashed or compared.
+  EXPECT_EQ(db_->counters()->hashes, before.hashes);
+  EXPECT_EQ(db_->counters()->comparisons, before.comparisons);
+  EXPECT_EQ(table.num_buckets(), 64u);
+  EXPECT_EQ(table.size(), 100u);
+  // Entries do not move, so pointers taken before the rehash stay valid.
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(table.Find(T(i, 0), {0}), entries[i]) << i;
+  }
+  size_t visited = 0;
+  table.ForEach([&](TupleHashTable::Entry*) {
+    visited++;
+    return true;
+  });
+  EXPECT_EQ(visited, 100u);
+}
+
+TEST_F(ExecTest, GrowableHashTableKeepsTwoEntriesPerBucket) {
+  Arena arena(nullptr);
+  TupleHashTable fixed(db_->ctx(), &arena, {0}, 16);
+  TupleHashTable growable(db_->ctx(), &arena, {0}, 16);
+  growable.set_growable(true);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_OK_AND_ASSIGN(TupleHashTable::Entry * e, fixed.Insert(T(i, i)));
+    ASSERT_OK_AND_ASSIGN(e, growable.Insert(T(i, i)));
+    (void)e;
+    EXPECT_LE(growable.size(), 2 * growable.num_buckets()) << i;
+  }
+  EXPECT_EQ(fixed.num_buckets(), 16u);
+  EXPECT_EQ(growable.num_buckets(), 64u);  // doubled at 33 and 65 entries
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_NE(growable.Find(T(i, 0), {0}), nullptr) << i;
+  }
+}
+
 TEST_F(ExecTest, BucketsForTargetsAverageChainOfTwo) {
   EXPECT_EQ(TupleHashTable::BucketsFor(16), 16u);    // min
   EXPECT_EQ(TupleHashTable::BucketsFor(100), 64u);   // ~2 per bucket

@@ -231,5 +231,109 @@ TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
   }
 }
 
+// Quotient-table growth: 5,000 candidates over a 4-tuple divisor, every
+// seventh candidate missing one divisor value. Rows arrive divisor-major, so
+// every candidate is created before any is revisited.
+constexpr int64_t kGrowthCandidates = 5000;
+
+std::vector<Tuple> GrowthDividend() {
+  std::vector<Tuple> rows;
+  for (int64_t d = 0; d < 4; ++d) {
+    for (int64_t q = 0; q < kGrowthCandidates; ++q) {
+      if (d == 3 && q % 7 == 0) continue;
+      rows.push_back(T(q, d));
+    }
+  }
+  return rows;
+}
+
+struct GrowthRun {
+  std::vector<Tuple> quotient;  ///< in emission (bucket) order
+  CpuCounters cpu;              ///< step 2 and step 3
+  size_t candidates = 0;
+  size_t buckets = 0;
+};
+
+/// Divides GrowthDividend() by {0..3} through the tuple lane (Consume) when
+/// `batch_capacity` is 0, else through ConsumeBatch at that capacity.
+GrowthRun DivideForGrowth(ExecContext* ctx, size_t batch_capacity,
+                          uint64_t quotient_hint) {
+  GrowthRun run;
+  HashDivisionCore core(ctx, {1}, {0}, DivisionOptions{});
+  MemSourceOperator divisor(Schema{Field{"d", ValueType::kInt64}},
+                            {T(0), T(1), T(2), T(3)});
+  EXPECT_OK(core.BuildDivisorTable(&divisor));
+  EXPECT_OK(core.ResetQuotientTable(quotient_hint));
+  const CpuCounters before = *ctx->counters();
+  const std::vector<Tuple> rows = GrowthDividend();
+  if (batch_capacity == 0) {
+    for (const Tuple& row : rows) EXPECT_OK(core.Consume(row, nullptr));
+  } else {
+    TupleBatch batch(batch_capacity);
+    for (const Tuple& row : rows) {
+      if (batch.full()) {
+        EXPECT_OK(core.ConsumeBatch(batch, nullptr));
+        batch.Clear();
+      }
+      batch.PushBack(row);
+    }
+    EXPECT_OK(core.ConsumeBatch(batch, nullptr));
+  }
+  EXPECT_OK(core.EmitComplete(&run.quotient));
+  run.cpu = *ctx->counters() - before;
+  run.candidates = core.quotient_candidates();
+  run.buckets = core.quotient_buckets();
+  return run;
+}
+
+TEST_F(HashDivisionCoreTest, UnhintedQuotientTableGrowsToAverageBucketSizeTwo) {
+  const GrowthRun grown = DivideForGrowth(db_->ctx(), 1024, 0);
+  EXPECT_EQ(grown.candidates, static_cast<size_t>(kGrowthCandidates));
+  EXPECT_EQ(grown.quotient.size(),
+            static_cast<size_t>(kGrowthCandidates - kGrowthCandidates / 7 - 1));
+  EXPECT_GT(grown.buckets, 512u);
+  EXPECT_LE(grown.candidates, 2 * grown.buckets);
+  // Table 1 prices a probe at hbs = 2. Per dividend tuple: about one Comp in
+  // the divisor table plus a walk along a quotient chain of average length
+  // <= 2 (2.8 in all). The fixed 512 buckets that the hint 1,024 gives run
+  // chains of about 10 and need 6.9.
+  const double rows = static_cast<double>(GrowthDividend().size());
+  constexpr double kMaxCompsPerTuple = 3.5;
+  EXPECT_LE(static_cast<double>(grown.cpu.comparisons) / rows,
+            kMaxCompsPerTuple);
+  const GrowthRun fixed = DivideForGrowth(db_->ctx(), 1024, 1024);
+  EXPECT_EQ(fixed.buckets, 512u);
+  EXPECT_GT(static_cast<double>(fixed.cpu.comparisons) / rows,
+            kMaxCompsPerTuple);
+  // Growth relinks memoized hashes: it adds no Hash and no bit operation.
+  EXPECT_EQ(grown.cpu.hashes, fixed.cpu.hashes);
+  EXPECT_EQ(grown.cpu.bit_ops, fixed.cpu.bit_ops);
+  EXPECT_EQ(Sorted(grown.quotient), Sorted(fixed.quotient));
+}
+
+TEST_F(HashDivisionCoreTest, GrowthIsIdenticalAcrossLanesAndBatchSizes) {
+  // Growth depends only on how many candidates were inserted, so the
+  // quotient (in emission order) and every Table 1 counter are the same
+  // through the tuple lane and the batch lane at any capacity.
+  const GrowthRun tuple_lane = DivideForGrowth(db_->ctx(), 0, 0);
+  EXPECT_GT(tuple_lane.buckets, 512u);
+  for (const size_t capacity : {1u, 7u, 1024u}) {
+    SCOPED_TRACE(capacity);
+    const GrowthRun batch_lane = DivideForGrowth(db_->ctx(), capacity, 0);
+    EXPECT_EQ(batch_lane.quotient, tuple_lane.quotient);
+    EXPECT_EQ(batch_lane.cpu.comparisons, tuple_lane.cpu.comparisons);
+    EXPECT_EQ(batch_lane.cpu.hashes, tuple_lane.cpu.hashes);
+    EXPECT_EQ(batch_lane.cpu.moves, tuple_lane.cpu.moves);
+    EXPECT_EQ(batch_lane.cpu.bit_ops, tuple_lane.cpu.bit_ops);
+    EXPECT_EQ(batch_lane.buckets, tuple_lane.buckets);
+  }
+}
+
+TEST_F(HashDivisionCoreTest, ExplicitHintFixesTheQuotientTableSize) {
+  const GrowthRun hinted = DivideForGrowth(db_->ctx(), 1024, 16);
+  EXPECT_EQ(hinted.candidates, static_cast<size_t>(kGrowthCandidates));
+  EXPECT_EQ(hinted.buckets, 16u);
+}
+
 }  // namespace
 }  // namespace reldiv

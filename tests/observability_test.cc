@@ -349,6 +349,46 @@ TEST(ExplainPredictionTest, MatchesPaperTable2OnAllCells) {
   }
 }
 
+// A hash-division plan without a quotient-cardinality hint grows its
+// quotient table past the 512-bucket start; the profile shows the bucket
+// count the query ran at beside its candidates.
+TEST(ProfileGaugesTest, GrownQuotientTableReportsItsBuckets) {
+  WorkloadSpec spec;
+  spec.divisor_cardinality = 4;
+  spec.quotient_candidates = 3000;
+  spec.seed = 5;
+  GeneratedWorkload workload = GenerateWorkload(spec);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
+  Relation dividend, divisor;
+  ASSERT_OK(LoadWorkload(db.get(), workload, "grow", &dividend, &divisor));
+  ExecContext* ctx = db->ctx();
+  ctx->set_profiling(true);
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<Operator> plan,
+      MakeDivisionPlan(ctx, DivisionQuery{dividend, divisor, {"divisor_id"}},
+                       DivisionAlgorithm::kHashDivision));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(plan.get()));
+  EXPECT_EQ(quotient.size(), workload.expected_quotient.size());
+
+  ASSERT_NE(ctx->profile(), nullptr);
+  ASSERT_EQ(ctx->profile()->roots().size(), 1u);
+  std::map<std::string, double> gauges;
+  for (const auto& [name, value] : ctx->profile()->roots()[0]->metrics().gauges) {
+    gauges[name] = value;
+  }
+  ASSERT_TRUE(gauges.count(metric_names::kGaugeQuotientCandidates));
+  ASSERT_TRUE(gauges.count(metric_names::kGaugeQuotientBuckets));
+  const double candidates = gauges[metric_names::kGaugeQuotientCandidates];
+  const double buckets = gauges[metric_names::kGaugeQuotientBuckets];
+  EXPECT_GT(candidates, 2 * 512.0);
+  EXPECT_GT(buckets, 512.0);
+  EXPECT_LE(candidates, 2 * buckets);
+  EXPECT_NE(ctx->profile()->ToString().find(
+                std::string(metric_names::kGaugeQuotientBuckets) + "="),
+            std::string::npos)
+      << ctx->profile()->ToString();
+}
+
 // End-to-end EXPLAIN ANALYZE on the §5.1 25×25 configuration: all four
 // paper algorithms run, return the right quotient, and report the Table 2
 // predictions beside per-algorithm measurements and a drift line whose

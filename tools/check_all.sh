@@ -40,7 +40,8 @@
 #                               network faults must recover exactly or
 #                               unwind leak- and race-free — DESIGN.md §10)
 #   parallel                   (the division property + lane-equivalence +
-#                               scheduler + §6 engine suites at
+#                               quotient-table growth + scheduler + §6
+#                               engine suites at
 #                               RELDIV_THREADS=1,4,8
 #                               under the TSan build: every worker count
 #                               must produce bit-identical quotients and
@@ -238,7 +239,7 @@ if [[ "$QUICK" == "0" ]]; then
     for threads in 1 4 8; do
       echo "-- parallel suites under tsan, RELDIV_THREADS=$threads"
       RELDIV_THREADS="$threads" ctest --preset tsan \
-        -R '(division_property_test|intra_parallel_test|parallel_test|scheduler_test)' \
+        -R '(division_property_test|hash_division_core_test|intra_parallel_test|parallel_test|scheduler_test)' \
         || rc=1
     done
     return "$rc"
