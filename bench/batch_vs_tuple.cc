@@ -1,11 +1,11 @@
-// Batch-vs-tuple execution: throughput of the batch-native
+// Batch-vs-tuple execution: throughput of the
 // scan → filter → hash-division pipeline as a function of the batch size.
 //
-// The batch-size-1 row is the tuple lane: the plan is drained through the
-// classic Volcano Next() protocol (CollectAllTupleAtATime, execution batch
-// capacity 1), paying one virtual-call round trip through the whole operator
-// chain per tuple — the paper's §5.1 execution model. The remaining rows
-// drain the same plan through NextBatch() at increasing batch capacities.
+// The batch-size-1 row is the tuple lane: the plan is drained through
+// NextBatch() at capacity 1 (CollectAll(plan, 1), execution batch capacity
+// 1), paying one virtual-call round trip through the whole operator chain
+// per tuple — the paper's §5.1 Volcano next. The remaining rows drain the
+// same plan at increasing batch capacities.
 // Batching amortizes the iteration protocol and overlaps the memory stalls
 // of independent hash probes without changing any of the per-tuple work, so
 // the quotient and the Table 1 operation counts must be identical in every
@@ -84,13 +84,6 @@ Status Run(bench::BenchReporter* report) {
         std::vector<size_t>{1}, std::vector<size_t>{0}, options);
   };
 
-  {
-    auto plan = make_plan();
-    if (!plan->IsBatchNative()) {
-      return Status::Internal("pipeline is expected to be batch-native");
-    }
-  }
-
   std::printf("=== Batch-vs-tuple execution: scan -> filter(17%%) -> "
               "hash-division (early output) ===\n\n");
   std::printf("dividend %llu tuples, divisor %llu, quotient %llu; best of %d "
@@ -119,13 +112,8 @@ Status Run(bench::BenchReporter* report) {
       const CpuCounters before = *db->counters();
       auto plan = make_plan();
       const auto t0 = std::chrono::steady_clock::now();
-      std::vector<Tuple> quotient;
-      if (m.tuple_lane) {
-        RELDIV_ASSIGN_OR_RETURN(quotient,
-                                CollectAllTupleAtATime(plan.get()));
-      } else {
-        RELDIV_ASSIGN_OR_RETURN(quotient, CollectAll(plan.get(), batch_size));
-      }
+      RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> quotient,
+                              CollectAll(plan.get(), batch_size));
       const auto t1 = std::chrono::steady_clock::now();
       const double wall_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();

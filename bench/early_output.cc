@@ -17,7 +17,8 @@
 namespace reldiv {
 namespace {
 
-/// Pass-through operator counting how many tuples flowed through it.
+/// Pass-through operator counting how many tuples flowed through it. Read at
+/// batch capacity 1, its count is exact at every quotient tuple.
 class CountingOperator : public Operator {
  public:
   explicit CountingOperator(std::unique_ptr<Operator> child)
@@ -27,9 +28,9 @@ class CountingOperator : public Operator {
     return child_->output_schema();
   }
   Status Open() override { return child_->Open(); }
-  Status Next(Tuple* tuple, bool* has_next) override {
-    RELDIV_RETURN_NOT_OK(child_->Next(tuple, has_next));
-    if (*has_next) consumed_++;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    RELDIV_RETURN_NOT_OK(child_->NextBatch(batch, has_more));
+    consumed_ += batch->size();
     return Status::OK();
   }
   Status Close() override { return child_->Close(); }
@@ -87,6 +88,8 @@ Status RunOne(const char* label, const GeneratedWorkload& workload,
     db_options.pool_bytes = 0;
     RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
                             Database::Open(db_options));
+    // First-answer latency is the point: every pull moves one tuple.
+    db->ctx()->set_batch_capacity(1);
     DivisionOptions options;
     options.early_output = early;
     auto counter = std::make_unique<CountingOperator>(
@@ -101,11 +104,11 @@ Status RunOne(const char* label, const GeneratedWorkload& workload,
     RELDIV_RETURN_NOT_OK(op.Open());
     uint64_t at_first = 0, at_half = 0, at_last = 0;
     size_t produced = 0;
-    while (true) {
-      Tuple tuple;
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(op.Next(&tuple, &has));
-      if (!has) break;
+    TupleBatch batch(1);
+    bool has_more = true;
+    while (has_more) {
+      RELDIV_RETURN_NOT_OK(op.NextBatch(&batch, &has_more));
+      if (batch.empty()) continue;
       produced++;
       if (produced == 1) at_first = counter_ptr->consumed();
       if (produced == quotient_size / 2) at_half = counter_ptr->consumed();

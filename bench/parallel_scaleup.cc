@@ -163,12 +163,19 @@ Status RunIntraNode(bench::BenchReporter* report) {
         base.BuildDivisorTable(&divisor_source, workload.divisor.size()));
   }
 
-  // Decompose the dividend once, before the sweep: fragment contents depend
-  // only on the data and kFragments, never on the worker count.
-  std::vector<std::vector<Tuple>> fragments_in(kFragments);
+  // Decompose the dividend once, before the sweep, into one batch per
+  // fragment: fragment contents depend only on the data and kFragments,
+  // never on the worker count.
+  std::vector<std::vector<Tuple>> fragment_rows(kFragments);
   for (const Tuple& tuple : workload.dividend) {
-    fragments_in[HashPartitionOf(tuple, quotient_attrs, kFragments)]
+    fragment_rows[HashPartitionOf(tuple, quotient_attrs, kFragments)]
         .push_back(tuple);
+  }
+  std::vector<TupleBatch> fragments_in;
+  for (std::vector<Tuple>& rows : fragment_rows) {
+    TupleBatch& batch =
+        fragments_in.emplace_back(std::max<size_t>(rows.size(), 1));
+    for (Tuple& tuple : rows) batch.PushBack(std::move(tuple));
   }
 
   std::printf("Workload: |S|=%zu, |R|=%zu, |Q|=%zu, %zu quotient "
@@ -197,9 +204,7 @@ Status RunIntraNode(bench::BenchReporter* report) {
           core.BorrowDivisorTable(base);
           RELDIV_RETURN_NOT_OK(core.ResetQuotientTable(
               fragments_in[f].empty() ? 1 : fragments_in[f].size()));
-          for (const Tuple& tuple : fragments_in[f]) {
-            RELDIV_RETURN_NOT_OK(core.Consume(tuple, nullptr));
-          }
+          RELDIV_RETURN_NOT_OK(core.ConsumeBatch(fragments_in[f], nullptr));
           RELDIV_RETURN_NOT_OK(core.EmitComplete(&outs[f]));
           fragment_cpu[f] = *fctx->counters();
           lane_of[f] = TaskScheduler::CurrentLane();

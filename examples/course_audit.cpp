@@ -103,15 +103,16 @@ Status Run() {
                        early));
   RELDIV_RETURN_NOT_OK(plan->Open());
   size_t produced = 0;
-  while (true) {
-    Tuple student;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(plan->Next(&student, &has));
-    if (!has) break;
-    produced++;
-    if (produced <= 5) {
-      std::printf("  student %lld has taken all database courses\n",
-                  static_cast<long long>(student.value(0).int64()));
+  TupleBatch batch(db->ctx()->batch_capacity());
+  bool has_more = true;
+  while (has_more) {
+    RELDIV_RETURN_NOT_OK(plan->NextBatch(&batch, &has_more));
+    for (const Tuple& student : batch) {
+      produced++;
+      if (produced <= 5) {
+        std::printf("  student %lld has taken all database courses\n",
+                    static_cast<long long>(student.value(0).int64()));
+      }
     }
   }
   RELDIV_RETURN_NOT_OK(plan->Close());

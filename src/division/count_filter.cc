@@ -24,14 +24,13 @@ Status GroupCountFilterOperator::Open() {
   if (distinct_count_) {
     std::set<Tuple> distinct;
     ScanOperator scan(ctx_, divisor_);
+    TupleBatch batch(ctx_->batch_capacity());
     RELDIV_RETURN_NOT_OK(scan.Open());
-    while (true) {
-      Tuple tuple;
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(scan.Next(&tuple, &has));
-      if (!has) break;
-      ctx_->CountComparisons(1);
-      distinct.insert(std::move(tuple));
+    bool has_more = true;
+    while (has_more) {
+      RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
+      ctx_->CountComparisons(batch.size());  // one per set insert
+      for (Tuple& tuple : batch) distinct.insert(std::move(tuple));
     }
     RELDIV_RETURN_NOT_OK(scan.Close());
     divisor_count_ = static_cast<int64_t>(distinct.size());
@@ -40,30 +39,6 @@ Status GroupCountFilterOperator::Open() {
     divisor_count_ = static_cast<int64_t>(count);
   }
   return child_->Open();
-}
-
-Status GroupCountFilterOperator::Next(Tuple* tuple, bool* has_next) {
-  while (true) {
-    Tuple in;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&in, &has));
-    if (!has) {
-      *has_next = false;
-      return Status::OK();
-    }
-    const Value& count = in.value(in.size() - 1);
-    if (count.type() != ValueType::kInt64) {
-      return Status::InvalidArgument(
-          "group count filter: last column is not an int64 count");
-    }
-    ctx_->CountComparisons(1);
-    if (count.int64() == divisor_count_) {
-      std::vector<Value> values(in.values().begin(), in.values().end() - 1);
-      *tuple = Tuple(std::move(values));
-      *has_next = true;
-      return Status::OK();
-    }
-  }
 }
 
 Status GroupCountFilterOperator::NextBatch(TupleBatch* batch, bool* has_more) {
@@ -75,8 +50,8 @@ Status GroupCountFilterOperator::NextBatch(TupleBatch* batch, bool* has_more) {
     return Status::InvalidArgument(
         "group count filter: last column is not an int64 count");
   }
-  // One counted Comp per input tuple, as in Next(); the kernel only decides
-  // them as one batched compare.
+  // One counted Comp per input tuple; the kernel only decides them as one
+  // batched compare.
   ctx_->CountComparisons(n);
   mask_.resize(n);
   kernels::CompareInt64(counts_.data(), n, kernels::CmpOp::kEq, divisor_count_,

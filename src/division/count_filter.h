@@ -26,13 +26,10 @@ class GroupCountFilterOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
-  /// Batch-native count filtering: the count column is extracted once per
-  /// batch and compared by the kernels::CompareInt64 kernel, survivors
-  /// compacted in place. One counted Comp per input tuple, exactly like
-  /// Next().
+  /// The count column is extracted once per batch and compared by the
+  /// kernels::CompareInt64 kernel, survivors compacted in place. One counted
+  /// Comp per input tuple.
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  bool IsBatchNative() const override { return child_->IsBatchNative(); }
   Status Close() override;
 
  private:

@@ -157,22 +157,6 @@ Status HashDivisionCore::ResetQuotientTable(uint64_t expected_cardinality) {
   return Status::OK();
 }
 
-Status HashDivisionCore::ConsumeOne(const Tuple& dividend,
-                                    std::vector<Tuple>* early_out,
-                                    PendingCounts* pending) {
-  // Figure 1, step 2: probe the divisor table on the divisor attributes.
-  // Through divisor_view_ with an explicit context: the table may be a
-  // borrowed one shared across fragments, and the probe must charge us.
-  TupleHashTable::Entry* divisor_entry =
-      divisor_view_->FindCounted(ctx_, dividend, match_attrs_);
-  if (divisor_entry == nullptr) {
-    return Status::OK();  // immediate discard — no matching divisor tuple
-  }
-  return ProbeQuotient(dividend, divisor_entry->num,
-                       quotient_table_->ProbeHash(dividend, quotient_attrs_),
-                       early_out, pending);
-}
-
 Status HashDivisionCore::ProbeQuotient(const Tuple& dividend,
                                        uint64_t divisor_number,
                                        uint64_t quotient_hash,
@@ -248,17 +232,6 @@ void HashDivisionCore::FlushCounts(const PendingCounts& pending) {
   if (pending.comparisons != 0) ctx_->CountComparisons(pending.comparisons);
 }
 
-Status HashDivisionCore::Consume(const Tuple& dividend,
-                                 std::vector<Tuple>* early_out) {
-  if (divisor_view_ == nullptr || quotient_table_ == nullptr) {
-    return Status::Internal("hash-division tables not initialized");
-  }
-  PendingCounts pending;
-  Status status = ConsumeOne(dividend, early_out, &pending);
-  FlushCounts(pending);
-  return status;
-}
-
 Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
                                       std::vector<Tuple>* early_out) {
   if (divisor_view_ == nullptr || quotient_table_ == nullptr) {
@@ -273,10 +246,10 @@ Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
   // key hash for every match, issuing a bucket prefetch; pass 2 prefetches
   // the chain heads; pass 3 walks the chains and extends the bit maps, in
   // batch order, against the live table. The counted work per tuple is
-  // exactly that of Consume() — pass order only overlaps the memory stalls
-  // of independent probes, which a tuple-at-a-time loop cannot do. (On an
-  // error mid-batch the interleaving of counted work differs from the
-  // tuple path, but the whole query fails then.)
+  // the same at every batch size (capacity 1 is the paper's tuple-at-a-time
+  // loop) — pass order only overlaps the memory stalls of independent
+  // probes. (On an error mid-batch the interleaving of counted work differs
+  // between batch sizes, but the whole query fails then.)
   PendingCounts pending;
   staged_.clear();
   // Kernelized pass 1 for the paper's workload shape (single int64 divisor
@@ -544,33 +517,6 @@ Status HashDivisionOperator::OpenParallel() {
                                 options_.parallel_fragments));
   return RunDivisionFragments(ctx_, match_attrs_, quotient_attrs_, options_,
                               *core_, codec, partitions, &results_);
-}
-
-Status HashDivisionOperator::Next(Tuple* tuple, bool* has_next) {
-  while (true) {
-    if (emit_pos_ < results_.size()) {
-      *tuple = std::move(results_[emit_pos_++]);
-      *has_next = true;
-      return Status::OK();
-    }
-    if (dividend_done_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    // Early-output mode: pull dividend tuples until one completes a
-    // candidate or the input ends.
-    results_.clear();
-    emit_pos_ = 0;
-    Tuple in;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(dividend_->Next(&in, &has));
-    if (!has) {
-      RELDIV_RETURN_NOT_OK(dividend_->Close());
-      dividend_done_ = true;
-      continue;
-    }
-    RELDIV_RETURN_NOT_OK(core_->Consume(in, &results_));
-  }
 }
 
 Status HashDivisionOperator::NextBatch(TupleBatch* batch, bool* has_more) {

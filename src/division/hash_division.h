@@ -64,15 +64,13 @@ class HashDivisionCore {
   /// bucket.
   Status ResetQuotientTable(uint64_t expected_cardinality = 0);
 
-  /// Step 2, one dividend tuple. With early output enabled, quotient tuples
-  /// whose bit map just filled are appended to `early_out` (§3.3, point 2);
-  /// otherwise `early_out` may be nullptr.
-  Status Consume(const Tuple& dividend, std::vector<Tuple>* early_out);
-
-  /// Step 2, one dividend batch: the vectorized probe/extend loop. Performs
-  /// exactly the per-tuple work of Consume() for each tuple in order, but
-  /// bumps the ExecContext cost counters once per batch with the accumulated
-  /// totals, so Table 1–4 accounting is bit-identical to the tuple path.
+  /// Step 2, one dividend batch: the vectorized probe/extend loop. Each
+  /// tuple, in order, probes the divisor table and, on a match, the quotient
+  /// table; the ExecContext cost counters are bumped once per batch with the
+  /// accumulated totals, so Table 1–4 accounting is independent of the batch
+  /// size. With early output enabled, quotient tuples whose bit map just
+  /// filled are appended to `early_out` (§3.3, point 2); otherwise
+  /// `early_out` may be nullptr.
   Status ConsumeBatch(const TupleBatch& batch, std::vector<Tuple>* early_out);
 
   /// Step 3: scans the quotient table and appends every tuple whose bit map
@@ -117,10 +115,8 @@ class HashDivisionCore {
   /// tables' arenas. Called only when a table grew, so probe hits are free.
   Status CheckBudget(const char* stage) const;
 
-  Status ConsumeOne(const Tuple& dividend, std::vector<Tuple>* early_out,
-                    PendingCounts* pending);
-  /// The quotient-table half of ConsumeOne, with the (already counted)
-  /// quotient key hash supplied by the caller.
+  /// The quotient-table half of one dividend tuple's step 2, with the
+  /// (already counted) quotient key hash supplied by the caller.
   Status ProbeQuotient(const Tuple& dividend, uint64_t divisor_number,
                        uint64_t quotient_hash, std::vector<Tuple>* early_out,
                        PendingCounts* pending);
@@ -216,13 +212,7 @@ class HashDivisionOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  /// Batch-native when both inputs are: the dividend is consumed through
-  /// ConsumeBatch and the quotient is emitted batch-wise.
-  bool IsBatchNative() const override {
-    return dividend_->IsBatchNative() && divisor_->IsBatchNative();
-  }
   Status Close() override;
 
   /// Divisor cardinality, quotient candidates and buckets (their ratio is

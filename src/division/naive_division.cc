@@ -9,6 +9,7 @@ NaiveDivisionOperator::NaiveDivisionOperator(
     : ctx_(ctx),
       dividend_(std::move(sorted_dividend)),
       divisor_(std::move(sorted_divisor)),
+      dividend_input_(dividend_.get()),
       match_attrs_(std::move(match_attrs)),
       quotient_attrs_(std::move(quotient_attrs)),
       schema_(dividend_->output_schema().Project(quotient_attrs_)) {}
@@ -18,16 +19,18 @@ Status NaiveDivisionOperator::Open() {
   // of divisor tuples fixed in the buffer pool").
   divisor_list_.clear();
   RELDIV_RETURN_NOT_OK(divisor_->Open());
-  while (true) {
-    Tuple tuple;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(divisor_->Next(&tuple, &has));
-    if (!has) break;
-    divisor_list_.push_back(std::move(tuple));
+  TupleBatch batch(ctx_->batch_capacity());
+  bool has_more = true;
+  while (has_more) {
+    RELDIV_RETURN_NOT_OK(divisor_->NextBatch(&batch, &has_more));
+    for (Tuple& tuple : batch) divisor_list_.push_back(std::move(tuple));
   }
   RELDIV_RETURN_NOT_OK(divisor_->Close());
 
   RELDIV_RETURN_NOT_OK(dividend_->Open());
+  // An empty divisor ends the stream after the first dividend tuple; read
+  // no further ahead than that tuple, which is counted sort work.
+  dividend_input_.Reset(divisor_list_.empty() ? 1 : ctx_->batch_capacity());
   RELDIV_RETURN_NOT_OK(AdvanceDividend());
   in_group_ = false;
   group_done_ = false;
@@ -36,10 +39,10 @@ Status NaiveDivisionOperator::Open() {
 }
 
 Status NaiveDivisionOperator::AdvanceDividend() {
-  return dividend_->Next(&current_, &current_valid_);
+  return dividend_input_.Pull(&current_, &current_valid_);
 }
 
-Status NaiveDivisionOperator::Next(Tuple* tuple, bool* has_next) {
+Status NaiveDivisionOperator::Step(Tuple* tuple, bool* has_next) {
   // Empty-divisor convention: empty quotient (see division.h).
   if (divisor_list_.empty()) {
     *has_next = false;

@@ -16,7 +16,7 @@ namespace reldiv {
 /// (the plan builder arranges both via sorts with duplicate elimination).
 ///
 /// Implementation follows §5.1: Open() consumes the entire divisor into an
-/// in-memory list; Next() streams the dividend, advancing through the
+/// in-memory list; NextBatch() streams the dividend, advancing through the
 /// divisor list as matching dividend tuples arrive, and produces a quotient
 /// tuple each time the end of the divisor list is reached. Dividend tuples
 /// matching no divisor tuple (e.g. a physics course in example 2) are
@@ -31,15 +31,20 @@ class NaiveDivisionOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&NaiveDivisionOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
+  /// Streams the dividend until the next quotient tuple or its end.
+  Status Step(Tuple* tuple, bool* has_next);
   Status AdvanceDividend();
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> dividend_;
   std::unique_ptr<Operator> divisor_;
+  InputCursor dividend_input_;
   std::vector<size_t> match_attrs_;
   std::vector<size_t> quotient_attrs_;
   Schema schema_;

@@ -470,16 +470,6 @@ Status PartitionedHashDivisionOperator::Open() {
   }
 }
 
-Status PartitionedHashDivisionOperator::Next(Tuple* tuple, bool* has_next) {
-  if (emit_pos_ >= results_.size()) {
-    *has_next = false;
-    return Status::OK();
-  }
-  *tuple = std::move(results_[emit_pos_++]);
-  *has_next = true;
-  return Status::OK();
-}
-
 Status PartitionedHashDivisionOperator::NextBatch(TupleBatch* batch,
                                                   bool* has_more) {
   batch->Clear();

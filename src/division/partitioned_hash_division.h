@@ -94,11 +94,8 @@ class PartitionedHashDivisionOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  /// All phases run inside Open(); this just drains the buffered quotient.
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  /// All phases run inside Open(); the output side just drains the buffered
-  /// quotient, which is batch-native by construction.
-  bool IsBatchNative() const override { return true; }
   Status Close() override;
 
   /// Number of phases actually executed (test hook).

@@ -51,31 +51,8 @@ Status ContractCheckOperator::Open() {
   }
   RELDIV_RETURN_NOT_OK(child_->Open());
   state_ = State::kOpen;
-  drain_mode_ = DrainMode::kNone;
   ever_opened_ = true;
   return Status::OK();
-}
-
-Status ContractCheckOperator::Next(Tuple* tuple, bool* has_next) {
-  if (state_ == State::kClosed) {
-    return Violation("Next() without a successful Open()");
-  }
-  if (state_ == State::kExhausted) {
-    return Violation("Next() after end-of-stream was reported");
-  }
-  if (drain_mode_ == DrainMode::kBatch) {
-    return Violation(
-        "Next() interleaved with NextBatch() in one open cycle");
-  }
-  drain_mode_ = DrainMode::kTuple;
-  const CpuCounters before = *ctx_->counters();
-  RELDIV_RETURN_NOT_OK(child_->Next(tuple, has_next));
-  RELDIV_RETURN_NOT_OK(CheckCounterDeltas(before, "Next()"));
-  if (!*has_next) {
-    state_ = State::kExhausted;
-    return Status::OK();
-  }
-  return CheckSchemaConformance(*tuple);
 }
 
 Status ContractCheckOperator::NextBatch(TupleBatch* batch, bool* has_more) {
@@ -85,11 +62,6 @@ Status ContractCheckOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   if (state_ == State::kExhausted) {
     return Violation("NextBatch() after end-of-stream was reported");
   }
-  if (drain_mode_ == DrainMode::kTuple) {
-    return Violation(
-        "NextBatch() interleaved with Next() in one open cycle");
-  }
-  drain_mode_ = DrainMode::kBatch;
   const size_t request_capacity = batch->capacity();
   const CpuCounters before = *ctx_->counters();
   RELDIV_RETURN_NOT_OK(child_->NextBatch(batch, has_more));
@@ -112,7 +84,6 @@ Status ContractCheckOperator::Close() {
                                   : "Close() without Open()");
   }
   state_ = State::kClosed;
-  drain_mode_ = DrainMode::kNone;
   return child_->Close();
 }
 

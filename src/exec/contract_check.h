@@ -17,9 +17,8 @@ namespace reldiv {
 /// query with Status::Internal on the first contract violation — by the
 /// wrapped operator (produces more tuples than the batch capacity, emits
 /// tuples that do not conform to its output schema, rewinds the plan's cost
-/// counters) or by the caller (Next/NextBatch before Open or after
-/// end-of-stream, interleaving the tuple and batch protocols within one
-/// open cycle, unbalanced Close).
+/// counters) or by the caller (NextBatch before Open or after end-of-stream,
+/// unbalanced Open/Close).
 ///
 /// The wrapper is pure overhead in correct plans — it changes no tuples, no
 /// ordering and no counter accounting of its child — so plan builders insert
@@ -37,10 +36,8 @@ class ContractCheckOperator : public Operator {
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
-  bool IsBatchNative() const override { return child_->IsBatchNative(); }
 
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
   Status Close() override;
   void ExportGauges(GaugeList* gauges) const override {
@@ -55,13 +52,9 @@ class ContractCheckOperator : public Operator {
   /// Lifecycle of one Open()/Close() cycle, as specified on operator.h.
   enum class State : uint8_t {
     kClosed,     ///< before Open() or after Close(); no pulls allowed
-    kOpen,       ///< streaming; Next()/NextBatch() legal
+    kOpen,       ///< streaming; NextBatch() legal
     kExhausted,  ///< end-of-stream reported; only Close() is legal
   };
-
-  /// Which entry point drained this cycle so far; mixing the two within one
-  /// cycle is a contract violation.
-  enum class DrainMode : uint8_t { kNone, kTuple, kBatch };
 
   /// Records the violation and builds the Internal status for it.
   Status Violation(const std::string& what);
@@ -77,7 +70,6 @@ class ContractCheckOperator : public Operator {
   std::unique_ptr<Operator> child_;
   std::string label_;
   State state_ = State::kClosed;
-  DrainMode drain_mode_ = DrainMode::kNone;
   bool ever_opened_ = false;
   uint64_t violations_ = 0;
 };

@@ -104,12 +104,6 @@ Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
   return Status::OK();
 }
 
-Status PartitionSourceOperator::Next(Tuple* tuple, bool* has_next) {
-  *has_next = next_ < partition_->rows();
-  if (!*has_next) return Status::OK();
-  return codec_->Decode(partition_->row(next_++), tuple);
-}
-
 Status PartitionSourceOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   RELDIV_RETURN_NOT_OK(DecodeRows(*codec_, *partition_, next_, batch));
   next_ += batch->size();

@@ -98,9 +98,7 @@ class PartitionSourceOperator : public Operator {
     next_ = 0;
     return Status::OK();
   }
-  Status Next(Tuple* tuple, bool* has_next) override;
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  bool IsBatchNative() const override { return true; }
   Status Close() override { return Status::OK(); }
 
  private:

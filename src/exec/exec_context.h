@@ -46,7 +46,8 @@ class ExecContext {
   void set_hash_memory_bytes(size_t bytes) { hash_memory_bytes_ = bytes; }
 
   /// Tuple-slot count of the TupleBatches used by this plan's internal
-  /// drains (hash-division input consumption, spools, partition passes).
+  /// drains (hash-division input consumption, spools, partition passes,
+  /// the InputCursor pulls of per-tuple consumers).
   /// 1 degenerates every pipeline to tuple-at-a-time; the default is
   /// kDefaultBatchCapacity.
   size_t batch_capacity() const { return batch_capacity_; }

@@ -10,10 +10,9 @@
 namespace reldiv {
 
 /// Selection: passes through tuples for which `predicate` returns true.
-///
-/// Batch-native when its child is: NextBatch() pulls a child batch into the
-/// caller's buffer and compacts it in place (stable), retrying until at
-/// least one tuple survives or the child ends.
+/// NextBatch() pulls a child batch into the caller's buffer and compacts it
+/// in place (stable), retrying until at least one tuple survives or the
+/// child ends.
 class FilterOperator : public Operator {
  public:
   using Predicate = std::function<bool(const Tuple&)>;
@@ -26,21 +25,6 @@ class FilterOperator : public Operator {
   }
 
   Status Open() override { return child_->Open(); }
-
-  Status Next(Tuple* tuple, bool* has_next) override {
-    while (true) {
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(child_->Next(tuple, &has));
-      if (!has) {
-        *has_next = false;
-        return Status::OK();
-      }
-      if (predicate_(*tuple)) {
-        *has_next = true;
-        return Status::OK();
-      }
-    }
-  }
 
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
     while (true) {
@@ -57,8 +41,6 @@ class FilterOperator : public Operator {
       }
     }
   }
-
-  bool IsBatchNative() const override { return child_->IsBatchNative(); }
 
   Status Close() override { return child_->Close(); }
 

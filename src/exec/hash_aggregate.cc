@@ -92,7 +92,7 @@ Status HashAggregateOperator::Open() {
   return Status::OK();
 }
 
-Status HashAggregateOperator::Next(Tuple* tuple, bool* has_next) {
+Status HashAggregateOperator::Step(Tuple* tuple, bool* has_next) {
   if (emit_pos_ >= emit_entries_.size()) {
     *has_next = false;
     return Status::OK();

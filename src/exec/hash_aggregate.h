@@ -28,11 +28,15 @@ class HashAggregateOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&HashAggregateOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
   Status BuildSchema();
+  /// Produces the next group's aggregate tuple, in bucket order.
+  Status Step(Tuple* tuple, bool* has_next);
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;

@@ -22,6 +22,7 @@ HashJoinOperator::HashJoinOperator(ExecContext* ctx,
     : ctx_(ctx),
       probe_(std::move(probe)),
       build_(std::move(build)),
+      probe_input_(probe_.get()),
       probe_keys_(std::move(probe_keys)),
       build_keys_(std::move(build_keys)),
       mode_(mode),
@@ -41,24 +42,26 @@ Status HashJoinOperator::Open() {
                                             buckets);
   RELDIV_RETURN_NOT_OK(build_->Open());
   build_open_ = true;
-  while (true) {
-    Tuple tuple;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(build_->Next(&tuple, &has));
-    if (!has) break;
-    RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
-                            table_->Insert(std::move(tuple)));
-    (void)entry;
+  TupleBatch batch(ctx_->batch_capacity());
+  bool has_more = true;
+  while (has_more) {
+    RELDIV_RETURN_NOT_OK(build_->NextBatch(&batch, &has_more));
+    for (Tuple& tuple : batch) {
+      RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
+                              table_->Insert(std::move(tuple)));
+      (void)entry;
+    }
   }
   build_open_ = false;
   RELDIV_RETURN_NOT_OK(build_->Close());
   RELDIV_RETURN_NOT_OK(probe_->Open());
   probe_open_ = true;
+  probe_input_.Reset(ctx_->batch_capacity());
   match_cursor_ = nullptr;
   return Status::OK();
 }
 
-Status HashJoinOperator::Next(Tuple* tuple, bool* has_next) {
+Status HashJoinOperator::Step(Tuple* tuple, bool* has_next) {
   while (true) {
     if (mode_ == HashJoinMode::kInner && match_cursor_ != nullptr) {
       // Continue fanning out matches for the current probe tuple.
@@ -81,7 +84,7 @@ Status HashJoinOperator::Next(Tuple* tuple, bool* has_next) {
     }
 
     bool has = false;
-    RELDIV_RETURN_NOT_OK(probe_->Next(&current_probe_, &has));
+    RELDIV_RETURN_NOT_OK(probe_input_.Pull(&current_probe_, &has));
     if (!has) {
       *has_next = false;
       return Status::OK();

@@ -35,13 +35,19 @@ class HashJoinOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&HashJoinOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
+  /// Produces the next join output tuple, probing as needed.
+  Status Step(Tuple* tuple, bool* has_next);
+
   ExecContext* ctx_;
   std::unique_ptr<Operator> probe_;
   std::unique_ptr<Operator> build_;
+  InputCursor probe_input_;
   std::vector<size_t> probe_keys_;
   std::vector<size_t> build_keys_;
   HashJoinMode mode_;

@@ -43,10 +43,10 @@ Result<std::vector<Rid>> TableIndex::LookupKey(
   return tree_.Lookup(Slice(key));
 }
 
-Status IndexSemiJoinOperator::Next(Tuple* tuple, bool* has_next) {
+Status IndexSemiJoinOperator::Step(Tuple* tuple, bool* has_next) {
   while (true) {
     bool has = false;
-    RELDIV_RETURN_NOT_OK(probe_->Next(tuple, &has));
+    RELDIV_RETURN_NOT_OK(probe_input_.Pull(tuple, &has));
     if (!has) {
       *has_next = false;
       return Status::OK();
@@ -64,7 +64,7 @@ Status IndexSemiJoinOperator::Next(Tuple* tuple, bool* has_next) {
   }
 }
 
-Status IndexOrderedScanOperator::Next(Tuple* tuple, bool* has_next) {
+Status IndexOrderedScanOperator::Step(Tuple* tuple, bool* has_next) {
   if (!iterator_.Valid()) {
     *has_next = false;
     return Status::OK();

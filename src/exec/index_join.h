@@ -68,19 +68,30 @@ class IndexSemiJoinOperator : public Operator {
                         TableIndex* index, std::vector<size_t> probe_keys)
       : ctx_(ctx),
         probe_(std::move(probe)),
+        probe_input_(probe_.get()),
         index_(index),
         probe_keys_(std::move(probe_keys)) {}
 
   const Schema& output_schema() const override {
     return probe_->output_schema();
   }
-  Status Open() override { return probe_->Open(); }
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status Open() override {
+    RELDIV_RETURN_NOT_OK(probe_->Open());
+    probe_input_.Reset(ctx_->batch_capacity());
+    return Status::OK();
+  }
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&IndexSemiJoinOperator::Step>(this, batch, has_more);
+  }
   Status Close() override { return probe_->Close(); }
 
  private:
+  /// Produces the next probe tuple with an index match.
+  Status Step(Tuple* tuple, bool* has_next);
+
   ExecContext* ctx_;
   std::unique_ptr<Operator> probe_;
+  InputCursor probe_input_;
   TableIndex* index_;
   std::vector<size_t> probe_keys_;
 };
@@ -104,10 +115,15 @@ class IndexOrderedScanOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override { return iterator_.SeekToFirst(); }
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&IndexOrderedScanOperator::Step>(this, batch, has_more);
+  }
   Status Close() override { return Status::OK(); }
 
  private:
+  /// Fetches the record under the iterator and advances it.
+  Status Step(Tuple* tuple, bool* has_next);
+
   ExecContext* ctx_;
   RecordFile* file_;
   Schema schema_;

@@ -63,10 +63,6 @@ Status SpoolOperator::Open() {
   return reader_->Open();
 }
 
-Status SpoolOperator::Next(Tuple* tuple, bool* has_next) {
-  return reader_->Next(tuple, has_next);
-}
-
 Status SpoolOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   return reader_->NextBatch(batch, has_more);
 }

@@ -9,10 +9,8 @@
 namespace reldiv {
 
 /// Drains `input` into `store`, encoding tuples with the operator's output
-/// schema. Returns the number of records written. Drains through the batch
-/// protocol (batch-native inputs run fully vectorized; others through the
-/// base adapter); `batch_capacity` sets the unit of work — plan-internal
-/// callers pass ExecContext::batch_capacity().
+/// schema. Returns the number of records written. `batch_capacity` sets the
+/// unit of work — plan-internal callers pass ExecContext::batch_capacity().
 Result<uint64_t> Materialize(Operator* input, RecordStore* store,
                              size_t batch_capacity =
                                  TupleBatch::kDefaultCapacity);
@@ -36,13 +34,9 @@ class OwningOperator : public Operator {
     return plan_->output_schema();
   }
   Status Open() override { return plan_->Open(); }
-  Status Next(Tuple* tuple, bool* has_next) override {
-    return plan_->Next(tuple, has_next);
-  }
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
     return plan_->NextBatch(batch, has_more);
   }
-  bool IsBatchNative() const override { return plan_->IsBatchNative(); }
   Status Close() override { return plan_->Close(); }
   void ExportGauges(GaugeList* gauges) const override {
     plan_->ExportGauges(gauges);
@@ -66,11 +60,7 @@ class SpoolOperator : public Operator {
     return child_->output_schema();
   }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  /// The output side is a scan of the spool file, which is batch-native
-  /// regardless of the child (the child is drained internally at Open()).
-  bool IsBatchNative() const override { return true; }
   Status Close() override;
   void ExportGauges(GaugeList* gauges) const override {
     child_->ExportGauges(gauges);

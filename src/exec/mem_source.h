@@ -11,8 +11,6 @@ namespace reldiv {
 
 /// Operator yielding an in-memory tuple vector; used by tests and to feed
 /// already-materialized intermediate results back into a plan.
-///
-/// Batch-native: both protocols share the cursor, so either may drain it.
 class MemSourceOperator : public Operator {
  public:
   MemSourceOperator(Schema schema, std::vector<Tuple> tuples)
@@ -25,16 +23,6 @@ class MemSourceOperator : public Operator {
     return Status::OK();
   }
 
-  Status Next(Tuple* tuple, bool* has_next) override {
-    if (next_ >= tuples_.size()) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = tuples_[next_++];
-    *has_next = true;
-    return Status::OK();
-  }
-
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
     batch->Clear();
     const size_t n =
@@ -44,8 +32,6 @@ class MemSourceOperator : public Operator {
     *has_more = next_ < tuples_.size();
     return Status::OK();
   }
-
-  bool IsBatchNative() const override { return true; }
 
   Status Close() override { return Status::OK(); }
 

@@ -27,6 +27,8 @@ MergeJoinOperator::MergeJoinOperator(ExecContext* ctx,
     : ctx_(ctx),
       left_(std::move(left)),
       right_(std::move(right)),
+      left_input_(left_.get()),
+      right_input_(right_.get()),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       mode_(mode),
@@ -36,11 +38,11 @@ MergeJoinOperator::MergeJoinOperator(ExecContext* ctx,
                   : left_->output_schema()) {}
 
 Status MergeJoinOperator::AdvanceLeft() {
-  return left_->Next(&left_tuple_, &left_valid_);
+  return left_input_.Pull(&left_tuple_, &left_valid_);
 }
 
 Status MergeJoinOperator::AdvanceRight() {
-  return right_->Next(&right_tuple_, &right_valid_);
+  return right_input_.Pull(&right_tuple_, &right_valid_);
 }
 
 int MergeJoinOperator::CompareLR() const {
@@ -51,6 +53,11 @@ int MergeJoinOperator::CompareLR() const {
 Status MergeJoinOperator::Open() {
   RELDIV_RETURN_NOT_OK(left_->Open());
   RELDIV_RETURN_NOT_OK(right_->Open());
+  // One tuple per pull: the join stops reading both inputs as soon as
+  // either ends, and every tuple read ahead of that point would be counted
+  // work (a final-merge step of a sorted input) the paper's plan never does.
+  left_input_.Reset(1);
+  right_input_.Reset(1);
   RELDIV_RETURN_NOT_OK(AdvanceLeft());
   RELDIV_RETURN_NOT_OK(AdvanceRight());
   group_.clear();
@@ -59,7 +66,7 @@ Status MergeJoinOperator::Open() {
   return Status::OK();
 }
 
-Status MergeJoinOperator::Next(Tuple* tuple, bool* has_next) {
+Status MergeJoinOperator::Step(Tuple* tuple, bool* has_next) {
   if (mode_ == MergeJoinMode::kLeftSemi) {
     while (left_valid_ && right_valid_) {
       const int c = CompareLR();

@@ -30,10 +30,14 @@ class MergeJoinOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&MergeJoinOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
+  /// Produces the next join output tuple, advancing the inputs as needed.
+  Status Step(Tuple* tuple, bool* has_next);
   Status AdvanceLeft();
   Status AdvanceRight();
   int CompareLR() const;
@@ -41,6 +45,8 @@ class MergeJoinOperator : public Operator {
   ExecContext* ctx_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
+  InputCursor left_input_;
+  InputCursor right_input_;
   std::vector<size_t> left_keys_;
   std::vector<size_t> right_keys_;
   MergeJoinMode mode_;

@@ -22,24 +22,6 @@ void RecordRootFailure(const char* stage, const Status& status) {
 
 }  // namespace
 
-Status Operator::NextBatch(TupleBatch* batch, bool* has_more) {
-  batch->Clear();
-  while (!batch->full()) {
-    Tuple* slot = batch->AddSlot();
-    bool has_next = false;
-    RELDIV_RETURN_NOT_OK(Next(slot, &has_next));
-    if (!has_next) {
-      // Give the unused slot back; the stream ended inside this batch, so
-      // per the contract this batch is the last one.
-      batch->PopBack();
-      *has_more = false;
-      return Status::OK();
-    }
-  }
-  *has_more = true;
-  return Status::OK();
-}
-
 Result<std::vector<Tuple>> CollectAll(Operator* op, size_t batch_capacity) {
   const auto drive = [&]() -> Result<std::vector<Tuple>> {
     std::vector<Tuple> out;
@@ -55,25 +37,6 @@ Result<std::vector<Tuple>> CollectAll(Operator* op, size_t batch_capacity) {
   };
   Result<std::vector<Tuple>> result = drive();
   if (!result.ok()) RecordRootFailure("collect_all", result.status());
-  return result;
-}
-
-Result<std::vector<Tuple>> CollectAllTupleAtATime(Operator* op) {
-  const auto drive = [&]() -> Result<std::vector<Tuple>> {
-    std::vector<Tuple> out;
-    RELDIV_RETURN_NOT_OK(op->Open());
-    while (true) {
-      Tuple tuple;
-      bool has_next = false;
-      RELDIV_RETURN_NOT_OK(op->Next(&tuple, &has_next));
-      if (!has_next) break;
-      out.push_back(std::move(tuple));
-    }
-    RELDIV_RETURN_NOT_OK(op->Close());
-    return out;
-  };
-  Result<std::vector<Tuple>> result = drive();
-  if (!result.ok()) RecordRootFailure("collect_all_tuple", result.status());
   return result;
 }
 

@@ -22,35 +22,24 @@ using GaugeList = std::vector<std::pair<std::string, double>>;
 /// operator (§5.1: "all relational algebra operators are implemented as
 /// iterators, i.e., they support a simple open-next-close protocol").
 ///
-/// The protocol exists at two granularities that may be mixed freely within
-/// one plan:
-///
-///  - Tuple at a time: `Next(tuple, has_next)`.
-///  - Batch at a time: `NextBatch(batch, has_more)` moves up to
-///    `batch->capacity()` tuples per call, amortizing virtual dispatch and
-///    reusing the batch's tuple slots.
-///
-/// Every operator supports both. Tuple-at-a-time operators inherit the base
-/// NextBatch() adapter, which loops Next(); batch-native operators
-/// (IsBatchNative() == true) implement NextBatch() directly and serve Next()
-/// through a thin adapter over their own batches (TupleAdapter below), so
-/// the two entry points always observe the same stream and bump the same
-/// cost counters.
+/// The "next" of that protocol is NextBatch(batch, has_more): it moves up to
+/// `batch->capacity()` tuples per call, amortizing virtual dispatch and
+/// reusing the batch's tuple slots. At capacity 1 it is exactly the paper's
+/// tuple-at-a-time next. An operator whose algorithm produces one tuple per
+/// step keeps that step private and fills batches with FillBatch() below; an
+/// operator that consumes an input one tuple at a time reads it through an
+/// InputCursor.
 ///
 /// Contract — end-of-stream rules are defined HERE and nowhere else:
 ///
-///  - Open() before any Next()/NextBatch(); Close() releases resources and
-///    may be called at most once after Open(); a closed operator may be
-///    re-Opened and then replays its stream from the start.
-///  - Next() sets `*has_next = false` exactly once, at end of stream.
-///    Next() must NOT be called again after it has reported end-of-stream.
+///  - Open() before any NextBatch(); Close() releases resources and may be
+///    called at most once after Open(); a closed operator may be re-Opened
+///    and then replays its stream from the start.
 ///  - NextBatch() clears `*batch`, fills at most `batch->capacity()` tuples,
 ///    and sets `*has_more = false` when the stream is exhausted. The final
 ///    batch may be partially filled or empty; once `*has_more` is false,
 ///    NextBatch() must NOT be called again. A true `*has_more` makes no
 ///    promise that the next call yields tuples, only that calling is legal.
-///  - Within one Open()/Close() cycle a plan must be drained through ONE of
-///    the two entry points, not both interleaved.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -60,17 +49,23 @@ class Operator {
   // site already; the explicit attributes document the protocol's intent
   // at its definition point.
   [[nodiscard]] virtual Status Open() = 0;
-  [[nodiscard]] virtual Status Next(Tuple* tuple, bool* has_next) = 0;
 
-  /// Batch-at-a-time pull. The base implementation adapts Next(); batch-
-  /// native operators override it. See the class comment for the contract.
-  [[nodiscard]] virtual Status NextBatch(TupleBatch* batch, bool* has_more);
+  /// Batch-at-a-time pull. See the class comment for the contract.
+  [[nodiscard]] virtual Status NextBatch(TupleBatch* batch,
+                                         bool* has_more) = 0;
 
-  /// True when this operator and its entire input pipeline produce batches
-  /// natively, i.e. no tuple-at-a-time adapter runs anywhere underneath.
-  /// The physical planner and the drain helpers use this to report/select
-  /// fully vectorized pipelines; correctness never depends on it.
-  virtual bool IsBatchNative() const { return false; }
+  /// Leftover of the removed tuple-at-a-time protocol, declared only because
+  /// the frozen end-to-end benchmark (bench/e2e) still overrides it. No
+  /// operator implements it and nothing calls it. Goes with the benchmark's
+  /// next change (ROADMAP item 1).
+  [[nodiscard]] virtual Status Next(Tuple* tuple, bool* has_next) {
+    (void)tuple;
+    (void)has_next;
+    return Status::NotSupported("Operator::Next: use NextBatch");
+  }
+
+  /// Leftover like Next(): every operator is batch-native. Goes with it.
+  virtual bool IsBatchNative() const { return true; }
 
   /// Observability hook: appends algorithm-specific gauges (hash-table fill,
   /// spill/run counts, early-output hits, peak memory) to `gauges`. Called
@@ -82,61 +77,75 @@ class Operator {
   [[nodiscard]] virtual Status Close() = 0;
 };
 
-/// Turns a batch-native operator's NextBatch() stream back into the
-/// single-tuple protocol. Owning operators embed one, call Reset() from
-/// Open(), and implement Next() as `adapter_.Next(this, tuple, has_next)`.
-class TupleAdapter {
- public:
-  explicit TupleAdapter(size_t capacity = TupleBatch::kDefaultCapacity)
-      : batch_(capacity) {}
+/// The NextBatch() of an operator whose algorithm emits one tuple per step:
+/// calls `(op->*kStep)(slot, &has_tuple)` until the batch is full or the step
+/// reports end of stream.
+template <auto kStep, typename Op>
+Status FillBatch(Op* op, TupleBatch* batch, bool* has_more) {
+  batch->Clear();
+  while (!batch->full()) {
+    Tuple* slot = batch->AddSlot();
+    bool has_tuple = false;
+    RELDIV_RETURN_NOT_OK((op->*kStep)(slot, &has_tuple));
+    if (!has_tuple) {
+      // The stream ended inside this batch, so per the contract this batch
+      // is the last one; give the unused slot back.
+      batch->PopBack();
+      *has_more = false;
+      return Status::OK();
+    }
+  }
+  *has_more = true;
+  return Status::OK();
+}
 
-  void Reset() {
+/// Reads an input's NextBatch() stream one tuple at a time, for operators
+/// that consume their input tuple by tuple (sorts, merge joins, naive
+/// division). The owner calls Reset() from Open() with
+/// ExecContext::batch_capacity(): the cursor's batch size is how far a scan
+/// underneath reads ahead of its consumer, which the storage layer observes
+/// (the order of disk transfers, hence seeks), so it follows the session
+/// knob.
+class InputCursor {
+ public:
+  explicit InputCursor(Operator* input) : input_(input), batch_(1) {}
+
+  void Reset(size_t capacity) {
+    if (capacity != batch_.capacity()) batch_.ResetCapacity(capacity);
     batch_.Clear();
     pos_ = 0;
     done_ = false;
   }
 
-  /// Reset() re-dimensioning the internal batch, so owners can honor the
-  /// session's ExecContext::batch_capacity() at Open() time. The adapter's
-  /// batch size is observable through the storage layer (how far a scan
-  /// reads ahead of its consumer), so it must follow the session knob.
-  void Reset(size_t capacity) {
-    if (capacity != batch_.capacity()) batch_.ResetCapacity(capacity);
-    Reset();
-  }
-
-  Status Next(Operator* op, Tuple* tuple, bool* has_next) {
+  /// Moves the next input tuple into `*tuple`. `*has_tuple` is false at end
+  /// of stream and on every pull after it.
+  Status Pull(Tuple* tuple, bool* has_tuple) {
     while (pos_ >= batch_.size()) {
       if (done_) {
-        *has_next = false;
+        *has_tuple = false;
         return Status::OK();
       }
       bool has_more = false;
-      RELDIV_RETURN_NOT_OK(op->NextBatch(&batch_, &has_more));
+      RELDIV_RETURN_NOT_OK(input_->NextBatch(&batch_, &has_more));
       done_ = !has_more;
       pos_ = 0;
     }
     *tuple = std::move(batch_.tuple(pos_++));
-    *has_next = true;
+    *has_tuple = true;
     return Status::OK();
   }
 
  private:
+  Operator* input_;
   TupleBatch batch_;
   size_t pos_ = 0;
   bool done_ = false;
 };
 
-/// Drains `op` (Open/NextBatch*/Close) into a vector. Routes through the
-/// batch protocol so every drain exercises the batch path — native batches
-/// for vectorized operators, the base adapter for tuple-at-a-time ones.
-/// `batch_capacity` sets the drain's unit of work.
+/// Drains `op` (Open/NextBatch*/Close) into a vector. `batch_capacity` sets
+/// the drain's unit of work.
 Result<std::vector<Tuple>> CollectAll(
     Operator* op, size_t batch_capacity = TupleBatch::kDefaultCapacity);
-
-/// Tuple-at-a-time drain (Open/Next*/Close); kept for contract tests that
-/// compare the two protocols against each other.
-Result<std::vector<Tuple>> CollectAllTupleAtATime(Operator* op);
 
 }  // namespace reldiv
 

@@ -12,9 +12,8 @@ namespace reldiv {
 /// Projection to a column subset (no duplicate elimination; combine with
 /// SortOperator{collapse} or hash aggregation when set semantics are
 /// needed — duplicate handling is a first-class topic of the paper).
-///
-/// Batch-native when its child is: NextBatch() pulls a child batch into an
-/// internal scratch buffer and projects into the caller's reused slots.
+/// NextBatch() pulls a child batch into an internal scratch buffer and
+/// projects into the caller's reused slots.
 class ProjectOperator : public Operator {
  public:
   ProjectOperator(std::unique_ptr<Operator> child,
@@ -26,19 +25,6 @@ class ProjectOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
 
   Status Open() override { return child_->Open(); }
-
-  Status Next(Tuple* tuple, bool* has_next) override {
-    Tuple in;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&in, &has));
-    if (!has) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = in.Project(indices_);
-    *has_next = true;
-    return Status::OK();
-  }
 
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
     if (scratch_.capacity() != batch->capacity()) {
@@ -54,8 +40,6 @@ class ProjectOperator : public Operator {
     *has_more = child_more;
     return Status::OK();
   }
-
-  bool IsBatchNative() const override { return child_->IsBatchNative(); }
 
   Status Close() override { return child_->Close(); }
 

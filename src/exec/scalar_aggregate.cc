@@ -20,12 +20,11 @@ Status ScalarAggregateOperator::Open() {
   RELDIV_RETURN_NOT_OK(init_status_);
   AggState state(aggs_);
   RELDIV_RETURN_NOT_OK(child_->Open());
-  while (true) {
-    Tuple tuple;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&tuple, &has));
-    if (!has) break;
-    state.Update(aggs_, tuple);
+  TupleBatch batch(ctx_->batch_capacity());
+  bool has_more = true;
+  while (has_more) {
+    RELDIV_RETURN_NOT_OK(child_->NextBatch(&batch, &has_more));
+    for (const Tuple& tuple : batch) state.Update(aggs_, tuple);
   }
   RELDIV_RETURN_NOT_OK(child_->Close());
   result_ = Tuple();
@@ -34,7 +33,7 @@ Status ScalarAggregateOperator::Open() {
   return Status::OK();
 }
 
-Status ScalarAggregateOperator::Next(Tuple* tuple, bool* has_next) {
+Status ScalarAggregateOperator::Step(Tuple* tuple, bool* has_next) {
   if (emitted_) {
     *has_next = false;
     return Status::OK();
@@ -49,14 +48,13 @@ Status ScalarAggregateOperator::Close() { return Status::OK(); }
 
 Result<uint64_t> CountRelation(ExecContext* ctx, const Relation& relation) {
   ScanOperator scan(ctx, relation);
+  TupleBatch batch(ctx->batch_capacity());
   uint64_t count = 0;
   RELDIV_RETURN_NOT_OK(scan.Open());
-  while (true) {
-    Tuple tuple;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(scan.Next(&tuple, &has));
-    if (!has) break;
-    count++;
+  bool has_more = true;
+  while (has_more) {
+    RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
+    count += batch.size();
   }
   RELDIV_RETURN_NOT_OK(scan.Close());
   return count;

@@ -22,10 +22,15 @@ class ScalarAggregateOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&ScalarAggregateOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
+  /// Produces the one result tuple, then end of stream.
+  Status Step(Tuple* tuple, bool* has_next);
+
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
   std::vector<AggSpec> aggs_;

@@ -7,7 +7,6 @@ Status ScanOperator::Open() {
     return Status::InvalidArgument("scan of relation without a store");
   }
   RELDIV_ASSIGN_OR_RETURN(scan_, relation_.store->OpenScan());
-  adapter_.Reset(ctx_->batch_capacity());
   return Status::OK();
 }
 

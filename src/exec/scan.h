@@ -14,31 +14,25 @@ namespace reldiv {
 /// Sequential file scan decoding stored records into tuples. The underlying
 /// RecordScan keeps the current page fixed; decoding copies values out so the
 /// produced Tuple is independent of the pin.
+/// NextBatch() decodes straight into the batch's reused tuple slots.
 ///
-/// Batch-native: NextBatch() decodes straight into the batch's reused tuple
-/// slots; Next() is a thin adapter over the operator's own batches.
+/// Takes the context like every operator; a scan charges nothing to it.
 class ScanOperator : public Operator {
  public:
-  ScanOperator(ExecContext* ctx, Relation relation)
-      : ctx_(ctx), relation_(relation), codec_(relation.schema) {}
+  ScanOperator(ExecContext* /*ctx*/, Relation relation)
+      : relation_(relation), codec_(relation.schema) {}
 
   const Schema& output_schema() const override { return relation_.schema; }
 
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override {
-    return adapter_.Next(this, tuple, has_next);
-  }
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
-  bool IsBatchNative() const override { return true; }
   Status Close() override;
 
  private:
-  ExecContext* ctx_;
   Relation relation_;
   RowCodec codec_;
   std::unique_ptr<RecordScan> scan_;
   std::vector<RecordRef> refs_;  ///< scratch for RecordScan::NextBatch
-  TupleAdapter adapter_;
 };
 
 }  // namespace reldiv

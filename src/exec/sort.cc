@@ -169,6 +169,7 @@ SortOperator::SortOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                            SortSpec spec)
     : ctx_(ctx),
       child_(std::move(child)),
+      input_(child_.get()),
       spec_(std::move(spec)),
       working_schema_(spec_.lifted_schema.has_value()
                           ? *spec_.lifted_schema
@@ -422,6 +423,7 @@ Status SortOperator::OpenFinalMerge() {
 Status SortOperator::Open() {
   RELDIV_RETURN_NOT_OK(child_->Open());
   child_open_ = true;
+  input_.Reset(ctx_->batch_capacity());
 
   std::vector<Tuple> batch;
   size_t batch_bytes = 0;
@@ -434,7 +436,7 @@ Status SortOperator::Open() {
   while (!input_exhausted) {
     Tuple raw;
     bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&raw, &has));
+    RELDIV_RETURN_NOT_OK(input_.Pull(&raw, &has));
     if (!has) {
       input_exhausted = true;
     } else {
@@ -514,8 +516,8 @@ Status SortOperator::RawMergeNext(Tuple* tuple, uint64_t* code,
   return Status::OK();
 }
 
-Status SortOperator::Next(Tuple* tuple, bool* has_next) {
-  if (!open_) return Status::Internal("sort Next() before Open()");
+Status SortOperator::Step(Tuple* tuple, bool* has_next) {
+  if (!open_) return Status::Internal("sort NextBatch() before Open()");
   if (in_memory_) {
     if (memory_pos_ >= memory_tuples_.size()) {
       *has_next = false;

@@ -36,8 +36,8 @@ struct SortSpec {
 /// External merge sort (§2.1/§5.1): quicksort run formation bounded by the
 /// context's sort space, runs written with 1 KB transfers for high fan-in,
 /// intermediate merges until one merge step is left, and the final merge
-/// performed on demand by Next() (paper footnote 2). Inputs that fit in the
-/// sort space are sorted entirely in memory with no I/O.
+/// performed on demand by NextBatch() (paper footnote 2). Inputs that fit in
+/// the sort space are sorted entirely in memory with no I/O.
 ///
 /// Run formation is morsel-parallel: spilled chunks are collected into a
 /// window of up to ExecContext::dop() chunks, the window's chunks are
@@ -56,7 +56,9 @@ class SortOperator : public Operator {
   const Schema& output_schema() const override { return working_schema_; }
 
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&SortOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
   /// Number of initial runs written to disk (0 = in-memory sort). Test hook.
@@ -78,6 +80,9 @@ class SortOperator : public Operator {
  private:
   class Run;
   class RunReader;
+
+  /// Produces the next sorted (and collapsed) tuple.
+  Status Step(Tuple* tuple, bool* has_next);
 
   int CompareKeys(const Tuple& a, const Tuple& b) const;
   /// CompareKeys charging an explicit context — the parallel run-formation
@@ -113,6 +118,7 @@ class SortOperator : public Operator {
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
+  InputCursor input_;
   SortSpec spec_;
   Schema working_schema_;
   RowCodec codec_;

@@ -7,6 +7,7 @@ SortAggregateOperator::SortAggregateOperator(
     std::vector<size_t> group_indices, std::vector<AggSpec> aggs)
     : ctx_(ctx),
       child_(std::move(child)),
+      input_(child_.get()),
       group_indices_(std::move(group_indices)),
       aggs_(std::move(aggs)) {
   init_status_ = BuildSchema();
@@ -27,12 +28,13 @@ Status SortAggregateOperator::BuildSchema() {
 Status SortAggregateOperator::Open() {
   RELDIV_RETURN_NOT_OK(init_status_);
   RELDIV_RETURN_NOT_OK(child_->Open());
+  input_.Reset(ctx_->batch_capacity());
   have_pending_ = false;
   input_done_ = false;
   return Status::OK();
 }
 
-Status SortAggregateOperator::Next(Tuple* tuple, bool* has_next) {
+Status SortAggregateOperator::Step(Tuple* tuple, bool* has_next) {
   if (input_done_ && !have_pending_) {
     *has_next = false;
     return Status::OK();
@@ -40,7 +42,7 @@ Status SortAggregateOperator::Next(Tuple* tuple, bool* has_next) {
   AggState state(aggs_);
   if (!have_pending_) {
     bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&pending_, &has));
+    RELDIV_RETURN_NOT_OK(input_.Pull(&pending_, &has));
     if (!has) {
       input_done_ = true;
       *has_next = false;
@@ -55,7 +57,7 @@ Status SortAggregateOperator::Next(Tuple* tuple, bool* has_next) {
   while (true) {
     Tuple next;
     bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&next, &has));
+    RELDIV_RETURN_NOT_OK(input_.Pull(&next, &has));
     if (!has) {
       input_done_ = true;
       break;

@@ -24,14 +24,19 @@ class SortAggregateOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&SortAggregateOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
  private:
   Status BuildSchema();
+  /// Consumes the next group and produces its aggregate tuple.
+  Status Step(Tuple* tuple, bool* has_next);
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
+  InputCursor input_;
   std::vector<size_t> group_indices_;
   std::vector<AggSpec> aggs_;
   Schema schema_;

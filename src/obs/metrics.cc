@@ -101,9 +101,8 @@ void RenderNode(const MetricsNode& node, int depth, std::string* out) {
   *out += node.label();
   *out += ": tuples=" + std::to_string(m.tuples_out) +
           " batches=" + std::to_string(m.batches_out) +
-          " calls(open/next/nextbatch/close)=" + std::to_string(m.opens) +
-          "/" + std::to_string(m.next_calls) + "/" +
-          std::to_string(m.next_batch_calls) + "/" +
+          " calls(open/nextbatch/close)=" + std::to_string(m.opens) +
+          "/" + std::to_string(m.next_batch_calls) + "/" +
           std::to_string(m.closes);
   *out += " time=" + FormatNs(m.total_ns()) +
           " (self " + FormatNs(node.self_ns()) + ")";
@@ -133,7 +132,6 @@ void RenderNodeJson(const MetricsNode& node, std::string* out) {
   *out += ",\"tuples_out\":" + std::to_string(m.tuples_out);
   *out += ",\"batches_out\":" + std::to_string(m.batches_out);
   *out += ",\"opens\":" + std::to_string(m.opens);
-  *out += ",\"next_calls\":" + std::to_string(m.next_calls);
   *out += ",\"next_batch_calls\":" + std::to_string(m.next_batch_calls);
   *out += ",\"closes\":" + std::to_string(m.closes);
   *out += ",\"total_ns\":" + std::to_string(m.total_ns());

@@ -22,13 +22,12 @@ namespace reldiv {
 struct OperatorMetrics {
   uint64_t opens = 0;
   uint64_t closes = 0;
-  uint64_t next_calls = 0;
   uint64_t next_batch_calls = 0;
-  uint64_t tuples_out = 0;   ///< tuples emitted through either protocol
+  uint64_t tuples_out = 0;   ///< tuples emitted
   uint64_t batches_out = 0;  ///< non-empty batches emitted via NextBatch
 
   uint64_t open_ns = 0;   ///< wall time inside Open()
-  uint64_t next_ns = 0;   ///< wall time inside Next()/NextBatch()
+  uint64_t next_ns = 0;   ///< wall time inside NextBatch()
   uint64_t close_ns = 0;  ///< wall time inside Close()
 
   CpuCounters cpu;  ///< Table 1 cost-unit deltas (Comp/Hash/Move/Bit)

@@ -87,31 +87,6 @@ Status ProfiledOperator::Open() {
   return status;
 }
 
-Status ProfiledOperator::Next(Tuple* tuple, bool* has_next) {
-  OperatorMetrics& m = node_->metrics();
-  m.next_calls++;
-  EventLog* trace = ctx_->trace();
-  if (!drain_started_ && trace != nullptr) {
-    drain_start_us_ = NowMicros();
-  }
-  drain_started_ = true;
-  Status status;
-  {
-    CallScope scope(ctx_, &m, &m.next_ns);
-    status = child_->Next(tuple, has_next);
-  }
-  if (status.ok() && *has_next) m.tuples_out++;
-  if (status.ok() && !*has_next) {
-    CollectGauges();
-    if (trace != nullptr) {
-      trace->Complete("drain " + label_, "operator", drain_start_us_,
-                      NowMicros() - drain_start_us_,
-                      /*tid=*/0, {{"tuples", m.tuples_out}});
-    }
-  }
-  return status;
-}
-
 Status ProfiledOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   OperatorMetrics& m = node_->metrics();
   m.next_batch_calls++;

@@ -15,7 +15,7 @@ namespace reldiv {
 /// protocol call to the wrapped operator and accounts, per call:
 ///
 ///   - wall time (steady clock), split by entry point;
-///   - open/next/nextbatch/close call counts, tuples and batches emitted;
+///   - open/nextbatch/close call counts, tuples and batches emitted;
 ///   - the ExecContext CpuCounters delta of the call (Table 1 cost units);
 ///   - the simulated disk's DiskStats delta of the call.
 ///
@@ -43,10 +43,8 @@ class ProfiledOperator : public Operator {
   const Schema& output_schema() const override {
     return child_->output_schema();
   }
-  bool IsBatchNative() const override { return child_->IsBatchNative(); }
 
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
   Status Close() override;
 

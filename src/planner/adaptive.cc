@@ -466,7 +466,7 @@ Status AdaptiveDivisionOperator::Open() {
   return Status::OK();
 }
 
-Status AdaptiveDivisionOperator::Next(Tuple* tuple, bool* has_next) {
+Status AdaptiveDivisionOperator::Step(Tuple* tuple, bool* has_next) {
   if (emit_pos_ < results_.size()) {
     *tuple = std::move(results_[emit_pos_++]);
     *has_next = true;

@@ -216,7 +216,9 @@ class AdaptiveDivisionOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  Status Next(Tuple* tuple, bool* has_next) override;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    return FillBatch<&AdaptiveDivisionOperator::Step>(this, batch, has_more);
+  }
   Status Close() override;
 
   /// `replans` (events recorded) and `replan_checkpoints` for the run.
@@ -229,6 +231,8 @@ class AdaptiveDivisionOperator : public Operator {
   /// Records one decision in the report, the metric family, and the flight
   /// ring (the latter two only under Telemetry::counting()).
   void RecordDecision(ReplanEvent event);
+  /// Emits the next buffered quotient tuple.
+  Status Step(Tuple* tuple, bool* has_next);
   void CountCheckpoint();
 
   /// Runs `algorithm` as a static plan into results_ (the abandon path and

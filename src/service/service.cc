@@ -14,9 +14,6 @@
 namespace reldiv {
 namespace {
 
-/// Tuples between cancellation polls on the direct (non-cached) drive loop.
-constexpr uint64_t kCancelPollInterval = 64;
-
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -237,19 +234,14 @@ Status DivisionService::RunQuery(QueryTicket* ticket) {
                        ticket->request_.options));
   RELDIV_RETURN_NOT_OK(plan->Open());
   std::vector<Tuple> quotient;
-  uint64_t emitted = 0;
+  TupleBatch batch(ctx.batch_capacity());
   Status drive = Status::OK();
-  while (true) {
-    if (emitted % kCancelPollInterval == 0) {
-      drive = ctx.CheckCancelled();
-      if (!drive.ok()) break;
-    }
-    Tuple tuple;
-    bool has = false;
-    drive = plan->Next(&tuple, &has);
-    if (!drive.ok() || !has) break;
-    quotient.push_back(std::move(tuple));
-    emitted++;
+  bool has_more = true;
+  while (has_more) {
+    drive = ctx.CheckCancelled();
+    if (drive.ok()) drive = plan->NextBatch(&batch, &has_more);
+    if (!drive.ok()) break;
+    for (Tuple& tuple : batch) quotient.push_back(std::move(tuple));
   }
   // Close on every path: the cancellation unwind must still run operator
   // teardown so arenas reset and reservations release.

@@ -130,13 +130,10 @@ class MockSource : public Operator {
     pos_ = 0;
     return Status::OK();
   }
-  Status Next(Tuple* tuple, bool* has_next) override {
-    if (pos_ >= n_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = MakeTuple(pos_++);
-    *has_next = true;
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    batch->Clear();
+    while (!batch->full() && pos_ < n_) batch->PushBack(MakeTuple(pos_++));
+    *has_more = pos_ < n_;
     return Status::OK();
   }
   Status Close() override { return Status::OK(); }
@@ -197,9 +194,9 @@ class CounterRewindOperator : public MockSource {
     ctx_->CountComparisons(16);  // capital to burn on the rewind below
     return MockSource::Open();
   }
-  Status Next(Tuple* tuple, bool* has_next) override {
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
     ctx_->counters()->comparisons -= 1;
-    return MockSource::Next(tuple, has_next);
+    return MockSource::NextBatch(batch, has_more);
   }
 
  private:
@@ -231,12 +228,12 @@ TEST_F(ContractCheckTest, WellBehavedOperatorPassesUntouched) {
   EXPECT_EQ(checked.violations(), 0u);
 }
 
-TEST_F(ContractCheckTest, CatchesNextWithoutOpen) {
+TEST_F(ContractCheckTest, CatchesPullWithoutOpen) {
   ContractCheckOperator checked(db_->ctx(), std::make_unique<MockSource>(2),
                                 "no-open");
-  Tuple tuple;
-  bool has = false;
-  Status status = checked.Next(&tuple, &has);
+  TupleBatch batch(4);
+  bool more = false;
+  Status status = checked.NextBatch(&batch, &more);
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("without a successful Open"),
             std::string::npos);
@@ -247,30 +244,15 @@ TEST_F(ContractCheckTest, CatchesPullAfterEndOfStream) {
   ContractCheckOperator checked(db_->ctx(), std::make_unique<MockSource>(1),
                                 "eos");
   ASSERT_OK(checked.Open());
-  Tuple tuple;
-  bool has = true;
-  ASSERT_OK(checked.Next(&tuple, &has));  // the single row
-  ASSERT_TRUE(has);
-  ASSERT_OK(checked.Next(&tuple, &has));  // end of stream
-  ASSERT_FALSE(has);
-  Status status = checked.Next(&tuple, &has);  // illegal third pull
+  TupleBatch batch(1);
+  bool more = true;
+  ASSERT_OK(checked.NextBatch(&batch, &more));  // the single row, then end
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_FALSE(more);
+  Status status = checked.NextBatch(&batch, &more);  // illegal second pull
   EXPECT_TRUE(status.IsInternal());
   EXPECT_NE(status.message().find("after end-of-stream"), std::string::npos);
   EXPECT_EQ(checked.violations(), 1u);
-}
-
-TEST_F(ContractCheckTest, CatchesProtocolInterleaving) {
-  ContractCheckOperator checked(db_->ctx(), std::make_unique<MockSource>(10),
-                                "interleave");
-  ASSERT_OK(checked.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(checked.Next(&tuple, &has));
-  TupleBatch batch(4);
-  bool more = false;
-  Status status = checked.NextBatch(&batch, &more);
-  EXPECT_TRUE(status.IsInternal());
-  EXPECT_NE(status.message().find("interleaved"), std::string::npos);
 }
 
 TEST_F(ContractCheckTest, CatchesWrongArity) {
@@ -371,8 +353,8 @@ TEST_F(ContractCheckTest, AllDivisionAlgorithmsRunCleanUnderContractChecks) {
     EXPECT_EQ(Sorted(std::move(quotient)), expected);
     EXPECT_EQ(checker->violations(), 0u);
   }
-  // Early-output hash-division streams through Next-style pulls with a
-  // different end-of-stream shape; validate it too.
+  // Early-output hash-division streams with a different end-of-stream
+  // shape; validate it too.
   DivisionOptions early;
   early.early_output = true;
   ASSERT_OK_AND_ASSIGN(

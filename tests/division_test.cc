@@ -448,7 +448,7 @@ TEST_F(DivisionTest, EarlyOutputProducesIdenticalQuotient) {
 TEST_F(DivisionTest, EarlyOutputEmitsBeforeInputExhausted) {
   // With early output, the first quotient tuple must be available after the
   // operator has consumed only the completing dividend tuple — verified by
-  // interleaving Next() with a counting child operator.
+  // pulling one tuple at a time from a dividend read one tuple at a time.
   Schema dividend_schema = TwoColDividend();
   std::vector<Tuple> dividend = {T(1, 1), T(1, 2),   // completes candidate 1
                                  T(2, 1), T(2, 2)};  // completes candidate 2
@@ -457,21 +457,22 @@ TEST_F(DivisionTest, EarlyOutputEmitsBeforeInputExhausted) {
   auto dividend_source =
       std::make_unique<MemSourceOperator>(dividend_schema, dividend);
 
+  db_->ctx()->set_batch_capacity(1);
   DivisionOptions options;
   options.early_output = true;
   HashDivisionOperator op(db_->ctx(), std::move(dividend_source),
                           std::move(divisor_source), {1}, {0}, options);
   ASSERT_OK(op.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(op.Next(&tuple, &has));
-  ASSERT_TRUE(has);
-  EXPECT_EQ(tuple, T(1));  // produced before tuples of candidate 2 arrived
-  ASSERT_OK(op.Next(&tuple, &has));
-  ASSERT_TRUE(has);
-  EXPECT_EQ(tuple, T(2));
-  ASSERT_OK(op.Next(&tuple, &has));
-  EXPECT_FALSE(has);
+  TupleBatch batch(1);
+  bool has_more = false;
+  ASSERT_OK(op.NextBatch(&batch, &has_more));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.tuple(0), T(1));
+  EXPECT_TRUE(has_more);  // produced before tuples of candidate 2 arrived
+  ASSERT_OK(op.NextBatch(&batch, &has_more));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.tuple(0), T(2));
+  EXPECT_FALSE(has_more);
   ASSERT_OK(op.Close());
 }
 

@@ -11,6 +11,21 @@
 namespace reldiv {
 namespace {
 
+/// Step 2 over `rows` through ConsumeBatch, `capacity` tuples per batch
+/// (default 1: the paper's tuple-at-a-time loop).
+Status ConsumeRows(HashDivisionCore* core, const std::vector<Tuple>& rows,
+                   size_t capacity = 1) {
+  TupleBatch batch(capacity);
+  for (const Tuple& row : rows) {
+    batch.PushBack(row);
+    if (batch.full()) {
+      RELDIV_RETURN_NOT_OK(core->ConsumeBatch(batch, nullptr));
+      batch.Clear();
+    }
+  }
+  return batch.empty() ? Status::OK() : core->ConsumeBatch(batch, nullptr);
+}
+
 class HashDivisionCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -48,13 +63,13 @@ TEST_F(HashDivisionCoreTest, Figure2TraceStepByStep) {
   EXPECT_EQ(core.divisor_count(), 2u);
   ASSERT_OK(core.ResetQuotientTable());
 
-  ASSERT_OK(core.Consume(Row("Ann", "Database1"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("Ann", "Database1")}));
   EXPECT_EQ(core.quotient_candidates(), 1u);  // (Ann) created
-  ASSERT_OK(core.Consume(Row("Barb", "Database2"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("Barb", "Database2")}));
   EXPECT_EQ(core.quotient_candidates(), 2u);  // (Barb) created
-  ASSERT_OK(core.Consume(Row("Ann", "Database2"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("Ann", "Database2")}));
   EXPECT_EQ(core.quotient_candidates(), 2u);  // bit set in (Ann)'s map
-  ASSERT_OK(core.Consume(Row("Barb", "Optics"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("Barb", "Optics")}));
   EXPECT_EQ(core.quotient_candidates(), 2u);  // discarded immediately
 
   std::vector<Tuple> quotient;
@@ -83,11 +98,11 @@ TEST_F(HashDivisionCoreTest, BitOpsAreCounted) {
   ASSERT_OK(core.BuildDivisorTable(&divisor));
   ASSERT_OK(core.ResetQuotientTable());
   db_->counters()->Reset();
-  ASSERT_OK(core.Consume(Row("x", "A"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("x", "A")}));
   // Creating the candidate clears one word and sets one bit.
   EXPECT_GE(db_->counters()->bit_ops, 2u);
   const uint64_t after_create = db_->counters()->bit_ops;
-  ASSERT_OK(core.Consume(Row("x", "B"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("x", "B")}));
   EXPECT_EQ(db_->counters()->bit_ops, after_create + 1);  // one Set only
 }
 
@@ -100,9 +115,9 @@ TEST_F(HashDivisionCoreTest, MemoryBytesGrowWithTables) {
   EXPECT_GT(after_divisor, 0u);
   ASSERT_OK(core.ResetQuotientTable());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_OK(core.Consume(
-        Tuple{Value::String("s" + std::to_string(i)), Value::String("A")},
-        nullptr));
+    ASSERT_OK(ConsumeRows(
+        &core,
+        {Tuple{Value::String("s" + std::to_string(i)), Value::String("A")}}));
   }
   EXPECT_GT(core.memory_bytes(), after_divisor);
 }
@@ -115,15 +130,15 @@ TEST_F(HashDivisionCoreTest, QuotientTableResetStartsAPhaseFresh) {
   ASSERT_OK(core.BuildDivisorTable(&divisor));
 
   ASSERT_OK(core.ResetQuotientTable());
-  ASSERT_OK(core.Consume(Row("u", "A"), nullptr));
-  ASSERT_OK(core.Consume(Row("u", "B"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("u", "A")}));
+  ASSERT_OK(ConsumeRows(&core, {Row("u", "B")}));
   std::vector<Tuple> phase1;
   ASSERT_OK(core.EmitComplete(&phase1));
   EXPECT_EQ(phase1, std::vector<Tuple>{Tuple{Value::String("u")}});
 
   ASSERT_OK(core.ResetQuotientTable());
   EXPECT_EQ(core.quotient_candidates(), 0u);
-  ASSERT_OK(core.Consume(Row("v", "A"), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {Row("v", "A")}));
   std::vector<Tuple> phase2;
   ASSERT_OK(core.EmitComplete(&phase2));
   EXPECT_TRUE(phase2.empty());  // v misses B; u is gone with the old table
@@ -143,9 +158,9 @@ TEST_F(HashDivisionCoreTest, SeededDivisorTableSkipsStepOne) {
   Schema schema{Field{"q", ValueType::kInt64},
                 Field{"tag", ValueType::kInt64}};
   (void)schema;
-  ASSERT_OK(core.Consume(T(1, 10), nullptr));
-  ASSERT_OK(core.Consume(T(1, 30), nullptr));
-  ASSERT_OK(core.Consume(T(2, 30), nullptr));
+  ASSERT_OK(ConsumeRows(&core, {T(1, 10)}));
+  ASSERT_OK(ConsumeRows(&core, {T(1, 30)}));
+  ASSERT_OK(ConsumeRows(&core, {T(2, 30)}));
   std::vector<Tuple> out;
   ASSERT_OK(core.EmitComplete(&out));
   EXPECT_EQ(out, std::vector<Tuple>{T(1)});
@@ -180,9 +195,9 @@ TEST_F(HashDivisionCoreTest, OperatorComposesInDataflow) {
 
 TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
   // A consumer that abandons the stream mid-way must leave the operator
-  // closeable without errors, at either protocol granularity. It is also
-  // the Close() audit: every Comp/Hash/Bit delta must be charged by the
-  // time Next/NextBatch returns. An operator that buffered counts and
+  // closeable without errors, at any batch capacity. It is also the Close()
+  // audit: every Comp/Hash/Bit delta must be charged by the time NextBatch
+  // returns. An operator that buffered counts and
   // flushed them in Close would show a difference between the drained and
   // closed snapshots below.
   std::vector<Tuple> dividend_rows;
@@ -195,11 +210,11 @@ TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
   Schema divisor_schema{Field{"d", ValueType::kInt64}};
   DivisionOptions options;
   options.early_output = true;
-  // Small input batches, so the 8-slot output fills with dividend input
+  // Small input batches, so the output batch fills with dividend input
   // still pending.
   db_->ctx()->set_batch_capacity(16);
-  for (const bool batched : {false, true}) {
-    SCOPED_TRACE(batched ? "NextBatch" : "Next");
+  for (const size_t capacity : {1u, 8u}) {
+    SCOPED_TRACE(capacity);
     HashDivisionOperator op(
         db_->ctx(),
         std::make_unique<MemSourceOperator>(dividend_schema, dividend_rows),
@@ -208,18 +223,11 @@ TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
         {1}, {0}, options);
     const CpuCounters before = *db_->ctx()->counters();
     ASSERT_OK(op.Open());
-    if (batched) {
-      TupleBatch batch(8);
-      bool has_more = false;
-      ASSERT_OK(op.NextBatch(&batch, &has_more));
-      ASSERT_EQ(batch.size(), 8u);
-      ASSERT_TRUE(has_more) << "partial drain expected input left over";
-    } else {
-      Tuple tuple;
-      bool has = false;
-      ASSERT_OK(op.Next(&tuple, &has));
-      ASSERT_TRUE(has);
-    }
+    TupleBatch batch(capacity);
+    bool has_more = false;
+    ASSERT_OK(op.NextBatch(&batch, &has_more));
+    ASSERT_EQ(batch.size(), capacity);
+    ASSERT_TRUE(has_more) << "partial drain expected input left over";
     const CpuCounters drained = *db_->ctx()->counters() - before;
     ASSERT_OK(op.Close());  // stream abandoned mid-way
     const CpuCounters closed = *db_->ctx()->counters() - before;
@@ -254,8 +262,8 @@ struct GrowthRun {
   size_t buckets = 0;
 };
 
-/// Divides GrowthDividend() by {0..3} through the tuple lane (Consume) when
-/// `batch_capacity` is 0, else through ConsumeBatch at that capacity.
+/// Divides GrowthDividend() by {0..3} through ConsumeBatch at
+/// `batch_capacity`.
 GrowthRun DivideForGrowth(ExecContext* ctx, size_t batch_capacity,
                           uint64_t quotient_hint) {
   GrowthRun run;
@@ -265,20 +273,7 @@ GrowthRun DivideForGrowth(ExecContext* ctx, size_t batch_capacity,
   EXPECT_OK(core.BuildDivisorTable(&divisor));
   EXPECT_OK(core.ResetQuotientTable(quotient_hint));
   const CpuCounters before = *ctx->counters();
-  const std::vector<Tuple> rows = GrowthDividend();
-  if (batch_capacity == 0) {
-    for (const Tuple& row : rows) EXPECT_OK(core.Consume(row, nullptr));
-  } else {
-    TupleBatch batch(batch_capacity);
-    for (const Tuple& row : rows) {
-      if (batch.full()) {
-        EXPECT_OK(core.ConsumeBatch(batch, nullptr));
-        batch.Clear();
-      }
-      batch.PushBack(row);
-    }
-    EXPECT_OK(core.ConsumeBatch(batch, nullptr));
-  }
+  EXPECT_OK(ConsumeRows(&core, GrowthDividend(), batch_capacity));
   EXPECT_OK(core.EmitComplete(&run.quotient));
   run.cpu = *ctx->counters() - before;
   run.candidates = core.quotient_candidates();
@@ -311,21 +306,21 @@ TEST_F(HashDivisionCoreTest, UnhintedQuotientTableGrowsToAverageBucketSizeTwo) {
   EXPECT_EQ(Sorted(grown.quotient), Sorted(fixed.quotient));
 }
 
-TEST_F(HashDivisionCoreTest, GrowthIsIdenticalAcrossLanesAndBatchSizes) {
+TEST_F(HashDivisionCoreTest, GrowthIsIdenticalAcrossBatchSizes) {
   // Growth depends only on how many candidates were inserted, so the
-  // quotient (in emission order) and every Table 1 counter are the same
-  // through the tuple lane and the batch lane at any capacity.
-  const GrowthRun tuple_lane = DivideForGrowth(db_->ctx(), 0, 0);
-  EXPECT_GT(tuple_lane.buckets, 512u);
-  for (const size_t capacity : {1u, 7u, 1024u}) {
+  // quotient (in emission order) and every Table 1 counter are the same at
+  // any capacity; capacity 1 is the paper's tuple-at-a-time reference.
+  const GrowthRun reference = DivideForGrowth(db_->ctx(), 1, 0);
+  EXPECT_GT(reference.buckets, 512u);
+  for (const size_t capacity : {7u, 1024u}) {
     SCOPED_TRACE(capacity);
-    const GrowthRun batch_lane = DivideForGrowth(db_->ctx(), capacity, 0);
-    EXPECT_EQ(batch_lane.quotient, tuple_lane.quotient);
-    EXPECT_EQ(batch_lane.cpu.comparisons, tuple_lane.cpu.comparisons);
-    EXPECT_EQ(batch_lane.cpu.hashes, tuple_lane.cpu.hashes);
-    EXPECT_EQ(batch_lane.cpu.moves, tuple_lane.cpu.moves);
-    EXPECT_EQ(batch_lane.cpu.bit_ops, tuple_lane.cpu.bit_ops);
-    EXPECT_EQ(batch_lane.buckets, tuple_lane.buckets);
+    const GrowthRun run = DivideForGrowth(db_->ctx(), capacity, 0);
+    EXPECT_EQ(run.quotient, reference.quotient);
+    EXPECT_EQ(run.cpu.comparisons, reference.cpu.comparisons);
+    EXPECT_EQ(run.cpu.hashes, reference.cpu.hashes);
+    EXPECT_EQ(run.cpu.moves, reference.cpu.moves);
+    EXPECT_EQ(run.cpu.bit_ops, reference.cpu.bit_ops);
+    EXPECT_EQ(run.buckets, reference.buckets);
   }
 }
 

@@ -8,12 +8,10 @@
 #include "division/division.h"
 #include "exec/database.h"
 #include "exec/exchange.h"
-#include "exec/filter.h"
 #include "exec/hash_join.h"
 #include "exec/materialize.h"
 #include "exec/mem_source.h"
 #include "exec/merge_join.h"
-#include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "gtest/gtest.h"
@@ -62,7 +60,7 @@ TEST_F(OperatorContractTest, SortReopensFromTheStart) {
   EXPECT_EQ(first.front(), T(1, 0));
 }
 
-TEST_F(OperatorContractTest, PartitionSourceReopensAndAgreesAcrossLanes) {
+TEST_F(OperatorContractTest, PartitionSourceReopensAndAgreesAcrossBatchSizes) {
   const RowCodec codec(Schema{Field{"name", ValueType::kString},
                               Field{"b", ValueType::kInt64}});
   std::vector<Tuple> input;
@@ -72,11 +70,10 @@ TEST_F(OperatorContractTest, PartitionSourceReopensAndAgreesAcrossLanes) {
     ASSERT_OK(partition.Append(codec, input.back()));
   }
   PartitionSourceOperator source(&codec, &partition);
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> batches, CollectAll(&source, 2));
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> tuples,
-                       CollectAllTupleAtATime(&source));
-  EXPECT_EQ(batches, input);
-  EXPECT_EQ(tuples, input);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> pairs, CollectAll(&source, 2));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> singles, CollectAll(&source, 1));
+  EXPECT_EQ(pairs, input);
+  EXPECT_EQ(singles, input);
 }
 
 TEST_F(OperatorContractTest, DivisionPlanReopens) {
@@ -97,10 +94,10 @@ TEST_F(OperatorContractTest, CloseWithoutDrainingReleasesPins) {
   for (int i = 0; i < 5000; ++i) ASSERT_OK(db_->Insert("t", T(i, i)));
   ScanOperator scan(db_->ctx(), rel);
   ASSERT_OK(scan.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(scan.Next(&tuple, &has));
-  ASSERT_TRUE(has);
+  TupleBatch batch(1);
+  bool has_more = false;
+  ASSERT_OK(scan.NextBatch(&batch, &has_more));
+  ASSERT_TRUE(has_more);
   ASSERT_OK(scan.Close());  // page pinned by the scan must be released
   ASSERT_OK(db_->buffer_manager()->FlushAll());
   ASSERT_OK(db_->buffer_manager()->DropAll());  // fails if a pin leaked
@@ -139,9 +136,9 @@ TEST_F(OperatorContractTest, GroupCountFilterRejectsNonIntCountColumn) {
   GroupCountFilterOperator filter(
       db_->ctx(), std::make_unique<MemSourceOperator>(bad, rows), divisor);
   ASSERT_OK(filter.Open());
-  Tuple tuple;
-  bool has = false;
-  EXPECT_TRUE(filter.Next(&tuple, &has).IsInvalidArgument());
+  TupleBatch batch(4);
+  bool has_more = false;
+  EXPECT_TRUE(filter.NextBatch(&batch, &has_more).IsInvalidArgument());
   ASSERT_OK(filter.Close());
 }
 
@@ -200,27 +197,11 @@ TEST_F(OperatorContractTest, TupleBatchSlotReuseAndRetain) {
   EXPECT_EQ(batch.tuple(0), T(7));
 }
 
-TEST_F(OperatorContractTest, BatchNativePipelineDetection) {
-  ASSERT_OK_AND_ASSIGN(Relation rel, db_->CreateTable("bn", TwoCol()));
-  auto even = [](const Tuple& t) { return t.value(0).int64() % 2 == 0; };
-  // scan → filter → project is batch-native end to end.
-  auto chain = std::make_unique<ProjectOperator>(
-      std::make_unique<FilterOperator>(
-          std::make_unique<ScanOperator>(db_->ctx(), rel), even),
-      std::vector<size_t>{0});
-  EXPECT_TRUE(chain->IsBatchNative());
-  // A sort in the chain falls back to the tuple adapter.
-  SortSpec spec;
-  spec.keys = {0};
-  SortOperator sorter(db_->ctx(), std::move(chain), spec);
-  EXPECT_FALSE(sorter.IsBatchNative());
-}
-
 /// Satellite property test: for every division algorithm and a set of
-/// randomized workloads, the tuple-at-a-time lane and the batch lane (at
-/// several capacities) must produce identical quotients and identical
-/// Table 1 cost-counter deltas.
-TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
+/// randomized workloads, every batch capacity must produce the quotient and
+/// the Table 1 cost-counter deltas of capacity 1, the paper's
+/// tuple-at-a-time iterator.
+TEST_F(OperatorContractTest, BatchSizesAgreeOnEveryAlgorithm) {
   const DivisionAlgorithm kAlgorithms[] = {
       DivisionAlgorithm::kNaive,
       DivisionAlgorithm::kSortAggregate,
@@ -269,10 +250,10 @@ TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
       DivisionOptions options;
       options.eliminate_duplicates = has_duplicates;
 
-      // Each lane starts from identical state: cold buffers, zeroed Move
+      // Each run starts from identical state: cold buffers, zeroed Move
       // remainder, and a counter snapshot taken just before the run.
-      auto run_lane = [&](bool tuple_at_a_time, size_t capacity,
-                          std::vector<Tuple>* quotient, CpuCounters* delta) {
+      auto run = [&](size_t capacity, std::vector<Tuple>* quotient,
+                     CpuCounters* delta) {
         db_->ctx()->set_batch_capacity(capacity);
         ASSERT_OK(db_->buffer_manager()->FlushAll());
         ASSERT_OK(db_->buffer_manager()->DropAll());
@@ -281,11 +262,7 @@ TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
         ASSERT_OK_AND_ASSIGN(std::unique_ptr<Operator> plan,
                              MakeDivisionPlan(db_->ctx(), query, algorithm,
                                               options));
-        if (tuple_at_a_time) {
-          ASSERT_OK_AND_ASSIGN(*quotient, CollectAllTupleAtATime(plan.get()));
-        } else {
-          ASSERT_OK_AND_ASSIGN(*quotient, CollectAll(plan.get(), capacity));
-        }
+        ASSERT_OK_AND_ASSIGN(*quotient, CollectAll(plan.get(), capacity));
         const CpuCounters& after = *db_->ctx()->counters();
         delta->comparisons = after.comparisons - before.comparisons;
         delta->hashes = after.hashes - before.hashes;
@@ -295,12 +272,11 @@ TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
 
       std::vector<Tuple> reference;
       CpuCounters reference_delta;
-      run_lane(/*tuple_at_a_time=*/true, /*capacity=*/1, &reference,
-               &reference_delta);
+      run(/*capacity=*/1, &reference, &reference_delta);
       ASSERT_FALSE(HasFatalFailure());
       // The no-join aggregation variants require every dividend tuple to
       // match some divisor tuple (§2.2); on workloads violating that they
-      // still must be lane-consistent, just not ground-truth correct.
+      // still must be capacity-consistent, just not ground-truth correct.
       const bool no_join_aggregation =
           algorithm == DivisionAlgorithm::kSortAggregate ||
           algorithm == DivisionAlgorithm::kHashAggregate;
@@ -308,12 +284,11 @@ TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
         EXPECT_EQ(Sorted(reference), workload.expected_quotient);
       }
 
-      for (size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
+      for (size_t capacity : {size_t{7}, size_t{1024}}) {
         SCOPED_TRACE("batch capacity " + std::to_string(capacity));
         std::vector<Tuple> batched;
         CpuCounters batched_delta;
-        run_lane(/*tuple_at_a_time=*/false, capacity, &batched,
-                 &batched_delta);
+        run(capacity, &batched, &batched_delta);
         ASSERT_FALSE(HasFatalFailure());
         EXPECT_EQ(Sorted(batched), Sorted(reference));
         EXPECT_EQ(batched_delta.comparisons, reference_delta.comparisons);
@@ -327,16 +302,17 @@ TEST_F(OperatorContractTest, BatchAndTupleLanesAgreeOnEveryAlgorithm) {
 }
 
 /// Child probe for the Open()/Close() pairing contract: replays a fixed
-/// tuple stream, optionally fails its own Open() or the Nth Next(), and
-/// records how often each protocol entry ran so a test can assert that a
-/// parent's Close() settled every child it had opened — and only those.
+/// tuple stream one row per batch, optionally fails its own Open() or the
+/// Nth NextBatch() (so the Nth row), and records how often each protocol
+/// entry ran so a test can assert that a parent's Close() settled every
+/// child it had opened — and only those.
 class ProbeOperator : public Operator {
  public:
   ProbeOperator(Schema schema, std::vector<Tuple> rows)
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   void FailOpen() { fail_open_ = true; }
-  void FailOnNthNext(size_t n) { fail_next_at_ = n; }
+  void FailOnNthBatch(size_t n) { fail_batch_at_ = n; }
   void FailClose() { fail_close_ = true; }
 
   int opens() const { return opens_; }
@@ -348,21 +324,18 @@ class ProbeOperator : public Operator {
     if (fail_open_) return Status::Internal("probe open failed");
     opens_++;
     pos_ = 0;
-    nexts_ = 0;
+    batches_ = 0;
     return Status::OK();
   }
 
-  Status Next(Tuple* tuple, bool* has_next) override {
-    nexts_++;
-    if (fail_next_at_ != 0 && nexts_ >= fail_next_at_) {
-      return Status::IOError("probe next failed");
+  Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    batches_++;
+    if (fail_batch_at_ != 0 && batches_ >= fail_batch_at_) {
+      return Status::IOError("probe batch failed");
     }
-    if (pos_ >= rows_.size()) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = rows_[pos_++];
-    *has_next = true;
+    batch->Clear();
+    if (pos_ < rows_.size()) batch->PushBack(rows_[pos_++]);
+    *has_more = pos_ < rows_.size();
     return Status::OK();
   }
 
@@ -376,8 +349,8 @@ class ProbeOperator : public Operator {
   Schema schema_;
   std::vector<Tuple> rows_;
   size_t pos_ = 0;
-  size_t nexts_ = 0;
-  size_t fail_next_at_ = 0;
+  size_t batches_ = 0;
+  size_t fail_batch_at_ = 0;
   bool fail_open_ = false;
   bool fail_close_ = false;
   int opens_ = 0;
@@ -391,7 +364,7 @@ TEST_F(OperatorContractTest, SortClosesChildAfterFailedOpenDrain) {
   auto probe = std::make_unique<ProbeOperator>(
       TwoCol(), std::vector<Tuple>{T(3, 0), T(1, 0), T(2, 0)});
   ProbeOperator* child = probe.get();
-  child->FailOnNthNext(2);
+  child->FailOnNthBatch(2);
   SortSpec spec;
   spec.keys = {0};
   SortOperator sorter(db_->ctx(), std::move(probe), spec);
@@ -401,7 +374,7 @@ TEST_F(OperatorContractTest, SortClosesChildAfterFailedOpenDrain) {
   ASSERT_OK(sorter.Close());
   EXPECT_EQ(child->closes(), 1);
   // A clean cycle afterwards must not double-close.
-  child->FailOnNthNext(0);
+  child->FailOnNthBatch(0);
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&sorter));
   EXPECT_EQ(out.front(), T(1, 0));
   EXPECT_EQ(child->opens(), 2);
@@ -418,7 +391,7 @@ TEST_F(OperatorContractTest, HashJoinClosesOnlyTheChildrenItOpened) {
       TwoCol(), std::vector<Tuple>{T(1, 1), T(2, 2)});
   ProbeOperator* probe = probe_side.get();
   ProbeOperator* build = build_side.get();
-  build->FailOnNthNext(2);
+  build->FailOnNthBatch(2);
   HashJoinOperator join(db_->ctx(), std::move(probe_side),
                         std::move(build_side), {0}, {0},
                         HashJoinMode::kLeftSemi);
@@ -429,7 +402,7 @@ TEST_F(OperatorContractTest, HashJoinClosesOnlyTheChildrenItOpened) {
   EXPECT_EQ(probe->opens(), 0);
   EXPECT_EQ(probe->closes(), 0);
   // Recovered cycle: both children open and close exactly once.
-  build->FailOnNthNext(0);
+  build->FailOnNthBatch(0);
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&join));
   EXPECT_EQ(out, std::vector<Tuple>{T(1, 1)});
   EXPECT_EQ(build->closes(), 2);
@@ -452,16 +425,16 @@ TEST_F(OperatorContractTest, MergeJoinClosesBothChildrenEvenWhenLeftFails) {
                          std::move(right_side), {0}, {0},
                          MergeJoinMode::kLeftSemi);
   ASSERT_OK(join.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(join.Next(&tuple, &has));
-  ASSERT_TRUE(has);
+  TupleBatch batch(1);
+  bool has_more = false;
+  ASSERT_OK(join.NextBatch(&batch, &has_more));
+  ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(join.Close().IsIOError());
   EXPECT_EQ(left->closes(), 1);
   EXPECT_EQ(right->closes(), 1) << "right child must be closed regardless";
 }
 
-TEST_F(OperatorContractTest, EarlyOutputHashDivisionAgreesAcrossLanes) {
+TEST_F(OperatorContractTest, EarlyOutputHashDivisionAgreesAcrossBatchSizes) {
   WorkloadSpec spec = PaperCell(7, 12);
   spec.seed = 5;
   GeneratedWorkload workload = GenerateWorkload(spec);
@@ -475,12 +448,10 @@ TEST_F(OperatorContractTest, EarlyOutputHashDivisionAgreesAcrossLanes) {
                        MakeDivisionPlan(db_->ctx(), query,
                                         DivisionAlgorithm::kHashDivision,
                                         options));
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> tuple_lane,
-                       CollectAllTupleAtATime(plan.get()));
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> batch_lane,
-                       CollectAll(plan.get(), 3));
-  EXPECT_EQ(Sorted(tuple_lane), workload.expected_quotient);
-  EXPECT_EQ(Sorted(batch_lane), workload.expected_quotient);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> singles, CollectAll(plan.get(), 1));
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> triples, CollectAll(plan.get(), 3));
+  EXPECT_EQ(Sorted(singles), workload.expected_quotient);
+  EXPECT_EQ(Sorted(triples), workload.expected_quotient);
 }
 
 }  // namespace

@@ -436,8 +436,10 @@ TEST_F(DivisionServiceTest, CancelledQueryUnwindsWithCleanStatusAndNoLeaks) {
   const size_t steady_used = db_->pool()->used();
   const CpuCounters before = *db_->counters();
 
+  // Cancelled before RunQuery starts: the query unwinds before any plan is
+  // built.
   QueryRequest request = Request();
-  request.bypass_cache = true;  // exercise the operator drive loop
+  request.bypass_cache = true;
   ASSERT_OK_AND_ASSIGN(auto ticket, service.Submit("t", request));
   ticket->Cancel();
   ASSERT_OK(service.RunUntilIdle());
@@ -453,6 +455,32 @@ TEST_F(DivisionServiceTest, CancelledQueryUnwindsWithCleanStatusAndNoLeaks) {
   EXPECT_GE(after.hashes, before.hashes);
   EXPECT_GE(after.moves, before.moves);
   EXPECT_GE(after.bit_ops, before.bit_ops);
+
+  // Cancelled mid-drain: an early-output, bypass-cache hash-division plan
+  // builds its divisor table in Open() (the divisor's one page is pin 1)
+  // and consumes its dividend inside NextBatch(), so failing pin 2 with
+  // kCancelled lands in the service's drive loop, which must still Close()
+  // the plan.
+  {
+    DivisionService drain_service(db_.get(), ServiceOptions{});
+    QueryRequest early = Request();
+    early.bypass_cache = true;
+    early.options.early_output = true;
+    FailpointRegistry& failpoints = FailpointRegistry::Global();
+    failpoints.Arm("buffer/fix",
+                   FailpointPolicy::OnNthHit(2, StatusCode::kCancelled,
+                                             "cancelled mid-drain"));
+    ASSERT_OK_AND_ASSIGN(auto drained, drain_service.Submit("t", early));
+    ASSERT_OK(drain_service.RunUntilIdle());
+    const uint64_t fires = failpoints.fires("buffer/fix");
+    failpoints.DisarmAll();
+    EXPECT_EQ(fires, 1u);
+    EXPECT_TRUE(drained->status().IsCancelled())
+        << drained->status().ToString();
+    EXPECT_EQ(drain_service.cancelled(), 1u);
+    EXPECT_EQ(db_->pool()->used(), steady_used)
+        << "mid-drain cancel leaked its grant or operator memory";
+  }
 
   // Mid-flight cancellation through the execution context: the flag trips
   // the hash-division consume loop itself.

@@ -74,10 +74,15 @@ clang-tidy cannot express. Rules:
   no-rand              `rand()` / `srand()` / `std::rand` — experiments must
                        be reproducible; use common/rng.h (deterministic
                        xorshift128+) instead.
-  batch-overrides      a header class overriding `NextBatch` is a
-                       batch-native operator and must also override `Open`
-                       and `Close`: its stream carries state that Open must
-                       reset and Close must release (see exec/operator.h).
+  batch-overrides      a header class overriding `NextBatch` must also
+                       override `Open` and `Close`: its stream carries
+                       state that Open must reset and Close must release
+                       (see exec/operator.h).
+  tuple-lane           no `Next(Tuple*, bool*)` declaration in src/ other
+                       than the leftover base one on class Operator in
+                       exec/operator.h: NextBatch is the one pull, and a
+                       per-tuple producer keeps its step private and fills
+                       batches with FillBatch (DESIGN.md §6).
 
 Suppression syntax (modeled on clang-tidy triage): a finding is silenced
 by `NOLINT(reldiv/<rule>): <rationale>` on the same line, or
@@ -131,6 +136,7 @@ RULES = (
     "include-guard",
     "no-rand",
     "batch-overrides",
+    "tuple-lane",
     "suppression-rationale",
 )
 
@@ -645,8 +651,8 @@ class Analyzer:
     OPEN_OVERRIDE_RE = re.compile(r"\bOpen\s*\(\s*\)\s*override")
     CLOSE_OVERRIDE_RE = re.compile(r"\bClose\s*\(\s*\)\s*override")
 
-    def check_batch_overrides(self, path: Path, raw_lines, sup, text):
-        """Reported on the class line, where a suppression goes."""
+    def class_spans(self, text):
+        """(class-head match, body end offset) for every class in `text`."""
         for match in self.CLASS_RE.finditer(text):
             depth = 1
             i = match.end()
@@ -656,7 +662,12 @@ class Analyzer:
                 elif text[i] == "}":
                     depth -= 1
                 i += 1
-            body = text[match.end():i]
+            yield match, i
+
+    def check_batch_overrides(self, path: Path, raw_lines, sup, text):
+        """Reported on the class line, where a suppression goes."""
+        for match, end in self.class_spans(text):
+            body = text[match.end():end]
             if not self.NEXTBATCH_OVERRIDE_RE.search(body):
                 continue
             missing = [label for label, rx in (
@@ -667,8 +678,28 @@ class Analyzer:
                     path, text.count("\n", 0, match.start()) + 1,
                     "batch-overrides",
                     f"class {match.group(1)} overrides NextBatch but not "
-                    f"{'/'.join(missing)}; batch-native operators must "
-                    "manage their stream state explicitly", raw_lines, sup)
+                    f"{'/'.join(missing)}; an operator must manage its "
+                    "stream state explicitly", raw_lines, sup)
+
+    TUPLE_NEXT_RE = re.compile(r"\bNext\s*\(\s*Tuple\s*\*[^,()]*,\s*bool\s*\*")
+    BASE_OPERATOR = ("exec/operator.h", "Operator")
+
+    def check_tuple_lane(self, path: Path, raw_lines, sup, text):
+        base = (0, 0)
+        if path.relative_to(self.root / "src").as_posix() == \
+                self.BASE_OPERATOR[0]:
+            for match, end in self.class_spans(text):
+                if match.group(1) == self.BASE_OPERATOR[1]:
+                    base = (match.end(), end)
+        for match in self.TUPLE_NEXT_RE.finditer(text):
+            if base[0] <= match.start() < base[1]:
+                continue
+            self.report(
+                path, text.count("\n", 0, match.start()) + 1, "tuple-lane",
+                "tuple-at-a-time Next(Tuple*, bool*) is not part of the "
+                "operator protocol; implement NextBatch (a per-tuple "
+                "producer fills batches with FillBatch, a per-tuple "
+                "consumer reads through InputCursor)", raw_lines, sup)
 
     def check_qcache_coverage(self, texts):
         if "qcache-version-sync" not in self.rules:
@@ -803,6 +834,7 @@ class Analyzer:
                 self.check_qcache_version_sync(path, raw_lines, lines, sup,
                                                text)
                 self.check_line_bans(path, raw_lines, lines, sup)
+                self.check_tuple_lane(path, raw_lines, sup, text)
                 if path.suffix == ".h":
                     self.check_include_guard(path, raw_lines, sup)
                     self.check_batch_overrides(path, raw_lines, sup, text)

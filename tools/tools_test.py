@@ -286,6 +286,35 @@ class AnalyzeRuleTest(unittest.TestCase):
         self.assertEqual(found, [])
         self.assertEqual(analyzer.suppressed, 1)
 
+    BASE_OPERATOR = (GUARD + "class Operator {\n"
+                     "  virtual Status Next(Tuple* tuple, bool* has_next);\n"
+                     "};\n#endif\n")
+
+    def test_tuple_lane_base_declaration_clean(self):
+        self.tree.write("src/exec/operator.h", self.BASE_OPERATOR)
+        self.assertEqual(self.fresh(["tuple-lane"]), [])
+
+    def test_tuple_lane_fires_on_override_and_definition(self):
+        self.tree.write("src/exec/operator.h", self.BASE_OPERATOR.replace(
+            "};\n", "};\nclass Scan : public Operator {\n"
+            "  Status Next(Tuple* t, bool* h) override;\n};\n"))
+        self.tree.write("src/exec/scan.cc",
+                        "Status Scan::Next(Tuple* tuple,\n"
+                        "                  bool* has_next) { return {}; }\n")
+        found = self.fresh(["tuple-lane"])
+        self.assertEqual(rules_of(found), ["tuple-lane", "tuple-lane"])
+        self.assertEqual(sorted((f.file, f.lineno) for f in found),
+                         [("src/exec/operator.h", 7), ("src/exec/scan.cc", 1)])
+
+    def test_tuple_lane_private_step_and_calls_clean(self):
+        self.tree.write(
+            "src/exec/sort.cc",
+            "Status Sort::Step(Tuple* tuple, bool* has_next) {\n"
+            "  return input_.Pull(tuple, has_next);\n}\n"
+            "Status Run(Scan* s, Tuple* t, bool* h) {\n"
+            "  return s->Next(t, h);\n}\n")
+        self.assertEqual(self.fresh(["tuple-lane"]), [])
+
     def test_failpoint_site_unlisted_fires(self):
         self.tree.write(
             "src/testing/failpoint.h",
