@@ -24,15 +24,12 @@ Status GroupCountFilterOperator::Open() {
   if (distinct_count_) {
     std::set<Tuple> distinct;
     ScanOperator scan(ctx_, divisor_);
-    TupleBatch batch(ctx_->batch_capacity());
-    RELDIV_RETURN_NOT_OK(scan.Open());
-    bool has_more = true;
-    while (has_more) {
-      RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
-      ctx_->CountComparisons(batch.size());  // one per set insert
-      for (Tuple& tuple : batch) distinct.insert(std::move(tuple));
-    }
-    RELDIV_RETURN_NOT_OK(scan.Close());
+    RELDIV_RETURN_NOT_OK(
+        Drain(&scan, ctx_->batch_capacity(), ctx_, [&](TupleBatch& batch) {
+          ctx_->CountComparisons(batch.size());  // one per set insert
+          for (Tuple& tuple : batch) distinct.insert(std::move(tuple));
+          return Status::OK();
+        }));
     divisor_count_ = static_cast<int64_t>(distinct.size());
   } else {
     RELDIV_ASSIGN_OR_RETURN(uint64_t count, CountRelation(ctx_, divisor_));

@@ -259,8 +259,7 @@ Result<std::vector<Tuple>> Divide(ExecContext* ctx,
   if (sample) start = std::chrono::steady_clock::now();
   RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Operator> plan,
                           MakeDivisionPlan(ctx, query, algorithm, options));
-  Result<std::vector<Tuple>> result =
-      CollectAll(plan.get(), ctx->batch_capacity());
+  Result<std::vector<Tuple>> result = CollectAll(ctx, plan.get());
   if (sample && result.ok()) {
     Histogram* wall = MetricRegistry::Global().FindOrCreateHistogram(
         metric_names::kQueryWallMicros, "algorithm",

@@ -22,45 +22,6 @@ HashDivisionCore::HashDivisionCore(ExecContext* ctx,
 
 Status HashDivisionCore::BuildDivisorTable(Operator* divisor,
                                            uint64_t expected_cardinality) {
-  RELDIV_RETURN_NOT_OK(ctx_->CheckCancelled());
-  RELDIV_RETURN_NOT_OK(divisor->Open());
-  Status status = ConsumeDivisorStream(divisor, expected_cardinality);
-  // Close on success AND on error: an abandoned open input would hold
-  // buffer pins past this build. The build error wins over a close error.
-  Status close_status = divisor->Close();
-  if (status.ok()) status = close_status;
-  if (!status.ok()) return status;
-  // Dense divisor numbering (Figure 1, step 1): every distinct divisor tuple
-  // received exactly one number in [0, divisor_count_), so the table size
-  // and the counter must agree — the quotient bit maps are sized from it.
-  RELDIV_CHECK_EQ(divisor_count_, divisor_table_->size())
-      << "divisor numbering is not dense";
-  divisor_view_ = divisor_table_.get();
-  return Status::OK();
-}
-
-void HashDivisionCore::BorrowDivisorTable(const HashDivisionCore& owner) {
-  RELDIV_CHECK(owner.divisor_view_ != nullptr)
-      << "borrowing from a core whose divisor table was never built";
-  divisor_view_ = owner.divisor_view_;
-  divisor_count_ = owner.divisor_count_;
-  borrowed_divisor_bytes_ = owner.memory_bytes();
-}
-
-Status HashDivisionCore::CheckBudget(const char* stage) const {
-  const size_t budget = ctx_->hash_memory_bytes();
-  if (budget != 0 && memory_bytes() > budget) {
-    return Status::ResourceExhausted(
-        std::string("hash-division ") + stage + ": table memory " +
-        std::to_string(memory_bytes()) +
-        " bytes exceeds the hash_memory_bytes budget of " +
-        std::to_string(budget));
-  }
-  return Status::OK();
-}
-
-Status HashDivisionCore::ConsumeDivisorStream(Operator* divisor,
-                                              uint64_t expected_cardinality) {
   const uint64_t hint = expected_cardinality != 0
                             ? expected_cardinality
                             : options_.expected_divisor_cardinality;
@@ -93,27 +54,59 @@ Status HashDivisionCore::ConsumeDivisorStream(Operator* divisor,
     return Status::OK();
   };
 
-  TupleBatch batch(ctx_->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(divisor->NextBatch(&batch, &has_more));
-    for (Tuple& tuple : batch) {
-      if (!table_ready) {
-        if (hint != 0) {
-          make_table(hint, tuple.size());
-        } else {
-          pending.push_back(std::move(tuple));
-          continue;
+  // Without a hint the table is sized and filled in the finish step, while
+  // the divisor is still open: its reservations then come before anything
+  // the divisor's Close() releases, wherever the divisor comes from.
+  RELDIV_RETURN_NOT_OK(Drain(
+      divisor, ctx_->batch_capacity(), ctx_,
+      [&](TupleBatch& batch) -> Status {
+        for (Tuple& tuple : batch) {
+          if (!table_ready) {
+            if (hint != 0) {
+              make_table(hint, tuple.size());
+            } else {
+              pending.push_back(std::move(tuple));
+              continue;
+            }
+          }
+          RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
         }
-      }
-      RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
-    }
-  }
-  if (!table_ready) {
-    make_table(pending.size(), pending.empty() ? 1 : pending.front().size());
-    for (Tuple& tuple : pending) {
-      RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
-    }
+        return Status::OK();
+      },
+      [&]() -> Status {
+        if (table_ready) return Status::OK();
+        make_table(pending.size(),
+                   pending.empty() ? 1 : pending.front().size());
+        for (Tuple& tuple : pending) {
+          RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
+        }
+        return Status::OK();
+      }));
+  // Dense divisor numbering (Figure 1, step 1): every distinct divisor tuple
+  // received exactly one number in [0, divisor_count_), so the table size
+  // and the counter must agree — the quotient bit maps are sized from it.
+  RELDIV_CHECK_EQ(divisor_count_, divisor_table_->size())
+      << "divisor numbering is not dense";
+  divisor_view_ = divisor_table_.get();
+  return Status::OK();
+}
+
+void HashDivisionCore::BorrowDivisorTable(const HashDivisionCore& owner) {
+  RELDIV_CHECK(owner.divisor_view_ != nullptr)
+      << "borrowing from a core whose divisor table was never built";
+  divisor_view_ = owner.divisor_view_;
+  divisor_count_ = owner.divisor_count_;
+  borrowed_divisor_bytes_ = owner.memory_bytes();
+}
+
+Status HashDivisionCore::CheckBudget(const char* stage) const {
+  const size_t budget = ctx_->hash_memory_bytes();
+  if (budget != 0 && memory_bytes() > budget) {
+    return Status::ResourceExhausted(
+        std::string("hash-division ") + stage + ": table memory " +
+        std::to_string(memory_bytes()) +
+        " bytes exceeds the hash_memory_bytes budget of " +
+        std::to_string(budget));
   }
   return Status::OK();
 }
@@ -354,7 +347,7 @@ HashDivisionOperator::HashDivisionOperator(
 Status HashDivisionOperator::Open() {
   results_.clear();
   emit_pos_ = 0;
-  dividend_done_ = false;
+  dividend_done_ = true;
 
   if (options_.parallel_fragments > 0) {
     if (options_.early_output) {
@@ -371,22 +364,20 @@ Status HashDivisionOperator::Open() {
                                              quotient_attrs_, options_);
   RELDIV_RETURN_NOT_OK(core_->BuildDivisorTable(divisor_.get()));
   RELDIV_RETURN_NOT_OK(core_->ResetQuotientTable());
-  RELDIV_RETURN_NOT_OK(dividend_->Open());
-  if (input_batch_.capacity() != ctx_->batch_capacity()) {
-    input_batch_.ResetCapacity(ctx_->batch_capacity(), ctx_->pool());
-  }
 
   if (!options_.early_output) {
     // Stop-and-go: consume the dividend now, a batch at a time; step 3
-    // happens lazily below.
-    bool has_more = true;
-    while (has_more) {
-      RELDIV_RETURN_NOT_OK(dividend_->NextBatch(&input_batch_, &has_more));
-      RELDIV_RETURN_NOT_OK(core_->ConsumeBatch(input_batch_, nullptr));
-    }
-    RELDIV_RETURN_NOT_OK(dividend_->Close());
-    dividend_done_ = true;
-    RELDIV_RETURN_NOT_OK(core_->EmitComplete(&results_));
+    // happens lazily in NextBatch().
+    RELDIV_RETURN_NOT_OK(Drain(dividend_.get(), &input_batch_, ctx_,
+                               [&](TupleBatch& batch) {
+                                 return core_->ConsumeBatch(batch, nullptr);
+                               }));
+    return core_->EmitComplete(&results_);
+  }
+  RELDIV_RETURN_NOT_OK(dividend_->Open());
+  dividend_done_ = false;
+  if (input_batch_.capacity() != ctx_->batch_capacity()) {
+    input_batch_.ResetCapacity(ctx_->batch_capacity(), ctx_->pool());
   }
   return Status::OK();
 }
@@ -438,6 +429,8 @@ Status DivideFragments(ExecContext* ctx,
         // small pool that depends on the schedule, and the tables could
         // overflow at one dop but not at another.
         TupleBatch batch(fctx->batch_capacity());
+        // Read by row index, not drained: the tuple-bucket reader has no
+        // operator to pull (ROADMAP item 1 retires it with its benchmark).
         for (size_t begin = 0; begin < rows[f]; begin += batch.size()) {
           RELDIV_RETURN_NOT_OK(read(f, begin, &batch));
           RELDIV_RETURN_NOT_OK(fragment_core.ConsumeBatch(batch, nullptr));
@@ -510,7 +503,6 @@ Status HashDivisionOperator::OpenParallel() {
   // The drain stays on this thread: one scanning thread keeps the SimDisk
   // transfer order, and with it the seek count, deterministic.
   const RowCodec codec(dividend_->output_schema());
-  dividend_done_ = true;  // the drain closes the input on every path
   RELDIV_ASSIGN_OR_RETURN(
       std::vector<EncodedPartition> partitions,
       DrainAndEncodeRepartition(ctx_, dividend_.get(), codec, quotient_attrs_,
@@ -521,6 +513,7 @@ Status HashDivisionOperator::OpenParallel() {
 
 Status HashDivisionOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   batch->Clear();
+  // NOLINTNEXTLINE(reldiv/hand-drain): early output pulls only as consumed.
   while (true) {
     while (!batch->full() && emit_pos_ < results_.size()) {
       batch->PushBack(std::move(results_[emit_pos_++]));

@@ -30,8 +30,8 @@ class HashDivisionCore {
 
   /// Step 1: builds the divisor table, assigning dense divisor numbers.
   /// Duplicates in the divisor are eliminated on the fly (§3.3, point 5).
-  /// `divisor` is opened here and closed again on success AND on error — an
-  /// abandoned open input would hold buffer pins past the build.
+  /// `divisor` is read with Drain(), so it is closed on every path after a
+  /// good Open and the build stops at a raised cancellation flag.
   /// ResourceExhausted when the table outgrows the pool or the
   /// ExecContext::hash_memory_bytes() budget (the §3.4 overflow trigger).
   Status BuildDivisorTable(Operator* divisor,
@@ -106,10 +106,6 @@ class HashDivisionCore {
     uint64_t comparisons = 0;
     uint64_t bit_ops = 0;
   };
-
-  /// BuildDivisorTable minus open/close of the input.
-  Status ConsumeDivisorStream(Operator* divisor,
-                              uint64_t expected_cardinality);
 
   /// Enforces ExecContext::hash_memory_bytes() (0 = unlimited) over both
   /// tables' arenas. Called only when a table grew, so probe hits are free.
@@ -238,9 +234,9 @@ class HashDivisionOperator : public Operator {
 
   std::unique_ptr<HashDivisionCore> core_;
   std::vector<Tuple> results_;  ///< stop-and-go output / early-output buffer
-  TupleBatch input_batch_{1};   ///< early-output dividend pull buffer
+  TupleBatch input_batch_{1};   ///< dividend pull buffer, pool-charged
   size_t emit_pos_ = 0;
-  bool dividend_done_ = false;
+  bool dividend_done_ = true;  ///< false while early output holds it open
 };
 
 }  // namespace reldiv

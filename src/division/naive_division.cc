@@ -18,14 +18,14 @@ Status NaiveDivisionOperator::Open() {
   // Consume the entire divisor into an in-memory list (§5.1: "a linked list
   // of divisor tuples fixed in the buffer pool").
   divisor_list_.clear();
-  RELDIV_RETURN_NOT_OK(divisor_->Open());
-  TupleBatch batch(ctx_->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(divisor_->NextBatch(&batch, &has_more));
-    for (Tuple& tuple : batch) divisor_list_.push_back(std::move(tuple));
-  }
-  RELDIV_RETURN_NOT_OK(divisor_->Close());
+  RELDIV_RETURN_NOT_OK(
+      Drain(divisor_.get(), ctx_->batch_capacity(), ctx_,
+            [&](TupleBatch& batch) {
+              for (Tuple& tuple : batch) {
+                divisor_list_.push_back(std::move(tuple));
+              }
+              return Status::OK();
+            }));
 
   RELDIV_RETURN_NOT_OK(dividend_->Open());
   // An empty divisor ends the stream after the first dividend tuple; read

@@ -57,25 +57,24 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
         label + "-cluster-" + std::to_string(i)));
   }
   RowCodec codec(input->output_schema());
-  RELDIV_RETURN_NOT_OK(input->Open());
   std::string buffer;
-  TupleBatch batch(ctx->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(input->NextBatch(&batch, &has_more));
-    for (const Tuple& tuple : batch) {
-      const size_t p = assigner(ctx, tuple);
-      // §3.4: the partitioning function must map every tuple into one of
-      // the declared clusters, or the overflow pass would drop tuples.
-      RELDIV_DCHECK_LT(p, assigner.num_partitions)
-          << "cluster assigner produced an out-of-range partition";
-      buffer.clear();
-      RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
-      RELDIV_ASSIGN_OR_RETURN(Rid rid, clusters[p]->Append(Slice(buffer)));
-      (void)rid;
-    }
-  }
-  RELDIV_RETURN_NOT_OK(input->Close());
+  RELDIV_RETURN_NOT_OK(Drain(
+      input, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) -> Status {
+        for (const Tuple& tuple : batch) {
+          const size_t p = assigner(ctx, tuple);
+          // §3.4: the partitioning function must map every tuple into one
+          // of the declared clusters, or the overflow pass would drop
+          // tuples.
+          RELDIV_DCHECK_LT(p, assigner.num_partitions)
+              << "cluster assigner produced an out-of-range partition";
+          buffer.clear();
+          RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
+          RELDIV_ASSIGN_OR_RETURN(Rid rid,
+                                  clusters[p]->Append(Slice(buffer)));
+          (void)rid;
+        }
+        return Status::OK();
+      }));
   return clusters;
 }
 
@@ -85,28 +84,6 @@ Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
     const std::string& label) {
   ScanOperator scan(ctx, input);
   return PartitionStream(ctx, &scan, assigner, label);
-}
-
-/// Feeds every tuple of `input` through `core` (step 2), one batch of
-/// ExecContext::batch_capacity() tuples at a time. `input` is closed on
-/// success and on error, so a caller may open it again.
-Status ConsumeAll(ExecContext* ctx, HashDivisionCore* core, Operator* input) {
-  RELDIV_RETURN_NOT_OK(input->Open());
-  TupleBatch batch(ctx->batch_capacity());
-  bool has_more = true;
-  Status status;
-  while (has_more && status.ok()) {
-    status = input->NextBatch(&batch, &has_more);
-    if (status.ok()) status = core->ConsumeBatch(batch, nullptr);
-  }
-  const Status close = input->Close();
-  return status.ok() ? close : status;
-}
-
-Status ConsumeScan(ExecContext* ctx, HashDivisionCore* core,
-                   const Relation& input) {
-  ScanOperator scan(ctx, input);
-  return ConsumeAll(ctx, core, &scan);
 }
 
 /// Counts one recursive split (§3.4 overflow recovery) in the process-wide
@@ -144,7 +121,13 @@ Status CollectLevel(ExecContext* ctx, Operator* tagged,
     RELDIV_RETURN_NOT_OK(
         collector.BuildDivisorTableFromNumbered(numbered, tags.size()));
     status = collector.ResetQuotientTable(expected_cardinality);
-    if (status.ok()) status = ConsumeAll(ctx, &collector, tagged);
+    // Drain() closes `tagged` on every path, so a split below may reopen it.
+    if (status.ok()) {
+      status = Drain(tagged, ctx->batch_capacity(), ctx,
+                     [&](TupleBatch& batch) {
+                       return collector.ConsumeBatch(batch, nullptr);
+                     });
+    }
     if (status.ok()) return collector.EmitComplete(out);
   }
   if (status.code() != StatusCode::kResourceExhausted ||
@@ -201,7 +184,12 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
     hint = std::min<uint64_t>(hint, options_.expected_quotient_cardinality);
   }
   Status status = core->ResetQuotientTable(hint == 0 ? 1 : hint);
-  if (status.ok()) status = ConsumeScan(ctx, core, rel);
+  if (status.ok()) {
+    ScanOperator scan(ctx, rel);
+    status = Drain(&scan, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) {
+      return core->ConsumeBatch(batch, nullptr);
+    });
+  }
   if (status.ok()) {
     RELDIV_RETURN_NOT_OK(core->EmitComplete(&out->quotient));
     ++out->phases;
@@ -370,7 +358,12 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
                               dividend_clusters[p].get()};
         if (!combined) {
           RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-          RELDIV_RETURN_NOT_OK(ConsumeScan(ectx, &core, dividend_rel));
+          ScanOperator dividend_scan(ectx, dividend_rel);
+          RELDIV_RETURN_NOT_OK(Drain(
+              &dividend_scan, ectx->batch_capacity(), ectx,
+              [&](TupleBatch& batch) {
+                return core.ConsumeBatch(batch, nullptr);
+              }));
           RELDIV_RETURN_NOT_OK(core.EmitComplete(&out->quotient));
           ++out->phases;
           return Status::OK();

@@ -4,6 +4,32 @@
 
 namespace reldiv {
 
+namespace {
+
+/// Reads every live record of `store` with RecordScan::NextBatch, at most
+/// `capacity` records (and one page) per call, and hands each Rid and its
+/// decoded tuple to `visit` while the record's page is still fixed.
+Status VisitRecords(RecordStore* store, const RowCodec& codec,
+                    size_t capacity,
+                    const std::function<Status(Rid, Tuple)>& visit) {
+  RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<RecordScan> scan, store->OpenScan());
+  std::vector<RecordRef> refs(capacity);
+  bool has_more = true;
+  while (has_more) {
+    size_t count = 0;
+    RELDIV_RETURN_NOT_OK(
+        scan->NextBatch(refs.data(), refs.size(), &count, &has_more));
+    for (size_t i = 0; i < count; ++i) {
+      Tuple tuple;
+      RELDIV_RETURN_NOT_OK(codec.Decode(refs[i].payload, &tuple));
+      RELDIV_RETURN_NOT_OK(visit(refs[i].rid, std::move(tuple)));
+    }
+  }
+  return scan->Close();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<Database>> Database::Open(
     const DatabaseOptions& options) {
   auto db = std::make_unique<Database>(Passkey{});
@@ -101,20 +127,12 @@ Result<uint64_t> Database::DeleteWhere(
   // Collect victims first (the scan pins pages; deletion re-fixes them).
   RowCodec codec(named.schema);
   std::vector<std::pair<Rid, Tuple>> victims;
-  {
-    RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<RecordScan> scan,
-                            named.store->OpenScan());
-    while (true) {
-      RecordRef ref;
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(scan->Next(&ref, &has));
-      if (!has) break;
-      Tuple tuple;
-      RELDIV_RETURN_NOT_OK(codec.Decode(ref.payload, &tuple));
-      if (predicate(tuple)) victims.emplace_back(ref.rid, std::move(tuple));
-    }
-    RELDIV_RETURN_NOT_OK(scan->Close());
-  }
+  RELDIV_RETURN_NOT_OK(VisitRecords(
+      named.store.get(), codec, ctx_->batch_capacity(),
+      [&](Rid rid, Tuple tuple) {
+        if (predicate(tuple)) victims.emplace_back(rid, std::move(tuple));
+        return Status::OK();
+      }));
   for (const auto& [rid, tuple] : victims) {
     RELDIV_RETURN_NOT_OK(file->Delete(rid));
     for (TableIndex* index : named.indexes) {
@@ -147,18 +165,9 @@ Result<TableIndex*> Database::CreateIndex(
 
   // Index the existing rows.
   RowCodec codec(named.schema);
-  RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<RecordScan> scan,
-                          named.store->OpenScan());
-  while (true) {
-    RecordRef ref;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(scan->Next(&ref, &has));
-    if (!has) break;
-    Tuple tuple;
-    RELDIV_RETURN_NOT_OK(codec.Decode(ref.payload, &tuple));
-    RELDIV_RETURN_NOT_OK(index->Add(tuple, ref.rid));
-  }
-  RELDIV_RETURN_NOT_OK(scan->Close());
+  RELDIV_RETURN_NOT_OK(VisitRecords(
+      named.store.get(), codec, ctx_->batch_capacity(),
+      [&](Rid rid, const Tuple& tuple) { return index->Add(tuple, rid); }));
 
   TableIndex* raw = index.get();
   named.indexes.push_back(raw);

@@ -57,39 +57,31 @@ Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     const std::vector<size_t>& key_attrs, size_t num_partitions) {
   RELDIV_CHECK(num_partitions > 0);
   std::vector<EncodedPartition> partitions(num_partitions);
-  RELDIV_RETURN_NOT_OK(source->Open());
-  TupleBatch batch(ctx->batch_capacity());
   std::vector<int64_t> keys;
   std::vector<uint64_t> hashes;
-  bool has_more = true;
-  Status status;
-  while (has_more && status.ok()) {
-    status = ctx->CheckCancelled();
-    if (status.ok()) status = source->NextBatch(&batch, &has_more);
-    if (!status.ok()) break;
-    // A single int64 key is hashed for the whole batch by the kernel, which
-    // equals Tuple::HashAt bit for bit, so rows land where HashPartitionOf
-    // would put them.
-    const bool kernel_hash =
-        key_attrs.size() == 1 &&
-        kernels::ExtractInt64Column(batch, key_attrs[0], &keys);
-    if (kernel_hash) {
-      hashes.resize(batch.size());
-      kernels::HashInt64Keys(keys.data(), batch.size(), hashes.data());
-    }
-    // One partitioning-function application per routed tuple (§3.4).
-    ctx->CountHashes(batch.size());
-    for (size_t i = 0; status.ok() && i < batch.size(); ++i) {
-      const Tuple& tuple = batch.tuple(i);
-      const size_t p =
-          kernel_hash ? static_cast<size_t>(hashes[i] % num_partitions)
-                      : HashPartitionOf(tuple, key_attrs, num_partitions);
-      status = partitions[p].Append(codec, tuple);
-    }
-  }
-  const Status close = source->Close();
-  if (status.ok()) status = close;
-  RELDIV_RETURN_NOT_OK(status);
+  RELDIV_RETURN_NOT_OK(Drain(
+      source, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) -> Status {
+        // A single int64 key is hashed for the whole batch by the kernel,
+        // which equals Tuple::HashAt bit for bit, so rows land where
+        // HashPartitionOf would put them.
+        const bool kernel_hash =
+            key_attrs.size() == 1 &&
+            kernels::ExtractInt64Column(batch, key_attrs[0], &keys);
+        if (kernel_hash) {
+          hashes.resize(batch.size());
+          kernels::HashInt64Keys(keys.data(), batch.size(), hashes.data());
+        }
+        // One partitioning-function application per routed tuple (§3.4).
+        ctx->CountHashes(batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const Tuple& tuple = batch.tuple(i);
+          const size_t p =
+              kernel_hash ? static_cast<size_t>(hashes[i] % num_partitions)
+                          : HashPartitionOf(tuple, key_attrs, num_partitions);
+          RELDIV_RETURN_NOT_OK(partitions[p].Append(codec, tuple));
+        }
+        return Status::OK();
+      }));
   return partitions;
 }
 

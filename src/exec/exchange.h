@@ -72,8 +72,9 @@ struct EncodedPartition {
 /// `codec` (the source's output schema), to partition HashPartitionOf(tuple,
 /// key_attrs, num_partitions), counting one Hash per routed tuple on `ctx`.
 /// Partition contents, row order included, depend only on the data and the
-/// partition count, never on the worker count. Polls ctx->CheckCancelled()
-/// once per batch. The source is closed on every path after a good Open.
+/// partition count, never on the worker count. Reads `source` with Drain():
+/// cancellation is polled before every pull, and the source is closed on
+/// every path after a good Open.
 Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     ExecContext* ctx, Operator* source, const RowCodec& codec,
     const std::vector<size_t>& key_attrs, size_t num_partitions);

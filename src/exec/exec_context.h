@@ -94,7 +94,8 @@ class ExecContext {
 
   /// Cooperative cancellation (DivisionService): points this context at an
   /// externally owned flag (the query ticket's; must outlive the plan).
-  /// Long-running drive loops poll CheckCancelled() at batch boundaries, so
+  /// Every Drain() given this context polls CheckCancelled() before each
+  /// pull (exec/operator.h), as does HashDivisionCore::ConsumeBatch, so
   /// a cancelled query unwinds through the normal error path — Close runs,
   /// arenas Reset, grants release — with a clean kCancelled status.
   /// nullptr (the default) disables the checks entirely.

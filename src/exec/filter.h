@@ -27,6 +27,7 @@ class FilterOperator : public Operator {
   Status Open() override { return child_->Open(); }
 
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    // NOLINTNEXTLINE(reldiv/hand-drain): pipelined; stops at a kept tuple.
     while (true) {
       bool child_more = false;
       RELDIV_RETURN_NOT_OK(child_->NextBatch(batch, &child_more));

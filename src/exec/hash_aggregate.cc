@@ -43,45 +43,40 @@ Status HashAggregateOperator::Open() {
   group_order_.clear();
   emit_pos_ = 0;
 
-  RELDIV_RETURN_NOT_OK(child_->Open());
-  if (input_batch_.capacity() != ctx_->batch_capacity()) {
-    input_batch_.ResetCapacity(ctx_->batch_capacity(), ctx_->pool());
-  }
   // Batched, staged build: all probe hashes of a batch first (each counted
   // exactly as FindOrInsert's hash), bucket and chain-head prefetches next,
   // chain walks last. Hash values and Comp counts per tuple are identical to
   // the tuple-at-a-time FindOrInsert — the probe columns equal the stored
   // group key — so bucket order (the output order) is unchanged. The group
   // tuple is now materialized only on a miss.
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(child_->NextBatch(&input_batch_, &has_more));
-    const size_t n = input_batch_.size();
-    hashes_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      hashes_[i] = table_->ProbeHash(input_batch_.tuple(i), group_indices_);
-      table_->PrefetchBucket(hashes_[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      TupleHashTable::Prefetch(table_->BucketHead(hashes_[i]));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const Tuple& tuple = input_batch_.tuple(i);
-      bool inserted = false;
-      RELDIV_ASSIGN_OR_RETURN(
-          TupleHashTable::Entry * entry,
-          table_->FindOrInsertPrehashed(
-              tuple, group_indices_, hashes_[i],
-              [&] { return tuple.Project(group_indices_); }, &inserted));
-      if (inserted) {
-        entry->num = states_.size();
-        states_.emplace_back(aggs_);
-        group_order_.push_back(entry->tuple);
-      }
-      states_[entry->num].Update(aggs_, tuple);
-    }
-  }
-  RELDIV_RETURN_NOT_OK(child_->Close());
+  RELDIV_RETURN_NOT_OK(Drain(
+      child_.get(), &input_batch_, ctx_, [&](TupleBatch& batch) -> Status {
+        const size_t n = batch.size();
+        hashes_.resize(n);
+        for (size_t i = 0; i < n; ++i) {
+          hashes_[i] = table_->ProbeHash(batch.tuple(i), group_indices_);
+          table_->PrefetchBucket(hashes_[i]);
+        }
+        for (size_t i = 0; i < n; ++i) {
+          TupleHashTable::Prefetch(table_->BucketHead(hashes_[i]));
+        }
+        for (size_t i = 0; i < n; ++i) {
+          const Tuple& tuple = batch.tuple(i);
+          bool inserted = false;
+          RELDIV_ASSIGN_OR_RETURN(
+              TupleHashTable::Entry * entry,
+              table_->FindOrInsertPrehashed(
+                  tuple, group_indices_, hashes_[i],
+                  [&] { return tuple.Project(group_indices_); }, &inserted));
+          if (inserted) {
+            entry->num = states_.size();
+            states_.emplace_back(aggs_);
+            group_order_.push_back(entry->tuple);
+          }
+          states_[entry->num].Update(aggs_, tuple);
+        }
+        return Status::OK();
+      }));
 
   // Freeze emit order as (group tuple, state) pairs in bucket order.
   emit_entries_.clear();

@@ -48,7 +48,7 @@ class HashAggregateOperator : public Operator {
 
   std::unique_ptr<Arena> arena_;
   std::unique_ptr<TupleHashTable> table_;
-  TupleBatch input_batch_{1};     ///< build-phase child pull buffer
+  TupleBatch input_batch_{1};  ///< build-phase pull buffer, pool-charged
   std::vector<uint64_t> hashes_;  ///< staged-probe scratch, one per tuple
   std::vector<AggState> states_;
   std::vector<const Tuple*> group_order_;

@@ -40,20 +40,16 @@ Status HashJoinOperator::Open() {
           : TupleHashTable::BucketsFor(expected_build_cardinality_);
   table_ = std::make_unique<TupleHashTable>(ctx_, arena_.get(), build_keys_,
                                             buckets);
-  RELDIV_RETURN_NOT_OK(build_->Open());
-  build_open_ = true;
-  TupleBatch batch(ctx_->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(build_->NextBatch(&batch, &has_more));
-    for (Tuple& tuple : batch) {
-      RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
-                              table_->Insert(std::move(tuple)));
-      (void)entry;
-    }
-  }
-  build_open_ = false;
-  RELDIV_RETURN_NOT_OK(build_->Close());
+  RELDIV_RETURN_NOT_OK(Drain(
+      build_.get(), ctx_->batch_capacity(), ctx_,
+      [&](TupleBatch& batch) -> Status {
+        for (Tuple& tuple : batch) {
+          RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
+                                  table_->Insert(std::move(tuple)));
+          (void)entry;
+        }
+        return Status::OK();
+      }));
   RELDIV_RETURN_NOT_OK(probe_->Open());
   probe_open_ = true;
   probe_input_.Reset(ctx_->batch_capacity());
@@ -111,19 +107,11 @@ Status HashJoinOperator::Step(Tuple* tuple, bool* has_next) {
 Status HashJoinOperator::Close() {
   table_.reset();
   arena_.reset();
-  // Close whatever Open() left open (a failed Open() may have the build
-  // side mid-drain and the probe side never opened); first error wins.
-  Status status;
-  if (build_open_) {
-    build_open_ = false;
-    status = build_->Close();
-  }
-  if (probe_open_) {
-    probe_open_ = false;
-    Status probe_status = probe_->Close();
-    if (status.ok()) status = probe_status;
-  }
-  return status;
+  // The build side's drain closed it; a failed Open() never opened the
+  // probe side.
+  if (!probe_open_) return Status::OK();
+  probe_open_ = false;
+  return probe_->Close();
 }
 
 }  // namespace reldiv

@@ -61,9 +61,8 @@ class HashJoinOperator : public Operator {
   Tuple current_probe_;
   TupleHashTable::Entry* match_cursor_ = nullptr;
 
-  /// Which inputs Close() still owes a Close() call — Open() can fail with
-  /// the build side open and the probe side never opened.
-  bool build_open_ = false;
+  /// Whether Close() owes the probe side a Close() call — Open() can fail
+  /// before opening it.
   bool probe_open_ = false;
 };
 

@@ -9,21 +9,18 @@ Result<uint64_t> Materialize(Operator* input, RecordStore* store,
                              size_t batch_capacity) {
   RowCodec codec(input->output_schema());
   uint64_t written = 0;
-  RELDIV_RETURN_NOT_OK(input->Open());
-  TupleBatch batch(batch_capacity);
   std::string buffer;
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(input->NextBatch(&batch, &has_more));
-    for (const Tuple& tuple : batch) {
-      buffer.clear();
-      RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
-      RELDIV_ASSIGN_OR_RETURN(Rid rid, store->Append(Slice(buffer)));
-      (void)rid;
-      written++;
-    }
-  }
-  RELDIV_RETURN_NOT_OK(input->Close());
+  RELDIV_RETURN_NOT_OK(
+      Drain(input, batch_capacity, nullptr, [&](TupleBatch& batch) -> Status {
+        for (const Tuple& tuple : batch) {
+          buffer.clear();
+          RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
+          RELDIV_ASSIGN_OR_RETURN(Rid rid, store->Append(Slice(buffer)));
+          (void)rid;
+          written++;
+        }
+        return Status::OK();
+      }));
   return written;
 }
 

@@ -20,24 +20,30 @@ void RecordRootFailure(const char* stage, const Status& status) {
   EventLog::Flight().Record("status", stage, status.message());
 }
 
+/// CollectAll's body; `ctx` (may be null) is polled for cancellation.
+Result<std::vector<Tuple>> Collect(Operator* op, size_t batch_capacity,
+                                   const ExecContext* ctx) {
+  std::vector<Tuple> out;
+  const Status status =
+      Drain(op, batch_capacity, ctx, [&](TupleBatch& batch) {
+        for (Tuple& tuple : batch) out.push_back(std::move(tuple));
+        return Status::OK();
+      });
+  if (!status.ok()) {
+    RecordRootFailure("collect_all", status);
+    return status;
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<std::vector<Tuple>> CollectAll(Operator* op, size_t batch_capacity) {
-  const auto drive = [&]() -> Result<std::vector<Tuple>> {
-    std::vector<Tuple> out;
-    RELDIV_RETURN_NOT_OK(op->Open());
-    TupleBatch batch(batch_capacity);
-    bool has_more = true;
-    while (has_more) {
-      RELDIV_RETURN_NOT_OK(op->NextBatch(&batch, &has_more));
-      for (Tuple& tuple : batch) out.push_back(std::move(tuple));
-    }
-    RELDIV_RETURN_NOT_OK(op->Close());
-    return out;
-  };
-  Result<std::vector<Tuple>> result = drive();
-  if (!result.ok()) RecordRootFailure("collect_all", result.status());
-  return result;
+  return Collect(op, batch_capacity, nullptr);
+}
+
+Result<std::vector<Tuple>> CollectAll(ExecContext* ctx, Operator* op) {
+  return Collect(op, ctx->batch_capacity(), ctx);
 }
 
 }  // namespace reldiv

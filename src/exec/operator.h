@@ -10,6 +10,7 @@
 #include "common/schema.h"
 #include "common/tuple.h"
 #include "exec/batch.h"
+#include "exec/exec_context.h"
 
 namespace reldiv {
 
@@ -27,8 +28,9 @@ using GaugeList = std::vector<std::pair<std::string, double>>;
 /// reusing the batch's tuple slots. At capacity 1 it is exactly the paper's
 /// tuple-at-a-time next. An operator whose algorithm produces one tuple per
 /// step keeps that step private and fills batches with FillBatch() below; an
-/// operator that consumes an input one tuple at a time reads it through an
-/// InputCursor.
+/// operator that consumes an input as it streams reads it through an
+/// InputCursor; one that reads an input to its end (a build side, a sort's
+/// input, a query root) does so with Drain().
 ///
 /// Contract — end-of-stream rules are defined HERE and nowhere else:
 ///
@@ -100,8 +102,10 @@ Status FillBatch(Op* op, TupleBatch* batch, bool* has_more) {
 }
 
 /// Reads an input's NextBatch() stream one tuple at a time, for operators
-/// that consume their input tuple by tuple (sorts, merge joins, naive
-/// division). The owner calls Reset() from Open() with
+/// that consume their input tuple by tuple as they produce output (merge
+/// joins, a join's probe side, naive division's dividend). It is a
+/// pipelined pull, not a drain: its owner may stop before the end of the
+/// stream. The owner calls Reset() from Open() with
 /// ExecContext::batch_capacity(): the cursor's batch size is how far a scan
 /// underneath reads ahead of its consumer, which the storage layer observes
 /// (the order of disk transfers, hence seeks), so it follows the session
@@ -120,6 +124,7 @@ class InputCursor {
   /// Moves the next input tuple into `*tuple`. `*has_tuple` is false at end
   /// of stream and on every pull after it.
   Status Pull(Tuple* tuple, bool* has_tuple) {
+    // NOLINTNEXTLINE(reldiv/hand-drain): pipelined; the owner may stop early.
     while (pos_ >= batch_.size()) {
       if (done_) {
         *has_tuple = false;
@@ -142,10 +147,82 @@ class InputCursor {
   bool done_ = false;
 };
 
-/// Drains `op` (Open/NextBatch*/Close) into a vector. `batch_capacity` sets
-/// the drain's unit of work.
+/// Drain()'s default end-of-stream step: nothing.
+struct DrainNoFinish {
+  Status operator()() const { return Status::OK(); }
+};
+
+namespace drain_internal {
+
+template <typename Sink, typename Finish>
+Status PullToEnd(Operator* input, TupleBatch* batch, const ExecContext* ctx,
+                 Sink& sink, Finish& finish) {
+  bool has_more = true;
+  while (has_more) {
+    if (ctx != nullptr) RELDIV_RETURN_NOT_OK(ctx->CheckCancelled());
+    RELDIV_RETURN_NOT_OK(input->NextBatch(batch, &has_more));
+    RELDIV_RETURN_NOT_OK(sink(*batch));
+  }
+  return finish();
+}
+
+/// Closes `input` and returns `status`, or the close status if `status` is
+/// OK: the first error wins.
+inline Status CloseAfter(Operator* input, const Status& status) {
+  Status closed = input->Close();
+  return status.ok() ? closed : status;
+}
+
+}  // namespace drain_internal
+
+/// Reads `input` to its end: Open(), then NextBatch() until `*has_more` is
+/// false, handing every batch (the last, possibly empty, one included) to
+/// `sink(TupleBatch&) -> Status`, then `finish() -> Status` once while the
+/// input is still open, then Close().
+///
+///  - No pull follows end of stream.
+///  - After a good Open() the input is closed exactly once, on every path;
+///    a failed Open() leaves it unclosed.
+///  - An open, pull, sink, finish or cancellation error wins over a later
+///    close error.
+///  - Given a context, ctx->CheckCancelled() runs before every pull, so a
+///    cancelled query stops at the next batch boundary of any drain.
+///
+/// This form pulls into a scratch batch of `capacity` slots that it owns
+/// and charges to no pool. Plan-internal drains pass
+/// ExecContext::batch_capacity(), the session's read-ahead.
+template <typename Sink, typename Finish = DrainNoFinish>
+Status Drain(Operator* input, size_t capacity, const ExecContext* ctx,
+             Sink sink, Finish finish = Finish{}) {
+  RELDIV_RETURN_NOT_OK(input->Open());
+  TupleBatch batch(capacity);
+  return drain_internal::CloseAfter(
+      input, drain_internal::PullToEnd(input, &batch, ctx, sink, finish));
+}
+
+/// Drain() into an operator-owned input batch, which is charged to
+/// ctx->pool(): after the input's Open() it is re-sized to
+/// ctx->batch_capacity() if its capacity differs.
+template <typename Sink>
+Status Drain(Operator* input, TupleBatch* batch, ExecContext* ctx,
+             Sink sink) {
+  RELDIV_RETURN_NOT_OK(input->Open());
+  if (batch->capacity() != ctx->batch_capacity()) {
+    batch->ResetCapacity(ctx->batch_capacity(), ctx->pool());
+  }
+  DrainNoFinish finish;
+  return drain_internal::CloseAfter(
+      input, drain_internal::PullToEnd(input, batch, ctx, sink, finish));
+}
+
+/// Drains `op` into a vector. `batch_capacity` sets the drain's unit of
+/// work; no cancellation is polled.
 Result<std::vector<Tuple>> CollectAll(
     Operator* op, size_t batch_capacity = TupleBatch::kDefaultCapacity);
+
+/// CollectAll for a query root run on `ctx`: batches of
+/// ctx->batch_capacity(), polling the context's cancellation flag.
+Result<std::vector<Tuple>> CollectAll(ExecContext* ctx, Operator* op);
 
 }  // namespace reldiv
 

@@ -19,14 +19,13 @@ ScalarAggregateOperator::ScalarAggregateOperator(
 Status ScalarAggregateOperator::Open() {
   RELDIV_RETURN_NOT_OK(init_status_);
   AggState state(aggs_);
-  RELDIV_RETURN_NOT_OK(child_->Open());
-  TupleBatch batch(ctx_->batch_capacity());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(child_->NextBatch(&batch, &has_more));
-    for (const Tuple& tuple : batch) state.Update(aggs_, tuple);
-  }
-  RELDIV_RETURN_NOT_OK(child_->Close());
+  RELDIV_RETURN_NOT_OK(Drain(child_.get(), ctx_->batch_capacity(), ctx_,
+                             [&](TupleBatch& batch) {
+                               for (const Tuple& tuple : batch) {
+                                 state.Update(aggs_, tuple);
+                               }
+                               return Status::OK();
+                             }));
   result_ = Tuple();
   RELDIV_RETURN_NOT_OK(state.Finish(aggs_, &result_));
   emitted_ = false;
@@ -48,15 +47,12 @@ Status ScalarAggregateOperator::Close() { return Status::OK(); }
 
 Result<uint64_t> CountRelation(ExecContext* ctx, const Relation& relation) {
   ScanOperator scan(ctx, relation);
-  TupleBatch batch(ctx->batch_capacity());
   uint64_t count = 0;
-  RELDIV_RETURN_NOT_OK(scan.Open());
-  bool has_more = true;
-  while (has_more) {
-    RELDIV_RETURN_NOT_OK(scan.NextBatch(&batch, &has_more));
-    count += batch.size();
-  }
-  RELDIV_RETURN_NOT_OK(scan.Close());
+  RELDIV_RETURN_NOT_OK(
+      Drain(&scan, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) {
+        count += batch.size();
+        return Status::OK();
+      }));
   return count;
 }
 

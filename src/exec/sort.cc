@@ -169,7 +169,6 @@ SortOperator::SortOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                            SortSpec spec)
     : ctx_(ctx),
       child_(std::move(child)),
-      input_(child_.get()),
       spec_(std::move(spec)),
       working_schema_(spec_.lifted_schema.has_value()
                           ? *spec_.lifted_schema
@@ -421,58 +420,58 @@ Status SortOperator::OpenFinalMerge() {
 }
 
 Status SortOperator::Open() {
-  RELDIV_RETURN_NOT_OK(child_->Open());
-  child_open_ = true;
-  input_.Reset(ctx_->batch_capacity());
-
-  std::vector<Tuple> batch;
-  size_t batch_bytes = 0;
-  bool input_exhausted = false;
-  bool first_batch = true;
+  std::vector<Tuple> chunk;
+  size_t chunk_bytes = 0;
+  bool first_chunk = true;
   // Spilled chunks awaiting sort + run write; flushed whenever dop chunks
   // have accumulated, so at most dop sort spaces are held at once.
   std::vector<std::vector<Tuple>> window;
 
-  while (!input_exhausted) {
-    Tuple raw;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(input_.Pull(&raw, &has));
-    if (!has) {
-      input_exhausted = true;
-    } else {
-      Tuple working = spec_.lift ? spec_.lift(raw) : std::move(raw);
-      batch_bytes += EstimateTupleBytes(working);
-      batch.push_back(std::move(working));
+  // Ends the current chunk when it fills the sort space or the input ends.
+  const auto cut = [&](bool input_exhausted) -> Status {
+    if (chunk.empty() && !first_chunk) return Status::OK();
+    if (first_chunk && input_exhausted) {
+      // Whole input fits in the sort space: the normalized-key in-memory
+      // sort (+ collapse), no I/O. SortChunk's collapse compares every
+      // tuple once against its group's accumulator — the same count as
+      // the adjacent-pair loop this path used before the kernelization.
+      RELDIV_RETURN_NOT_OK(SortChunk(ctx_, &chunk));
+      memory_tuples_ = std::move(chunk);
+      in_memory_ = true;
+      memory_pos_ = 0;
+      return Status::OK();
     }
-    const bool batch_full = batch_bytes >= ctx_->sort_space_bytes();
-    if ((input_exhausted || batch_full) && (!batch.empty() || first_batch)) {
-      if (first_batch && input_exhausted) {
-        // Whole input fits in the sort space: the normalized-key in-memory
-        // sort (+ collapse), no I/O. SortChunk's collapse compares every
-        // tuple once against its group's accumulator — the same count as
-        // the adjacent-pair loop this path used before the kernelization.
-        RELDIV_RETURN_NOT_OK(SortChunk(ctx_, &batch));
-        memory_tuples_ = std::move(batch);
-        in_memory_ = true;
-        memory_pos_ = 0;
-        break;
+    if (!chunk.empty()) {
+      window.push_back(std::move(chunk));
+      chunk.clear();
+      chunk_bytes = 0;
+      if (window.size() >= ctx_->dop()) {
+        RELDIV_RETURN_NOT_OK(FlushChunkWindow(&window));
       }
-      if (!batch.empty()) {
-        window.push_back(std::move(batch));
-        batch.clear();
-        batch_bytes = 0;
-        if (window.size() >= ctx_->dop()) {
-          RELDIV_RETURN_NOT_OK(FlushChunkWindow(&window));
+    }
+    first_chunk = false;
+    return Status::OK();
+  };
+  // The last runs are written in the finish step, before the input closes,
+  // so their disk placement never depends on what the input's Close()
+  // frees (a sorted input's runs, say).
+  RELDIV_RETURN_NOT_OK(Drain(
+      child_.get(), ctx_->batch_capacity(), ctx_,
+      [&](TupleBatch& batch) -> Status {
+        for (Tuple& raw : batch) {
+          Tuple working = spec_.lift ? spec_.lift(raw) : std::move(raw);
+          chunk_bytes += EstimateTupleBytes(working);
+          chunk.push_back(std::move(working));
+          if (chunk_bytes >= ctx_->sort_space_bytes()) {
+            RELDIV_RETURN_NOT_OK(cut(/*input_exhausted=*/false));
+          }
         }
-      }
-      first_batch = false;
-    }
-  }
-  RELDIV_RETURN_NOT_OK(FlushChunkWindow(&window));
-  // One Close() attempt settles the debt even if it fails — a second call
-  // on an already-failed child is not owed anything.
-  child_open_ = false;
-  RELDIV_RETURN_NOT_OK(child_->Close());
+        return Status::OK();
+      },
+      [&]() -> Status {
+        RELDIV_RETURN_NOT_OK(cut(/*input_exhausted=*/true));
+        return FlushChunkWindow(&window);
+      }));
 
   if (!in_memory_) {
     // Intermediate merges until one final merge step remains (footnote 2).
@@ -566,19 +565,13 @@ Status SortOperator::Step(Tuple* tuple, bool* has_next) {
 }
 
 Status SortOperator::Close() {
-  Status status;
-  if (child_open_) {
-    // Open() failed while draining the input; the child still holds its
-    // resources (pinned pages, open scans) and must be closed here.
-    child_open_ = false;
-    status = child_->Close();
-  }
+  // Open()'s drain closed the child on every path.
   memory_tuples_.clear();
   final_readers_.clear();
   heap_.clear();
   runs_.clear();
   open_ = false;
-  return status;
+  return Status::OK();
 }
 
 }  // namespace reldiv

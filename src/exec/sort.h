@@ -118,7 +118,6 @@ class SortOperator : public Operator {
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
-  InputCursor input_;
   SortSpec spec_;
   Schema working_schema_;
   RowCodec codec_;
@@ -150,9 +149,6 @@ class SortOperator : public Operator {
   size_t initial_runs_ = 0;
   size_t intermediate_merges_ = 0;
   bool open_ = false;
-  /// The child is opened and drained inside Open(); if Open() fails in
-  /// between, Close() still owes the child its Close() call.
-  bool child_open_ = false;
 };
 
 }  // namespace reldiv

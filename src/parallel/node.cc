@@ -2,18 +2,11 @@
 
 namespace reldiv {
 
-WorkerNode::WorkerNode(size_t node_id, size_t pool_bytes)
-    : node_id_(node_id) {
+WorkerNode::WorkerNode(size_t node_id) : node_id_(node_id) {
   disk_ = std::make_unique<SimDisk>();
-  pool_ = pool_bytes == 0 ? nullptr
-                          : std::make_unique<MemoryPool>(pool_bytes);
-  buffer_manager_ = std::make_unique<BufferManager>(disk_.get(), pool_.get());
-  if (pool_ != nullptr) {
-    BufferManager* bm = buffer_manager_.get();
-    pool_->SetReclaimer([bm] { return bm->TryShedFrame(); });
-  }
+  buffer_manager_ = std::make_unique<BufferManager>(disk_.get(), nullptr);
   ctx_ = std::make_unique<ExecContext>(disk_.get(), buffer_manager_.get(),
-                                       pool_.get(), &counters_);
+                                       nullptr, &counters_);
 }
 
 }  // namespace reldiv

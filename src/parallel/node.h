@@ -8,18 +8,16 @@
 #include "exec/exec_context.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk.h"
-#include "storage/memory_manager.h"
 
 namespace reldiv {
 
 /// One processor of the simulated shared-nothing machine (§6, GAMMA-style):
-/// a private disk, private memory pool, private buffer manager and private
-/// CPU counters — nothing shared except the interconnect. Worker threads
-/// touch only their own node's state.
+/// a private disk, private buffer manager and private CPU counters — nothing
+/// shared except the interconnect. Local memory is unbounded (no pool).
+/// Worker threads touch only their own node's state.
 class WorkerNode {
  public:
-  /// `pool_bytes` = 0 means unbounded local memory.
-  explicit WorkerNode(size_t node_id, size_t pool_bytes = 0);
+  explicit WorkerNode(size_t node_id);
 
   WorkerNode(const WorkerNode&) = delete;
   WorkerNode& operator=(const WorkerNode&) = delete;
@@ -27,12 +25,10 @@ class WorkerNode {
   size_t node_id() const { return node_id_; }
   ExecContext* ctx() { return ctx_.get(); }
   CpuCounters* counters() { return &counters_; }
-  MemoryPool* pool() { return pool_.get(); }
 
  private:
   size_t node_id_;
   std::unique_ptr<SimDisk> disk_;
-  std::unique_ptr<MemoryPool> pool_;
   std::unique_ptr<BufferManager> buffer_manager_;
   CpuCounters counters_;
   std::unique_ptr<ExecContext> ctx_;

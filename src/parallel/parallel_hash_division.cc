@@ -31,8 +31,8 @@ Status Route(Interconnect* net, size_t from, size_t to, const RowCodec& codec,
 }
 
 /// Runs one node's local hash-division: the divisor table is built from the
-/// node's divisor rows, and its dividend partition is decoded a batch at a
-/// time into ConsumeBatch, the read loop of Divide's fragments. Fills
+/// node's divisor rows, and its dividend partition is drained a batch at a
+/// time into ConsumeBatch. Fills
 /// `metrics` and (with `trace`) emits one span on the node's lane.
 Status LocalDivision(WorkerNode* node, const RowCodec& divisor_codec,
                      const EncodedPartition& divisor,
@@ -53,11 +53,11 @@ Status LocalDivision(WorkerNode* node, const RowCodec& divisor_codec,
   PartitionSourceOperator divisor_source(&divisor_codec, &divisor);
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_source));
   RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-  TupleBatch batch(node->ctx()->batch_capacity());
-  for (size_t begin = 0; begin < dividend.rows(); begin += batch.size()) {
-    RELDIV_RETURN_NOT_OK(DecodeRows(dividend_codec, dividend, begin, &batch));
-    RELDIV_RETURN_NOT_OK(core.ConsumeBatch(batch, quotient));
-  }
+  PartitionSourceOperator dividend_source(&dividend_codec, &dividend);
+  RELDIV_RETURN_NOT_OK(Drain(&dividend_source, node->ctx()->batch_capacity(),
+                             node->ctx(), [&](TupleBatch& batch) {
+                               return core.ConsumeBatch(batch, quotient);
+                             }));
   RELDIV_RETURN_NOT_OK(core.EmitComplete(quotient));
   metrics->local_ms = MsSince(start);
   metrics->quotient_tuples = quotient->size() - quotient_before;
@@ -92,8 +92,7 @@ ParallelHashDivisionEngine::ParallelHashDivisionEngine(
   options_.num_nodes = n;
   nodes_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<WorkerNode>(i,
-                                                  options_.node_pool_bytes));
+    nodes_.push_back(std::make_unique<WorkerNode>(i));
   }
 }
 

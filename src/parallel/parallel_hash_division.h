@@ -36,9 +36,6 @@ struct ParallelDivisionOptions {
   /// collection division over its share. Divisor partitioning only.
   bool decentralized_collection = false;
 
-  /// Per-node memory budget (0 = unbounded).
-  size_t node_pool_bytes = 0;
-
   /// Hash-division tuning forwarded to each local operator.
   DivisionOptions division;
 

@@ -220,16 +220,11 @@ void AdaptiveDivisionOperator::CountCheckpoint() {
 }
 
 Status AdaptiveDivisionOperator::RunStatic(DivisionAlgorithm algorithm,
-                                           size_t num_partitions) {
-  DivisionOptions options = options_.division;
-  if (algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
-    options.num_partitions = num_partitions;
-  }
+                                           const DivisionOptions& options) {
   std::unique_ptr<Operator> plan;
   RELDIV_ASSIGN_OR_RETURN(plan,
                           MakeDivisionPlan(ctx_, query_, algorithm, options));
-  RELDIV_ASSIGN_OR_RETURN(results_,
-                          CollectAll(plan.get(), ctx_->batch_capacity()));
+  RELDIV_ASSIGN_OR_RETURN(results_, CollectAll(ctx_, plan.get()));
   report_.final_algorithm = algorithm;
   return Status::OK();
 }
@@ -247,7 +242,7 @@ Status AdaptiveDivisionOperator::DegradeOnMemoryPressure(
   // §3.4: the denial already proved the tables do not fit, so partition
   // the inputs and divide one cluster per phase.
   return RunStatic(DivisionAlgorithm::kHashDivisionPartitioned,
-                   options_.division.num_partitions);
+                   options_.division);
 }
 
 Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
@@ -294,7 +289,8 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
     if (rechoice.algorithm != DivisionAlgorithm::kHashDivision) {
       // Abandon: only the divisor table was built; the dividend is unread.
       core_.reset();
-      return RunStatic(rechoice.algorithm, rechoice.num_partitions);
+      return RunStatic(rechoice.algorithm,
+                       OptionsForChoice(rechoice, options_.division));
     }
   }
 
@@ -310,6 +306,7 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
   uint64_t seen = 0;
   uint64_t next_checkpoint = kCheckpointInterval;
   bool has_more = true;
+  // NOLINTNEXTLINE(reldiv/hand-drain): a checkpoint may abandon the input.
   while (has_more) {
     Status step = dividend_scan.NextBatch(&input_batch_, &has_more);
     if (step.ok()) step = core_->ConsumeBatch(input_batch_, nullptr);
@@ -355,7 +352,8 @@ Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
         if (rechoice.algorithm != DivisionAlgorithm::kHashDivision) {
           (void)dividend_scan.Close();
           core_.reset();
-          return RunStatic(rechoice.algorithm, rechoice.num_partitions);
+          return RunStatic(rechoice.algorithm,
+                           OptionsForChoice(rechoice, options_.division));
         }
       }
     }
@@ -429,7 +427,7 @@ Status AdaptiveDivisionOperator::Open() {
   report_.planning_stats = stats;
   report_.final_algorithm = choice.algorithm;
   DivisionAlgorithm current = choice.algorithm;
-  size_t num_partitions = choice.num_partitions;
+  DivisionOptions static_options = OptionsForChoice(choice, options_.division);
 
   // Checkpoint 0, before any execution: the stores' exact counts are free
   // metadata, so a cached dividend cardinality can be validated without
@@ -454,14 +452,14 @@ Status AdaptiveDivisionOperator::Open() {
                                to, stats.dividend_tuples,
                                exact.dividend_tuples, 0});
     current = to;
-    num_partitions = rechoice.num_partitions;
+    static_options = OptionsForChoice(rechoice, options_.division);
     stats = corrected;
     report_.final_algorithm = current;
   }
 
   RELDIV_RETURN_NOT_OK(current == DivisionAlgorithm::kHashDivision
                            ? RunHashDivision(stats)
-                           : RunStatic(current, num_partitions));
+                           : RunStatic(current, static_options));
   RecordFeedback();
   return Status::OK();
 }

@@ -235,10 +235,11 @@ class AdaptiveDivisionOperator : public Operator {
   Status Step(Tuple* tuple, bool* has_next);
   void CountCheckpoint();
 
-  /// Runs `algorithm` as a static plan into results_ (the abandon path and
-  /// every non-hash-division initial choice). A partitioned plan runs with
-  /// `num_partitions` clusters (AlgorithmChoice::num_partitions).
-  Status RunStatic(DivisionAlgorithm algorithm, size_t num_partitions);
+  /// Runs `algorithm` as a static plan with `options` into results_ (the
+  /// abandon path and every non-hash-division initial choice). A chooser's
+  /// plan gets its options from OptionsForChoice, so it runs exactly the
+  /// plan PlanDivision would build.
+  Status RunStatic(DivisionAlgorithm algorithm, const DivisionOptions& options);
 
   /// The instrumented hash-division drive: mirrors the serial
   /// HashDivisionOperator::Open counted operations exactly, adding only

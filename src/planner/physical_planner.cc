@@ -152,6 +152,15 @@ AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
   return choice;
 }
 
+DivisionOptions OptionsForChoice(const AlgorithmChoice& choice,
+                                 DivisionOptions base) {
+  base.partition_strategy = choice.partition_strategy;
+  if (choice.algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
+    base.num_partitions = choice.num_partitions;
+  }
+  return base;
+}
+
 Result<std::unique_ptr<Operator>> PlanDivision(ExecContext* ctx,
                                                const DivisionQuery& query,
                                                const DivisionOptions&
@@ -165,12 +174,8 @@ Result<std::unique_ptr<Operator>> PlanDivision(ExecContext* ctx,
   stats.divisor_restricted = true;
   AlgorithmChoice choice = ChooseDivisionAlgorithm(stats);
   if (choice_out != nullptr) *choice_out = choice;
-  DivisionOptions options = base_options;
-  options.partition_strategy = choice.partition_strategy;
-  if (choice.algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
-    options.num_partitions = choice.num_partitions;
-  }
-  return MakeDivisionPlan(ctx, query, choice.algorithm, options);
+  return MakeDivisionPlan(ctx, query, choice.algorithm,
+                          OptionsForChoice(choice, base_options));
 }
 
 namespace {

@@ -76,6 +76,13 @@ struct AlgorithmChoice {
 AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
                                         const CostUnits& units = CostUnits{});
 
+/// The options a plan for `choice` runs with: `base` plus the chooser's §3.4
+/// partition strategy and, when `choice.algorithm` is partitioned
+/// hash-division, its partition count. PlanDivision and the adaptive
+/// planner's static plans both map a choice through it.
+DivisionOptions OptionsForChoice(const AlgorithmChoice& choice,
+                                 DivisionOptions base);
+
 /// One-call optimizer entry point: resolve, estimate, choose, build.
 Result<std::unique_ptr<Operator>> PlanDivision(
     ExecContext* ctx, const DivisionQuery& query,

@@ -3,17 +3,11 @@
 #include <utility>
 
 #include "common/metric_names.h"
-#include "common/row_codec.h"
+#include "exec/scan.h"
 #include "obs/event_log.h"
 #include "obs/telemetry.h"
 
 namespace reldiv {
-namespace {
-
-/// Rows between cancellation polls during a full build.
-constexpr uint64_t kCancelPollInterval = 256;
-
-}  // namespace
 
 QuotientCacheEntry::QuotientCacheEntry(const ResolvedDivision& resolved)
     : dividend_store_(resolved.dividend.store),
@@ -166,43 +160,24 @@ Status QuotientCacheEntry::Build(ExecContext* ctx) {
   const uint64_t dividend_before = dividend_store_->version();
   const uint64_t divisor_before = divisor_store_->version();
 
-  uint64_t rows = 0;
-  {
-    RowCodec codec(divisor_schema_);
-    RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<RecordScan> scan,
-                            divisor_store_->OpenScan());
-    while (true) {
-      RecordRef ref;
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(scan->Next(&ref, &has));
-      if (!has) break;
-      Tuple tuple;
-      RELDIV_RETURN_NOT_OK(codec.Decode(ref.payload, &tuple));
-      RELDIV_RETURN_NOT_OK(ApplyDivisorInsert(tuple));
-      if (ctx != nullptr && ++rows % kCancelPollInterval == 0) {
-        RELDIV_RETURN_NOT_OK(ctx->CheckCancelled());
-      }
-    }
-    RELDIV_RETURN_NOT_OK(scan->Close());
-  }
-  {
-    RowCodec codec(dividend_schema_);
-    RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<RecordScan> scan,
-                            dividend_store_->OpenScan());
-    while (true) {
-      RecordRef ref;
-      bool has = false;
-      RELDIV_RETURN_NOT_OK(scan->Next(&ref, &has));
-      if (!has) break;
-      Tuple tuple;
-      RELDIV_RETURN_NOT_OK(codec.Decode(ref.payload, &tuple));
-      RELDIV_RETURN_NOT_OK(ApplyDividendInsert(tuple));
-      if (ctx != nullptr && ++rows % kCancelPollInterval == 0) {
-        RELDIV_RETURN_NOT_OK(ctx->CheckCancelled());
-      }
-    }
-    RELDIV_RETURN_NOT_OK(scan->Close());
-  }
+  const size_t capacity =
+      ctx != nullptr ? ctx->batch_capacity() : TupleBatch::kDefaultCapacity;
+  ScanOperator divisor_scan(ctx, Relation{divisor_schema_, divisor_store_});
+  RELDIV_RETURN_NOT_OK(
+      Drain(&divisor_scan, capacity, ctx, [&](TupleBatch& batch) -> Status {
+        for (const Tuple& tuple : batch) {
+          RELDIV_RETURN_NOT_OK(ApplyDivisorInsert(tuple));
+        }
+        return Status::OK();
+      }));
+  ScanOperator dividend_scan(ctx, Relation{dividend_schema_, dividend_store_});
+  RELDIV_RETURN_NOT_OK(
+      Drain(&dividend_scan, capacity, ctx, [&](TupleBatch& batch) -> Status {
+        for (const Tuple& tuple : batch) {
+          RELDIV_RETURN_NOT_OK(ApplyDividendInsert(tuple));
+        }
+        return Status::OK();
+      }));
 
   SyncVersions();
   built_ = true;

@@ -62,7 +62,8 @@ class QuotientCacheEntry {
   /// Full build: scans the divisor store then the dividend store through
   /// the maintenance paths (one pass each — the build IS the quotient
   /// computation), then stamps the store versions the state reflects.
-  /// Polls ctx->CheckCancelled() every few hundred rows when ctx != nullptr.
+  /// Reads both stores with Drain(), which polls ctx->CheckCancelled()
+  /// before every batch when ctx != nullptr.
   Status Build(ExecContext* ctx);
 
   // Incremental maintenance. Internal status on inconsistent state (the

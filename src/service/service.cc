@@ -232,22 +232,14 @@ Status DivisionService::RunQuery(QueryTicket* ticket) {
       std::unique_ptr<Operator> plan,
       MakeDivisionPlan(&ctx, ticket->request_.query, ticket->request_.algorithm,
                        ticket->request_.options));
-  RELDIV_RETURN_NOT_OK(plan->Open());
+  // Drain() closes the plan on every path: the cancellation unwind must
+  // still run operator teardown so arenas reset and reservations release.
   std::vector<Tuple> quotient;
-  TupleBatch batch(ctx.batch_capacity());
-  Status drive = Status::OK();
-  bool has_more = true;
-  while (has_more) {
-    drive = ctx.CheckCancelled();
-    if (drive.ok()) drive = plan->NextBatch(&batch, &has_more);
-    if (!drive.ok()) break;
-    for (Tuple& tuple : batch) quotient.push_back(std::move(tuple));
-  }
-  // Close on every path: the cancellation unwind must still run operator
-  // teardown so arenas reset and reservations release.
-  Status closed = plan->Close();
-  RELDIV_RETURN_NOT_OK(drive);
-  RELDIV_RETURN_NOT_OK(closed);
+  RELDIV_RETURN_NOT_OK(
+      Drain(plan.get(), ctx.batch_capacity(), &ctx, [&](TupleBatch& batch) {
+        for (Tuple& tuple : batch) quotient.push_back(std::move(tuple));
+        return Status::OK();
+      }));
   ticket->quotient_ = std::move(quotient);
   return Status::OK();
 }

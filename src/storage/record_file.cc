@@ -81,8 +81,8 @@ Status RecordFile::Get(Rid rid, Slice* payload, PageGuard* guard) {
   return Status::OK();
 }
 
-/// Sequential scan keeping the current page fixed between Next() calls so
-/// that returned payload slices stay valid (records used in place).
+/// Sequential scan keeping the current page fixed between NextBatch() calls
+/// so that returned payload slices stay valid (records used in place).
 class RecordFile::FileScan : public RecordScan {
  public:
   explicit FileScan(RecordFile* file) : file_(file) {}
@@ -92,46 +92,8 @@ class RecordFile::FileScan : public RecordScan {
     (void)st;
   }
 
-  Status Next(RecordRef* ref, bool* has_next) override {
-    while (true) {
-      if (!page_fixed_) {
-        if (next_page_ >= file_->file_.num_pages()) {
-          *has_next = false;
-          return Status::OK();
-        }
-        RELDIV_ASSIGN_OR_RETURN(uint64_t global,
-                                file_->file_.GlobalPage(next_page_));
-        RELDIV_ASSIGN_OR_RETURN(
-            frame_, file_->buffer_manager_->Fix(global, /*create=*/false));
-        global_page_ = global;
-        local_page_ = next_page_;
-        next_page_++;
-        next_slot_ = 0;
-        page_fixed_ = true;
-      }
-      SlottedPage page(frame_);
-      if (next_slot_ < page.num_slots()) {
-        if (!page.IsLive(next_slot_)) {  // deleted records are skipped
-          next_slot_++;
-          continue;
-        }
-        RELDIV_ASSIGN_OR_RETURN(Slice payload, page.GetRecord(next_slot_));
-        ref->rid = Rid{static_cast<uint32_t>(local_page_), next_slot_};
-        ref->payload = payload;
-        next_slot_++;
-        *has_next = true;
-        return Status::OK();
-      }
-      // Page exhausted: move on. A scanned page of a base file is likely to
-      // be re-read only in multi-pass algorithms, so keep it in LRU.
-      RELDIV_RETURN_NOT_OK(
-          file_->buffer_manager_->Unfix(global_page_, /*dirty=*/false));
-      page_fixed_ = false;
-    }
-  }
-
   // Page-native batch scan: delivers the current page's live records in one
-  // tight loop, one virtual call per page instead of per record. A call
+  // tight loop, one virtual call per page. A call
   // never crosses a page boundary, and an exhausted page stays fixed until
   // the NEXT call so that the delivered payload slices remain valid.
   Status NextBatch(RecordRef* refs, size_t capacity, size_t* count,

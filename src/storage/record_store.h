@@ -13,47 +13,29 @@ namespace reldiv {
 
 /// One record surfaced by a scan: its identifier plus a view of its payload.
 /// The payload points into storage pinned by the scan and is valid until the
-/// next Next()/Close() call — the §5.1 "scans give memory addresses to
+/// next NextBatch()/Close() call — the §5.1 "scans give memory addresses to
 /// records fixed in the buffer pool" discipline.
 struct RecordRef {
   Rid rid;
   Slice payload;
 };
 
-/// Sequential scan over a record store (open-next-close protocol).
+/// Sequential scan over a record store (open-next-close protocol, with
+/// NextBatch() as the one "next").
 class RecordScan {
  public:
   virtual ~RecordScan() = default;
 
-  /// Fetches the next record. `*has_next` false at end of store.
-  virtual Status Next(RecordRef* ref, bool* has_next) = 0;
-
   /// Fetches up to `capacity` records into `refs`, setting `*count` to the
   /// number delivered. All delivered payloads are valid until the next
-  /// NextBatch()/Next()/Close() call, so implementations must not cross a
-  /// pin boundary within one call (a page-at-a-time store stops at the page
+  /// NextBatch()/Close() call, so implementations must not cross a pin
+  /// boundary within one call (a page-at-a-time store stops at the page
   /// edge and returns a short count with `*has_more` still true).
   /// `*has_more` false means the store is exhausted; like the operator
-  /// batch contract, the final call may deliver zero records. The default
-  /// implementation loops Next(); page-oriented stores override it to
-  /// amortize the per-record virtual call across a whole page.
+  /// batch contract, the final call may deliver zero records, and no call
+  /// follows it.
   virtual Status NextBatch(RecordRef* refs, size_t capacity, size_t* count,
-                           bool* has_more) {
-    size_t n = 0;
-    while (n < capacity) {
-      bool has_next = false;
-      RELDIV_RETURN_NOT_OK(Next(&refs[n], &has_next));
-      if (!has_next) {
-        *count = n;
-        *has_more = false;
-        return Status::OK();
-      }
-      n++;
-    }
-    *count = n;
-    *has_more = true;
-    return Status::OK();
-  }
+                           bool* has_more) = 0;
 
   /// Releases pinned pages; called implicitly by the destructor.
   virtual Status Close() = 0;

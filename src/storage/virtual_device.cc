@@ -1,5 +1,7 @@
 #include "storage/virtual_device.h"
 
+#include <algorithm>
+
 #include "testing/failpoint.h"
 
 namespace reldiv {
@@ -34,17 +36,20 @@ class VirtualDevice::DeviceScan : public RecordScan {
  public:
   explicit DeviceScan(VirtualDevice* device) : device_(device) {}
 
-  Status Next(RecordRef* ref, bool* has_next) override {
-    if (next_ >= device_->records_.size()) {
-      *has_next = false;
-      return Status::OK();
+  // Memory-resident records need no pin, so a call fills the whole
+  // capacity. A full call reports more even at the end of the device; the
+  // next call then delivers none.
+  Status NextBatch(RecordRef* refs, size_t capacity, size_t* count,
+                   bool* has_more) override {
+    const size_t end = std::min(device_->records_.size(), next_ + capacity);
+    *count = end - next_;
+    for (; next_ < end; ++next_, ++refs) {
+      const std::string& record = device_->records_[next_];
+      refs->rid = Rid{static_cast<uint32_t>(next_ >> 16),
+                      static_cast<uint16_t>(next_ & 0xffff)};
+      refs->payload = Slice(record.data(), record.size());
     }
-    const std::string& record = device_->records_[next_];
-    ref->rid = Rid{static_cast<uint32_t>(next_ >> 16),
-                   static_cast<uint16_t>(next_ & 0xffff)};
-    ref->payload = Slice(record.data(), record.size());
-    next_++;
-    *has_next = true;
+    *has_more = *count == capacity;
     return Status::OK();
   }
 

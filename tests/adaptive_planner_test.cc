@@ -358,36 +358,74 @@ TEST_F(AdaptivePlannerTest, UntriggeredRunHasStaticCounterParity) {
   spec.seed = 17;
   Loaded data = Load(spec, "parity");
   DivisionQuery query{data.dividend, data.divisor, {"divisor_id"}};
-
   ExecContext* ctx = db_->ctx();
-  const CpuCounters before_static = *ctx->counters();
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<Tuple> static_rows,
-      Divide(ctx, query, DivisionAlgorithm::kHashDivision, DivisionOptions{}));
-  const CpuCounters static_delta = *ctx->counters() - before_static;
 
-  AdaptiveOptions options;
-  options.forced_initial = DivisionAlgorithm::kHashDivision;
-  options.use_stats_cache = false;  // honest stats, no cache interference
-  const CpuCounters before_adaptive = *ctx->counters();
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<AdaptiveDivisionOperator> plan,
-                       PlanAdaptiveDivision(ctx, query, options));
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> adaptive_rows,
-                       CollectAll(plan.get(), ctx->batch_capacity()));
-  const CpuCounters adaptive_delta = *ctx->counters() - before_adaptive;
+  // The adaptive plan pinned to `forced` must perform exactly the counted
+  // operations of the static plan `algorithm` run with `static_options`.
+  const auto expect_parity = [&](DivisionAlgorithm forced,
+                                 double memory_pages, size_t checkpoints,
+                                 DivisionAlgorithm algorithm,
+                                 const DivisionOptions& static_options) {
+    const CpuCounters before_static = *ctx->counters();
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> static_rows,
+                         Divide(ctx, query, algorithm, static_options));
+    const CpuCounters static_delta = *ctx->counters() - before_static;
 
-  ASSERT_TRUE(plan->report().events.empty()) << plan->report().ToLine();
-  EXPECT_GE(plan->report().checkpoints_run, 2u)
-      << "checkpoint 0 plus the post-build divisor checkpoint";
-  // Bit-identical quotient: same tuples in the same emission order.
-  EXPECT_EQ(adaptive_rows, static_rows);
-  EXPECT_EQ(Sorted(std::move(adaptive_rows)), data.expected);
-  // Table 1 parity: the checkpoints read metadata, never tuples.
-  EXPECT_EQ(adaptive_delta.comparisons, static_delta.comparisons);
-  EXPECT_EQ(adaptive_delta.hashes, static_delta.hashes);
-  EXPECT_EQ(adaptive_delta.moves, static_delta.moves);
-  EXPECT_EQ(adaptive_delta.bit_ops, static_delta.bit_ops);
-  EXPECT_GT(adaptive_delta.hashes, 0u);
+    AdaptiveOptions options;
+    options.forced_initial = forced;
+    options.use_stats_cache = false;  // honest stats, no cache interference
+    options.memory_pages_override = memory_pages;
+    const CpuCounters before_adaptive = *ctx->counters();
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AdaptiveDivisionOperator> plan,
+                         PlanAdaptiveDivision(ctx, query, options));
+    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> adaptive_rows,
+                         CollectAll(plan.get(), ctx->batch_capacity()));
+    const CpuCounters adaptive_delta = *ctx->counters() - before_adaptive;
+
+    ASSERT_TRUE(plan->report().events.empty()) << plan->report().ToLine();
+    EXPECT_GE(plan->report().checkpoints_run, checkpoints);
+    // Bit-identical quotient: same tuples in the same emission order.
+    EXPECT_EQ(adaptive_rows, static_rows);
+    EXPECT_EQ(Sorted(std::move(adaptive_rows)), data.expected);
+    // Table 1 parity: the checkpoints read metadata, never tuples.
+    EXPECT_EQ(adaptive_delta.comparisons, static_delta.comparisons);
+    EXPECT_EQ(adaptive_delta.hashes, static_delta.hashes);
+    EXPECT_EQ(adaptive_delta.moves, static_delta.moves);
+    EXPECT_EQ(adaptive_delta.bit_ops, static_delta.bit_ops);
+    EXPECT_GT(adaptive_delta.hashes, 0u);
+  };
+
+  {
+    SCOPED_TRACE("hash-division");
+    // Checkpoint 0 plus the post-build divisor checkpoint.
+    expect_parity(DivisionAlgorithm::kHashDivision, 0, 2,
+                  DivisionAlgorithm::kHashDivision, DivisionOptions{});
+  }
+
+  // Half a page of memory keeps neither table resident, and the divisor
+  // table alone takes over half of it, so the chooser picks divisor
+  // partitioning (§3.4). The adaptive plan must run that strategy, as
+  // PlanDivision does.
+  {
+    SCOPED_TRACE("partitioned hash-division, divisor strategy");
+    AdaptiveOptions probe;
+    probe.forced_initial = DivisionAlgorithm::kHashDivisionPartitioned;
+    probe.use_stats_cache = false;
+    probe.memory_pages_override = 0.5;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<AdaptiveDivisionOperator> chosen,
+                         PlanAdaptiveDivision(ctx, query, probe));
+    ASSERT_OK(chosen->Open());
+    const AlgorithmChoice choice = chosen->report().initial;
+    ASSERT_OK(chosen->Close());
+    ASSERT_TRUE(choice.needs_partitioning);
+    ASSERT_EQ(choice.partition_strategy, PartitionStrategy::kDivisor);
+    DivisionOptions static_options;
+    static_options.partition_strategy = PartitionStrategy::kDivisor;
+    static_options.num_partitions = choice.num_partitions;
+    expect_parity(DivisionAlgorithm::kHashDivisionPartitioned, 0.5, 1,
+                  DivisionAlgorithm::kHashDivisionPartitioned,
+                  static_options);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -49,18 +49,12 @@ TEST_F(DeleteTest, RecordFileDeleteSkipsInScansAndPointReads) {
   PageGuard guard;
   EXPECT_TRUE(file.Get(rids[10], &payload, &guard).IsNotFound());
   // Scan sees the 98 survivors, in order, without the deleted ones.
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<RecordScan> scan, file.OpenScan());
-  int seen = 0;
-  while (true) {
-    RecordRef ref;
-    bool has = false;
-    ASSERT_OK(scan->Next(&ref, &has));
-    if (!has) break;
-    EXPECT_NE(ref.rid, rids[10]);
-    EXPECT_NE(ref.rid, rids[99]);
-    seen++;
+  const std::vector<ScannedRecord> survivors = ScanRecords(&file);
+  for (const ScannedRecord& record : survivors) {
+    EXPECT_NE(record.rid, rids[10]);
+    EXPECT_NE(record.rid, rids[99]);
   }
-  EXPECT_EQ(seen, 98);
+  EXPECT_EQ(survivors.size(), 98u);
 }
 
 TEST_F(DeleteTest, BTreeEraseRemovesExactEntry) {

@@ -2,6 +2,7 @@
 // error propagation, and the helper operators (Spool, OwningOperator) that
 // glue plans together.
 
+#include <atomic>
 #include <memory>
 
 #include "division/count_filter.h"
@@ -303,7 +304,8 @@ TEST_F(OperatorContractTest, BatchSizesAgreeOnEveryAlgorithm) {
 
 /// Child probe for the Open()/Close() pairing contract: replays a fixed
 /// tuple stream one row per batch, optionally fails its own Open() or the
-/// Nth NextBatch() (so the Nth row), and records how often each protocol
+/// Nth NextBatch() (so the Nth row), optionally raises a cancellation flag
+/// once its first batch is delivered, and records how often each protocol
 /// entry ran so a test can assert that a parent's Close() settled every
 /// child it had opened — and only those.
 class ProbeOperator : public Operator {
@@ -314,9 +316,12 @@ class ProbeOperator : public Operator {
   void FailOpen() { fail_open_ = true; }
   void FailOnNthBatch(size_t n) { fail_batch_at_ = n; }
   void FailClose() { fail_close_ = true; }
+  void RaiseAfterFirstBatch(std::atomic<bool>* flag) { raise_ = flag; }
 
   int opens() const { return opens_; }
   int closes() const { return closes_; }
+  size_t batches() const { return batches_; }
+  size_t pulls_after_end() const { return pulls_after_end_; }
 
   const Schema& output_schema() const override { return schema_; }
 
@@ -329,6 +334,7 @@ class ProbeOperator : public Operator {
   }
 
   Status NextBatch(TupleBatch* batch, bool* has_more) override {
+    if (batches_ > 0 && pos_ >= rows_.size()) pulls_after_end_++;
     batches_++;
     if (fail_batch_at_ != 0 && batches_ >= fail_batch_at_) {
       return Status::IOError("probe batch failed");
@@ -336,6 +342,7 @@ class ProbeOperator : public Operator {
     batch->Clear();
     if (pos_ < rows_.size()) batch->PushBack(rows_[pos_++]);
     *has_more = pos_ < rows_.size();
+    if (raise_ != nullptr) raise_->store(true);
     return Status::OK();
   }
 
@@ -351,15 +358,152 @@ class ProbeOperator : public Operator {
   size_t pos_ = 0;
   size_t batches_ = 0;
   size_t fail_batch_at_ = 0;
+  size_t pulls_after_end_ = 0;
+  std::atomic<bool>* raise_ = nullptr;
   bool fail_open_ = false;
   bool fail_close_ = false;
   int opens_ = 0;
   int closes_ = 0;
 };
 
-// Regression: SortOperator::Open() drains its child and closes it before
-// returning; when that drain fails mid-stream, the later Close() must still
-// settle the child instead of leaking its pins.
+/// Drain() sink that counts the batches and tuples it was handed.
+struct CountingSink {
+  size_t* batches;
+  size_t* tuples;
+  Status operator()(TupleBatch& batch) const {
+    ++*batches;
+    *tuples += batch.size();
+    return Status::OK();
+  }
+};
+
+TEST_F(OperatorContractTest, DrainLeavesInputUnclosedAfterFailedOpen) {
+  ProbeOperator input(TwoCol(), {T(1, 0)});
+  input.FailOpen();
+  size_t batches = 0, tuples = 0;
+  const Status status =
+      Drain(&input, 4, nullptr, CountingSink{&batches, &tuples});
+  EXPECT_TRUE(status.IsInternal()) << status.ToString();
+  EXPECT_EQ(input.closes(), 0);
+  EXPECT_EQ(input.batches(), 0u);
+  EXPECT_EQ(batches, 0u);
+}
+
+TEST_F(OperatorContractTest, DrainPullErrorClosesOnceAndWins) {
+  ProbeOperator input(TwoCol(), {T(1, 0), T(2, 0), T(3, 0)});
+  input.FailOnNthBatch(2);
+  input.FailClose();
+  size_t batches = 0, tuples = 0;
+  const Status status =
+      Drain(&input, 4, nullptr, CountingSink{&batches, &tuples});
+  EXPECT_EQ(status.message(), "probe batch failed") << status.ToString();
+  EXPECT_EQ(input.opens(), 1);
+  EXPECT_EQ(input.closes(), 1);
+  EXPECT_EQ(input.batches(), 2u);
+  EXPECT_EQ(batches, 1u);
+}
+
+TEST_F(OperatorContractTest, DrainSinkErrorClosesOnceAndWins) {
+  ProbeOperator input(TwoCol(), {T(1, 0), T(2, 0), T(3, 0)});
+  input.FailClose();
+  const Status status = Drain(&input, 4, nullptr, [](TupleBatch&) {
+    return Status::InvalidArgument("sink refused");
+  });
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(input.closes(), 1);
+  EXPECT_EQ(input.batches(), 1u) << "no pull after the sink failed";
+}
+
+TEST_F(OperatorContractTest, DrainReturnsCloseErrorAfterCleanDrain) {
+  ProbeOperator input(TwoCol(), {T(1, 0), T(2, 0)});
+  input.FailClose();
+  size_t batches = 0, tuples = 0;
+  const Status status =
+      Drain(&input, 4, nullptr, CountingSink{&batches, &tuples});
+  EXPECT_EQ(status.message(), "probe close failed") << status.ToString();
+  EXPECT_EQ(input.closes(), 1);
+  EXPECT_EQ(tuples, 2u);
+}
+
+TEST_F(OperatorContractTest, DrainNeverPullsAfterEndOfStream) {
+  ProbeOperator input(TwoCol(), {T(1, 0), T(2, 0), T(3, 0)});
+  size_t batches = 0, tuples = 0;
+  int finished = 0;
+  ASSERT_OK(Drain(&input, 4, nullptr, CountingSink{&batches, &tuples},
+                  [&]() -> Status {
+                    // Runs once, after the last batch, before Close().
+                    EXPECT_EQ(input.closes(), 0);
+                    EXPECT_EQ(batches, 3u);
+                    finished++;
+                    return Status::OK();
+                  }));
+  EXPECT_EQ(finished, 1);
+  EXPECT_EQ(input.batches(), 3u);
+  EXPECT_EQ(input.pulls_after_end(), 0u);
+  EXPECT_EQ(tuples, 3u);
+  EXPECT_EQ(input.closes(), 1);
+}
+
+TEST_F(OperatorContractTest, DrainStopsAtRaisedCancelFlagAndCloses) {
+  ProbeOperator input(TwoCol(), {T(1, 0)});
+  std::atomic<bool> cancel{true};
+  ExecContext* ctx = db_->ctx();
+  ctx->set_cancellation_flag(&cancel);
+  size_t batches = 0, tuples = 0;
+  const Status status =
+      Drain(&input, 4, ctx, CountingSink{&batches, &tuples});
+  ctx->set_cancellation_flag(nullptr);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  EXPECT_EQ(input.opens(), 1);
+  EXPECT_EQ(input.closes(), 1);
+  EXPECT_EQ(input.batches(), 0u);
+}
+
+TEST_F(OperatorContractTest, DrainSizesAnOwnedBatchAfterOpen) {
+  ProbeOperator input(TwoCol(), {T(1, 0), T(2, 0)});
+  ExecContext* ctx = db_->ctx();
+  TupleBatch owned(1);
+  ctx->set_batch_capacity(5);
+  size_t tuples = 0;
+  const Status status = Drain(&input, &owned, ctx, [&](TupleBatch& batch) {
+    EXPECT_EQ(batch.capacity(), 5u);
+    tuples += batch.size();
+    return Status::OK();
+  });
+  ctx->set_batch_capacity(kDefaultBatchCapacity);
+  ASSERT_OK(status);
+  EXPECT_EQ(owned.capacity(), 5u);
+  EXPECT_EQ(tuples, 2u);
+}
+
+// A cancelled query stops inside a sort's blocking Open(): the input drain
+// polls the context before every pull, so the sort reads no batch after the
+// flag goes up, closes its input once, and returns kCancelled.
+TEST_F(OperatorContractTest, SortOpenStopsAtCancelFlagRaisedMidDrain) {
+  auto probe = std::make_unique<ProbeOperator>(
+      TwoCol(), std::vector<Tuple>{T(3, 0), T(1, 0), T(2, 0)});
+  ProbeOperator* child = probe.get();
+  std::atomic<bool> cancel{false};
+  child->RaiseAfterFirstBatch(&cancel);
+  ExecContext* ctx = db_->ctx();
+  ctx->set_cancellation_flag(&cancel);
+  SortSpec spec;
+  spec.keys = {0};
+  SortOperator sorter(ctx, std::move(probe), spec);
+  const Status opened = sorter.Open();
+  ctx->set_cancellation_flag(nullptr);
+  EXPECT_TRUE(opened.IsCancelled()) << opened.ToString();
+  EXPECT_EQ(child->batches(), 1u);
+  EXPECT_EQ(child->opens(), 1);
+  EXPECT_EQ(child->closes(), 1);
+  ASSERT_OK(sorter.Close());
+  EXPECT_EQ(child->closes(), 1);
+}
+
+// Regression: SortOperator::Open() drains its child with Drain(), which
+// closes it on every path; when that drain fails mid-stream the child is
+// settled before Open() returns, and the later Close() must not close it
+// again.
 TEST_F(OperatorContractTest, SortClosesChildAfterFailedOpenDrain) {
   auto probe = std::make_unique<ProbeOperator>(
       TwoCol(), std::vector<Tuple>{T(3, 0), T(1, 0), T(2, 0)});
@@ -370,7 +514,7 @@ TEST_F(OperatorContractTest, SortClosesChildAfterFailedOpenDrain) {
   SortOperator sorter(db_->ctx(), std::move(probe), spec);
   EXPECT_TRUE(sorter.Open().IsIOError());
   EXPECT_EQ(child->opens(), 1);
-  EXPECT_EQ(child->closes(), 0);
+  EXPECT_EQ(child->closes(), 1);
   ASSERT_OK(sorter.Close());
   EXPECT_EQ(child->closes(), 1);
   // A clean cycle afterwards must not double-close.
@@ -382,8 +526,8 @@ TEST_F(OperatorContractTest, SortClosesChildAfterFailedOpenDrain) {
 }
 
 // Regression: HashJoinOperator::Open() fails while draining the build side
-// (probe side not yet opened). Close() must close the build child exactly
-// once and must NOT touch the never-opened probe child.
+// (probe side not yet opened). The build child is closed exactly once, and
+// Close() must NOT touch the never-opened probe child.
 TEST_F(OperatorContractTest, HashJoinClosesOnlyTheChildrenItOpened) {
   auto probe_side = std::make_unique<ProbeOperator>(
       TwoCol(), std::vector<Tuple>{T(1, 1)});

@@ -48,19 +48,12 @@ class QuotientCacheTest : public ::testing::Test {
   /// Current table contents as tuples (ground-truth inputs).
   std::vector<Tuple> Rows(const Relation& relation) {
     RowCodec codec(relation.schema);
-    auto scan = relation.store->OpenScan();
-    EXPECT_TRUE(scan.ok());
     std::vector<Tuple> rows;
-    while (true) {
-      RecordRef ref;
-      bool has = false;
-      EXPECT_OK(scan.value()->Next(&ref, &has));
-      if (!has) break;
+    for (const ScannedRecord& record : ScanRecords(relation.store)) {
       Tuple tuple;
-      EXPECT_OK(codec.Decode(ref.payload, &tuple));
+      EXPECT_OK(codec.Decode(Slice(record.payload), &tuple));
       rows.push_back(std::move(tuple));
     }
-    EXPECT_OK(scan.value()->Close());
     return rows;
   }
 
@@ -274,7 +267,7 @@ TEST_F(QuotientCacheTest, LruEvictionCapsResidentEntries) {
 
 TEST_F(QuotientCacheTest, CancelledBuildUnwindsCleanly) {
   ASSERT_OK(db_->Insert("s", T(0)));
-  // Enough rows that the build's cancellation poll (every 256 rows) fires.
+  // The build polls the flag before every pull, so it stops at its first.
   for (int64_t q = 0; q < 600; ++q) ASSERT_OK(db_->Insert("r", T(q, 0)));
 
   std::atomic<bool> cancel{true};

@@ -459,7 +459,7 @@ TEST_F(DivisionServiceTest, CancelledQueryUnwindsWithCleanStatusAndNoLeaks) {
   // Cancelled mid-drain: an early-output, bypass-cache hash-division plan
   // builds its divisor table in Open() (the divisor's one page is pin 1)
   // and consumes its dividend inside NextBatch(), so failing pin 2 with
-  // kCancelled lands in the service's drive loop, which must still Close()
+  // kCancelled lands in the service's root drain, which must still Close()
   // the plan.
   {
     DivisionService drain_service(db_.get(), ServiceOptions{});

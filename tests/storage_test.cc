@@ -274,19 +274,12 @@ TEST(RecordFileTest, AppendScanAndPointRead) {
   EXPECT_GT(file.num_pages(), 1u);
 
   // Sequential scan sees everything in order.
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<RecordScan> scan, file.OpenScan());
-  int i = 0;
-  while (true) {
-    RecordRef ref;
-    bool has = false;
-    ASSERT_OK(scan->Next(&ref, &has));
-    if (!has) break;
-    EXPECT_EQ(ref.payload.ToString(), "record-" + std::to_string(i));
-    EXPECT_EQ(ref.rid, rids[static_cast<size_t>(i)]);
-    i++;
+  const std::vector<ScannedRecord> records = ScanRecords(&file);
+  ASSERT_EQ(records.size(), 1000u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].payload, "record-" + std::to_string(i));
+    EXPECT_EQ(records[i].rid, rids[i]);
   }
-  EXPECT_EQ(i, 1000);
-  ASSERT_OK(scan->Close());
 
   // Point read through a guard.
   Slice payload;
@@ -301,9 +294,11 @@ TEST(RecordFileTest, ScanOfEmptyFile) {
   RecordFile file(&disk, &bm, "empty");
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<RecordScan> scan, file.OpenScan());
   RecordRef ref;
-  bool has = true;
-  ASSERT_OK(scan->Next(&ref, &has));
-  EXPECT_FALSE(has);
+  size_t count = 1;
+  bool has_more = true;
+  ASSERT_OK(scan->NextBatch(&ref, 1, &count, &has_more));
+  EXPECT_EQ(count, 0u);
+  EXPECT_FALSE(has_more);
 }
 
 TEST(RecordFileTest, SequentialScanIsMostlySeekFree) {
@@ -319,13 +314,7 @@ TEST(RecordFileTest, SequentialScanIsMostlySeekFree) {
   ASSERT_OK(bm.DropAll());
   disk.ResetStats();
 
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<RecordScan> scan, file.OpenScan());
-  RecordRef ref;
-  bool has = true;
-  while (true) {
-    ASSERT_OK(scan->Next(&ref, &has));
-    if (!has) break;
-  }
+  EXPECT_EQ(ScanRecords(&file).size(), 200u);
   // Extent-based placement: one transfer per page, seeks far rarer than
   // transfers (one per extent boundary at worst).
   const DiskStats& stats = disk.stats();
@@ -342,16 +331,18 @@ TEST(VirtualDeviceTest, AppendAndScanWithoutIo) {
   (void)r1;
   EXPECT_EQ(device.num_records(), 2u);
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<RecordScan> scan, device.OpenScan());
-  RecordRef ref;
-  bool has = false;
-  ASSERT_OK(scan->Next(&ref, &has));
-  ASSERT_TRUE(has);
-  EXPECT_EQ(ref.payload.ToString(), "alpha");
-  ASSERT_OK(scan->Next(&ref, &has));
-  ASSERT_TRUE(has);
-  EXPECT_EQ(ref.payload.ToString(), "beta");
-  ASSERT_OK(scan->Next(&ref, &has));
-  EXPECT_FALSE(has);
+  RecordRef refs[2];
+  size_t count = 0;
+  bool has_more = false;
+  // A call that fills its capacity reports more, even at the end.
+  ASSERT_OK(scan->NextBatch(refs, 2, &count, &has_more));
+  ASSERT_EQ(count, 2u);
+  EXPECT_TRUE(has_more);
+  EXPECT_EQ(refs[0].payload.ToString(), "alpha");
+  EXPECT_EQ(refs[1].payload.ToString(), "beta");
+  ASSERT_OK(scan->NextBatch(refs, 2, &count, &has_more));
+  EXPECT_EQ(count, 0u);
+  EXPECT_FALSE(has_more);
   EXPECT_EQ(disk.stats().transfers, 0u);
 }
 

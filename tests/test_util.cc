@@ -28,4 +28,25 @@ std::vector<Tuple> ReferenceDivision(
   return quotient;  // std::map iteration → already sorted
 }
 
+std::vector<ScannedRecord> ScanRecords(RecordStore* store, size_t capacity) {
+  std::vector<ScannedRecord> records;
+  Result<std::unique_ptr<RecordScan>> scan = store->OpenScan();
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  if (!scan.ok()) return records;
+  std::vector<RecordRef> refs(capacity);
+  bool has_more = true;
+  while (has_more) {
+    size_t count = 0;
+    const Status status =
+        scan.value()->NextBatch(refs.data(), capacity, &count, &has_more);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    if (!status.ok()) break;
+    for (size_t i = 0; i < count; ++i) {
+      records.push_back({refs[i].rid, refs[i].payload.ToString()});
+    }
+  }
+  EXPECT_OK(scan.value()->Close());
+  return records;
+}
+
 }  // namespace reldiv

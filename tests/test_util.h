@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/tuple.h"
@@ -10,6 +11,7 @@
 #include "exec/relation.h"
 #include "gtest/gtest.h"
 #include "obs/telemetry.h"
+#include "storage/record_store.h"
 
 namespace reldiv {
 
@@ -50,6 +52,18 @@ std::vector<Tuple> ReferenceDivision(const std::vector<Tuple>& dividend,
                                      const std::vector<size_t>& quotient_attrs);
 
 /// Convenience constructors.
+/// A record as a scan delivered it, its payload copied out of the pinned
+/// page.
+struct ScannedRecord {
+  Rid rid;
+  std::string payload;
+};
+
+/// Every live record of `store` in scan order, read through
+/// RecordScan::NextBatch `capacity` records at a time.
+std::vector<ScannedRecord> ScanRecords(RecordStore* store,
+                                       size_t capacity = 16);
+
 inline Tuple T(int64_t a) { return Tuple{Value::Int64(a)}; }
 inline Tuple T(int64_t a, int64_t b) {
   return Tuple{Value::Int64(a), Value::Int64(b)};

@@ -83,6 +83,13 @@ clang-tidy cannot express. Rules:
                        exec/operator.h: NextBatch is the one pull, and a
                        per-tuple producer keeps its step private and fills
                        batches with FillBatch (DESIGN.md §6).
+  hand-drain           no loop in src/ pulls an operator's NextBatch
+                       (the two-argument protocol call) outside Drain's
+                       own loop in exec/operator.h: an input read to its
+                       end goes through Drain, which polls cancellation
+                       and closes the input on every path (DESIGN.md §6).
+                       A pipelined pull, which may stop before the end
+                       of the stream, carries a suppression saying so.
 
 Suppression syntax (modeled on clang-tidy triage): a finding is silenced
 by `NOLINT(reldiv/<rule>): <rationale>` on the same line, or
@@ -137,6 +144,7 @@ RULES = (
     "no-rand",
     "batch-overrides",
     "tuple-lane",
+    "hand-drain",
     "suppression-rationale",
 )
 
@@ -701,6 +709,65 @@ class Analyzer:
                 "producer fills batches with FillBatch, a per-tuple "
                 "consumer reads through InputCursor)", raw_lines, sup)
 
+    LOOP_RE = re.compile(r"\b(?:while|for)\s*\(|\bdo\s*\{")
+    NEXTBATCH_CALL_RE = re.compile(r"(?:->|\.)\s*NextBatch\s*\(")
+    DRAIN_NAMESPACE_RE = re.compile(r"\bnamespace\s+drain_internal\s*\{")
+
+    @staticmethod
+    def matching(text, start, open_char, close_char):
+        """Offset just past the bracket closing the one at `start`."""
+        depth = 0
+        for i in range(start, len(text)):
+            if text[i] == open_char:
+                depth += 1
+            elif text[i] == close_char:
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+        return len(text)
+
+    def loop_spans(self, text):
+        """(start, end) of every while/for/do statement in `text`."""
+        for match in self.LOOP_RE.finditer(text):
+            end = match.end() - 1
+            if text[end] == "(":
+                end = self.matching(text, end, "(", ")")
+                body = re.compile(r"\s*\{").match(text, end)
+                if body is None:  # a single statement, or do-while's tail
+                    semicolon = text.find(";", end)
+                    end = len(text) if semicolon < 0 else semicolon + 1
+                    yield match.start(), end
+                    continue
+                end = body.end() - 1
+            yield match.start(), self.matching(text, end, "{", "}")
+
+    def check_hand_drain(self, path: Path, raw_lines, sup, text):
+        exempt = [(m.start(), self.matching(text, m.end() - 1, "{", "}"))
+                  for m in self.DRAIN_NAMESPACE_RE.finditer(text)]
+        loops = list(self.loop_spans(text))
+        for call in self.NEXTBATCH_CALL_RE.finditer(text):
+            args = text[call.end() - 1:
+                        self.matching(text, call.end() - 1, "(", ")")]
+            depth = 0
+            commas = 0
+            for c in args:
+                depth += c in "([{"
+                depth -= c in ")]}"
+                commas += c == "," and depth == 1
+            if commas != 1:  # not the operator protocol's (batch, has_more)
+                continue
+            if any(lo <= call.start() < hi for lo, hi in exempt):
+                continue
+            enclosing = [lo for lo, hi in loops if lo <= call.start() < hi]
+            if not enclosing:
+                continue
+            self.report(
+                path, text.count("\n", 0, max(enclosing)) + 1, "hand-drain",
+                "hand-written NextBatch read loop; read an input to its "
+                "end with Drain (exec/operator.h), which polls "
+                "cancellation and closes the input on every path, or "
+                "suppress with why this pull is pipelined", raw_lines, sup)
+
     def check_qcache_coverage(self, texts):
         if "qcache-version-sync" not in self.rules:
             return
@@ -835,6 +902,7 @@ class Analyzer:
                                                text)
                 self.check_line_bans(path, raw_lines, lines, sup)
                 self.check_tuple_lane(path, raw_lines, sup, text)
+                self.check_hand_drain(path, raw_lines, sup, text)
                 if path.suffix == ".h":
                     self.check_include_guard(path, raw_lines, sup)
                     self.check_batch_overrides(path, raw_lines, sup, text)

@@ -315,6 +315,47 @@ class AnalyzeRuleTest(unittest.TestCase):
             "  return s->Next(t, h);\n}\n")
         self.assertEqual(self.fresh(["tuple-lane"]), [])
 
+    READ_LOOP = ("Status Read(Operator* input, TupleBatch* batch) {\n"
+                 "  bool has_more = true;\n"
+                 "  while (has_more) {\n"
+                 "    RELDIV_RETURN_NOT_OK(input->NextBatch(batch,\n"
+                 "                                          &has_more));\n"
+                 "  }\n"
+                 "  return Status::OK();\n}\n")
+
+    def test_hand_drain_fires_on_read_loop(self):
+        self.tree.write("src/exec/newop.cc", self.READ_LOOP)
+        found = self.fresh(["hand-drain"])
+        self.assertEqual(rules_of(found), ["hand-drain"])
+        self.assertEqual(found[0].lineno, 3)
+
+    def test_hand_drain_suppressed_pipelined_pull(self):
+        self.tree.write("src/exec/newop.cc", self.READ_LOOP.replace(
+            "  while", "  // NOLINTNEXTLINE(reldiv/hand-drain): pipelined\n"
+            "  while"))
+        found, analyzer = self.tree.analyze_findings(["hand-drain"])
+        self.assertEqual(found, [])
+        self.assertEqual(analyzer.suppressed, 1)
+
+    def test_hand_drain_drain_itself_and_other_calls_clean(self):
+        self.tree.write(
+            "src/exec/operator.h", GUARD +
+            "namespace drain_internal {\n"
+            "inline Status PullToEnd(Operator* in, TupleBatch* b) {\n"
+            "  bool more = true;\n"
+            "  while (more) { RELDIV_RETURN_NOT_OK(in->NextBatch(b, &more)); }\n"
+            "  return Status::OK();\n}\n"
+            "}  // namespace drain_internal\n#endif\n")
+        self.tree.write(
+            "src/exec/scan.cc",
+            "Status Scan::NextBatch(TupleBatch* batch, bool* has_more) {\n"
+            "  while (!batch->full()) {\n"
+            "    RELDIV_RETURN_NOT_OK(scan_->NextBatch(refs_.data(), n,\n"
+            "                                          &count, &more));\n"
+            "  }\n"
+            "  return child_->NextBatch(batch, has_more);\n}\n")
+        self.assertEqual(self.fresh(["hand-drain"]), [])
+
     def test_failpoint_site_unlisted_fires(self):
         self.tree.write(
             "src/testing/failpoint.h",
