@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the kernels the four algorithms are
 // built from: bit map operations (word-at-a-time, §3.3 point 4), the
 // scalar-vs-SIMD batched kernels of exec/kernels, chained hash table
-// insert/probe, external sort, B+-tree, and the hash-division core itself.
+// insert/probe, external sort, and the hash-division core itself.
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +18,6 @@
 #include "exec/kernels/kernels.h"
 #include "exec/mem_source.h"
 #include "exec/sort.h"
-#include "storage/btree.h"
 #include "workload/generator.h"
 
 namespace reldiv {
@@ -207,28 +206,6 @@ void BM_ExternalSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ExternalSort)->Arg(10000)->Arg(50000);
-
-void BM_BTreeInsert(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    SimDisk disk;
-    BufferManager bm(&disk, nullptr);
-    BTree tree(&disk, &bm);
-    Rng rng(3);
-    state.ResumeTiming();
-    for (int64_t i = 0; i < n; ++i) {
-      char key[16];
-      std::snprintf(key, sizeof(key), "%012lld",
-                    static_cast<long long>(rng.Next() % 1000000));
-      auto status =
-          tree.Insert(Slice(key), Rid{static_cast<uint32_t>(i), 0});
-      benchmark::DoNotOptimize(status.ok());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BTreeInsert)->Arg(10000);
 
 void BM_HashDivisionEndToEnd(benchmark::State& state) {
   const uint64_t s = static_cast<uint64_t>(state.range(0));

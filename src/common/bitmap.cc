@@ -35,15 +35,6 @@ size_t Bitmap::CountSet() const {
   return count;
 }
 
-void Bitmap::IntersectWith(const Bitmap& other) {
-  // Width agreement is the §3.4 collection-phase invariant: both maps were
-  // built against the same divisor cardinality. Cold path, so always on.
-  RELDIV_CHECK_EQ(num_bits_, other.num_bits_)
-      << "intersecting bit maps of different divisor cardinalities";
-  const size_t words = WordsForBits(num_bits_);
-  for (size_t i = 0; i < words; ++i) words_[i] &= other.words_[i];
-}
-
 std::string Bitmap::ToString() const {
   std::string out;
   out.reserve(num_bits_);

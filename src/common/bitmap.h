@@ -98,10 +98,6 @@ class Bitmap {
   /// Number of set bits.
   size_t CountSet() const;
 
-  /// Bitwise AND with `other` (same size required); used by the collection
-  /// phase of divisor partitioning.
-  void IntersectWith(const Bitmap& other);
-
   /// "1010..." for diagnostics (most significant bit last, i.e. index order).
   std::string ToString() const;
 

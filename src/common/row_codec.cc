@@ -120,12 +120,6 @@ Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
   return Status::OK();
 }
 
-Result<std::string> RowCodec::EncodeToString(const Tuple& tuple) const {
-  std::string out;
-  RELDIV_RETURN_NOT_OK(Encode(tuple, &out));
-  return out;
-}
-
 Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
   if (fixed_width_) {
     // All columns are 8-byte numerics: one bounds check for the whole row,

@@ -4,9 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/schema.h"
 #include "common/slice.h"
+#include "common/status.h"
 #include "common/tuple.h"
 
 namespace reldiv {
@@ -32,9 +32,6 @@ class RowCodec {
   /// Appends the encoding of `tuple` to `out`. InvalidArgument on a
   /// schema/tuple mismatch.
   Status Encode(const Tuple& tuple, std::string* out) const;
-
-  /// Convenience wrapper returning a fresh buffer.
-  Result<std::string> EncodeToString(const Tuple& tuple) const;
 
   /// Decodes one record payload into `tuple`.
   Status Decode(Slice payload, Tuple* tuple) const;

@@ -68,7 +68,7 @@ double CostModel::NaiveDivisionCost(const AnalyticalConfig& config) const {
 double CostModel::SortAggregationCost(const AnalyticalConfig& config,
                                       bool with_join) const {
   // No-join form: sort of the dividend (with aggregation in the final merge,
-  // costing |R| Comp), the scalar aggregate scanning the divisor (s SIO),
+  // costing |R| Comp), the counting scan of the divisor (s SIO),
   // and the divisor's own sort.
   const double sort_r =
       SortCost(config.dividend_tuples, config.dividend_pages, config);
@@ -90,7 +90,7 @@ double CostModel::SortAggregationCost(const AnalyticalConfig& config,
 
 double CostModel::HashAggregationCost(const AnalyticalConfig& config,
                                       bool with_join) const {
-  // r SIO + |R| (Hash + hbs Comp) + s SIO (scalar aggregate).
+  // r SIO + |R| (Hash + hbs Comp) + s SIO (counting scan of the divisor).
   const double probe_each =
       units_.hash_ms + config.avg_bucket_size * units_.comp_ms;
   const double no_join = config.dividend_pages * units_.sio_ms +

@@ -3,10 +3,25 @@
 #include <set>
 
 #include "exec/kernels/kernels.h"
-#include "exec/scalar_aggregate.h"
 #include "exec/scan.h"
 
 namespace reldiv {
+
+namespace {
+
+/// COUNT(*) of a stored relation via a simple file scan (§2.2).
+Result<uint64_t> CountRelation(ExecContext* ctx, const Relation& relation) {
+  ScanOperator scan(ctx, relation);
+  uint64_t count = 0;
+  RELDIV_RETURN_NOT_OK(
+      Drain(&scan, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) {
+        count += batch.size();
+        return Status::OK();
+      }));
+  return count;
+}
+
+}  // namespace
 
 GroupCountFilterOperator::GroupCountFilterOperator(
     ExecContext* ctx, std::unique_ptr<Operator> child, Relation divisor,

@@ -11,8 +11,8 @@
 namespace reldiv {
 
 /// Final step of division by aggregation (§2.2): the child yields
-/// (quotient attrs..., count); this operator determines the divisor's
-/// cardinality with a scalar aggregate (file scan) at Open() time and passes
+/// (quotient attrs..., count); this operator counts the divisor's
+/// cardinality with a simple file scan at Open() time and passes
 /// through — with the count column projected away — exactly the groups whose
 /// count equals it.
 class GroupCountFilterOperator : public Operator {

@@ -3,126 +3,48 @@
 namespace reldiv {
 
 AggState::AggState(const std::vector<AggSpec>& specs)
-    : values_(specs.size()), distinct_(specs.size()) {}
+    : counts_(specs.size()), distinct_(specs.size()) {}
 
 void AggState::Update(const std::vector<AggSpec>& specs, const Tuple& tuple) {
   for (size_t i = 0; i < specs.size(); ++i) {
     const AggSpec& spec = specs[i];
     switch (spec.fn) {
       case AggFn::kCount:
-        values_[i] = Value::Int64(values_[i].int64() + 1);
+        counts_[i]++;
         break;
       case AggFn::kCountDistinct:
         distinct_[i].insert(tuple.Project(spec.distinct_columns()));
         break;
-      case AggFn::kAvg: {
-        // Running sum; divided by the row count at Finish time.
-        const Value& v = tuple.value(spec.arg);
-        const double base =
-            rows_ == 0 ? 0.0
-                       : (values_[i].type() == ValueType::kDouble
-                              ? values_[i].double_value()
-                              : 0.0);
-        const double x = v.type() == ValueType::kDouble
-                             ? v.double_value()
-                             : static_cast<double>(v.int64());
-        values_[i] = Value::Double(base + x);
-        break;
-      }
-      case AggFn::kSum: {
-        const Value& v = tuple.value(spec.arg);
-        if (v.type() == ValueType::kDouble) {
-          const double base =
-              rows_ == 0 ? 0.0
-                         : (values_[i].type() == ValueType::kDouble
-                                ? values_[i].double_value()
-                                : 0.0);
-          values_[i] = Value::Double(base + v.double_value());
-        } else {
-          const int64_t base = rows_ == 0 ? 0 : values_[i].int64();
-          values_[i] = Value::Int64(base + v.int64());
-        }
-        break;
-      }
-      case AggFn::kMin: {
-        const Value& v = tuple.value(spec.arg);
-        if (rows_ == 0 || v.Compare(values_[i]) < 0) values_[i] = v;
-        break;
-      }
-      case AggFn::kMax: {
-        const Value& v = tuple.value(spec.arg);
-        if (rows_ == 0 || v.Compare(values_[i]) > 0) values_[i] = v;
-        break;
-      }
     }
   }
-  rows_++;
 }
 
-Status AggState::Finish(const std::vector<AggSpec>& specs, Tuple* out) const {
+void AggState::Finish(const std::vector<AggSpec>& specs, Tuple* out) const {
   for (size_t i = 0; i < specs.size(); ++i) {
     switch (specs[i].fn) {
-      case AggFn::kMin:
-      case AggFn::kMax:
-        if (rows_ == 0) {
-          return Status::InvalidArgument("MIN/MAX over zero rows");
-        }
-        out->Append(values_[i]);
-        break;
-      case AggFn::kAvg:
-        if (rows_ == 0) {
-          return Status::InvalidArgument("AVG over zero rows");
-        }
-        out->Append(Value::Double(values_[i].double_value() /
-                                  static_cast<double>(rows_)));
+      case AggFn::kCount:
+        out->Append(Value::Int64(counts_[i]));
         break;
       case AggFn::kCountDistinct:
         out->Append(
             Value::Int64(static_cast<int64_t>(distinct_[i].size())));
         break;
-      case AggFn::kCount:
-      case AggFn::kSum:
-        out->Append(values_[i]);
-        break;
     }
   }
-  return Status::OK();
 }
 
 Result<std::vector<Field>> AggOutputFields(const Schema& input,
                                            const std::vector<AggSpec>& specs) {
   std::vector<Field> fields;
   for (const AggSpec& spec : specs) {
-    Field field;
-    field.name = spec.name;
-    switch (spec.fn) {
-      case AggFn::kCount:
-        field.type = ValueType::kInt64;
-        break;
-      case AggFn::kCountDistinct:
-        for (size_t col : spec.distinct_columns()) {
-          if (col >= input.num_fields()) {
-            return Status::InvalidArgument("aggregate argument out of range");
-          }
-        }
-        field.type = ValueType::kInt64;
-        break;
-      case AggFn::kAvg:
-        if (spec.arg >= input.num_fields()) {
+    if (spec.fn == AggFn::kCountDistinct) {
+      for (size_t col : spec.distinct_columns()) {
+        if (col >= input.num_fields()) {
           return Status::InvalidArgument("aggregate argument out of range");
         }
-        field.type = ValueType::kDouble;
-        break;
-      case AggFn::kSum:
-      case AggFn::kMin:
-      case AggFn::kMax:
-        if (spec.arg >= input.num_fields()) {
-          return Status::InvalidArgument("aggregate argument out of range");
-        }
-        field.type = input.field(spec.arg).type;
-        break;
+      }
     }
-    fields.push_back(std::move(field));
+    fields.push_back(Field{spec.name, ValueType::kInt64});
   }
   return fields;
 }

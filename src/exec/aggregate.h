@@ -15,9 +15,9 @@ namespace reldiv {
 /// one the paper's division-by-aggregation strategy needs; COUNT DISTINCT is
 /// footnote 1's "explicitly request uniqueness of the ... counted" form,
 /// which makes the counting strategies robust to duplicate inputs without a
-/// separate duplicate-elimination pass; SUM/AVG/MIN/MAX round out the
-/// operator for general use.
-enum class AggFn { kCount, kCountDistinct, kSum, kAvg, kMin, kMax };
+/// separate duplicate-elimination pass. No division plan reads any other
+/// aggregate, so there is none.
+enum class AggFn { kCount, kCountDistinct };
 
 /// One aggregate: the function, its argument column (ignored for COUNT),
 /// and the name of the output field. COUNT DISTINCT may count composite
@@ -51,14 +51,12 @@ class AggState {
   /// Folds one input tuple into the accumulators.
   void Update(const std::vector<AggSpec>& specs, const Tuple& tuple);
 
-  /// Appends the finalized aggregate values to `out`. InvalidArgument for
-  /// MIN/MAX/AVG over zero rows.
-  Status Finish(const std::vector<AggSpec>& specs, Tuple* out) const;
+  /// Appends the finalized aggregate values to `out`.
+  void Finish(const std::vector<AggSpec>& specs, Tuple* out) const;
 
  private:
-  std::vector<Value> values_;
+  std::vector<int64_t> counts_;            ///< per COUNT spec
   std::vector<std::set<Tuple>> distinct_;  ///< per COUNT DISTINCT spec
-  uint64_t rows_ = 0;
 };
 
 /// Output fields contributed by `specs` given the input schema.

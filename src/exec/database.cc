@@ -102,10 +102,7 @@ Status Database::Insert(const std::string& name, const Tuple& tuple) {
   RowCodec codec(table.schema);
   std::string buffer;
   RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
-  RELDIV_ASSIGN_OR_RETURN(Rid rid, table.store->Append(Slice(buffer)));
-  for (TableIndex* index : table.indexes) {
-    RELDIV_RETURN_NOT_OK(index->Add(tuple, rid));
-  }
+  RELDIV_RETURN_NOT_OK(table.store->Append(Slice(buffer)).status());
   for (const UpdateObserver& observer : observers_) {
     observer(name, table.store.get(), tuple, /*inserted=*/true);
   }
@@ -135,52 +132,11 @@ Result<uint64_t> Database::DeleteWhere(
       }));
   for (const auto& [rid, tuple] : victims) {
     RELDIV_RETURN_NOT_OK(file->Delete(rid));
-    for (TableIndex* index : named.indexes) {
-      RELDIV_RETURN_NOT_OK(index->Remove(tuple, rid));
-    }
     for (const UpdateObserver& observer : observers_) {
       observer(table, named.store.get(), tuple, /*inserted=*/false);
     }
   }
   return static_cast<uint64_t>(victims.size());
-}
-
-Result<TableIndex*> Database::CreateIndex(
-    const std::string& index_name, const std::string& table,
-    const std::vector<std::string>& columns) {
-  if (indexes_.count(index_name) != 0) {
-    return Status::InvalidArgument("index '" + index_name +
-                                   "' already exists");
-  }
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table named '" + table + "'");
-  }
-  NamedTable& named = it->second;
-  RELDIV_ASSIGN_OR_RETURN(std::vector<size_t> indices,
-                          named.schema.FieldIndices(columns));
-  auto index = std::make_unique<TableIndex>(
-      disk_.get(), buffer_manager_.get(), named.schema.Project(indices),
-      indices);
-
-  // Index the existing rows.
-  RowCodec codec(named.schema);
-  RELDIV_RETURN_NOT_OK(VisitRecords(
-      named.store.get(), codec, ctx_->batch_capacity(),
-      [&](Rid rid, const Tuple& tuple) { return index->Add(tuple, rid); }));
-
-  TableIndex* raw = index.get();
-  named.indexes.push_back(raw);
-  indexes_.emplace(index_name, std::move(index));
-  return raw;
-}
-
-Result<TableIndex*> Database::GetIndex(const std::string& index_name) const {
-  auto it = indexes_.find(index_name);
-  if (it == indexes_.end()) {
-    return Status::NotFound("no index named '" + index_name + "'");
-  }
-  return it->second.get();
 }
 
 void Database::ResetStats() {

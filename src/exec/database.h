@@ -9,7 +9,6 @@
 #include "common/counters.h"
 #include "common/tuple.h"
 #include "exec/exec_context.h"
-#include "exec/index_join.h"
 #include "exec/relation.h"
 #include "storage/buffer_manager.h"
 #include "storage/disk.h"
@@ -65,24 +64,15 @@ class Database {
   /// Looks up a relation by name.
   Result<Relation> GetTable(const std::string& name) const;
 
-  /// Appends one tuple to a named table, maintaining its indexes.
+  /// Appends one tuple to a named table.
   Status Insert(const std::string& name, const Tuple& tuple);
 
-  /// Deletes every row of `table` matching `predicate`, maintaining its
-  /// indexes. Returns the number of rows deleted. Disk tables only
-  /// (temporary virtual devices are append-only).
+  /// Deletes every row of `table` matching `predicate`. Returns the number
+  /// of rows deleted. Disk tables only (temporary virtual devices are
+  /// append-only).
   Result<uint64_t> DeleteWhere(const std::string& table,
                                const std::function<bool(const Tuple&)>&
                                    predicate);
-
-  /// Builds a B+-tree index named `index_name` over `columns` of `table`
-  /// (existing rows are indexed immediately; later inserts maintain it).
-  Result<TableIndex*> CreateIndex(const std::string& index_name,
-                                  const std::string& table,
-                                  const std::vector<std::string>& columns);
-
-  /// Looks up an index by name.
-  Result<TableIndex*> GetIndex(const std::string& index_name) const;
 
   /// Catalog-level mutation hook: runs synchronously on the mutating thread
   /// after every successful Insert and after each DeleteWhere victim, with
@@ -117,10 +107,8 @@ class Database {
   struct NamedTable {
     Schema schema;
     std::unique_ptr<RecordStore> store;
-    std::vector<TableIndex*> indexes;  ///< owned via indexes_ map
   };
   std::map<std::string, NamedTable> tables_;
-  std::map<std::string, std::unique_ptr<TableIndex>> indexes_;
   std::vector<UpdateObserver> observers_;
 };
 

@@ -94,7 +94,7 @@ Status HashAggregateOperator::Step(Tuple* tuple, bool* has_next) {
   }
   const auto& [group, state_index] = emit_entries_[emit_pos_++];
   *tuple = *group;
-  RELDIV_RETURN_NOT_OK(states_[state_index].Finish(aggs_, tuple));
+  states_[state_index].Finish(aggs_, tuple);
   *has_next = true;
   return Status::OK();
 }

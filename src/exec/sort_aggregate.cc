@@ -72,7 +72,7 @@ Status SortAggregateOperator::Step(Tuple* tuple, bool* has_next) {
     }
   }
   *tuple = group_start.Project(group_indices_);
-  RELDIV_RETURN_NOT_OK(state.Finish(aggs_, tuple));
+  state.Finish(aggs_, tuple);
   *has_next = true;
   return Status::OK();
 }

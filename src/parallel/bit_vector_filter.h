@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/check.h"
-
 namespace reldiv {
 
 /// Babb-style bit vector filter (§6): built from the hash values of the
@@ -36,14 +34,6 @@ class BitVectorFilter {
 
   /// Wire size when the filter itself is shipped between nodes.
   uint64_t byte_size() const { return words_.size() * sizeof(uint64_t); }
-
-  /// Merges another filter (bitwise OR); sizes must match — the §6 protocol
-  /// builds every per-node filter with the same bit count before unioning.
-  void UnionWith(const BitVectorFilter& other) {
-    RELDIV_CHECK_EQ(num_bits_, other.num_bits_)
-        << "unioning bit vector filters of different widths";
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  }
 
  private:
   size_t num_bits_;

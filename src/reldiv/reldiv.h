@@ -27,7 +27,6 @@
 #include "exec/database.h"
 #include "exec/filter.h"
 #include "exec/hash_aggregate.h"
-#include "exec/index_join.h"
 #include "exec/materialize.h"
 #include "exec/mem_source.h"
 #include "exec/operator.h"

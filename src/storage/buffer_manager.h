@@ -139,53 +139,6 @@ class BufferManager {
   BufferStats stats_ GUARDED_BY(mu_);
 };
 
-/// RAII pin over a buffer page: unfixes on destruction.
-class PageGuard {
- public:
-  PageGuard() = default;
-  PageGuard(BufferManager* bm, uint64_t page_no, char* frame, bool dirty)
-      : bm_(bm), page_no_(page_no), frame_(frame), dirty_(dirty) {}
-  ~PageGuard() { Release(); }
-
-  PageGuard(PageGuard&& o) noexcept { *this = std::move(o); }
-  PageGuard& operator=(PageGuard&& o) noexcept {
-    if (this != &o) {
-      Release();
-      bm_ = o.bm_;
-      page_no_ = o.page_no_;
-      frame_ = o.frame_;
-      dirty_ = o.dirty_;
-      o.bm_ = nullptr;
-      o.frame_ = nullptr;
-    }
-    return *this;
-  }
-
-  PageGuard(const PageGuard&) = delete;
-  PageGuard& operator=(const PageGuard&) = delete;
-
-  char* frame() const { return frame_; }
-  bool valid() const { return frame_ != nullptr; }
-  void MarkDirty() { dirty_ = true; }
-
-  void Release() {
-    if (bm_ != nullptr && frame_ != nullptr) {
-      // Best-effort in a destructor: an Unfix failure here means the page
-      // was already released or the guard was misused, and a destructor has
-      // no error channel — the write-back path re-reports on FlushAll.
-      (void)bm_->Unfix(page_no_, dirty_);
-    }
-    bm_ = nullptr;
-    frame_ = nullptr;
-  }
-
- private:
-  BufferManager* bm_ = nullptr;
-  uint64_t page_no_ = 0;
-  char* frame_ = nullptr;
-  bool dirty_ = false;
-};
-
 }  // namespace reldiv
 
 #endif  // RELDIV_STORAGE_BUFFER_MANAGER_H_

@@ -65,22 +65,6 @@ Status RecordFile::Delete(Rid rid) {
   return Status::OK();
 }
 
-Status RecordFile::Get(Rid rid, Slice* payload, PageGuard* guard) {
-  RELDIV_ASSIGN_OR_RETURN(uint64_t global, file_.GlobalPage(rid.page_no));
-  RELDIV_ASSIGN_OR_RETURN(char* frame,
-                          buffer_manager_->Fix(global, /*create=*/false));
-  SlottedPage page(frame);
-  auto record = page.GetRecord(rid.slot);
-  if (!record.ok()) {
-    Status unfix = buffer_manager_->Unfix(global, /*dirty=*/false);
-    (void)unfix;
-    return record.status();
-  }
-  *payload = record.value();
-  *guard = PageGuard(buffer_manager_, global, frame, /*dirty=*/false);
-  return Status::OK();
-}
-
 /// Sequential scan keeping the current page fixed between NextBatch() calls
 /// so that returned payload slices stay valid (records used in place).
 class RecordFile::FileScan : public RecordScan {

@@ -24,10 +24,6 @@ class RecordFile : public RecordStore {
 
   const std::string& name() const { return name_; }
 
-  /// Random (point) read: pins the record's page and returns the payload
-  /// plus a guard that releases the pin. NotFound for deleted records.
-  Status Get(Rid rid, Slice* payload, PageGuard* guard);
-
   /// Tombstones the record (space not reclaimed; scans skip it). NotFound
   /// if it was already deleted.
   Status Delete(Rid rid);

@@ -5,7 +5,6 @@
 #include "exec/database.h"
 #include "exec/hash_aggregate.h"
 #include "exec/mem_source.h"
-#include "exec/scalar_aggregate.h"
 #include "exec/sort.h"
 #include "exec/sort_aggregate.h"
 #include "gtest/gtest.h"
@@ -44,22 +43,6 @@ TEST_F(AggregateTest, HashAggregateCounts) {
   EXPECT_EQ(agg.output_schema().field(1).name, "n");
 }
 
-TEST_F(AggregateTest, HashAggregateSumMinMax) {
-  std::vector<Tuple> input = {T(1, 5), T(1, -2), T(1, 9), T(2, 7)};
-  HashAggregateOperator agg(
-      db_->ctx(), Src(input), {0},
-      {AggSpec{AggFn::kSum, 1, "sum"}, AggSpec{AggFn::kMin, 1, "min"},
-       AggSpec{AggFn::kMax, 1, "max"}});
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
-  std::vector<Tuple> sorted = Sorted(std::move(out));
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0],
-            (Tuple{Value::Int64(1), Value::Int64(12), Value::Int64(-2),
-                   Value::Int64(9)}));
-  EXPECT_EQ(sorted[1], (Tuple{Value::Int64(2), Value::Int64(7),
-                              Value::Int64(7), Value::Int64(7)}));
-}
-
 TEST_F(AggregateTest, HashAggregateEmptyInput) {
   HashAggregateOperator agg(db_->ctx(), Src({}), {0},
                             {AggSpec{AggFn::kCount, 0, "n"}});
@@ -88,12 +71,12 @@ TEST_F(AggregateTest, SortAggregateOnSortedStream) {
   std::vector<Tuple> input = {T(1, 4), T(1, 6), T(2, 1), T(3, 3), T(3, 3)};
   SortAggregateOperator agg(db_->ctx(), Src(input), {0},
                             {AggSpec{AggFn::kCount, 0, "n"},
-                             AggSpec{AggFn::kSum, 1, "s"}});
+                             AggSpec{AggFn::kCountDistinct, 1, "nd"}});
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
   ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0], T(1, 2, 10));
+  EXPECT_EQ(out[0], T(1, 2, 2));
   EXPECT_EQ(out[1], T(2, 1, 1));
-  EXPECT_EQ(out[2], T(3, 2, 6));
+  EXPECT_EQ(out[2], T(3, 2, 1));  // duplicate (3, 3) counted once
 }
 
 TEST_F(AggregateTest, SortAggregateMatchesHashAggregateOnRandomInput) {
@@ -107,51 +90,14 @@ TEST_F(AggregateTest, SortAggregateMatchesHashAggregateOnRandomInput) {
   auto sorted = std::make_unique<SortOperator>(db_->ctx(), Src(input), spec);
   SortAggregateOperator sort_agg(db_->ctx(), std::move(sorted), {0},
                                  {AggSpec{AggFn::kCount, 0, "n"},
-                                  AggSpec{AggFn::kSum, 1, "s"}});
+                                  AggSpec{AggFn::kCountDistinct, 1, "nd"}});
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> a, CollectAll(&sort_agg));
 
   HashAggregateOperator hash_agg(db_->ctx(), Src(input), {0},
                                  {AggSpec{AggFn::kCount, 0, "n"},
-                                  AggSpec{AggFn::kSum, 1, "s"}});
+                                  AggSpec{AggFn::kCountDistinct, 1, "nd"}});
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> b, CollectAll(&hash_agg));
   EXPECT_EQ(Sorted(std::move(a)), Sorted(std::move(b)));
-}
-
-TEST_F(AggregateTest, ScalarAggregateCountsAndSums) {
-  std::vector<Tuple> input = {T(1, 5), T(2, 6), T(3, 7)};
-  ScalarAggregateOperator agg(db_->ctx(), Src(input),
-                              {AggSpec{AggFn::kCount, 0, "n"},
-                               AggSpec{AggFn::kSum, 1, "s"}});
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], T(3, 18));
-}
-
-TEST_F(AggregateTest, ScalarAggregateEmptyInputCountsZero) {
-  ScalarAggregateOperator agg(db_->ctx(), Src({}),
-                              {AggSpec{AggFn::kCount, 0, "n"}});
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value(0).int64(), 0);
-}
-
-TEST_F(AggregateTest, ScalarMinMaxOverEmptyInputFails) {
-  ScalarAggregateOperator agg(db_->ctx(), Src({}),
-                              {AggSpec{AggFn::kMin, 0, "m"}});
-  EXPECT_TRUE(agg.Open().IsInvalidArgument());
-}
-
-TEST_F(AggregateTest, DoubleSumAggregation) {
-  Schema schema{Field{"g", ValueType::kInt64},
-                Field{"x", ValueType::kDouble}};
-  std::vector<Tuple> input = {Tuple{Value::Int64(1), Value::Double(0.5)},
-                              Tuple{Value::Int64(1), Value::Double(1.25)}};
-  HashAggregateOperator agg(
-      db_->ctx(), std::make_unique<MemSourceOperator>(schema, input), {0},
-      {AggSpec{AggFn::kSum, 1, "s"}});
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].value(1).double_value(), 1.75);
 }
 
 TEST_F(AggregateTest, CountDistinct) {
@@ -166,25 +112,9 @@ TEST_F(AggregateTest, CountDistinct) {
   EXPECT_EQ(sorted[1], T(2, 1, 2));  // 1 distinct of 2 rows
 }
 
-TEST_F(AggregateTest, Average) {
-  std::vector<Tuple> input = {T(1, 2), T(1, 4), T(1, 6)};
-  ScalarAggregateOperator agg(db_->ctx(), Src(input),
-                              {AggSpec{AggFn::kAvg, 1, "avg"}});
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value(0).type(), ValueType::kDouble);
-  EXPECT_DOUBLE_EQ(out[0].value(0).double_value(), 4.0);
-}
-
-TEST_F(AggregateTest, AverageOverZeroRowsFails) {
-  ScalarAggregateOperator agg(db_->ctx(), Src({}),
-                              {AggSpec{AggFn::kAvg, 1, "avg"}});
-  EXPECT_TRUE(agg.Open().IsInvalidArgument());
-}
-
 TEST_F(AggregateTest, AggregateArgumentOutOfRangeFails) {
   HashAggregateOperator agg(db_->ctx(), Src({T(1, 1)}), {0},
-                            {AggSpec{AggFn::kSum, 9, "s"}});
+                            {AggSpec{AggFn::kCountDistinct, 9, "nd"}});
   EXPECT_TRUE(agg.Open().IsInvalidArgument());
 }
 

@@ -48,15 +48,6 @@ TEST(BitVectorFilterTest, FiltersMostForeignHashes) {
   EXPECT_LT(passed, 100u);  // ≤64/4096 fill → few false positives
 }
 
-TEST(BitVectorFilterTest, UnionWith) {
-  BitVectorFilter a(128), b(128);
-  a.InsertHash(Hash64(1));
-  b.InsertHash(Hash64(2));
-  a.UnionWith(b);
-  EXPECT_TRUE(a.MayContain(Hash64(1)));
-  EXPECT_TRUE(a.MayContain(Hash64(2)));
-}
-
 class ParallelDivisionTest : public ::testing::Test {
  protected:
   GeneratedWorkload MakeWorkload(uint64_t seed) {

@@ -260,7 +260,7 @@ TEST(BufferManagerTest, UnfixOfUnknownPageFails) {
   EXPECT_TRUE(bm.Unfix(123, false).IsInvalidArgument());
 }
 
-TEST(RecordFileTest, AppendScanAndPointRead) {
+TEST(RecordFileTest, AppendAndScan) {
   SimDisk disk;
   BufferManager bm(&disk, nullptr);
   RecordFile file(&disk, &bm, "t");
@@ -280,12 +280,6 @@ TEST(RecordFileTest, AppendScanAndPointRead) {
     EXPECT_EQ(records[i].payload, "record-" + std::to_string(i));
     EXPECT_EQ(records[i].rid, rids[i]);
   }
-
-  // Point read through a guard.
-  Slice payload;
-  PageGuard guard;
-  ASSERT_OK(file.Get(rids[500], &payload, &guard));
-  EXPECT_EQ(payload.ToString(), "record-500");
 }
 
 TEST(RecordFileTest, ScanOfEmptyFile) {

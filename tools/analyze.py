@@ -102,6 +102,10 @@ A baseline file (tools/analyze_baseline.json, ships empty) absorbs
 pre-existing findings when a new rule lands against an old tree;
 --update-baseline rewrites it. Baselined findings are reported as
 suppressed, and stale entries are flagged so the file only shrinks.
+Stale allowlist entries fail the same way: a PHYSICAL_OP_ALLOWLIST
+(file, method) pair whose file is gone or no longer makes that call, and
+a STD_MUTEX_ALLOWLIST or RAW_THREAD_ALLOWLIST file that is gone, would
+otherwise exempt whatever code later lands under that name.
 
 Backends: with python-clang (libclang) installed, mutex declarations and
 physical-op call sites are resolved from the AST (receiver *types*, not
@@ -113,7 +117,8 @@ degrades silently.
 Usage: tools/analyze.py [--root DIR] [--backend auto|tokenizer|libclang]
                         [--baseline FILE] [--update-baseline]
 Exit status: 0 when clean (suppressed/baselined findings allowed),
-1 when any unsuppressed finding is reported.
+1 when any unsuppressed finding, stale baseline entry or stale allowlist
+entry is reported.
 """
 
 from __future__ import annotations
@@ -227,9 +232,6 @@ PHYSICAL_OP_ALLOWLIST: dict[tuple[str, str], str] = {
         "BufferManager::Fix self-accounts BufferStats (fixes/hits/misses) "
         "under its recursive mutex; disk reads on a miss land in DiskStats "
         "via ReadIn",
-    ("src/storage/btree.cc", "Fix"):
-        "same as record_file.cc: BufferManager::Fix self-accounts "
-        "BufferStats; misses reach DiskStats via ReadIn",
     ("src/parallel/parallel_hash_division.cc", "Ship"):
         "Interconnect::TrySend self-accounts NetworkStats (messages, bytes, "
         "per-link matrix) before the receive failpoint",
@@ -428,6 +430,8 @@ class Analyzer:
         self.suppressed = 0
         self.baselined = 0
         self.stale_baseline: list[dict] = []
+        self.stale_allowlist: list[dict] = []
+        self.physical_ops_seen: set[tuple[str, str]] = set()
 
     # -- infrastructure ----------------------------------------------------
 
@@ -471,8 +475,8 @@ class Analyzer:
     def check_physical_ops(self, path: Path, raw_lines, lines, sup):
         rel = self.relpath(path)
         for lineno, method in self.backend.physical_ops(path, lines):
-            entry = PHYSICAL_OP_ALLOWLIST.get((rel, method))
-            if entry is not None:
+            self.physical_ops_seen.add((rel, method))
+            if (rel, method) in PHYSICAL_OP_ALLOWLIST:
                 continue
             self.report(
                 path, lineno, "physical-op-charge",
@@ -916,10 +920,29 @@ class Analyzer:
             {"rule": r, "file": fl, "key": k}
             for (r, fl, k) in sorted(baseline)
             if (r, fl, k) not in seen]
+        self.stale_allowlist = self.find_stale_allowlist()
         fresh = [f for f in self.findings
                  if (f.rule, f.file, f.key) not in baseline]
         self.baselined = len(self.findings) - len(fresh)
         return fresh
+
+    def find_stale_allowlist(self) -> list[dict]:
+        """Allowlist entries of enabled rules that exempt nothing any more:
+        a physical-op pair whose file no longer makes that call (or is
+        gone), or a mutex/thread allowance whose file is gone."""
+        stale = []
+        if "physical-op-charge" in self.rules:
+            stale += [{"rule": "physical-op-charge", "file": rel,
+                       "key": method}
+                      for (rel, method) in sorted(PHYSICAL_OP_ALLOWLIST)
+                      if (rel, method) not in self.physical_ops_seen]
+        for rule, allowlist in (("mutex-guarded-by", STD_MUTEX_ALLOWLIST),
+                                ("raw-thread", RAW_THREAD_ALLOWLIST)):
+            if rule in self.rules:
+                stale += [{"rule": rule, "file": rel, "key": ""}
+                          for rel in sorted(allowlist)
+                          if not (self.root / rel).is_file()]
+        return stale
 
 
 def main() -> int:
@@ -971,10 +994,16 @@ def main() -> int:
         print(f"analyze.py: stale baseline entry (fixed? run "
               f"--update-baseline to shrink): {entry['rule']} in "
               f"{entry['file']}")
+    for entry in analyzer.stale_allowlist:
+        method = f" ({entry['key']})" if entry["key"] else ""
+        print(f"analyze.py: stale allowlist entry (gone? delete it from "
+              f"tools/analyze.py): {entry['rule']} in "
+              f"{entry['file']}{method}")
     print(f"analyze.py [{analyzer.backend.name}]: {len(fresh)} finding(s), "
           f"{analyzer.suppressed} suppressed with rationale, "
           f"{analyzer.baselined} baselined")
-    return 1 if fresh or analyzer.stale_baseline else 0
+    return (1 if fresh or analyzer.stale_baseline or analyzer.stale_allowlist
+            else 0)
 
 
 if __name__ == "__main__":

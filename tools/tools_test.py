@@ -527,6 +527,51 @@ class BaselineTest(unittest.TestCase):
         self.assertEqual(analyzer.baselined, 1)
 
 
+class StaleAllowlistTest(unittest.TestCase):
+    """An allowlist entry that exempts nothing fails like a stale baseline
+    entry: otherwise a later file under the same name inherits it."""
+
+    def setUp(self):
+        self.tree = FixtureTree()
+        self.addCleanup(self.tree.cleanup)
+
+    def write_live_allowlists(self, skip=()):
+        """Writes a file that uses every allowlist entry, except those keyed
+        in `skip` (a (file, method) pair or a bare file)."""
+        calls: dict[str, str] = {}
+        for rel, method in analyze.PHYSICAL_OP_ALLOWLIST:
+            if (rel, method) in skip:
+                continue
+            receiver = analyze.PHYSICAL_METHODS[method][1][0]
+            calls[rel] = (calls.get(rel, "") +
+                          f"void F{method}() {{ {receiver}_->{method}(0); }}\n")
+        for rel in (*analyze.STD_MUTEX_ALLOWLIST,
+                    *analyze.RAW_THREAD_ALLOWLIST):
+            if rel not in skip:
+                calls.setdefault(rel, "")
+        for rel, text in calls.items():
+            self.tree.write(rel, text)
+
+    def stale(self):
+        _, analyzer = self.tree.analyze_findings(None)
+        return [(e["rule"], e["file"], e["key"])
+                for e in analyzer.stale_allowlist]
+
+    def test_live_allowlists_clean(self):
+        self.write_live_allowlists()
+        self.assertEqual(self.stale(), [])
+
+    def test_physical_op_entry_without_its_call_is_stale(self):
+        self.write_live_allowlists(skip={("src/exec/sort.cc", "Read")})
+        self.assertEqual(self.stale(), [("physical-op-charge",
+                                         "src/exec/sort.cc", "Read")])
+
+    def test_thread_allowance_for_missing_file_is_stale(self):
+        self.write_live_allowlists(skip={"src/exec/scheduler.h"})
+        self.assertEqual(self.stale(),
+                         [("raw-thread", "src/exec/scheduler.h", "")])
+
+
 class BenchReportSchemaTest(unittest.TestCase):
     """bench_report.py's key sets are parsed from metric_names.h."""
 
@@ -578,6 +623,7 @@ class RepoIsCleanTest(unittest.TestCase):
                                     backend=analyze.TokenizerBackend())
         self.assertEqual(analyzer.run(), [])
         self.assertEqual(analyzer.stale_baseline, [])
+        self.assertEqual(analyzer.stale_allowlist, [])
 
 
 if __name__ == "__main__":
