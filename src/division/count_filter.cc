@@ -1,7 +1,5 @@
 #include "division/count_filter.h"
 
-#include <set>
-
 #include "exec/kernels/kernels.h"
 #include "exec/scan.h"
 
@@ -24,32 +22,16 @@ Result<uint64_t> CountRelation(ExecContext* ctx, const Relation& relation) {
 }  // namespace
 
 GroupCountFilterOperator::GroupCountFilterOperator(
-    ExecContext* ctx, std::unique_ptr<Operator> child, Relation divisor,
-    bool distinct_count)
-    : ctx_(ctx),
-      child_(std::move(child)),
-      divisor_(divisor),
-      distinct_count_(distinct_count) {
+    ExecContext* ctx, std::unique_ptr<Operator> child, Relation divisor)
+    : ctx_(ctx), child_(std::move(child)), divisor_(divisor) {
   std::vector<Field> fields = child_->output_schema().fields();
   fields.pop_back();  // drop the count column
   schema_ = Schema(std::move(fields));
 }
 
 Status GroupCountFilterOperator::Open() {
-  if (distinct_count_) {
-    std::set<Tuple> distinct;
-    ScanOperator scan(ctx_, divisor_);
-    RELDIV_RETURN_NOT_OK(
-        Drain(&scan, ctx_->batch_capacity(), ctx_, [&](TupleBatch& batch) {
-          ctx_->CountComparisons(batch.size());  // one per set insert
-          for (Tuple& tuple : batch) distinct.insert(std::move(tuple));
-          return Status::OK();
-        }));
-    divisor_count_ = static_cast<int64_t>(distinct.size());
-  } else {
-    RELDIV_ASSIGN_OR_RETURN(uint64_t count, CountRelation(ctx_, divisor_));
-    divisor_count_ = static_cast<int64_t>(count);
-  }
+  RELDIV_ASSIGN_OR_RETURN(uint64_t count, CountRelation(ctx_, divisor_));
+  divisor_count_ = static_cast<int64_t>(count);
   return child_->Open();
 }
 

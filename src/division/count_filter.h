@@ -18,11 +18,9 @@ namespace reldiv {
 class GroupCountFilterOperator : public Operator {
  public:
   /// `child`'s last column must be the int64 group count; `divisor` is the
-  /// relation whose cardinality the counts are compared against. With
-  /// `distinct_count`, the divisor's DISTINCT cardinality is used
-  /// (footnote 1's explicit-uniqueness request).
+  /// relation whose cardinality the counts are compared against.
   GroupCountFilterOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
-                           Relation divisor, bool distinct_count = false);
+                           Relation divisor);
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
@@ -36,7 +34,6 @@ class GroupCountFilterOperator : public Operator {
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
   Relation divisor_;
-  bool distinct_count_;
   Schema schema_;
   int64_t divisor_count_ = 0;
   std::vector<int64_t> counts_;  ///< NextBatch scratch: extracted count column

@@ -38,6 +38,34 @@ const char* DivisionAlgorithmName(DivisionAlgorithm algorithm) {
   return "unknown";
 }
 
+Status ValidateDivisionOptions(DivisionAlgorithm algorithm,
+                               const DivisionOptions& options) {
+  const std::string name = DivisionAlgorithmName(algorithm);
+  if (algorithm != DivisionAlgorithm::kHashDivision) {
+    if (options.early_output) {
+      return Status::InvalidArgument(
+          name + ": early_output applies to hash-division only");
+    }
+    if (options.parallel_fragments > 0) {
+      return Status::InvalidArgument(
+          name + ": parallel_fragments applies to hash-division only");
+    }
+  } else if (options.early_output && options.parallel_fragments > 0) {
+    return Status::InvalidArgument(
+        "hash-division: parallel_fragments is incompatible with "
+        "early_output (eager emission is ordered by dividend arrival)");
+  }
+  if (options.num_quotient_subpartitions != 0 &&
+      (algorithm != DivisionAlgorithm::kHashDivisionPartitioned ||
+       options.partition_strategy == PartitionStrategy::kDivisor)) {
+    return Status::InvalidArgument(
+        name +
+        ": num_quotient_subpartitions applies to partitioned hash-division "
+        "with the combined or quotient strategy only");
+  }
+  return Status::OK();
+}
+
 Result<ResolvedDivision> ResolveDivision(const DivisionQuery& query) {
   if (query.dividend.store == nullptr || query.divisor.store == nullptr) {
     return Status::InvalidArgument("division inputs must be stored relations");
@@ -116,6 +144,7 @@ std::vector<size_t> NaiveDividendSortKeys(const ResolvedDivision& resolved) {
 Result<std::unique_ptr<Operator>> MakeDivisionPlan(
     ExecContext* ctx, const DivisionQuery& query, DivisionAlgorithm algorithm,
     const DivisionOptions& options) {
+  RELDIV_RETURN_NOT_OK(ValidateDivisionOptions(algorithm, options));
   RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved, ResolveDivision(query));
 
   // The aggregation strategies require duplicate-free inputs; pre-process
@@ -191,8 +220,7 @@ Result<std::unique_ptr<Operator>> MakeDivisionPlan(
       RELDIV_ASSIGN_OR_RETURN(
           plan, MakeSortAggregationDivisionPlan(
                     ctx, resolved,
-                    algorithm == DivisionAlgorithm::kSortAggregateWithJoin,
-                    options));
+                    algorithm == DivisionAlgorithm::kSortAggregateWithJoin));
       break;
     }
     case DivisionAlgorithm::kHashAggregate:

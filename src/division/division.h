@@ -39,41 +39,44 @@ enum class PartitionStrategy {
 };
 
 /// Tuning and semantics options shared by the algorithm entry points.
+///
+/// Each field states which algorithms read it. ValidateDivisionOptions
+/// refuses a field set for an algorithm that cannot honour it, so no plan
+/// silently ignores or clears an option. `eliminate_duplicates`, the
+/// cardinality hints and the two §3.4 partitioning fields are accepted
+/// everywhere.
 struct DivisionOptions {
-  /// Pre-process both inputs with duplicate elimination. Hash-division never
-  /// needs this (divisor duplicates are eliminated on the fly and dividend
-  /// duplicates map to the same bit); the other algorithms require
-  /// duplicate-free inputs for correct counts (§2, §4).
+  /// States that the inputs may hold duplicates. Every algorithm honours
+  /// it, so it is accepted everywhere: the aggregation algorithms, which
+  /// count tuples and need duplicate-free inputs for correct counts (§2,
+  /// §4), de-duplicate both inputs in a pre-pass; naive division collapses
+  /// duplicates in its sorts and hash-division maps a dividend duplicate to
+  /// the same bit and drops divisor duplicates while numbering them (§3.3),
+  /// so both are exact without a pre-pass.
   bool eliminate_duplicates = false;
 
-  /// Footnote 1's alternative to the pre-pass: the aggregation strategies
-  /// "explicitly request uniqueness of the ... counted" — per-group DISTINCT
-  /// counts and a distinct divisor cardinality — making them robust to
-  /// duplicate inputs without materializing de-duplicated copies. Only
-  /// affects the aggregation-based algorithms; currently supported for
-  /// single-column divisors.
-  bool count_distinct = false;
-
-  /// Hash-division §3.3: attach a counter to each quotient candidate and
-  /// emit quotient tuples as soon as their bit map fills, making the
-  /// operator a non-blocking producer.
+  /// kHashDivision only: emit each quotient tuple as soon as its bit map
+  /// fills (a counter per candidate, §3.3), making the operator a
+  /// non-blocking producer. Refused with any other algorithm (partitioned
+  /// hash-division finishes every phase before it emits) and together with
+  /// parallel_fragments.
   bool early_output = false;
 
-  /// Hash-division §3.3 (sixth point): replace divisor numbers + bit maps
-  /// with plain counters. Smaller state, but dividend duplicates are then
-  /// double-counted — only valid on duplicate-free dividends.
-  bool counters_instead_of_bitmaps = false;
-
   /// Cardinality hints used to size hash tables (0 = derive from inputs).
+  /// Accepted everywhere; an algorithm without a hash table ignores them.
   uint64_t expected_divisor_cardinality = 0;
   uint64_t expected_quotient_cardinality = 0;
 
-  /// Partitioned hash-division (§3.4).
+  /// Partitioned hash-division (§3.4): the strategy and the partition
+  /// count. Not validated; the planners write both for every algorithm.
   PartitionStrategy partition_strategy = PartitionStrategy::kQuotient;
   size_t num_partitions = 4;
 
-  /// kCombined only: quotient sub-partitions within each divisor cluster
-  /// (0 = same as num_partitions).
+  /// kHashDivisionPartitioned only, with kCombined or with kQuotient (whose
+  /// overflow escalates to combined): quotient sub-partitions within each
+  /// divisor cluster (0 = same as num_partitions). A non-zero value is
+  /// refused with any other algorithm and with kDivisor, which never reads
+  /// it.
   size_t num_quotient_subpartitions = 0;
 
   /// kHashDivision only: in-process quotient partitioning (§6 applied to
@@ -86,10 +89,21 @@ struct DivisionOptions {
   /// fragment. The fragment decomposition — and therefore every Table 1
   /// counter total — depends only on this count, never on how many worker
   /// threads execute the fragments. (Totals differ from the serial plan by
-  /// the repartitioning hash per dividend tuple.) Incompatible with
-  /// early_output, whose eager emission is ordered by dividend arrival.
+  /// the repartitioning hash per dividend tuple.) Refused with any other
+  /// algorithm and together with early_output, whose eager emission is
+  /// ordered by dividend arrival.
   size_t parallel_fragments = 0;
 };
+
+/// InvalidArgument when `options` sets a field that `algorithm` cannot
+/// honour: early_output or parallel_fragments > 0 with anything but
+/// kHashDivision, both of them together, or num_quotient_subpartitions != 0
+/// with anything but kHashDivisionPartitioned under kQuotient or
+/// kCombined. MakeDivisionPlan and the two hash-division operators' Open
+/// call it; the planners call it for every algorithm they may run before
+/// they run any.
+Status ValidateDivisionOptions(DivisionAlgorithm algorithm,
+                               const DivisionOptions& options);
 
 /// A division query: dividend ÷ divisor. The dividend columns named in
 /// `match_attrs` are matched positionally against ALL divisor columns; the

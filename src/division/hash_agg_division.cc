@@ -44,23 +44,15 @@ Result<std::unique_ptr<Operator>> MakeHashAggregationDivisionPlan(
         "spool");
   }
 
-  // Footnote 1: with explicit uniqueness, count DISTINCT matched values per
-  // group and compare against the divisor's distinct cardinality —
-  // duplicate inputs then need no pre-pass.
-  AggSpec count_spec{AggFn::kCount, 0, "count", {}};
-  if (options.count_distinct) {
-    count_spec = AggSpec{AggFn::kCountDistinct, resolved.match_attrs[0],
-                         "count", resolved.match_attrs};
-  }
   auto aggregated = MaybeProfile(
       ctx,
       std::make_unique<HashAggregateOperator>(
           ctx, std::move(dividend_input), resolved.quotient_attrs,
-          std::vector<AggSpec>{count_spec},
+          std::vector<AggSpec>{AggSpec{AggFn::kCount, 0, "count"}},
           options.expected_quotient_cardinality),
       "hash-aggregate");
   return std::unique_ptr<Operator>(std::make_unique<GroupCountFilterOperator>(
-      ctx, std::move(aggregated), resolved.divisor, options.count_distinct));
+      ctx, std::move(aggregated), resolved.divisor));
 }
 
 }  // namespace reldiv

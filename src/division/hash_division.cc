@@ -164,57 +164,39 @@ Status HashDivisionCore::ProbeQuotient(const Tuple& dividend,
       quotient_table_->FindOrInsertPrehashed(
           dividend, quotient_attrs_, quotient_hash,
           [&] { return dividend.Project(quotient_attrs_); }, &inserted));
-  if (use_bitmaps()) {
-    if (inserted) {
-      // Create and clear the candidate's bit map (a word at a time).
-      const size_t words = Bitmap::WordsForBits(divisor_count_);
-      auto* storage = static_cast<uint64_t*>(
-          quotient_arena_->Allocate(words * sizeof(uint64_t)));
-      if (storage == nullptr) {
-        return Status::ResourceExhausted(
-            "hash-division: quotient bit map allocation failed");
-      }
-      quotient_entry->extra = storage;
-      kernels::ClearWords(storage, words);
-      pending->bit_ops += words;
-      quotient_entry->num = 0;  // early-output counter (§3.3)
-      RELDIV_RETURN_NOT_OK(CheckBudget("quotient table"));
+  if (inserted) {
+    // Create and clear the candidate's bit map (a word at a time).
+    const size_t words = Bitmap::WordsForBits(divisor_count_);
+    auto* storage = static_cast<uint64_t*>(
+        quotient_arena_->Allocate(words * sizeof(uint64_t)));
+    if (storage == nullptr) {
+      return Status::ResourceExhausted(
+          "hash-division: quotient bit map allocation failed");
     }
-    // The bit map is exactly divisor_count_ bits wide, so a dense divisor
-    // number is also a valid bit index (§3.3, points 1 and 4).
-    RELDIV_DCHECK_LT(divisor_number, divisor_count_)
-        << "divisor number beyond the quotient bit map width";
-    Bitmap bitmap = Bitmap::MapOnto(quotient_entry->extra, divisor_count_);
-    pending->bit_ops += 1;
-    const bool was_clear = bitmap.Set(divisor_number);
-    if (was_clear) bits_set_++;
-    if (options_.early_output && was_clear) {
-      quotient_entry->num++;
-      // The counter counts distinct bits, so it can never pass the divisor
-      // cardinality — equality is the early-output trigger (§3.3, point 2).
-      RELDIV_DCHECK_LE(quotient_entry->num, divisor_count_)
-          << "early-output counter overran the divisor cardinality";
-      pending->comparisons += 1;
-      if (quotient_entry->num == divisor_count_ && early_out != nullptr) {
-        early_out->push_back(*quotient_entry->tuple);
-        early_emits_++;
-      }
-    }
-  } else {
-    // Counter variant (§3.3, point 6): valid only for duplicate-free
-    // dividends; no bit map, just a counter per candidate.
-    if (inserted) {
-      quotient_entry->num = 0;
-      RELDIV_RETURN_NOT_OK(CheckBudget("quotient table"));
-    }
+    quotient_entry->extra = storage;
+    kernels::ClearWords(storage, words);
+    pending->bit_ops += words;
+    quotient_entry->num = 0;  // early-output counter (§3.3)
+    RELDIV_RETURN_NOT_OK(CheckBudget("quotient table"));
+  }
+  // The bit map is exactly divisor_count_ bits wide, so a dense divisor
+  // number is also a valid bit index (§3.3, points 1 and 4).
+  RELDIV_DCHECK_LT(divisor_number, divisor_count_)
+      << "divisor number beyond the quotient bit map width";
+  Bitmap bitmap = Bitmap::MapOnto(quotient_entry->extra, divisor_count_);
+  pending->bit_ops += 1;
+  const bool was_clear = bitmap.Set(divisor_number);
+  if (was_clear) bits_set_++;
+  if (options_.early_output && was_clear) {
     quotient_entry->num++;
-    bits_set_++;
-    if (options_.early_output) {
-      pending->comparisons += 1;
-      if (quotient_entry->num == divisor_count_ && early_out != nullptr) {
-        early_out->push_back(*quotient_entry->tuple);
-        early_emits_++;
-      }
+    // The counter counts distinct bits, so it can never pass the divisor
+    // cardinality — equality is the early-output trigger (§3.3, point 2).
+    RELDIV_DCHECK_LE(quotient_entry->num, divisor_count_)
+        << "early-output counter overran the divisor cardinality";
+    pending->comparisons += 1;
+    if (quotient_entry->num == divisor_count_ && early_out != nullptr) {
+      early_out->push_back(*quotient_entry->tuple);
+      early_emits_++;
     }
   }
   return Status::OK();
@@ -317,14 +299,9 @@ Status HashDivisionCore::EmitComplete(std::vector<Tuple>* out) {
   // counter bumps for the whole scan are flushed as one batch.
   PendingCounts pending;
   quotient_table_->ForEach([&](TupleHashTable::Entry* entry) {
-    if (use_bitmaps()) {
-      pending.bit_ops += Bitmap::WordsForBits(divisor_count_);
-      if (kernels::AllWordsSet(entry->extra, divisor_count_)) {
-        out->push_back(*entry->tuple);
-      }
-    } else {
-      pending.comparisons += 1;
-      if (entry->num == divisor_count_) out->push_back(*entry->tuple);
+    pending.bit_ops += Bitmap::WordsForBits(divisor_count_);
+    if (kernels::AllWordsSet(entry->extra, divisor_count_)) {
+      out->push_back(*entry->tuple);
     }
     return true;
   });
@@ -349,14 +326,9 @@ Status HashDivisionOperator::Open() {
   emit_pos_ = 0;
   dividend_done_ = true;
 
-  if (options_.parallel_fragments > 0) {
-    if (options_.early_output) {
-      return Status::InvalidArgument(
-          "hash-division: parallel_fragments is incompatible with "
-          "early_output (eager emission is ordered by dividend arrival)");
-    }
-    return OpenParallel();
-  }
+  RELDIV_RETURN_NOT_OK(
+      ValidateDivisionOptions(DivisionAlgorithm::kHashDivision, options_));
+  if (options_.parallel_fragments > 0) return OpenParallel();
 
   // A fresh core per Open: plans are re-openable and Close() releases the
   // previous run's table memory.

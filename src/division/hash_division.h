@@ -74,8 +74,8 @@ class HashDivisionCore {
   Status ConsumeBatch(const TupleBatch& batch, std::vector<Tuple>* early_out);
 
   /// Step 3: scans the quotient table and appends every tuple whose bit map
-  /// contains no zero (or whose counter reached the divisor count). A no-op
-  /// when early output is enabled — those tuples were produced eagerly.
+  /// contains no zero. A no-op when early output is enabled — those tuples
+  /// were produced eagerly.
   Status EmitComplete(std::vector<Tuple>* out);
 
   uint64_t divisor_count() const { return divisor_count_; }
@@ -91,16 +91,13 @@ class HashDivisionCore {
                                        : quotient_arena_->bytes_allocated());
   }
   /// Distinct (quotient candidate, divisor number) pairs recorded — the
-  /// number of 1-bits across all candidate bit maps (counter increments in
-  /// the §3.3 point 6 variant). bits_set / (candidates * divisor_count) is
-  /// the bit-map fill ratio.
+  /// number of 1-bits across all candidate bit maps. bits_set / (candidates
+  /// * divisor_count) is the bit-map fill ratio.
   uint64_t bits_set() const { return bits_set_; }
   /// Quotient tuples produced eagerly by the §3.3 early-output rule.
   uint64_t early_emits() const { return early_emits_; }
 
  private:
-  bool use_bitmaps() const { return !options_.counters_instead_of_bitmaps; }
-
   /// Cost-counter bumps accumulated across a batch and flushed once.
   struct PendingCounts {
     uint64_t comparisons = 0;

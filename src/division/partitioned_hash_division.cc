@@ -274,10 +274,8 @@ Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   // If IT overflows the budget, quotient partitioning cannot help (no
   // phase shrinks it) — the ResourceExhausted propagates to Open(), which
   // escalates to the combined strategy.
-  DivisionOptions core_options = options_;
-  core_options.early_output = false;
   HashDivisionCore core(ctx_, resolved_.match_attrs, resolved_.quotient_attrs,
-                        core_options);
+                        options_);
   ScanOperator divisor_scan(ctx_, resolved_.divisor);
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
 
@@ -290,7 +288,7 @@ Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
       [&](size_t c, ExecContext* ectx, bool allow_repartition,
           PhaseOutput* out) {
         HashDivisionCore cluster_core(ectx, resolved_.match_attrs,
-                                      resolved_.quotient_attrs, core_options);
+                                      resolved_.quotient_attrs, options_);
         cluster_core.BorrowDivisorTable(core);
         return DivideQuotientCluster(
             ectx, &cluster_core, clusters[c].get(), 0,
@@ -337,8 +335,6 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
   // One phase per participating divisor cluster: each builds that
   // cluster's divisor table and divides the matching dividend cluster.
   // Phases share nothing but the (thread-safe) storage layer.
-  DivisionOptions phase_options = options_;
-  phase_options.early_output = false;
   const size_t quotient_parts = options_.num_quotient_subpartitions == 0
                                     ? num_partitions
                                     : options_.num_quotient_subpartitions;
@@ -349,7 +345,7 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
           PhaseOutput* out) -> Status {
         const size_t p = static_cast<size_t>(participating[i]);
         HashDivisionCore core(ectx, resolved_.match_attrs,
-                              resolved_.quotient_attrs, phase_options);
+                              resolved_.quotient_attrs, options_);
         Relation divisor_rel{resolved_.divisor.schema,
                              divisor_clusters[p].get()};
         ScanOperator divisor_scan(ectx, divisor_rel);
@@ -425,6 +421,8 @@ Status PartitionedHashDivisionOperator::Open() {
   repartitions_ = 0;
   escalations_ = 0;
   restarts_ = 0;
+  RELDIV_RETURN_NOT_OK(ValidateDivisionOptions(
+      DivisionAlgorithm::kHashDivisionPartitioned, options_));
 
   PartitionStrategy strategy = options_.partition_strategy;
   size_t parts = options_.num_partitions == 0 ? 1 : options_.num_partitions;

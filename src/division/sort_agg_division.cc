@@ -4,7 +4,6 @@
 #include "exec/merge_join.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
-#include "exec/sort_aggregate.h"
 #include "obs/profiled_operator.h"
 
 namespace reldiv {
@@ -39,8 +38,7 @@ SortSpec CountingSortSpec(const ResolvedDivision& resolved) {
 }  // namespace
 
 Result<std::unique_ptr<Operator>> MakeSortAggregationDivisionPlan(
-    ExecContext* ctx, const ResolvedDivision& resolved, bool with_join,
-    const DivisionOptions& options) {
+    ExecContext* ctx, const ResolvedDivision& resolved, bool with_join) {
   std::unique_ptr<Operator> dividend_input =
       MaybeProfile(ctx, std::make_unique<ScanOperator>(ctx, resolved.dividend),
                    "scan(dividend)");
@@ -86,34 +84,6 @@ Result<std::unique_ptr<Operator>> MakeSortAggregationDivisionPlan(
             resolved.match_attrs, std::move(divisor_keys),
             MergeJoinMode::kLeftSemi),
         "merge-semi-join");
-  }
-
-  if (options.count_distinct) {
-    // Footnote 1 via sorting: eliminate duplicate (quotient, divisor)
-    // combinations during the sort itself (keys cover every column), then
-    // count the surviving tuples per group in a streaming aggregate and
-    // compare against the divisor's DISTINCT cardinality.
-    SortSpec dedup_sort;
-    dedup_sort.keys = resolved.quotient_attrs;
-    dedup_sort.keys.insert(dedup_sort.keys.end(),
-                           resolved.match_attrs.begin(),
-                           resolved.match_attrs.end());
-    dedup_sort.collapse_equal_keys = true;
-    auto sorted = MaybeProfile(
-        ctx,
-        std::make_unique<SortOperator>(ctx, std::move(dividend_input),
-                                       std::move(dedup_sort)),
-        "sort(dedup)");
-    auto counted = MaybeProfile(
-        ctx,
-        std::make_unique<SortAggregateOperator>(
-            ctx, std::move(sorted), resolved.quotient_attrs,
-            std::vector<AggSpec>{AggSpec{AggFn::kCount, 0, "count"}}),
-        "sort-aggregate");
-    return std::unique_ptr<Operator>(
-        std::make_unique<GroupCountFilterOperator>(
-            ctx, std::move(counted), resolved.divisor,
-            /*distinct_count=*/true));
   }
 
   // Aggregation during the (second) sort, then the count selection.

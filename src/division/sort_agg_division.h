@@ -28,8 +28,7 @@ namespace reldiv {
 /// Precondition: duplicate-free inputs (use
 /// DivisionOptions::eliminate_duplicates through the facade otherwise).
 Result<std::unique_ptr<Operator>> MakeSortAggregationDivisionPlan(
-    ExecContext* ctx, const ResolvedDivision& resolved, bool with_join,
-    const DivisionOptions& options);
+    ExecContext* ctx, const ResolvedDivision& resolved, bool with_join);
 
 }  // namespace reldiv
 

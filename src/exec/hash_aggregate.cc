@@ -11,23 +11,15 @@ HashAggregateOperator::HashAggregateOperator(
       group_indices_(std::move(group_indices)),
       aggs_(std::move(aggs)),
       expected_groups_(expected_groups) {
-  init_status_ = BuildSchema();
-}
-
-Status HashAggregateOperator::BuildSchema() {
   std::vector<Field> fields;
   for (size_t idx : group_indices_) {
     fields.push_back(child_->output_schema().field(idx));
   }
-  RELDIV_ASSIGN_OR_RETURN(std::vector<Field> agg_fields,
-                          AggOutputFields(child_->output_schema(), aggs_));
-  for (Field& f : agg_fields) fields.push_back(std::move(f));
+  for (Field& f : AggOutputFields(aggs_)) fields.push_back(std::move(f));
   schema_ = Schema(std::move(fields));
-  return Status::OK();
 }
 
 Status HashAggregateOperator::Open() {
-  RELDIV_RETURN_NOT_OK(init_status_);
   arena_ = std::make_unique<Arena>(ctx_->pool());
   // Stored tuples are the group columns, so keys are 0..n-1 on the stored
   // side.
@@ -73,7 +65,7 @@ Status HashAggregateOperator::Open() {
             states_.emplace_back(aggs_);
             group_order_.push_back(entry->tuple);
           }
-          states_[entry->num].Update(aggs_, tuple);
+          states_[entry->num].Update(aggs_);
         }
         return Status::OK();
       }));

@@ -34,7 +34,6 @@ class HashAggregateOperator : public Operator {
   Status Close() override;
 
  private:
-  Status BuildSchema();
   /// Produces the next group's aggregate tuple, in bucket order.
   Status Step(Tuple* tuple, bool* has_next);
 
@@ -44,7 +43,6 @@ class HashAggregateOperator : public Operator {
   std::vector<AggSpec> aggs_;
   uint64_t expected_groups_;
   Schema schema_;
-  Status init_status_;
 
   std::unique_ptr<Arena> arena_;
   std::unique_ptr<TupleHashTable> table_;

@@ -246,12 +246,9 @@ Status AdaptiveDivisionOperator::DegradeOnMemoryPressure(
 }
 
 Status AdaptiveDivisionOperator::RunHashDivision(DivisionStats stats) {
+  // The same divisor hint MakeDivisionPlan gives hash-division, so an
+  // untriggered run has Table 1 parity with the static operator.
   DivisionOptions tuned = options_.division;
-  // The adaptive drive owns fallback/checkpoint machinery itself and mirrors
-  // the serial stop-and-go plan so an untriggered run has Table 1 parity
-  // with the static operator.
-  tuned.parallel_fragments = 0;
-  tuned.early_output = false;
   if (tuned.expected_divisor_cardinality == 0) {
     tuned.expected_divisor_cardinality =
         resolved_.divisor.store->num_records();
@@ -387,6 +384,10 @@ void AdaptiveDivisionOperator::RecordFeedback() {
 }
 
 Status AdaptiveDivisionOperator::Open() {
+  // Checked before anything runs, also for an operator built without
+  // PlanAdaptiveDivision: the serial drive in RunHashDivision honours
+  // neither early_output nor parallel_fragments.
+  RELDIV_RETURN_NOT_OK(ValidatePlannerOptions(options_.division));
   results_.clear();
   emit_pos_ = 0;
   core_.reset();
@@ -490,6 +491,7 @@ void AdaptiveDivisionOperator::ExportGauges(GaugeList* gauges) const {
 Result<std::unique_ptr<AdaptiveDivisionOperator>> PlanAdaptiveDivision(
     ExecContext* ctx, const DivisionQuery& query,
     const AdaptiveOptions& options) {
+  RELDIV_RETURN_NOT_OK(ValidatePlannerOptions(options.division));
   RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved, ResolveDivision(query));
   return std::make_unique<AdaptiveDivisionOperator>(ctx, query,
                                                     std::move(resolved),

@@ -145,9 +145,8 @@ class DivisionStatsCache {
 
 /// Tuning for adaptive execution.
 struct AdaptiveOptions {
-  /// Execution options forwarded to the chosen plan. The adaptive operator
-  /// forces parallel_fragments/early_output off on the instrumented
-  /// hash-division path (it owns that machinery itself).
+  /// Execution options forwarded to the chosen plan. PlanAdaptiveDivision
+  /// and Open() refuse what ValidatePlannerOptions refuses.
   DivisionOptions division;
   /// Table 1 unit times for the chooser.
   CostUnits units;
@@ -267,9 +266,9 @@ class AdaptiveDivisionOperator : public Operator {
   size_t emit_pos_ = 0;
 };
 
-/// Front end: resolve, then build the adaptive operator. Returned as the
-/// concrete type so callers (EXPLAIN ANALYZE, tests) can read the report
-/// after running it.
+/// Front end: validate the options (ValidatePlannerOptions), resolve, then
+/// build the adaptive operator. Returned as the concrete type so callers
+/// (EXPLAIN ANALYZE, tests) can read the report after running it.
 Result<std::unique_ptr<AdaptiveDivisionOperator>> PlanAdaptiveDivision(
     ExecContext* ctx, const DivisionQuery& query,
     const AdaptiveOptions& options = {});

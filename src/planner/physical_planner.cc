@@ -161,11 +161,25 @@ DivisionOptions OptionsForChoice(const AlgorithmChoice& choice,
   return base;
 }
 
+Status ValidatePlannerOptions(const DivisionOptions& options) {
+  for (DivisionAlgorithm algorithm :
+       {DivisionAlgorithm::kNaive, DivisionAlgorithm::kSortAggregate,
+        DivisionAlgorithm::kSortAggregateWithJoin,
+        DivisionAlgorithm::kHashAggregate,
+        DivisionAlgorithm::kHashAggregateWithJoin,
+        DivisionAlgorithm::kHashDivision,
+        DivisionAlgorithm::kHashDivisionPartitioned}) {
+    RELDIV_RETURN_NOT_OK(ValidateDivisionOptions(algorithm, options));
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<Operator>> PlanDivision(ExecContext* ctx,
                                                const DivisionQuery& query,
                                                const DivisionOptions&
                                                    base_options,
                                                AlgorithmChoice* choice_out) {
+  RELDIV_RETURN_NOT_OK(ValidatePlannerOptions(base_options));
   RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved, ResolveDivision(query));
   DivisionStats stats = EstimateDivisionStats(resolved, ctx);
   stats.may_contain_duplicates = base_options.eliminate_duplicates;

@@ -83,7 +83,13 @@ AlgorithmChoice ChooseDivisionAlgorithm(const DivisionStats& stats,
 DivisionOptions OptionsForChoice(const AlgorithmChoice& choice,
                                  DivisionOptions base);
 
+/// ValidateDivisionOptions against every algorithm: the chooser or a
+/// re-plan may run any of them, so a planner refuses an option that one of
+/// them cannot honour before it runs anything.
+Status ValidatePlannerOptions(const DivisionOptions& options);
+
 /// One-call optimizer entry point: resolve, estimate, choose, build.
+/// InvalidArgument when ValidatePlannerOptions refuses `base_options`.
 Result<std::unique_ptr<Operator>> PlanDivision(
     ExecContext* ctx, const DivisionQuery& query,
     const DivisionOptions& base_options = {},

@@ -30,8 +30,8 @@ class SlottedPage {
   /// Formats an empty page.
   void Init();
 
-  // num_slots/IsLive/GetRecord are inline: a sequential scan calls all
-  // three once per record.
+  // num_slots/GetIfLive are inline: a sequential scan calls both once per
+  // record.
   uint16_t num_slots() const { return LoadU16(0); }
 
   /// Bytes available for one more record (including its slot entry).
@@ -43,25 +43,6 @@ class SlottedPage {
   /// Appends a record; returns its slot index or ResourceExhausted when the
   /// page is full.
   Result<uint16_t> AddRecord(Slice record);
-
-  /// Payload of the record in `slot`; InvalidArgument for a bad slot,
-  /// NotFound for a deleted one. The Slice points into the frame.
-  Result<Slice> GetRecord(uint16_t slot) const {
-    if (slot >= num_slots()) {
-      return Status::InvalidArgument("slot " + std::to_string(slot) +
-                                     " out of range");
-    }
-    const size_t dir_entry = kPageSize - (slot + 1) * kSlotEntrySize;
-    const uint16_t offset = LoadU16(dir_entry);
-    const uint16_t len = LoadU16(dir_entry + 2);
-    if (len == kTombstoneLen) {
-      return Status::NotFound("record deleted");
-    }
-    if (offset + len > kPageSize) {
-      return Status::Corruption("slot entry points beyond page end");
-    }
-    return Slice(frame_ + offset, len);
-  }
 
   /// Tombstones the record in `slot` (space is not reclaimed; scans skip
   /// it). Idempotent.

@@ -81,18 +81,6 @@ TEST_P(DivisionPropertyTest, AllAlgorithmsMatchReference) {
                          Divide(db->ctx(), query, algorithm, div_options));
     EXPECT_EQ(Sorted(std::move(quotient)), reference)
         << DivisionAlgorithmName(algorithm);
-
-    // Footnote 1's alternative to the pre-pass: DISTINCT counting must
-    // produce the same quotient without eliminate_duplicates.
-    if (aggregation_family) {
-      DivisionOptions distinct_options;
-      distinct_options.count_distinct = true;
-      ASSERT_OK_AND_ASSIGN(
-          std::vector<Tuple> distinct_quotient,
-          Divide(db->ctx(), query, algorithm, distinct_options));
-      EXPECT_EQ(Sorted(std::move(distinct_quotient)), reference)
-          << DivisionAlgorithmName(algorithm) << " with count_distinct";
-    }
   }
 }
 
@@ -125,8 +113,8 @@ std::string CaseName(const ::testing::TestParamInfo<PropertyCase>& info) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DivisionPropertyTest,
                          ::testing::ValuesIn(MakeCases()), CaseName);
 
-/// Early-output and counter-variant forms must also match the reference on
-/// their respective valid inputs.
+/// The early-output form and every partitioning strategy must also match
+/// the reference.
 class HashDivisionVariantTest : public ::testing::TestWithParam<PropertyCase> {
 };
 
@@ -156,21 +144,6 @@ TEST_P(HashDivisionVariantTest, VariantsMatchReference) {
         std::vector<Tuple> quotient,
         Divide(db->ctx(), query, DivisionAlgorithm::kHashDivision, early));
     EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
-  }
-  if (c.dividend_duplicates == 0) {
-    // The counter variant requires a duplicate-free dividend (§3.3 point 6).
-    DivisionOptions counters;
-    counters.counters_instead_of_bitmaps = true;
-    ASSERT_OK_AND_ASSIGN(
-        std::vector<Tuple> quotient,
-        Divide(db->ctx(), query, DivisionAlgorithm::kHashDivision, counters));
-    EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
-
-    counters.early_output = true;
-    ASSERT_OK_AND_ASSIGN(
-        std::vector<Tuple> quotient2,
-        Divide(db->ctx(), query, DivisionAlgorithm::kHashDivision, counters));
-    EXPECT_EQ(Sorted(std::move(quotient2)), workload.expected_quotient);
   }
   // All three partitioning strategies, several partition counts.
   for (PartitionStrategy strategy :

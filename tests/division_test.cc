@@ -1,8 +1,10 @@
 #include "division/division.h"
 
+#include <functional>
 #include <memory>
 
 #include "division/hash_division.h"
+#include "division/partitioned_hash_division.h"
 #include "exec/database.h"
 #include "exec/filter.h"
 #include "exec/materialize.h"
@@ -10,6 +12,8 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "gtest/gtest.h"
+#include "planner/adaptive.h"
+#include "planner/physical_planner.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 #include "workload/university.h"
@@ -232,69 +236,6 @@ TEST_F(DivisionTest, AggregationFamilyWithEliminateDuplicatesOption) {
   }
 }
 
-TEST_F(DivisionTest, CountDistinctHandlesDuplicatesWithoutPrePass) {
-  // Footnote 1: "a duplicate elimination step is explicitly requested" —
-  // with count_distinct, the aggregation strategies tolerate duplicate
-  // inputs directly.
-  const std::vector<Tuple> dividend = {T(1, 1), T(1, 1), T(1, 2), T(2, 1),
-                                       T(2, 1), T(2, 1)};
-  const std::vector<Tuple> divisor = {T(1), T(2), T(1)};
-  DivisionQuery query = MakeQuery(TwoColDividend(), dividend, OneColDivisor(),
-                                  divisor, {"d"});
-  DivisionOptions options;
-  options.count_distinct = true;
-  for (DivisionAlgorithm algorithm :
-       {DivisionAlgorithm::kSortAggregate,
-        DivisionAlgorithm::kSortAggregateWithJoin,
-        DivisionAlgorithm::kHashAggregate,
-        DivisionAlgorithm::kHashAggregateWithJoin}) {
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
-                         Divide(db_->ctx(), query, algorithm, options));
-    EXPECT_EQ(Sorted(std::move(quotient)), std::vector<Tuple>{T(1)})
-        << DivisionAlgorithmName(algorithm);
-  }
-}
-
-TEST_F(DivisionTest, CountDistinctAlsoCorrectOnCleanInputs) {
-  const std::vector<Tuple> dividend = {T(1, 1), T(1, 2), T(2, 2)};
-  DivisionQuery query = MakeQuery(TwoColDividend(), dividend, OneColDivisor(),
-                                  {T(1), T(2)}, {"d"});
-  DivisionOptions options;
-  options.count_distinct = true;
-  for (DivisionAlgorithm algorithm : {DivisionAlgorithm::kSortAggregate,
-                                      DivisionAlgorithm::kHashAggregate}) {
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
-                         Divide(db_->ctx(), query, algorithm, options));
-    EXPECT_EQ(Sorted(std::move(quotient)), std::vector<Tuple>{T(1)})
-        << DivisionAlgorithmName(algorithm);
-  }
-}
-
-TEST_F(DivisionTest, CountDistinctSupportsMultiColumnDivisors) {
-  Schema dividend_schema{
-      Field{"q", ValueType::kInt64}, Field{"d1", ValueType::kInt64},
-      Field{"d2", ValueType::kInt64}};
-  Schema divisor_schema{Field{"d1", ValueType::kInt64},
-                        Field{"d2", ValueType::kInt64}};
-  // Group 1 covers both composite divisor values (one of them twice);
-  // group 2 covers only one.
-  std::vector<Tuple> dividend = {T(1, 5, 6), T(1, 5, 6), T(1, 7, 8),
-                                 T(2, 5, 6), T(2, 5, 6)};
-  std::vector<Tuple> divisor = {T(5, 6), T(7, 8), T(5, 6)};
-  DivisionQuery query = MakeQuery(dividend_schema, dividend, divisor_schema,
-                                  divisor, {"d1", "d2"});
-  DivisionOptions options;
-  options.count_distinct = true;
-  for (DivisionAlgorithm algorithm :
-       {DivisionAlgorithm::kSortAggregate, DivisionAlgorithm::kHashAggregate,
-        DivisionAlgorithm::kHashAggregateWithJoin}) {
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
-                         Divide(db_->ctx(), query, algorithm, options));
-    EXPECT_EQ(Sorted(std::move(quotient)), std::vector<Tuple>{T(1)})
-        << DivisionAlgorithmName(algorithm);
-  }
-}
-
 TEST_F(DivisionTest, MultiColumnQuotientAndDivisorAttributes) {
   // dividend(q1, q2, d1, d2) ÷ divisor(d1, d2); quotient = (q1, q2).
   Schema dividend_schema{
@@ -476,17 +417,156 @@ TEST_F(DivisionTest, EarlyOutputEmitsBeforeInputExhausted) {
   ASSERT_OK(op.Close());
 }
 
-TEST_F(DivisionTest, CounterVariantMatchesOnDuplicateFreeDividend) {
-  GeneratedWorkload workload = GenerateWorkload(PaperCell(8, 12));
+TEST_F(DivisionTest, EveryEntryPointRefusesOrHonoursEveryOption) {
+  // Each DivisionOptions field set to a non-default value, at every place an
+  // option enters: the seven algorithms through MakeDivisionPlan, the two
+  // planners, and the two operators benches construct directly. A run is
+  // either refused with InvalidArgument before it counts any work, or it
+  // returns the reference quotient. The input has no duplicates and no
+  // foreign tuples, so every algorithm is exact on it.
+  GeneratedWorkload workload = GenerateWorkload([] {
+    WorkloadSpec spec;
+    spec.divisor_cardinality = 6;
+    spec.quotient_candidates = 20;
+    spec.candidate_completeness = 0.5;
+    return spec;
+  }());
   Relation dividend, divisor;
-  ASSERT_OK(LoadWorkload(db_.get(), workload, "ctr", &dividend, &divisor));
-  DivisionQuery query{dividend, divisor, {"divisor_id"}};
-  DivisionOptions options;
-  options.counters_instead_of_bitmaps = true;
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<Tuple> quotient,
-      Divide(db_->ctx(), query, DivisionAlgorithm::kHashDivision, options));
-  EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
+  ASSERT_OK(LoadWorkload(db_.get(), workload, "opts", &dividend, &divisor));
+  const DivisionQuery query{dividend, divisor, {"divisor_id"}};
+  const std::vector<Tuple> reference =
+      Sorted(ReferenceDivision(workload.dividend, workload.divisor, {1}, {0}));
+  ExecContext* ctx = db_->ctx();
+
+  // Entry-point families; each row names the families that accept it.
+  constexpr int kHash = 1;         // kHashDivision and its operator
+  constexpr int kPartitioned = 2;  // kHashDivisionPartitioned and its operator
+  constexpr int kOthers = 4;       // the other five algorithms, the planners
+  constexpr int kAll = kHash | kPartitioned | kOthers;
+  constexpr int kNone = 0;
+  const struct {
+    const char* name;
+    void (*set)(DivisionOptions*);
+    int accepted_by;
+  } rows[] = {
+      {"defaults", [](DivisionOptions*) {}, kAll},
+      {"eliminate_duplicates",
+       [](DivisionOptions* o) { o->eliminate_duplicates = true; }, kAll},
+      {"early_output", [](DivisionOptions* o) { o->early_output = true; },
+       kHash},
+      {"expected_divisor_cardinality",
+       [](DivisionOptions* o) { o->expected_divisor_cardinality = 3; }, kAll},
+      {"expected_quotient_cardinality",
+       [](DivisionOptions* o) { o->expected_quotient_cardinality = 5; }, kAll},
+      {"partition_strategy divisor",
+       [](DivisionOptions* o) {
+         o->partition_strategy = PartitionStrategy::kDivisor;
+       },
+       kAll},
+      {"partition_strategy combined",
+       [](DivisionOptions* o) {
+         o->partition_strategy = PartitionStrategy::kCombined;
+       },
+       kAll},
+      {"num_partitions", [](DivisionOptions* o) { o->num_partitions = 7; },
+       kAll},
+      {"num_quotient_subpartitions (quotient strategy)",
+       [](DivisionOptions* o) { o->num_quotient_subpartitions = 3; },
+       kPartitioned},
+      {"num_quotient_subpartitions (combined strategy)",
+       [](DivisionOptions* o) {
+         o->partition_strategy = PartitionStrategy::kCombined;
+         o->num_quotient_subpartitions = 3;
+       },
+       kPartitioned},
+      {"num_quotient_subpartitions (divisor strategy)",
+       [](DivisionOptions* o) {
+         o->partition_strategy = PartitionStrategy::kDivisor;
+         o->num_quotient_subpartitions = 3;
+       },
+       kNone},
+      {"parallel_fragments",
+       [](DivisionOptions* o) { o->parallel_fragments = 4; }, kHash},
+      {"parallel_fragments with early_output",
+       [](DivisionOptions* o) {
+         o->parallel_fragments = 4;
+         o->early_output = true;
+       },
+       kNone},
+  };
+
+  using Run =
+      std::function<Result<std::vector<Tuple>>(const DivisionOptions&)>;
+  struct Entry {
+    std::string name;
+    int family;
+    Run run;
+  };
+  std::vector<Entry> entries;
+  for (DivisionAlgorithm algorithm : kAllAlgorithms) {
+    const int family =
+        algorithm == DivisionAlgorithm::kHashDivision ? kHash
+        : algorithm == DivisionAlgorithm::kHashDivisionPartitioned
+            ? kPartitioned
+            : kOthers;
+    entries.push_back({DivisionAlgorithmName(algorithm), family,
+                       [&, algorithm](const DivisionOptions& options) {
+                         return Divide(ctx, query, algorithm, options);
+                       }});
+  }
+  entries.push_back(
+      {"PlanDivision", kOthers,
+       [&](const DivisionOptions& options) -> Result<std::vector<Tuple>> {
+         RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Operator> plan,
+                                 PlanDivision(ctx, query, options));
+         return CollectAll(ctx, plan.get());
+       }});
+  entries.push_back(
+      {"PlanAdaptiveDivision", kOthers,
+       [&](const DivisionOptions& options) -> Result<std::vector<Tuple>> {
+         AdaptiveOptions adaptive;
+         adaptive.division = options;
+         adaptive.use_stats_cache = false;
+         RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<AdaptiveDivisionOperator> plan,
+                                 PlanAdaptiveDivision(ctx, query, adaptive));
+         return CollectAll(ctx, plan.get());
+       }});
+  entries.push_back({"HashDivisionOperator", kHash,
+                     [&](const DivisionOptions& options) {
+                       HashDivisionOperator op(
+                           ctx, std::make_unique<ScanOperator>(ctx, dividend),
+                           std::make_unique<ScanOperator>(ctx, divisor), {1},
+                           {0}, options);
+                       return CollectAll(ctx, &op);
+                     }});
+  entries.push_back(
+      {"PartitionedHashDivisionOperator", kPartitioned,
+       [&](const DivisionOptions& options) -> Result<std::vector<Tuple>> {
+         RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved,
+                                 ResolveDivision(query));
+         PartitionedHashDivisionOperator op(ctx, resolved, options);
+         return CollectAll(ctx, &op);
+       }});
+
+  for (const auto& row : rows) {
+    DivisionOptions options;
+    row.set(&options);
+    for (const Entry& entry : entries) {
+      const std::string what = entry.name + " with " + row.name;
+      const CpuCounters before = *ctx->counters();
+      Result<std::vector<Tuple>> result = entry.run(options);
+      if ((row.accepted_by & entry.family) != 0) {
+        ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+        EXPECT_EQ(Sorted(result.MoveValue()), reference) << what;
+      } else {
+        EXPECT_TRUE(result.status().IsInvalidArgument())
+            << what << ": " << result.status().ToString();
+        EXPECT_EQ((*ctx->counters() - before).ToString(),
+                  CpuCounters{}.ToString())
+            << what << " counted work before it was refused";
+      }
+    }
+  }
 }
 
 TEST_F(DivisionTest, UniversityExampleOneStudentsWithAllCourses) {

@@ -226,7 +226,10 @@ TEST_F(IntraParallelTest, PartitionedStrategiesAreLaneEquivalent) {
     DivisionOptions options;
     options.partition_strategy = c.strategy;
     options.num_partitions = 3;
-    options.num_quotient_subpartitions = 2;
+    // Refused with divisor partitioning, which never reads it.
+    if (c.strategy != PartitionStrategy::kDivisor) {
+      options.num_quotient_subpartitions = 2;
+    }
     const std::string name =
         std::string(c.strategy == PartitionStrategy::kQuotient
                         ? "quotient"
@@ -250,16 +253,6 @@ TEST_F(IntraParallelTest, PartitionedStrategiesAreLaneEquivalent) {
       ExpectIdentical(base, run, name + " at dop " + std::to_string(dop));
     }
   }
-}
-
-TEST_F(IntraParallelTest, ParallelFragmentsRejectEarlyOutput) {
-  DivisionOptions options;
-  options.parallel_fragments = 4;
-  options.early_output = true;
-  Result<std::vector<Tuple>> result =
-      Divide(db_->ctx(), Query(), DivisionAlgorithm::kHashDivision, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(IntraParallelTest, InjectedFaultSurfacesCleanlyFromAParallelPlan) {

@@ -78,8 +78,9 @@ TEST(SlottedPageTest, AddAndGetRecords) {
   ASSERT_OK_AND_ASSIGN(uint16_t s1, page.AddRecord(Slice("world!")));
   EXPECT_EQ(s0, 0);
   EXPECT_EQ(s1, 1);
-  ASSERT_OK_AND_ASSIGN(Slice r0, page.GetRecord(0));
-  ASSERT_OK_AND_ASSIGN(Slice r1, page.GetRecord(1));
+  Slice r0, r1;
+  ASSERT_TRUE(page.GetIfLive(0, &r0));
+  ASSERT_TRUE(page.GetIfLive(1, &r1));
   EXPECT_EQ(r0.ToString(), "hello");
   EXPECT_EQ(r1.ToString(), "world!");
 }
@@ -102,16 +103,16 @@ TEST(SlottedPageTest, FillsUntilResourceExhausted) {
   EXPECT_EQ(added, (kPageSize - 4) / 104);
   // All records still intact.
   for (uint16_t i = 0; i < added; ++i) {
-    ASSERT_OK_AND_ASSIGN(Slice r, page.GetRecord(i));
+    Slice r;
+    ASSERT_TRUE(page.GetIfLive(i, &r));
     EXPECT_EQ(r.size(), 100u);
   }
 }
 
-TEST(SlottedPageTest, RejectsBadSlotAndOversizedRecord) {
+TEST(SlottedPageTest, RejectsOversizedRecord) {
   std::vector<char> frame(kPageSize);
   SlottedPage page(frame.data());
   page.Init();
-  EXPECT_TRUE(page.GetRecord(0).status().IsInvalidArgument());
   std::string huge(kPageSize, 'x');
   EXPECT_TRUE(page.AddRecord(Slice(huge)).status().IsInvalidArgument());
 }

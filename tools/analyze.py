@@ -90,6 +90,13 @@ clang-tidy cannot express. Rules:
                        and closes the input on every path (DESIGN.md §6).
                        A pipelined pull, which may stop before the end
                        of the stream, carries a suppression saying so.
+  option-override      no assignment in src/ to a DivisionOptions field
+                       that ValidateDivisionOptions checks (early_output,
+                       parallel_fragments, num_quotient_subpartitions).
+                       A plan refuses an option it cannot honour; a copy
+                       of the caller's options with the field quietly
+                       cleared would run a different query than the one
+                       asked for (division/division.h).
 
 Suppression syntax (modeled on clang-tidy triage): a finding is silenced
 by `NOLINT(reldiv/<rule>): <rationale>` on the same line, or
@@ -150,6 +157,7 @@ RULES = (
     "batch-overrides",
     "tuple-lane",
     "hand-drain",
+    "option-override",
     "suppression-rationale",
 )
 
@@ -640,6 +648,13 @@ class Analyzer:
             re.compile(r"(?:std::)?\b(?:rand|srand)\s*\("),
             "non-deterministic libc RNG; use common/rng.h (seeded "
             "xorshift128+) for reproducibility"),
+        "option-override": (
+            re.compile(r"(?:\.|->)\s*(?:early_output|parallel_fragments|"
+                       r"num_quotient_subpartitions)\s*(?:[-+*/%&|^]|<<|>>)?="
+                       r"(?!=)"),
+            "assignment to a validated DivisionOptions field; refuse an "
+            "option the plan cannot honour (ValidateDivisionOptions) "
+            "instead of overriding the caller's value"),
     }
 
     def check_line_bans(self, path: Path, raw_lines, lines, sup):

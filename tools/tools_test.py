@@ -356,6 +356,44 @@ class AnalyzeRuleTest(unittest.TestCase):
             "  return child_->NextBatch(batch, has_more);\n}\n")
         self.assertEqual(self.fresh(["hand-drain"]), [])
 
+    def test_option_override_fires_on_cleared_field(self):
+        self.tree.write(
+            "src/division/newop.cc",
+            "Status Run(DivisionOptions options, DivisionOptions* out) {\n"
+            "  DivisionOptions tuned = options;\n"
+            "  tuned.early_output = false;\n"
+            "  out->parallel_fragments = 0;\n"
+            "  tuned.num_quotient_subpartitions += 1;\n"
+            "  return Status::OK();\n}\n")
+        found = self.fresh(["option-override"])
+        self.assertEqual(rules_of(found), ["option-override"] * 3)
+        self.assertEqual([f.lineno for f in found], [3, 4, 5])
+
+    def test_option_override_reads_and_defaults_clean(self):
+        self.tree.write(
+            "src/division/division.h", GUARD +
+            "struct DivisionOptions {\n"
+            "  bool early_output = false;\n"
+            "  size_t parallel_fragments = 0;\n"
+            "};\n#endif\n")
+        self.tree.write(
+            "src/division/newop.cc",
+            "bool Eager(const DivisionOptions& o) {\n"
+            "  // o.early_output = false would clear the caller's flag\n"
+            "  return o.early_output == true || o.parallel_fragments != 0 ||\n"
+            "         o.num_quotient_subpartitions >= 2;\n}\n")
+        self.assertEqual(self.fresh(["option-override"]), [])
+
+    def test_option_override_suppressed_with_rationale(self):
+        self.tree.write(
+            "src/division/newop.cc",
+            "void Tune(DivisionOptions* o) {\n"
+            "  // NOLINTNEXTLINE(reldiv/option-override): test fixture\n"
+            "  o->early_output = true;\n}\n")
+        found, analyzer = self.tree.analyze_findings(["option-override"])
+        self.assertEqual(found, [])
+        self.assertEqual(analyzer.suppressed, 1)
+
     def test_failpoint_site_unlisted_fires(self):
         self.tree.write(
             "src/testing/failpoint.h",
