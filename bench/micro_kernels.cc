@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -180,15 +181,28 @@ void BM_HashTableProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTableProbe)->Arg(1000)->Arg(100000);
 
+/// External sort of n (a, b) tuples at a 32 KB sort space (fan-in 32).
+/// Arg 1 picks the shape. 0: random a, sorted on {0}. 1: naive division's
+/// dividend sort, a shuffled product of n / 100 quotient ids and 100
+/// divisor ids sorted on {0, 1} with duplicate collapse; at n = 60000 that
+/// is about 100 runs, so intermediate merges run and merging dominates.
 void BM_ExternalSort(benchmark::State& state) {
   const int64_t n = state.range(0);
+  const bool naive_shape = state.range(1) == 1;
   Rng rng(2);
   Schema schema{Field{"a", ValueType::kInt64}, Field{"b", ValueType::kInt64}};
   std::vector<Tuple> input;
   input.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    input.push_back(Tuple{Value::Int64(rng.UniformInt(0, 1 << 30)),
-                          Value::Int64(i)});
+    input.push_back(naive_shape
+                        ? Tuple{Value::Int64(i / 100), Value::Int64(i % 100)}
+                        : Tuple{Value::Int64(rng.UniformInt(0, 1 << 30)),
+                                Value::Int64(i)});
+  }
+  if (naive_shape) {
+    for (size_t i = input.size(); i > 1; --i) {
+      std::swap(input[i - 1], input[rng.Uniform(i)]);
+    }
   }
   for (auto _ : state) {
     DatabaseOptions options;
@@ -196,7 +210,9 @@ void BM_ExternalSort(benchmark::State& state) {
     options.sort_space_bytes = 32 * 1024;  // force the external path
     auto db = Database::Open(options).MoveValue();
     SortSpec spec;
-    spec.keys = {0};
+    spec.keys = naive_shape ? std::vector<size_t>{0, 1}
+                            : std::vector<size_t>{0};
+    spec.collapse_equal_keys = naive_shape;
     SortOperator sorter(db->ctx(),
                         std::make_unique<MemSourceOperator>(schema, input),
                         spec);
@@ -205,7 +221,10 @@ void BM_ExternalSort(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ExternalSort)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_ExternalSort)
+    ->Args({10000, 0})
+    ->Args({50000, 0})
+    ->Args({60000, 1});
 
 void BM_HashDivisionEndToEnd(benchmark::State& state) {
   const uint64_t s = static_cast<uint64_t>(state.range(0));

@@ -48,7 +48,7 @@ Result<std::unique_ptr<Operator>> MakeHashAggregationDivisionPlan(
       ctx,
       std::make_unique<HashAggregateOperator>(
           ctx, std::move(dividend_input), resolved.quotient_attrs,
-          std::vector<AggSpec>{AggSpec{AggFn::kCount, 0, "count"}},
+          std::vector<AggSpec>{AggSpec{"count"}},
           options.expected_quotient_cardinality),
       "hash-aggregate");
   return std::unique_ptr<Operator>(std::make_unique<GroupCountFilterOperator>(

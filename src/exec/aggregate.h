@@ -9,16 +9,10 @@
 
 namespace reldiv {
 
-/// Aggregate functions supported by the aggregation operators. COUNT is the
-/// one the paper's division-by-aggregation strategy needs; no division plan
-/// reads any other aggregate, so there is none.
-enum class AggFn { kCount };
-
-/// One aggregate: the function, its argument column (ignored for COUNT),
-/// and the name of the output field.
+/// One aggregate, named by its output field. COUNT is the only aggregate:
+/// it is the one the paper's division-by-aggregation strategy needs, and no
+/// division plan reads any other.
 struct AggSpec {
-  AggFn fn = AggFn::kCount;
-  size_t arg = 0;
   std::string name = "count";
 };
 

@@ -1,6 +1,7 @@
 #include "exec/kernels/kernels.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/check.h"
 
@@ -301,35 +302,42 @@ bool ExtractInt64Column(const TupleBatch& batch, size_t col,
   return true;
 }
 
-// --- Normalized sort keys ---------------------------------------------------
+// --- Whole-key sort codes --------------------------------------------------
 
-uint64_t NormalizedKey(const Value& v) {
-  // Type tag in the top two bits (Value::Compare orders by tag first), the
-  // payload's high 62 bits below. Codes must never order two values the
-  // full comparison would not: int64 uses the sign-flipped bijection;
-  // double collapses to one code (NaN makes any prefix unsafe); strings use
-  // their first eight bytes big-endian, so a byte-wise code difference
-  // agrees with std::string order and every prefix tie falls back.
-  const uint64_t tag = static_cast<uint64_t>(v.type());
-  uint64_t payload = 0;
-  switch (v.type()) {
-    case ValueType::kInt64:
-      payload = static_cast<uint64_t>(v.int64()) ^ (uint64_t{1} << 63);
-      break;
-    case ValueType::kDouble:
-      payload = 0;
-      break;
-    case ValueType::kString: {
-      const std::string& s = v.string_value();
-      const size_t take = s.size() < 8 ? s.size() : 8;
-      for (size_t i = 0; i < take; ++i) {
-        payload |= static_cast<uint64_t>(static_cast<unsigned char>(s[i]))
-                   << (56 - 8 * i);
-      }
-      break;
+SortKeyCode EncodeSortKey(const Tuple& tuple,
+                          const std::vector<size_t>& keys) {
+  uint64_t words[2] = {0, 0};
+  size_t filled = 0;
+  for (size_t key : keys) {
+    if (filled == 2) break;
+    const Value& v = tuple.value(key);
+    if (v.type() == ValueType::kInt64) {
+      // The sign-flipped bijection: unsigned order is signed order.
+      words[filled++] = static_cast<uint64_t>(v.int64()) ^ (uint64_t{1} << 63);
+      continue;
     }
+    if (v.type() == ValueType::kString) {
+      // Byte-wise big-endian, so a word difference agrees with
+      // std::string's unsigned byte order; a prefix tie promises nothing.
+      const std::string& str = v.string_value();
+      const size_t take = str.size() < 8 ? str.size() : 8;
+      for (size_t i = 0; i < take; ++i) {
+        const auto byte = static_cast<unsigned char>(str[i]);
+        words[filled] |= static_cast<uint64_t>(byte) << (56 - 8 * i);
+      }
+    }
+    break;  // a string prefix or a double ends the code
   }
-  return (tag << 62) | (payload >> 2);
+  return SortKeyCode{words[0], words[1]};
+}
+
+bool SortKeyCodeIsComplete(const Schema& schema,
+                           const std::vector<size_t>& keys) {
+  if (keys.size() > 2) return false;
+  for (size_t key : keys) {
+    if (schema.field(key).type != ValueType::kInt64) return false;
+  }
+  return true;
 }
 
 }  // namespace kernels

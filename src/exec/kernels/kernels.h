@@ -1,11 +1,13 @@
 #ifndef RELDIV_EXEC_KERNELS_KERNELS_H_
 #define RELDIV_EXEC_KERNELS_KERNELS_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/schema.h"
 #include "common/tuple.h"
 #include "common/value.h"
 #include "exec/batch.h"
@@ -14,10 +16,10 @@ namespace reldiv {
 namespace kernels {
 
 /// Vectorized inner-loop kernels shared by the division operators and the
-/// sort family. Every kernel exists in two variants — a scalar reference
+/// sort. Every batched kernel exists in two variants — a scalar reference
 /// implementation and a SIMD one — selected once per process by
 /// ActiveLevel(); callers use the dispatching entry points and never branch
-/// on the level themselves.
+/// on the level themselves. The per-tuple sort-key code is scalar only.
 ///
 /// Counter-accounting invariant (DESIGN.md §12): kernels perform PHYSICAL
 /// work only and never touch ExecContext counters. The caller charges the
@@ -105,19 +107,33 @@ size_t CompareInt64Simd(const int64_t* values, size_t n, CmpOp op,
 bool ExtractInt64Column(const TupleBatch& batch, size_t col,
                         std::vector<int64_t>* out);
 
-// --- Normalized sort keys (offset-value-code style) --------------------------
+// --- Whole-key sort codes --------------------------------------------------
 
-/// Order-preserving 64-bit code of a value, memoized by the sort family so
-/// most comparisons resolve on one integer compare (Do/Graefe/Naughton's
-/// normalized-key technique):
+/// Order-preserving 128-bit code of a tuple's sort key, two words compared
+/// lexicographically, memoized by the sort so most comparisons resolve on
+/// integers (Do/Graefe/Naughton's normalized keys). The key columns fill the
+/// words in key order: an int64 takes a whole word, its sign-flipped bits,
+/// and coding goes on only while every earlier column was coded exactly. A
+/// string contributes its first eight bytes big-endian and ends the code; a
+/// double ends it uncoded (NaN makes any prefix unsafe). For tuples whose
+/// key columns agree in type:
 ///
-///   NormalizedKey(a) <  NormalizedKey(b)  =>  a.Compare(b) < 0
-///   NormalizedKey(a) == NormalizedKey(b)  =>  nothing — caller falls back
-///                                             to the full comparison.
-///
-/// Doubles always map to one code (their NaN ordering is not total, so no
-/// prefix is safe); strings contribute their first eight bytes big-endian.
-uint64_t NormalizedKey(const Value& v);
+///   code(a) <  code(b)  =>  a.CompareAt(keys, b) < 0
+///   code(a) == code(b)  =>  a.CompareAt(keys, b) == 0 if the code is
+///                           complete (SortKeyCodeIsComplete); nothing
+///                           otherwise, and the caller compares the tuples.
+struct SortKeyCode {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+  friend auto operator<=>(const SortKeyCode&, const SortKeyCode&) = default;
+};
+
+SortKeyCode EncodeSortKey(const Tuple& tuple, const std::vector<size_t>& keys);
+
+/// True iff EncodeSortKey codes `keys` of a `schema` tuple exactly: every key
+/// column is int64 and there are at most two of them.
+bool SortKeyCodeIsComplete(const Schema& schema,
+                           const std::vector<size_t>& keys);
 
 }  // namespace kernels
 }  // namespace reldiv

@@ -174,30 +174,31 @@ SortOperator::SortOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                           ? *spec_.lifted_schema
                           : child_->output_schema()),
       codec_(working_schema_),
+      code_complete_(
+          kernels::SortKeyCodeIsComplete(working_schema_, spec_.keys)),
       max_fan_in_(
           std::max<size_t>(2, ctx_->sort_space_bytes() / kSortRunBlockSize)) {}
 
 SortOperator::~SortOperator() = default;
 
-int SortOperator::CompareKeys(const Tuple& a, const Tuple& b) const {
-  return CompareKeysOn(ctx_, a, b);
+kernels::SortKeyCode SortOperator::KeyCode(const Tuple& t) const {
+  // The code is order-preserving only among values of one type per column.
+  for (size_t key : spec_.keys) {
+    RELDIV_DCHECK(t.value(key).type() == working_schema_.field(key).type)
+        << "sort key column " << key << " holds " << t.value(key).ToString()
+        << ", not a value of its schema type";
+  }
+  return kernels::EncodeSortKey(t, spec_.keys);
 }
 
-int SortOperator::CompareKeysOn(ExecContext* ctx, const Tuple& a,
-                                const Tuple& b) const {
-  ctx->CountComparisons(1);
-  return a.CompareAt(spec_.keys, b);
-}
-
-uint64_t SortOperator::KeyCode(const Tuple& t) const {
-  return spec_.keys.empty() ? 0 : kernels::NormalizedKey(t.value(spec_.keys[0]));
-}
-
-int SortOperator::CompareCodedOn(ExecContext* ctx, uint64_t code_a,
-                                 const Tuple& a, uint64_t code_b,
+int SortOperator::CompareCodedOn(ExecContext* ctx,
+                                 const kernels::SortKeyCode& code_a,
+                                 const Tuple& a,
+                                 const kernels::SortKeyCode& code_b,
                                  const Tuple& b) const {
   ctx->CountComparisons(1);
   if (code_a != code_b) return code_a < code_b ? -1 : 1;
+  if (code_complete_) return 0;
   return a.CompareAt(spec_.keys, b);
 }
 
@@ -209,13 +210,14 @@ void SortOperator::Combine(Tuple* acc, const Tuple& next) const {
 }
 
 bool SortOperator::HeapLess(const HeapEntry& a, const HeapEntry& b) const {
-  const int c = CompareCodedOn(ctx_, a.code, a.tuple, b.code, b.tuple);
+  const int c = CompareCodedOn(ctx_, a.code, heads_[a.reader], b.code,
+                               heads_[b.reader]);
   if (c != 0) return c < 0;
   return a.reader < b.reader;  // stable across runs: older run first
 }
 
 void SortOperator::HeapPush(HeapEntry entry) {
-  heap_.push_back(std::move(entry));
+  heap_.push_back(entry);
   size_t i = heap_.size() - 1;
   while (i > 0) {
     size_t parent = (i - 1) / 2;
@@ -226,8 +228,8 @@ void SortOperator::HeapPush(HeapEntry entry) {
 }
 
 SortOperator::HeapEntry SortOperator::HeapPop() {
-  HeapEntry top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  const HeapEntry top = heap_.front();
+  heap_.front() = heap_.back();
   heap_.pop_back();
   size_t i = 0;
   while (true) {
@@ -245,53 +247,51 @@ SortOperator::HeapEntry SortOperator::HeapPop() {
 
 Status SortOperator::SortChunk(ExecContext* ctx,
                                std::vector<Tuple>* chunk) const {
-  // Normalized-key quicksort (Do/Graefe/Naughton): each tuple's first sort
-  // key is encoded once into an order-preserving code, and most comparisons
-  // resolve on one integer compare; only code-equal pairs pay the full key
-  // comparison. CompareCodedOn is extensionally equal to CompareKeysOn and
-  // counts identically, so the sort's decision sequence, the run contents,
-  // and the Comp totals are those of the uncoded sort.
+  // Normalized-key quicksort (Do/Graefe/Naughton) over small records: each
+  // tuple's whole sort key is encoded once into an order-preserving code
+  // kept beside the tuple's index, so the sort moves 24-byte records, not
+  // tuples, and comparisons resolve on integers; only an incomplete code's
+  // ties read the tuples. CompareCodedOn is extensionally equal to the
+  // uncoded key comparison and counts one Comp per call, and std::sort's
+  // moves depend only on comparison results, so the sort's decision
+  // sequence, the run contents, and the Comp totals are those of the
+  // uncoded tuple sort.
   struct Keyed {
-    uint64_t code;
-    Tuple tuple;
+    kernels::SortKeyCode code;
+    size_t index;
   };
-  std::vector<Keyed> keyed;
-  keyed.reserve(chunk->size());
-  for (Tuple& tuple : *chunk) {
-    const uint64_t code = KeyCode(tuple);
-    keyed.push_back(Keyed{code, std::move(tuple)});
+  std::vector<Tuple>& tuples = *chunk;
+  std::vector<Keyed> keyed(tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    keyed[i] = Keyed{KeyCode(tuples[i]), i};
   }
   std::sort(keyed.begin(), keyed.end(),
-            [this, ctx](const Keyed& a, const Keyed& b) {
-              return CompareCodedOn(ctx, a.code, a.tuple, b.code, b.tuple) < 0;
+            [&](const Keyed& a, const Keyed& b) {
+              return CompareCodedOn(ctx, a.code, tuples[a.index], b.code,
+                                    tuples[b.index]) < 0;
             });
-  if (spec_.collapse_equal_keys && !keyed.empty()) {
-    // Combine each equal-key group down to one tuple, in stream. Comparison
-    // pattern: every tuple is compared once against its group's accumulator
-    // (the group-closing mismatch included), matching the merge paths'
-    // counting.
-    std::vector<Keyed> collapsed;
-    collapsed.reserve(keyed.size());
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      if (i + 1 < keyed.size()) {
-        Keyed acc = std::move(keyed[i]);
-        size_t j = i + 1;
-        while (j < keyed.size() &&
-               CompareCodedOn(ctx, acc.code, acc.tuple, keyed[j].code,
-                              keyed[j].tuple) == 0) {
-          Combine(&acc.tuple, keyed[j].tuple);
-          j++;
-        }
-        i = j - 1;
-        collapsed.push_back(std::move(acc));
-      } else {
-        collapsed.push_back(std::move(keyed[i]));
+  // Gather in sorted order. With collapse, each equal-key group combines
+  // into its first tuple, in stream. Comparison pattern: every tuple is
+  // compared once against its group's accumulator (the group-closing
+  // mismatch included), matching the merge paths' counting.
+  std::vector<Tuple> sorted;
+  sorted.reserve(keyed.size());
+  for (size_t i = 0; i < keyed.size();) {
+    const Keyed& acc = keyed[i];
+    Tuple& acc_tuple = tuples[acc.index];
+    size_t j = i + 1;
+    if (spec_.collapse_equal_keys) {
+      while (j < keyed.size() &&
+             CompareCodedOn(ctx, acc.code, acc_tuple, keyed[j].code,
+                            tuples[keyed[j].index]) == 0) {
+        Combine(&acc_tuple, tuples[keyed[j].index]);
+        j++;
       }
     }
-    keyed = std::move(collapsed);
+    sorted.push_back(std::move(acc_tuple));
+    i = j;
   }
-  chunk->clear();
-  for (Keyed& k : keyed) chunk->push_back(std::move(k.tuple));
+  tuples = std::move(sorted);
   return Status::OK();
 }
 
@@ -331,91 +331,76 @@ Status SortOperator::FlushChunkWindow(
 }
 
 Status SortOperator::MergeRuns(std::vector<std::unique_ptr<Run>> inputs) {
-  std::vector<std::unique_ptr<RunReader>> readers;
-  readers.reserve(inputs.size());
-  for (const auto& run : inputs) {
-    readers.push_back(std::make_unique<RunReader>(ctx_->disk(), run.get()));
-  }
-  std::vector<HeapEntry> saved_heap;
-  std::swap(saved_heap, heap_);
-
-  std::string record;
-  for (size_t i = 0; i < readers.size(); ++i) {
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(readers[i]->Next(&record, &has));
-    if (!has) continue;
-    HeapEntry entry;
-    entry.reader = i;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &entry.tuple));
-    entry.code = KeyCode(entry.tuple);
-    HeapPush(std::move(entry));
-  }
-
+  RELDIV_RETURN_NOT_OK(StartMerge(inputs));
   auto output = std::make_unique<Run>(ctx_->disk());
   std::string encoded;
-  bool have_acc = false;
-  Tuple acc;
-  uint64_t acc_code = 0;
-  auto flush_acc = [&]() -> Status {
-    if (!have_acc) return Status::OK();
+  const auto append = [&](const Tuple& tuple) -> Status {
     encoded.clear();
-    RELDIV_RETURN_NOT_OK(codec_.Encode(acc, &encoded));
+    RELDIV_RETURN_NOT_OK(codec_.Encode(tuple, &encoded));
     ctx_->CountMoveBytes(encoded.size());
     return output->Append(Slice(encoded));
   };
-
-  while (!heap_.empty()) {
-    HeapEntry top = HeapPop();
+  bool have_acc = false;
+  Tuple acc;
+  kernels::SortKeyCode acc_code;
+  Tuple next;
+  kernels::SortKeyCode next_code;
+  while (true) {
     bool has = false;
-    RELDIV_RETURN_NOT_OK(readers[top.reader]->Next(&record, &has));
-    if (has) {
-      HeapEntry refill;
-      refill.reader = top.reader;
-      RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &refill.tuple));
-      refill.code = KeyCode(refill.tuple);
-      HeapPush(std::move(refill));
-    }
-    if (spec_.collapse_equal_keys) {
-      if (have_acc &&
-          CompareCodedOn(ctx_, acc_code, acc, top.code, top.tuple) == 0) {
-        Combine(&acc, top.tuple);
-      } else {
-        RELDIV_RETURN_NOT_OK(flush_acc());
-        acc = std::move(top.tuple);
-        acc_code = top.code;
-        have_acc = true;
-      }
+    RELDIV_RETURN_NOT_OK(MergeNext(&next, &next_code, &has));
+    if (!has) break;
+    if (!spec_.collapse_equal_keys) {
+      RELDIV_RETURN_NOT_OK(append(next));
+    } else if (have_acc &&
+               CompareCodedOn(ctx_, acc_code, acc, next_code, next) == 0) {
+      Combine(&acc, next);
     } else {
-      encoded.clear();
-      RELDIV_RETURN_NOT_OK(codec_.Encode(top.tuple, &encoded));
-      ctx_->CountMoveBytes(encoded.size());
-      RELDIV_RETURN_NOT_OK(output->Append(Slice(encoded)));
+      if (have_acc) RELDIV_RETURN_NOT_OK(append(acc));
+      acc.Swap(next);
+      acc_code = next_code;
+      have_acc = true;
     }
   }
-  RELDIV_RETURN_NOT_OK(flush_acc());
+  if (have_acc) RELDIV_RETURN_NOT_OK(append(acc));
   RELDIV_RETURN_NOT_OK(output->Finish());
-
-  std::swap(saved_heap, heap_);
+  readers_.clear();  // they read `inputs`, which die here
   runs_.push_back(std::move(output));
   return Status::OK();
 }
 
-Status SortOperator::OpenFinalMerge() {
-  final_readers_.clear();
+Status SortOperator::StartMerge(const std::vector<std::unique_ptr<Run>>& runs) {
+  readers_.clear();
+  heads_.assign(runs.size(), Tuple());
   heap_.clear();
-  std::string record;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    final_readers_.push_back(
-        std::make_unique<RunReader>(ctx_->disk(), runs_[i].get()));
+  for (size_t i = 0; i < runs.size(); ++i) {
+    readers_.push_back(
+        std::make_unique<RunReader>(ctx_->disk(), runs[i].get()));
     bool has = false;
-    RELDIV_RETURN_NOT_OK(final_readers_[i]->Next(&record, &has));
+    RELDIV_RETURN_NOT_OK(readers_[i]->Next(&record_, &has));
     if (!has) continue;
-    HeapEntry entry;
-    entry.reader = i;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &entry.tuple));
-    entry.code = KeyCode(entry.tuple);
-    HeapPush(std::move(entry));
+    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record_), &heads_[i]));
+    HeapPush(HeapEntry{KeyCode(heads_[i]), i});
   }
+  return Status::OK();
+}
+
+Status SortOperator::MergeNext(Tuple* tuple, kernels::SortKeyCode* code,
+                               bool* has_next) {
+  if (heap_.empty()) {
+    *has_next = false;
+    return Status::OK();
+  }
+  const HeapEntry top = HeapPop();
+  bool has = false;
+  RELDIV_RETURN_NOT_OK(readers_[top.reader]->Next(&record_, &has));
+  Tuple& head = heads_[top.reader];
+  tuple->Swap(head);
+  if (has) {
+    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record_), &head));
+    HeapPush(HeapEntry{KeyCode(head), top.reader});
+  }
+  *code = top.code;
+  *has_next = true;
   return Status::OK();
 }
 
@@ -485,33 +470,10 @@ Status SortOperator::Open() {
       RELDIV_RETURN_NOT_OK(MergeRuns(std::move(group)));
       intermediate_merges_++;
     }
-    RELDIV_RETURN_NOT_OK(OpenFinalMerge());
+    RELDIV_RETURN_NOT_OK(StartMerge(runs_));
   }
   open_ = true;
   have_pending_ = false;
-  return Status::OK();
-}
-
-Status SortOperator::RawMergeNext(Tuple* tuple, uint64_t* code,
-                                  bool* has_next) {
-  if (heap_.empty()) {
-    *has_next = false;
-    return Status::OK();
-  }
-  HeapEntry top = HeapPop();
-  std::string record;
-  bool has = false;
-  RELDIV_RETURN_NOT_OK(final_readers_[top.reader]->Next(&record, &has));
-  if (has) {
-    HeapEntry refill;
-    refill.reader = top.reader;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &refill.tuple));
-    refill.code = KeyCode(refill.tuple);
-    HeapPush(std::move(refill));
-  }
-  *tuple = std::move(top.tuple);
-  *code = top.code;
-  *has_next = true;
   return Status::OK();
 }
 
@@ -527,18 +489,18 @@ Status SortOperator::Step(Tuple* tuple, bool* has_next) {
     return Status::OK();
   }
   if (!spec_.collapse_equal_keys) {
-    uint64_t code = 0;
-    return RawMergeNext(tuple, &code, has_next);
+    kernels::SortKeyCode code;
+    return MergeNext(tuple, &code, has_next);
   }
-  // Group-collapse on the final merge output.
+  // Group-collapse on the final merge output. Swaps, not moves, so the
+  // caller's slot and the merge's scratch tuples keep being reused.
   while (true) {
-    Tuple next;
-    uint64_t next_code = 0;
+    kernels::SortKeyCode next_code;
     bool has = false;
-    RELDIV_RETURN_NOT_OK(RawMergeNext(&next, &next_code, &has));
+    RELDIV_RETURN_NOT_OK(MergeNext(&next_, &next_code, &has));
     if (!has) {
       if (have_pending_) {
-        *tuple = std::move(pending_);
+        tuple->Swap(pending_);
         have_pending_ = false;
         *has_next = true;
         return Status::OK();
@@ -547,17 +509,18 @@ Status SortOperator::Step(Tuple* tuple, bool* has_next) {
       return Status::OK();
     }
     if (!have_pending_) {
-      pending_ = std::move(next);
+      pending_.Swap(next_);
       pending_code_ = next_code;
       have_pending_ = true;
       continue;
     }
-    if (CompareCodedOn(ctx_, pending_code_, pending_, next_code, next) == 0) {
-      Combine(&pending_, next);
+    if (CompareCodedOn(ctx_, pending_code_, pending_, next_code, next_) ==
+        0) {
+      Combine(&pending_, next_);
       continue;
     }
-    *tuple = std::move(pending_);
-    pending_ = std::move(next);
+    tuple->Swap(pending_);
+    pending_.Swap(next_);
     pending_code_ = next_code;
     *has_next = true;
     return Status::OK();
@@ -567,7 +530,8 @@ Status SortOperator::Step(Tuple* tuple, bool* has_next) {
 Status SortOperator::Close() {
   // Open()'s drain closed the child on every path.
   memory_tuples_.clear();
-  final_readers_.clear();
+  readers_.clear();
+  heads_.clear();
   heap_.clear();
   runs_.clear();
   open_ = false;

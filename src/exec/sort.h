@@ -4,12 +4,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/metric_names.h"
 #include "common/row_codec.h"
 #include "exec/exec_context.h"
+#include "exec/kernels/kernels.h"
 #include "exec/operator.h"
 
 namespace reldiv {
@@ -84,21 +86,24 @@ class SortOperator : public Operator {
   /// Produces the next sorted (and collapsed) tuple.
   Status Step(Tuple* tuple, bool* has_next);
 
-  int CompareKeys(const Tuple& a, const Tuple& b) const;
-  /// CompareKeys charging an explicit context — the parallel run-formation
-  /// path, where each chunk's comparisons go to a private fragment context.
-  int CompareKeysOn(ExecContext* ctx, const Tuple& a, const Tuple& b) const;
-  /// Order-preserving code of `t`'s first sort key (kernels::NormalizedKey);
-  /// 0 when the sort has no keys. Computed once per tuple, uncounted — it is
-  /// encoding, not a key comparison.
-  uint64_t KeyCode(const Tuple& t) const;
-  /// CompareKeysOn resolved through memoized codes: one counted Comp per
-  /// invocation, the full key comparison only on code-equal pairs. By the
-  /// NormalizedKey invariant this is extensionally equal to CompareKeysOn,
-  /// so every sort/merge/collapse decision — and therefore every Table 1
-  /// total — matches the uncoded comparator bit for bit.
-  int CompareCodedOn(ExecContext* ctx, uint64_t code_a, const Tuple& a,
-                     uint64_t code_b, const Tuple& b) const;
+  /// The whole-key code of `t` (kernels::EncodeSortKey): its int64 key
+  /// columns in order, up to two, then at most one string's 8-byte prefix.
+  /// Computed once per tuple, uncounted — it is encoding, not a key
+  /// comparison. All-zero when the sort has no keys.
+  kernels::SortKeyCode KeyCode(const Tuple& t) const;
+  /// The sort's one key comparison, resolved through memoized codes and
+  /// charged to `ctx` (a private fragment context during parallel run
+  /// formation): one counted Comp per invocation, whatever decides it. A
+  /// code difference decides; a tie decides equality when the code is
+  /// complete (`code_complete_`: at most two key columns, all int64 — the
+  /// naive dividend and divisor keys, sort-aggregate's group key) and
+  /// otherwise falls back to `a.CompareAt(spec_.keys, b)`. It is
+  /// extensionally equal to that uncoded comparison, so every
+  /// sort/merge/collapse decision — and therefore every Table 1 total — is
+  /// the uncoded sort's, bit for bit.
+  int CompareCodedOn(ExecContext* ctx, const kernels::SortKeyCode& code_a,
+                     const Tuple& a, const kernels::SortKeyCode& code_b,
+                     const Tuple& b) const;
   void Combine(Tuple* acc, const Tuple& next) const;
   /// Quicksorts `chunk` in place and (with collapse) combines equal-key
   /// groups, charging all comparisons to `ctx`. Pure CPU — safe to run
@@ -111,16 +116,23 @@ class SortOperator : public Operator {
   Status FlushChunkWindow(std::vector<std::vector<Tuple>>* window);
   /// Merges `inputs` into a single new run (with collapse).
   Status MergeRuns(std::vector<std::unique_ptr<Run>> inputs);
-  Status OpenFinalMerge();
-  /// Produces the next tuple of the final merge before collapse grouping,
-  /// along with its memoized key code.
-  Status RawMergeNext(Tuple* tuple, uint64_t* code, bool* has_next);
+  /// Opens one reader per run, decodes each first record into its head
+  /// tuple and heaps them.
+  Status StartMerge(const std::vector<std::unique_ptr<Run>>& runs);
+  /// Produces the merge's next tuple before collapse grouping, along with
+  /// its memoized key code. `*tuple`'s old contents are reused: they are
+  /// swapped in as the popped reader's head, and its next record is decoded
+  /// over them.
+  Status MergeNext(Tuple* tuple, kernels::SortKeyCode* code, bool* has_next);
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> child_;
   SortSpec spec_;
   Schema working_schema_;
   RowCodec codec_;
+  /// Whether a code tie proves a key tie (kernels::SortKeyCodeIsComplete
+  /// over working_schema_); decided once, in the constructor.
+  bool code_complete_;
   size_t max_fan_in_;
 
   // In-memory path.
@@ -130,13 +142,18 @@ class SortOperator : public Operator {
 
   // External path.
   std::vector<std::unique_ptr<Run>> runs_;
-  std::vector<std::unique_ptr<RunReader>> final_readers_;
+  // Merge state, shared by the intermediate merges in Open() and then the
+  // final merge: one reader and one decoded head tuple per input run, and
+  // a binary heap of small {code, reader} entries. Tuples stay in heads_;
+  // the heap reads them only to break an incomplete-code tie.
+  std::vector<std::unique_ptr<RunReader>> readers_;
+  std::vector<Tuple> heads_;
   struct HeapEntry {
-    Tuple tuple;
-    uint64_t code = 0;  ///< KeyCode(tuple), computed once at decode time
+    kernels::SortKeyCode code;  ///< KeyCode(heads_[reader]), at decode time
     size_t reader;
   };
   std::vector<HeapEntry> heap_;
+  std::string record_;  ///< the last record read, before its decode
   bool HeapLess(const HeapEntry& a, const HeapEntry& b) const;
   void HeapPush(HeapEntry entry);
   HeapEntry HeapPop();
@@ -144,7 +161,8 @@ class SortOperator : public Operator {
   // Collapse grouping state for the final merge.
   bool have_pending_ = false;
   Tuple pending_;
-  uint64_t pending_code_ = 0;
+  kernels::SortKeyCode pending_code_;
+  Tuple next_;  ///< merge output awaiting its group decision
 
   size_t initial_runs_ = 0;
   size_t intermediate_merges_ = 0;

@@ -355,7 +355,7 @@ Result<std::unique_ptr<Operator>> CompileNode(const LogicalNode& node,
       return std::unique_ptr<Operator>(
           std::make_unique<HashAggregateOperator>(
               state->ctx, std::move(input), gc.group_indices(),
-              std::vector<AggSpec>{AggSpec{AggFn::kCount, 0, "count"}}));
+              std::vector<AggSpec>{AggSpec{"count"}}));
     }
     case LogicalNodeKind::kCountFilter: {
       RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Operator> input,

@@ -66,6 +66,10 @@ void DivisionService::RegisterTenant(const std::string& tenant,
 
 Result<std::shared_ptr<QueryTicket>> DivisionService::Submit(
     const std::string& tenant, QueryRequest request) {
+  // Refused options fail here, before admission, whichever path (cache or
+  // direct plan) would run the query.
+  RELDIV_RETURN_NOT_OK(
+      ValidateDivisionOptions(request.algorithm, request.options));
   // QueryTicket's constructor is private to this friend, which make_shared
   // cannot reach; ownership transfers to the shared_ptr on the same line.
   std::shared_ptr<QueryTicket> ticket(

@@ -112,8 +112,11 @@ class DivisionService {
   /// auto-registered with default TenantOptions on first Submit.
   void RegisterTenant(const std::string& tenant, TenantOptions options);
 
-  /// Enqueues a query. kResourceExhausted when the tenant's bounded FIFO is
-  /// full (admission control) — the caller backs off and resubmits.
+  /// Enqueues a query. InvalidArgument, before the queue is touched, when
+  /// ValidateDivisionOptions refuses the request's algorithm and options
+  /// (the cached path would otherwise ignore them). kResourceExhausted when
+  /// the tenant's bounded FIFO is full (admission control) — the caller
+  /// backs off and resubmits.
   Result<std::shared_ptr<QueryTicket>> Submit(const std::string& tenant,
                                               QueryRequest request);
 

@@ -33,7 +33,7 @@ class AggregateTest : public ::testing::Test {
 TEST_F(AggregateTest, HashAggregateCounts) {
   std::vector<Tuple> input = {T(1, 0), T(2, 0), T(1, 0), T(1, 0), T(3, 0)};
   HashAggregateOperator agg(db_->ctx(), Src(input), {0},
-                            {AggSpec{AggFn::kCount, 0, "n"}}, 3);
+                            {AggSpec{"n"}}, 3);
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
   EXPECT_EQ(Sorted(std::move(out)),
             (std::vector<Tuple>{T(1, 3), T(2, 1), T(3, 1)}));
@@ -42,7 +42,7 @@ TEST_F(AggregateTest, HashAggregateCounts) {
 
 TEST_F(AggregateTest, HashAggregateEmptyInput) {
   HashAggregateOperator agg(db_->ctx(), Src({}), {0},
-                            {AggSpec{AggFn::kCount, 0, "n"}});
+                            {AggSpec{"n"}});
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
   EXPECT_TRUE(out.empty());
 }
@@ -56,7 +56,7 @@ TEST_F(AggregateTest, HashAggregateTableHoldsOnlyOutputGroups) {
     input.push_back(T(rng.UniformInt(0, 49), 1));
   }
   HashAggregateOperator agg(db_->ctx(), Src(input), {0},
-                            {AggSpec{AggFn::kCount, 0, "n"}}, 50);
+                            {AggSpec{"n"}}, 50);
   ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&agg));
   EXPECT_EQ(out.size(), 50u);
   int64_t total = 0;

@@ -1,11 +1,13 @@
 #include "exec/kernels/kernels.h"
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
 #include "common/bitmap.h"
 #include "common/rng.h"
+#include "common/schema.h"
 #include "common/tuple.h"
 #include "common/value.h"
 #include "exec/batch.h"
@@ -257,58 +259,113 @@ TEST(KernelExtractTest, GathersAndRejects) {
   EXPECT_TRUE(out.empty());
 }
 
-// --- Normalized sort keys --------------------------------------------------
+// --- Whole-key sort codes ---------------------------------------------------
 
-TEST(KernelNormalizedKeyTest, OrderConsistentWithValueCompare) {
-  std::vector<Value> values = {
-      Value::Int64(std::numeric_limits<int64_t>::min()),
-      Value::Int64(-1),
-      Value::Int64(0),
-      Value::Int64(1),
-      Value::Int64(std::numeric_limits<int64_t>::max()),
-      Value::Double(-2.5),
-      Value::Double(0.0),
-      Value::Double(3.75),
-      Value::String(""),
-      Value::String("a"),
-      Value::String("ab"),
-      Value::String("abcdefghij"),  // beyond the 8-byte prefix
-      Value::String("abcdefghiz"),  // same prefix, different tail
-      Value::String("b"),
-  };
-  for (const Value& a : values) {
-    for (const Value& b : values) {
-      const uint64_t ka = NormalizedKey(a);
-      const uint64_t kb = NormalizedKey(b);
-      // The one-way invariant: code order implies value order. Equal codes
-      // promise nothing.
-      if (ka < kb) {
-        EXPECT_LT(a.Compare(b), 0)
-            << a.ToString() << " vs " << b.ToString();
-      } else if (ka > kb) {
-        EXPECT_GT(a.Compare(b), 0)
-            << a.ToString() << " vs " << b.ToString();
+/// Tuples of one (int64, int64, int64, string, double) schema that tie and
+/// differ at every key position: both int64 extremes, the signs around
+/// zero, pairs that differ only in their low two bits, strings that tie on
+/// their first eight bytes, and doubles.
+std::vector<Tuple> SortCodeTuples() {
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(), -1, 0, 1, 2,
+                          4, std::numeric_limits<int64_t>::max()};
+  const char* strings[] = {"", "a", "ab", "abcdefghij", "abcdefghiz", "b"};
+  const double doubles[] = {-2.5, 0.0, 3.75};
+  std::vector<Tuple> tuples;
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    tuples.push_back(Tuple{Value::Int64(ints[rng.Uniform(std::size(ints))]),
+                           Value::Int64(ints[rng.Uniform(std::size(ints))]),
+                           Value::Int64(ints[rng.Uniform(std::size(ints))]),
+                           Value::String(strings[rng.Uniform(6)]),
+                           Value::Double(doubles[rng.Uniform(3)])});
+  }
+  return tuples;
+}
+
+const Schema& SortCodeSchema() {
+  static const Schema schema{
+      Field{"a", ValueType::kInt64}, Field{"b", ValueType::kInt64},
+      Field{"c", ValueType::kInt64}, Field{"s", ValueType::kString},
+      Field{"d", ValueType::kDouble}};
+  return schema;
+}
+
+/// Key lists covering every way a code ends: two int64s, one, a reversed
+/// pair, three (the third uncoded), a string after an int64, a string or a
+/// double first, and no keys at all.
+const std::vector<std::vector<size_t>>& SortCodeKeyLists() {
+  static const std::vector<std::vector<size_t>> lists = {
+      {0, 1}, {0}, {1, 0}, {0, 1, 2}, {0, 3}, {3}, {4}, {4, 0}, {}};
+  return lists;
+}
+
+TEST(KernelSortKeyCodeTest, OrderConsistentWithKeyCompare) {
+  const std::vector<Tuple> tuples = SortCodeTuples();
+  for (const std::vector<size_t>& keys : SortCodeKeyLists()) {
+    for (const Tuple& a : tuples) {
+      for (const Tuple& b : tuples) {
+        // The one-way invariant: code order implies key order.
+        const SortKeyCode ka = EncodeSortKey(a, keys);
+        const SortKeyCode kb = EncodeSortKey(b, keys);
+        if (ka < kb) {
+          ASSERT_LT(a.CompareAt(keys, b), 0)
+              << a.ToString() << " vs " << b.ToString();
+        } else if (ka > kb) {
+          ASSERT_GT(a.CompareAt(keys, b), 0)
+              << a.ToString() << " vs " << b.ToString();
+        }
       }
     }
   }
 }
 
-TEST(KernelNormalizedKeyTest, DistinguishesWhereSafe) {
-  // Not required for correctness, but the whole point of the codes: values
-  // separated by more than the two payload bits the type tag displaces must
-  // get distinct codes, or every comparison would fall back to the slow
-  // path.
-  EXPECT_NE(NormalizedKey(Value::Int64(0)), NormalizedKey(Value::Int64(4)));
-  EXPECT_NE(NormalizedKey(Value::Int64(-1000)),
-            NormalizedKey(Value::Int64(1000)));
-  EXPECT_NE(NormalizedKey(Value::String("a")),
-            NormalizedKey(Value::String("b")));
-  // Ints within the same 4-value quantum share a code (the tag costs two
-  // payload bits); the tie is broken by the full comparison.
-  EXPECT_EQ(NormalizedKey(Value::Int64(1)), NormalizedKey(Value::Int64(2)));
-  // Doubles deliberately collapse (NaN makes any prefix unsafe).
-  EXPECT_EQ(NormalizedKey(Value::Double(1.0)),
-            NormalizedKey(Value::Double(2.0)));
+TEST(KernelSortKeyCodeTest, CompleteCodeTieIsKeyTie) {
+  const std::vector<Tuple> tuples = SortCodeTuples();
+  size_t complete_lists = 0;
+  for (const std::vector<size_t>& keys : SortCodeKeyLists()) {
+    if (!SortKeyCodeIsComplete(SortCodeSchema(), keys)) continue;
+    complete_lists++;
+    for (const Tuple& a : tuples) {
+      for (const Tuple& b : tuples) {
+        if (EncodeSortKey(a, keys) == EncodeSortKey(b, keys)) {
+          ASSERT_EQ(a.CompareAt(keys, b), 0)
+              << a.ToString() << " vs " << b.ToString();
+        }
+      }
+    }
+  }
+  // {0, 1}, {0}, {1, 0} and {}: at most two key columns, all int64.
+  EXPECT_EQ(complete_lists, 4u);
+  EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {0, 1, 2}));
+  EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {0, 3}));
+  EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {4}));
+}
+
+TEST(KernelSortKeyCodeTest, DistinguishesWhereSafe) {
+  // Not required for correctness, but the point of the code: int64 keys
+  // differing anywhere, the low two bits included, and strings differing in
+  // their first eight bytes get distinct codes, so those comparisons never
+  // reach the tuples.
+  const auto code = [](const Tuple& t, std::vector<size_t> keys) {
+    return EncodeSortKey(t, keys);
+  };
+  EXPECT_NE(code(T(1, 0), {0}), code(T(2, 0), {0}));
+  EXPECT_NE(code(T(-1000, 0), {0}), code(T(1000, 0), {0}));
+  EXPECT_NE(code(T(7, 1), {0, 1}), code(T(7, 2), {0, 1}));
+  EXPECT_NE(code(T(1, 7), {1, 0}), code(T(2, 7), {1, 0}));
+  EXPECT_LT(code(T(std::numeric_limits<int64_t>::min(), 0), {0}),
+            code(T(std::numeric_limits<int64_t>::max(), 0), {0}));
+  EXPECT_NE(code(Tuple{Value::String("a")}, {0}),
+            code(Tuple{Value::String("b")}, {0}));
+  EXPECT_NE(code(Tuple{Value::Int64(3), Value::String("a")}, {0, 1}),
+            code(Tuple{Value::Int64(3), Value::String("b")}, {0, 1}));
+  // What the code cannot see ties, and the caller compares tuples: a third
+  // int64, string bytes past the eighth, any double.
+  EXPECT_EQ(code(T(1, 2, 3), {0, 1, 2}), code(T(1, 2, 4), {0, 1, 2}));
+  EXPECT_EQ(code(Tuple{Value::String("abcdefghij")}, {0}),
+            code(Tuple{Value::String("abcdefghiz")}, {0}));
+  EXPECT_EQ(code(Tuple{Value::Double(1.0)}, {0}),
+            code(Tuple{Value::Double(2.0)}, {0}));
 }
 
 TEST(KernelLevelTest, DispatchIsResolved) {

@@ -424,6 +424,31 @@ TEST_F(DivisionServiceTest, AdmissionControlBoundsTenantQueues) {
   EXPECT_EQ(service.queries_run(), 3u);
 }
 
+TEST_F(DivisionServiceTest, RefusedOptionsFailAtSubmitOnEitherPath) {
+  MakeDatabase(0);
+  DivisionService service(db_.get(), ServiceOptions{});
+  service.RegisterTenant("t", TenantOptions{1, 1});
+  std::vector<std::string> messages;
+  for (bool bypass_cache : {false, true}) {
+    QueryRequest request = Request();
+    request.algorithm = DivisionAlgorithm::kNaive;
+    request.options.early_output = true;  // hash-division only
+    request.bypass_cache = bypass_cache;
+    Status refused = service.Submit("t", request).status();
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+    messages.push_back(refused.ToString());
+  }
+  EXPECT_EQ(messages[0], messages[1]);
+  // Neither refusal reached admission: nothing was queued or rejected, so
+  // the one-deep queue still admits a valid request.
+  EXPECT_EQ(service.admission_rejects(), 0u);
+  EXPECT_EQ(service.queue_depth_high_water(), 0u);
+  ASSERT_OK_AND_ASSIGN(auto ticket, service.Submit("t", Request()));
+  ASSERT_OK(service.RunUntilIdle());
+  ASSERT_OK(ticket->status());
+  EXPECT_EQ(service.queries_run(), 1u);
+}
+
 TEST_F(DivisionServiceTest, CancelledQueryUnwindsWithCleanStatusAndNoLeaks) {
   MakeDatabase(8 * 1024 * 1024);
   DivisionService service(db_.get(), ServiceOptions{});

@@ -1,7 +1,11 @@
 #include "exec/sort.h"
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "exec/database.h"
@@ -241,6 +245,130 @@ TEST_F(SortTest, ExternalSortOfStringsRoundTrips) {
   for (size_t i = 1; i < output.size(); ++i) {
     EXPECT_LE(output[i - 1].value(0).string_value(),
               output[i].value(0).string_value());
+  }
+}
+
+// --- Whole-key code: differential check against a stable sort --------------
+
+/// Key values the sort's key code must order exactly: both int64 extremes,
+/// the signs around zero, and pairs that differ only in their low two bits.
+Value DrawKeyValue(ValueType type, Rng* rng) {
+  static const int64_t kInts[] = {
+      std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::min() + 1,
+      -5, -4, -1, 0, 1, 2, 3, 4, 5, 4096, 4099,
+      std::numeric_limits<int64_t>::max() - 3,
+      std::numeric_limits<int64_t>::max()};
+  // Strings that tie on their first eight bytes, an embedded NUL, and a
+  // byte above 0x7f (strings order as unsigned bytes).
+  static const std::string kStrings[] = {
+      "", "a", std::string("a\0", 2), "ab", "abcdefgh", "abcdefghA",
+      "abcdefghB", "abcdefgi", "b", "\xff"};
+  static const double kDoubles[] = {-2.5, -0.0, 0.0, 1.0, 1.5, 3.75};
+  switch (type) {
+    case ValueType::kInt64:
+      return Value::Int64(kInts[rng->Uniform(std::size(kInts))]);
+    case ValueType::kString:
+      return Value::String(kStrings[rng->Uniform(std::size(kStrings))]);
+    case ValueType::kDouble:
+      return Value::Double(kDoubles[rng->Uniform(std::size(kDoubles))]);
+  }
+  return Value();
+}
+
+/// One sort-key shape: the key columns' types (an int64 count column follows
+/// them), the sort keys, and the comparison totals recorded for it with the
+/// sort's first-key code, indexed [spilled][collapse]. The code may change
+/// how a comparison is decided, never how many are made.
+struct KeyShape {
+  const char* name;
+  std::vector<ValueType> types;
+  std::vector<size_t> keys;
+  uint64_t comparisons[2][2];
+};
+
+TEST(SortKeyCodeTest, MatchesStableSortAndKeepsComparisonTotals) {
+  constexpr ValueType kI = ValueType::kInt64;
+  constexpr ValueType kS = ValueType::kString;
+  constexpr ValueType kD = ValueType::kDouble;
+  const KeyShape shapes[] = {
+      {"int64", {kI}, {0}, {{4862, 5461}, {6272, 4872}}},
+      {"int64x2", {kI, kI}, {0, 1}, {{6302, 6901}, {6601, 7812}}},
+      {"keys {1, 0}", {kI, kI}, {1, 0}, {{6617, 7216}, {6713, 7927}}},
+      {"int64+string", {kI, kS}, {0, 1}, {{5999, 6598}, {6869, 7516}}},
+      {"string", {kS}, {0}, {{4587, 5186}, {6107, 4593}}},
+      {"double", {kD}, {0}, {{4634, 5233}, {5598, 3896}}},
+      {"int64x3", {kI, kI, kI}, {0, 1, 2}, {{6310, 6909}, {6568, 8848}}},
+  };
+  for (const KeyShape& shape : shapes) {
+    std::vector<Field> fields;
+    for (size_t c = 0; c < shape.types.size(); ++c) {
+      fields.push_back(Field{"k" + std::to_string(c), shape.types[c]});
+    }
+    const size_t count_col = fields.size();
+    fields.push_back(Field{"count", ValueType::kInt64});
+    const Schema schema(fields);
+    // Equal keys make equal tuples (count is always 1), so the unstable
+    // run sort and a stable reference must agree tuple for tuple.
+    Rng rng(11);
+    std::vector<Tuple> input;
+    for (int i = 0; i < 600; ++i) {
+      Tuple t;
+      for (ValueType type : shape.types) t.Append(DrawKeyValue(type, &rng));
+      t.Append(Value::Int64(1));
+      input.push_back(std::move(t));
+    }
+    for (int spilled = 0; spilled < 2; ++spilled) {
+      for (int collapse = 0; collapse < 2; ++collapse) {
+        SCOPED_TRACE(std::string(shape.name) +
+                     (spilled ? " spilled" : " in memory") +
+                     (collapse ? " collapsed" : ""));
+        std::vector<Tuple> expected = input;
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&](const Tuple& a, const Tuple& b) {
+                           return a.CompareAt(shape.keys, b) < 0;
+                         });
+        const auto add_counts = [count_col](Tuple* acc, const Tuple& next) {
+          acc->value(count_col) = Value::Int64(
+              acc->value(count_col).int64() + next.value(count_col).int64());
+        };
+        if (collapse) {
+          std::vector<Tuple> collapsed;
+          for (const Tuple& t : expected) {
+            if (!collapsed.empty() &&
+                collapsed.back().CompareAt(shape.keys, t) == 0) {
+              add_counts(&collapsed.back(), t);
+            } else {
+              collapsed.push_back(t);
+            }
+          }
+          expected = std::move(collapsed);
+        }
+
+        DatabaseOptions options;
+        options.pool_bytes = 0;
+        // 3 KB gives a fan-in of 3 over a dozen runs: intermediate merges.
+        options.sort_space_bytes = spilled ? 3 * 1024 : 1 << 20;
+        ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db,
+                             Database::Open(options));
+        SortSpec spec;
+        spec.keys = shape.keys;
+        spec.collapse_equal_keys = collapse != 0;
+        spec.merge = add_counts;
+        SortOperator sorter(
+            db->ctx(), std::make_unique<MemSourceOperator>(schema, input),
+            spec);
+        ASSERT_OK_AND_ASSIGN(std::vector<Tuple> output, CollectAll(&sorter));
+        EXPECT_EQ(output, expected);
+        if (spilled) {
+          EXPECT_GT(sorter.intermediate_merges(), 0u);
+        } else {
+          EXPECT_EQ(sorter.initial_runs(), 0u);
+        }
+        EXPECT_EQ(db->counters()->comparisons,
+                  shape.comparisons[spilled][collapse]);
+      }
+    }
   }
 }
 
