@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the kernels the four algorithms are
 // built from: bit map operations (word-at-a-time, §3.3 point 4), the
-// scalar-vs-SIMD batched kernels of exec/kernels, chained hash table
-// insert/probe, external sort, and the hash-division core itself.
+// batched probe hash of exec/kernels, chained hash table insert/probe,
+// external sort, and the hash-division core itself.
 
 #include <benchmark/benchmark.h>
 
@@ -60,20 +60,12 @@ void BM_BitmapClearAll(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapClearAll)->Arg(4096)->Arg(1 << 20);
 
-// --- exec/kernels: scalar reference (simd:0) vs AVX2 variant (simd:1) ------
+// --- exec/kernels -----------------------------------------------------------
 //
-// The three kernels the division operators call, timed on flat arrays
-// independent of the operators around them. The SIMD case reports an error
-// row on CPUs without AVX2.
+// The batched probe hash the division operators call, timed on a flat array
+// independent of the operators around it.
 
 constexpr size_t kKernelElements = size_t{1} << 20;
-
-/// True when the case asks for SIMD on a CPU without it (state is skipped).
-bool SkipSimdIfUnavailable(benchmark::State& state) {
-  if (state.range(0) == 0 || kernels::SimdAvailable()) return false;
-  state.SkipWithError("AVX2 not available");
-  return true;
-}
 
 std::vector<int64_t> RandomKeys() {
   Rng rng(3);
@@ -83,54 +75,17 @@ std::vector<int64_t> RandomKeys() {
 }
 
 void BM_KernelHashInt64Keys(benchmark::State& state) {
-  if (SkipSimdIfUnavailable(state)) return;
   const std::vector<int64_t> keys = RandomKeys();
   std::vector<uint64_t> hashes(keys.size());
   for (auto _ : state) {
-    if (state.range(0) == 0) {
-      kernels::HashInt64KeysScalar(keys.data(), keys.size(), hashes.data());
-    } else {
-      kernels::HashInt64KeysSimd(keys.data(), keys.size(), hashes.data());
-    }
+    kernels::HashInt64Keys(keys.data(), keys.size(), hashes.data());
     benchmark::DoNotOptimize(hashes.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(keys.size()));
 }
-BENCHMARK(BM_KernelHashInt64Keys)->ArgName("simd")->Arg(0)->Arg(1);
-
-void BM_KernelAllWordsSet(benchmark::State& state) {
-  if (SkipSimdIfUnavailable(state)) return;
-  // All set: the test has to read every word.
-  const std::vector<uint64_t> words(kKernelElements / 64, ~uint64_t{0});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        state.range(0) == 0
-            ? kernels::AllWordsSetScalar(words.data(), kKernelElements)
-            : kernels::AllWordsSetSimd(words.data(), kKernelElements));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(kKernelElements / 8));
-}
-BENCHMARK(BM_KernelAllWordsSet)->ArgName("simd")->Arg(0)->Arg(1);
-
-void BM_KernelCompareInt64(benchmark::State& state) {
-  if (SkipSimdIfUnavailable(state)) return;
-  const std::vector<int64_t> keys = RandomKeys();
-  std::vector<uint8_t> mask(keys.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        state.range(0) == 0
-            ? kernels::CompareInt64Scalar(keys.data(), keys.size(),
-                                          kernels::CmpOp::kLt, 0, mask.data())
-            : kernels::CompareInt64Simd(keys.data(), keys.size(),
-                                        kernels::CmpOp::kLt, 0, mask.data()));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(keys.size()));
-}
-BENCHMARK(BM_KernelCompareInt64)->ArgName("simd")->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelHashInt64Keys);
 
 struct HashTableFixture {
   HashTableFixture() : db(Database::Open([] {

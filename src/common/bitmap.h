@@ -46,32 +46,6 @@ class Bitmap {
 
   size_t num_bits() const { return num_bits_; }
 
-  /// Word-level view for the batched kernels (exec/kernels operates on raw
-  /// words so it can stay independent of this class).
-  const uint64_t* words() const { return words_; }
-  uint64_t* words() { return words_; }
-  size_t num_words() const { return WordsForBits(num_bits_); }
-
-  /// Sets every bit in `bit_indices`; returns how many were previously
-  /// clear (the early-output variant advances its divisor counter by that
-  /// amount). Duplicate indices within one batch count once, matching a
-  /// tuple-at-a-time loop of Set().
-  size_t SetBatch(const uint32_t* bit_indices, size_t n) {
-    size_t newly_set = 0;
-    for (size_t i = 0; i < n; ++i) {
-      newly_set += Set(bit_indices[i]) ? 1 : 0;
-    }
-    return newly_set;
-  }
-
-  /// True iff every bit in `indices` is set (batched membership probe).
-  bool TestAllSet(const uint32_t* indices, size_t n) const {
-    for (size_t i = 0; i < n; ++i) {
-      if (!Test(indices[i])) return false;
-    }
-    return true;
-  }
-
   /// Clears every bit, one word at a time.
   void ClearAll();
 

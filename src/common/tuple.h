@@ -67,9 +67,9 @@ class Tuple {
     return 0;
   }
 
-  /// Seed of the HashAt combine chain. exec/kernels reproduces the
-  /// composition in closed form for batched hashing, so the seed is named
-  /// rather than buried in the loop.
+  /// Seed of the HashAt combine chain. kernels::HashInt64Key reproduces the
+  /// composition in closed form for batched int64 probe hashing, so the seed
+  /// is named rather than buried in the loop.
   static constexpr uint64_t kHashSeed = 0x51ed270b153a4d2full;
 
   /// Hash over all values.

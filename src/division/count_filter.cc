@@ -1,6 +1,5 @@
 #include "division/count_filter.h"
 
-#include "exec/kernels/kernels.h"
 #include "exec/scan.h"
 
 namespace reldiv {
@@ -40,17 +39,20 @@ Status GroupCountFilterOperator::NextBatch(TupleBatch* batch, bool* has_more) {
   const size_t n = batch->size();
   if (n == 0) return Status::OK();
   const size_t count_col = child_->output_schema().num_fields() - 1;
-  if (!kernels::ExtractInt64Column(*batch, count_col, &counts_)) {
+  bool bad_count = false;
+  batch->Retain([&](const Tuple& tuple) {
+    if (count_col >= tuple.size() ||
+        tuple.value(count_col).type() != ValueType::kInt64) {
+      bad_count = true;
+      return false;
+    }
+    return tuple.value(count_col).int64() == divisor_count_;
+  });
+  if (bad_count) {
     return Status::InvalidArgument(
         "group count filter: last column is not an int64 count");
   }
-  // One counted Comp per input tuple; the kernel only decides them as one
-  // batched compare.
-  ctx_->CountComparisons(n);
-  mask_.resize(n);
-  kernels::CompareInt64(counts_.data(), n, kernels::CmpOp::kEq, divisor_count_,
-                        &mask_[0]);
-  batch->RetainMask(mask_.data());
+  ctx_->CountComparisons(n);  // one Comp per input tuple
   for (Tuple& tuple : *batch) {
     tuple.Resize(tuple.size() - 1);  // project the count column away
   }

@@ -24,9 +24,9 @@ class GroupCountFilterOperator : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Status Open() override;
-  /// The count column is extracted once per batch and compared by the
-  /// kernels::CompareInt64 kernel, survivors compacted in place. One counted
-  /// Comp per input tuple.
+  /// Keeps the groups whose count equals the divisor's cardinality,
+  /// compacted in place; a count that is not an int64 is InvalidArgument.
+  /// One counted Comp per input tuple.
   Status NextBatch(TupleBatch* batch, bool* has_more) override;
   Status Close() override;
 
@@ -36,8 +36,6 @@ class GroupCountFilterOperator : public Operator {
   Relation divisor_;
   Schema schema_;
   int64_t divisor_count_ = 0;
-  std::vector<int64_t> counts_;  ///< NextBatch scratch: extracted count column
-  std::vector<uint8_t> mask_;    ///< NextBatch scratch: compare-kernel output
 };
 
 }  // namespace reldiv

@@ -174,7 +174,7 @@ Status HashDivisionCore::ProbeQuotient(const Tuple& dividend,
           "hash-division: quotient bit map allocation failed");
     }
     quotient_entry->extra = storage;
-    kernels::ClearWords(storage, words);
+    Bitmap::MapOnto(storage, divisor_count_).ClearAll();
     pending->bit_ops += words;
     quotient_entry->num = 0;  // early-output counter (§3.3)
     RELDIV_RETURN_NOT_OK(CheckBudget("quotient table"));
@@ -300,7 +300,7 @@ Status HashDivisionCore::EmitComplete(std::vector<Tuple>* out) {
   PendingCounts pending;
   quotient_table_->ForEach([&](TupleHashTable::Entry* entry) {
     pending.bit_ops += Bitmap::WordsForBits(divisor_count_);
-    if (kernels::AllWordsSet(entry->extra, divisor_count_)) {
+    if (Bitmap::MapOnto(entry->extra, divisor_count_).AllSet()) {
       out->push_back(*entry->tuple);
     }
     return true;

@@ -112,21 +112,6 @@ class TupleBatch {
     return kept;
   }
 
-  /// Retain driven by a precomputed 0/1 mask (one byte per live tuple), the
-  /// output format of the compare kernels. Same stable-compaction semantics
-  /// as Retain.
-  size_t RetainMask(const uint8_t* mask) {
-    size_t kept = 0;
-    for (size_t i = 0; i < size_; ++i) {
-      if (mask[i]) {
-        if (kept != i) slots_[kept].Swap(slots_[i]);
-        kept++;
-      }
-    }
-    size_ = kept;
-    return kept;
-  }
-
  private:
   void ReleaseReservation();
 

@@ -104,25 +104,22 @@ class TupleHashTable {
                                  inserted);
   }
 
-  // --- Staged (vectorized) probe support -----------------------------------
+  // --- Staged probe support -------------------------------------------------
   //
   // A batch-native caller splits a probe into stages across the whole batch:
-  // compute all key hashes (ProbeHash, which does the Hash accounting), issue
-  // bucket prefetches, then walk the chains (FindOrInsertPrehashed). The
-  // counted work per probe is exactly that of FindOrInsertWith — only the
-  // memory stalls overlap.
+  // compute all key hashes, issue bucket prefetches (PrefetchBucket, then
+  // BucketHead), then walk the chains. The hashes come either from
+  // ProbeHash, which charges one Hash each, or from kernels::HashInt64Keys,
+  // whose caller charges the batch with one CountHashes; the chain walks are
+  // FindPrehashedCounted and FindOrInsertPrehashed. The counted work per
+  // probe is exactly that of FindCounted/FindOrInsertWith — only the memory
+  // stalls overlap.
 
   /// Counted probe-hash computation: bumps the Hash counter exactly as
   /// Find/FindOrInsert would before their chain walk.
   uint64_t ProbeHash(const Tuple& probe,
                      const std::vector<size_t>& probe_indices) const {
     return HashKey(probe, probe_indices);
-  }
-
-  /// ProbeHash charging `ctx` (shared-table probe path, see FindCounted).
-  uint64_t ProbeHashCounted(ExecContext* ctx, const Tuple& probe,
-                            const std::vector<size_t>& probe_indices) const {
-    return HashKeyCounted(ctx, probe, probe_indices);
   }
 
   /// Prefetch hint for the bucket-head slot of `hash`. No cost accounting:

@@ -1,5 +1,6 @@
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/bitmap.h"
 #include "common/check.h"
@@ -267,6 +268,25 @@ TEST(BitmapTest, MapOntoExternalStorage) {
   bm.Set(99);
   EXPECT_TRUE(bm.Test(99));
   EXPECT_EQ(bm.CountSet(), 1u);
+}
+
+TEST(BitmapTest, AllSetIgnoresGarbageBeyondWidth) {
+  // Arena storage comes in whole words, so the bits of the last word past
+  // num_bits are unspecified. A set bit there must neither help nor hurt
+  // the all-set scan.
+  for (size_t bits : {size_t{1}, size_t{63}, size_t{65}, size_t{130}}) {
+    const size_t words = Bitmap::WordsForBits(bits);
+    std::vector<uint64_t> storage(words, 0);
+    Bitmap bm = Bitmap::MapOnto(storage.data(), bits);
+    const uint64_t garbage = uint64_t{1} << (bits % 64);
+    storage[words - 1] |= garbage;
+    for (size_t i = 0; i + 1 < bits; ++i) bm.Set(i);
+    EXPECT_FALSE(bm.AllSet()) << "bits=" << bits;  // does not help
+    bm.Set(bits - 1);
+    EXPECT_TRUE(bm.AllSet()) << "bits=" << bits;  // does not hurt
+    storage[words - 1] &= ~garbage;
+    EXPECT_TRUE(bm.AllSet()) << "bits=" << bits;
+  }
 }
 
 TEST(HashTest, Avalanche) {
