@@ -5,7 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,10 +213,12 @@ BENCHMARK(BM_HashDivisionEndToEnd)
     ->Args({100, 100})
     ->Args({400, 400});
 
-/// Console output as usual, plus one BenchRow per benchmark run so the
+/// Console output as usual, plus one BenchRow per benchmark so the
 /// microbenchmarks land in the same BENCH_<name>.json schema as the
-/// experiment binaries (median = p90 = adjusted real ns/iteration;
-/// google-benchmark already aggregates internally).
+/// experiment binaries. Each repetition (--benchmark_repetitions) adds one
+/// adjusted real ns/iteration sample to its benchmark's row, so the row's
+/// median and p90 are taken over the repetitions; google-benchmark's own
+/// aggregate runs are left to the console.
 class JsonFileReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonFileReporter(bench::BenchReporter* report)
@@ -222,23 +227,49 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      bench::BenchRow* row = report_->AddRow(run.benchmark_name());
-      row->wall_ns.push_back(run.GetAdjustedRealTime());
-      row->AddValue("iterations", static_cast<double>(run.iterations));
-      if (run.counters.find("items_per_second") != run.counters.end()) {
-        row->AddValue("items_per_second",
-                      run.counters.at("items_per_second"));
+      if (run.error_occurred || run.run_type == Run::RT_Aggregate) continue;
+      const std::string name = run.benchmark_name();
+      if (samples_.empty() || samples_.back().name != name) {
+        samples_.emplace_back();
+        samples_.back().name = name;
       }
-      if (run.counters.find("bytes_per_second") != run.counters.end()) {
-        row->AddValue("bytes_per_second",
-                      run.counters.at("bytes_per_second"));
+      Samples& samples = samples_.back();
+      samples.wall_ns.push_back(run.GetAdjustedRealTime());
+      samples.iterations = static_cast<double>(run.iterations);
+      for (const char* counter : {"items_per_second", "bytes_per_second"}) {
+        if (run.counters.find(counter) != run.counters.end()) {
+          samples.rates[counter].push_back(run.counters.at(counter));
+        }
+      }
+    }
+  }
+
+  void Finalize() override {
+    ConsoleReporter::Finalize();
+    for (const Samples& samples : samples_) {
+      bench::BenchRow* row = report_->AddRow(samples.name);
+      row->wall_ns = samples.wall_ns;
+      row->AddValue("iterations", samples.iterations);
+      for (const auto& [counter, values] : samples.rates) {
+        std::vector<double> sorted = values;
+        std::sort(sorted.begin(), sorted.end());
+        row->AddValue(counter, sorted[sorted.size() / 2]);
       }
     }
   }
 
  private:
+  /// The repetitions of one benchmark, which google-benchmark reports
+  /// consecutively.
+  struct Samples {
+    std::string name;
+    std::vector<double> wall_ns;
+    double iterations = 0;
+    std::map<std::string, std::vector<double>> rates;
+  };
+
   bench::BenchReporter* report_;
+  std::vector<Samples> samples_;
 };
 
 }  // namespace

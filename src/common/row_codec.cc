@@ -41,6 +41,14 @@ uint64_t LoadLE64(const char* p) {
   return out;
 }
 
+uint32_t LoadLE32(const char* p) {
+  uint32_t out = 0;
+  for (int i = 0; i < 4; ++i) {
+    out |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return out;
+}
+
 // Unchecked little-endian store, the mirror of LoadLE64.
 void StoreLE64(uint64_t v, char* p) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -61,21 +69,17 @@ bool GetU32(Slice payload, size_t* pos, uint32_t* v) {
 
 }  // namespace
 
-Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
-  if (tuple.size() != schema_.num_fields()) {
-    return Status::InvalidArgument("tuple arity " +
-                                   std::to_string(tuple.size()) +
-                                   " does not match schema " +
-                                   schema_.ToString());
-  }
+template <typename ValueAt>
+Status RowCodec::EncodeValues(ValueAt value_at, std::string* out) const {
+  const size_t n = schema_.num_fields();
   if (fixed_width_) {
     // All columns are 8-byte numerics: the row's size is known up front, so
     // the buffer grows once and each value is stored in place.
     const size_t base = out->size();
-    out->resize(base + tuple.size() * 8);
+    out->resize(base + n * 8);
     char* p = out->data() + base;
-    for (size_t i = 0; i < tuple.size(); ++i, p += 8) {
-      const Value& v = tuple.value(i);
+    for (size_t i = 0; i < n; ++i, p += 8) {
+      const Value& v = value_at(i);
       if (v.type() != types_[i]) {
         out->resize(base);
         return Status::InvalidArgument(
@@ -92,9 +96,9 @@ Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
     }
     return Status::OK();
   }
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    const Value& v = tuple.value(i);
-    if (v.type() != schema_.field(i).type) {
+  for (size_t i = 0; i < n; ++i) {
+    const Value& v = value_at(i);
+    if (v.type() != types_[i]) {
       return Status::InvalidArgument(
           "value type mismatch in field '" + schema_.field(i).name + "'");
     }
@@ -118,6 +122,29 @@ Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
     }
   }
   return Status::OK();
+}
+
+Status RowCodec::Encode(const Tuple& tuple, std::string* out) const {
+  if (tuple.size() != schema_.num_fields()) {
+    return Status::InvalidArgument("tuple arity " +
+                                   std::to_string(tuple.size()) +
+                                   " does not match schema " +
+                                   schema_.ToString());
+  }
+  return EncodeValues(
+      [&](size_t i) -> const Value& { return tuple.value(i); }, out);
+}
+
+Status RowCodec::Encode(const Tuple& tuple, const std::vector<size_t>& columns,
+                        std::string* out) const {
+  if (columns.size() != schema_.num_fields()) {
+    return Status::InvalidArgument("column count " +
+                                   std::to_string(columns.size()) +
+                                   " does not match schema " +
+                                   schema_.ToString());
+  }
+  return EncodeValues(
+      [&](size_t i) -> const Value& { return tuple.value(columns[i]); }, out);
 }
 
 Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
@@ -182,6 +209,50 @@ Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
     return Status::Corruption("trailing bytes after decoding record");
   }
   return Status::OK();
+}
+
+size_t RowCodec::RowSize(const char* row) const {
+  if (fixed_width_) return types_.size() * 8;
+  const char* p = row;
+  for (ValueType type : types_) {
+    p += type == ValueType::kString ? 4 + LoadLE32(p) : 8;
+  }
+  return static_cast<size_t>(p - row);
+}
+
+bool RowCodec::PrefixEquals(const char* row, const Tuple& probe,
+                            const std::vector<size_t>& columns) const {
+  const char* p = row;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Value& v = probe.value(columns[i]);
+    // Value::Compare's rule: the type tag first, then the value.
+    if (v.type() != types_[i]) return false;
+    switch (types_[i]) {
+      case ValueType::kInt64:
+        if (v.int64() != static_cast<int64_t>(LoadLE64(p))) return false;
+        p += 8;
+        break;
+      case ValueType::kDouble: {
+        const uint64_t bits = LoadLE64(p);
+        double d;
+        std::memcpy(&d, &bits, sizeof(d));
+        if (v.double_value() < d || v.double_value() > d) return false;
+        p += 8;
+        break;
+      }
+      case ValueType::kString: {
+        const uint32_t len = LoadLE32(p);
+        const std::string& str = v.string_value();
+        if (str.size() != len ||
+            (len != 0 && std::memcmp(str.data(), p + 4, len) != 0)) {
+          return false;
+        }
+        p += 4 + len;
+        break;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace reldiv

@@ -33,10 +33,30 @@ class RowCodec {
   /// schema/tuple mismatch.
   Status Encode(const Tuple& tuple, std::string* out) const;
 
+  /// Appends the encoding of `tuple`'s `columns`, in that order, as one row
+  /// of this schema — the row of `tuple.Project(columns)` without building
+  /// that tuple.
+  Status Encode(const Tuple& tuple, const std::vector<size_t>& columns,
+                std::string* out) const;
+
   /// Decodes one record payload into `tuple`.
   Status Decode(Slice payload, Tuple* tuple) const;
 
+  /// Byte length of the row Encode wrote at `row`. Trusted input: string
+  /// lengths are read, not checked.
+  size_t RowSize(const char* row) const;
+
+  /// True iff the first `columns.size()` fields of the row at `row` equal
+  /// `probe`'s `columns`, compared in place without decoding the row, as
+  /// Value::Compare decides: type tag first, then the value. Trusted input,
+  /// like RowSize; `columns` may not outnumber the schema's fields.
+  bool PrefixEquals(const char* row, const Tuple& probe,
+                    const std::vector<size_t>& columns) const;
+
  private:
+  template <typename ValueAt>
+  Status EncodeValues(ValueAt value_at, std::string* out) const;
+
   Schema schema_;
   std::vector<ValueType> types_;  ///< densely packed field types (hot loop)
   bool fixed_width_ = false;      ///< no string fields: 8 bytes per column

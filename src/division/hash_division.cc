@@ -39,11 +39,10 @@ Status HashDivisionCore::BuildDivisorTable(Operator* divisor,
   };
   divisor_count_ = 0;
 
-  auto insert = [&](Tuple tuple) -> Status {
+  auto insert = [&](const Tuple& tuple) -> Status {
     bool inserted = false;
     RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
-                            divisor_table_->FindOrInsert(std::move(tuple),
-                                                         &inserted));
+                            divisor_table_->FindOrInsert(tuple, &inserted));
     if (inserted) {
       // Assign the tuple's divisor number and count it (Figure 1, step 1);
       // a rejected duplicate gets no number (§3.3, point 5).
@@ -69,7 +68,7 @@ Status HashDivisionCore::BuildDivisorTable(Operator* divisor,
               continue;
             }
           }
-          RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
+          RELDIV_RETURN_NOT_OK(insert(tuple));
         }
         return Status::OK();
       },
@@ -77,8 +76,8 @@ Status HashDivisionCore::BuildDivisorTable(Operator* divisor,
         if (table_ready) return Status::OK();
         make_table(pending.size(),
                    pending.empty() ? 1 : pending.front().size());
-        for (Tuple& tuple : pending) {
-          RELDIV_RETURN_NOT_OK(insert(std::move(tuple)));
+        for (const Tuple& tuple : pending) {
+          RELDIV_RETURN_NOT_OK(insert(tuple));
         }
         return Status::OK();
       }));
@@ -150,20 +149,11 @@ Status HashDivisionCore::ResetQuotientTable(uint64_t expected_cardinality) {
   return Status::OK();
 }
 
-Status HashDivisionCore::ProbeQuotient(const Tuple& dividend,
-                                       uint64_t divisor_number,
-                                       uint64_t quotient_hash,
-                                       std::vector<Tuple>* early_out,
-                                       PendingCounts* pending) {
-  // Probe / extend the quotient table on the quotient attributes; the
-  // candidate tuple is materialized only when the probe misses, so repeat
-  // candidates cost no projection.
-  bool inserted = false;
-  RELDIV_ASSIGN_OR_RETURN(
-      TupleHashTable::Entry * quotient_entry,
-      quotient_table_->FindOrInsertPrehashed(
-          dividend, quotient_attrs_, quotient_hash,
-          [&] { return dividend.Project(quotient_attrs_); }, &inserted));
+Status HashDivisionCore::ExtendCandidate(TupleHashTable::Entry* quotient_entry,
+                                         bool inserted,
+                                         uint64_t divisor_number,
+                                         std::vector<Tuple>* early_out,
+                                         PendingCounts* pending) {
   if (inserted) {
     // Create and clear the candidate's bit map (a word at a time).
     const size_t words = Bitmap::WordsForBits(divisor_count_);
@@ -195,7 +185,7 @@ Status HashDivisionCore::ProbeQuotient(const Tuple& dividend,
         << "early-output counter overran the divisor cardinality";
     pending->comparisons += 1;
     if (quotient_entry->num == divisor_count_ && early_out != nullptr) {
-      early_out->push_back(*quotient_entry->tuple);
+      early_out->push_back(quotient_table_->Decode(quotient_entry));
       early_emits_++;
     }
   }
@@ -235,6 +225,9 @@ Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
   // equals Tuple::HashAt bit for bit (kernels.h pins this), and the batched
   // CountHashes charges — one per divisor probe, one per matched tuple's
   // quotient probe — total exactly what the generic loop charges per tuple.
+  // Both probes then decide on the extracted keys' codes
+  // (kernels::Int64KeyCode), so no chain walk reads a stored or a dividend
+  // tuple.
   const bool kernel_path =
       match_attrs_.size() == 1 && quotient_attrs_.size() == 1 &&
       kernels::ExtractInt64Column(batch, match_attrs_[0], &match_keys_) &&
@@ -247,8 +240,8 @@ Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
     quotient_keys_matched_.clear();
     size_t i = 0;
     for (const Tuple& dividend : batch) {
-      TupleHashTable::Entry* divisor_entry = divisor_view_->FindPrehashedCounted(
-          ctx_, dividend, match_attrs_, match_hashes_[i]);
+      TupleHashTable::Entry* divisor_entry = divisor_view_->FindInt64Counted(
+          ctx_, match_keys_[i], match_hashes_[i]);
       if (divisor_entry != nullptr) {
         staged_.push_back({&dividend, divisor_entry->num, 0});
         quotient_keys_matched_.push_back(quotient_col_[i]);
@@ -280,9 +273,24 @@ Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
   for (const StagedProbe& staged : staged_) {
     TupleHashTable::Prefetch(quotient_table_->BucketHead(staged.quotient_hash));
   }
-  for (const StagedProbe& staged : staged_) {
-    Status status = ProbeQuotient(*staged.dividend, staged.divisor_number,
-                                  staged.quotient_hash, early_out, &pending);
+  for (size_t j = 0; j < staged_.size(); ++j) {
+    // Probe / extend the quotient table on the quotient attributes; the
+    // candidate is stored only when the probe misses, and the kernel path
+    // decides on the extracted key's code without reading a tuple.
+    const StagedProbe& staged = staged_[j];
+    bool inserted = false;
+    Result<TupleHashTable::Entry*> candidate =
+        kernel_path ? quotient_table_->FindOrInsertInt64(
+                          quotient_keys_matched_[j], staged.quotient_hash,
+                          &inserted)
+                    : quotient_table_->FindOrInsertPrehashed(
+                          *staged.dividend, quotient_attrs_,
+                          staged.quotient_hash, &inserted);
+    Status status = candidate.ok()
+                        ? ExtendCandidate(candidate.value(), inserted,
+                                          staged.divisor_number, early_out,
+                                          &pending)
+                        : candidate.status();
     if (!status.ok()) {
       FlushCounts(pending);
       return status;
@@ -301,7 +309,7 @@ Status HashDivisionCore::EmitComplete(std::vector<Tuple>* out) {
   quotient_table_->ForEach([&](TupleHashTable::Entry* entry) {
     pending.bit_ops += Bitmap::WordsForBits(divisor_count_);
     if (Bitmap::MapOnto(entry->extra, divisor_count_).AllSet()) {
-      out->push_back(*entry->tuple);
+      out->push_back(quotient_table_->Decode(entry));
     }
     return true;
   });

@@ -108,15 +108,18 @@ class HashDivisionCore {
   /// tables' arenas. Called only when a table grew, so probe hits are free.
   Status CheckBudget(const char* stage) const;
 
-  /// The quotient-table half of one dividend tuple's step 2, with the
-  /// (already counted) quotient key hash supplied by the caller.
-  Status ProbeQuotient(const Tuple& dividend, uint64_t divisor_number,
-                       uint64_t quotient_hash, std::vector<Tuple>* early_out,
-                       PendingCounts* pending);
+  /// The bit-map half of one dividend tuple's step 2, after its
+  /// quotient-table probe found or `inserted` `quotient_entry`: a new
+  /// candidate gets a cleared bit map, then `divisor_number`'s bit is set.
+  Status ExtendCandidate(TupleHashTable::Entry* quotient_entry, bool inserted,
+                         uint64_t divisor_number,
+                         std::vector<Tuple>* early_out,
+                         PendingCounts* pending);
   void FlushCounts(const PendingCounts& pending);
 
   /// Scratch for ConsumeBatch's staged probe: dividend tuples that matched a
-  /// divisor tuple, awaiting their quotient-table chain walk.
+  /// divisor tuple, awaiting their quotient-table chain walk (on the kernel
+  /// path, by the key in quotient_keys_matched_ at the same index).
   struct StagedProbe {
     const Tuple* dividend;
     uint64_t divisor_number;

@@ -32,15 +32,14 @@ Status HashAggregateOperator::Open() {
                                             std::move(stored_keys), buckets);
   table_->set_growable(expected_groups_ == 0);
   states_.clear();
-  group_order_.clear();
   emit_pos_ = 0;
 
   // Batched, staged build: all probe hashes of a batch first (each counted
   // exactly as FindOrInsert's hash), bucket and chain-head prefetches next,
   // chain walks last. Hash values and Comp counts per tuple are identical to
   // the tuple-at-a-time FindOrInsert — the probe columns equal the stored
-  // group key — so bucket order (the output order) is unchanged. The group
-  // tuple is now materialized only on a miss.
+  // group key — so bucket order (the output order) is unchanged. A miss
+  // stores the group columns straight from the input tuple.
   RELDIV_RETURN_NOT_OK(Drain(
       child_.get(), &input_batch_, ctx_, [&](TupleBatch& batch) -> Status {
         const size_t n = batch.size();
@@ -57,23 +56,21 @@ Status HashAggregateOperator::Open() {
           bool inserted = false;
           RELDIV_ASSIGN_OR_RETURN(
               TupleHashTable::Entry * entry,
-              table_->FindOrInsertPrehashed(
-                  tuple, group_indices_, hashes_[i],
-                  [&] { return tuple.Project(group_indices_); }, &inserted));
+              table_->FindOrInsertPrehashed(tuple, group_indices_, hashes_[i],
+                                            &inserted));
           if (inserted) {
             entry->num = states_.size();
             states_.emplace_back(aggs_);
-            group_order_.push_back(entry->tuple);
           }
           states_[entry->num].Update(aggs_);
         }
         return Status::OK();
       }));
 
-  // Freeze emit order as (group tuple, state) pairs in bucket order.
+  // Freeze emit order: the group entries in bucket order.
   emit_entries_.clear();
   table_->ForEach([this](TupleHashTable::Entry* entry) {
-    emit_entries_.emplace_back(entry->tuple, entry->num);
+    emit_entries_.push_back(entry);
     return true;
   });
   return Status::OK();
@@ -84,9 +81,9 @@ Status HashAggregateOperator::Step(Tuple* tuple, bool* has_next) {
     *has_next = false;
     return Status::OK();
   }
-  const auto& [group, state_index] = emit_entries_[emit_pos_++];
-  *tuple = *group;
-  states_[state_index].Finish(aggs_, tuple);
+  const TupleHashTable::Entry* group = emit_entries_[emit_pos_++];
+  *tuple = table_->Decode(group);
+  states_[group->num].Finish(aggs_, tuple);
   *has_next = true;
   return Status::OK();
 }

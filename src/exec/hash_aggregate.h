@@ -49,8 +49,7 @@ class HashAggregateOperator : public Operator {
   TupleBatch input_batch_{1};  ///< build-phase pull buffer, pool-charged
   std::vector<uint64_t> hashes_;  ///< staged-probe scratch, one per tuple
   std::vector<AggState> states_;
-  std::vector<const Tuple*> group_order_;
-  std::vector<std::pair<const Tuple*, size_t>> emit_entries_;
+  std::vector<const TupleHashTable::Entry*> emit_entries_;  ///< bucket order
   size_t emit_pos_ = 0;
 };
 

@@ -43,9 +43,9 @@ Status HashJoinOperator::Open() {
   RELDIV_RETURN_NOT_OK(Drain(
       build_.get(), ctx_->batch_capacity(), ctx_,
       [&](TupleBatch& batch) -> Status {
-        for (Tuple& tuple : batch) {
+        for (const Tuple& tuple : batch) {
           RELDIV_ASSIGN_OR_RETURN(TupleHashTable::Entry * entry,
-                                  table_->Insert(std::move(tuple)));
+                                  table_->Insert(tuple));
           (void)entry;
         }
         return Status::OK();
@@ -60,20 +60,15 @@ Status HashJoinOperator::Open() {
 Status HashJoinOperator::Step(Tuple* tuple, bool* has_next) {
   while (true) {
     if (mode_ == HashJoinMode::kInner && match_cursor_ != nullptr) {
-      // Continue fanning out matches for the current probe tuple.
-      TupleHashTable::Entry* e = match_cursor_;
-      match_cursor_ = match_cursor_->next;
-      while (match_cursor_ != nullptr) {
-        ctx_->CountComparisons(1);
-        if (current_probe_.CompareProjected(probe_keys_,
-                                            *match_cursor_->tuple,
-                                            build_keys_) == 0) {
-          break;
-        }
-        match_cursor_ = match_cursor_->next;
-      }
+      // Continue fanning out matches for the current probe tuple, by the
+      // table's own equality rule.
+      const TupleHashTable::Entry* e = match_cursor_;
+      match_cursor_ =
+          table_->NextMatch(ctx_, match_cursor_, current_probe_, probe_keys_);
+      const Tuple build = table_->Decode(e);
       std::vector<Value> values = current_probe_.values();
-      for (const Value& v : e->tuple->values()) values.push_back(v);
+      values.insert(values.end(), build.values().begin(),
+                    build.values().end());
       *tuple = Tuple(std::move(values));
       *has_next = true;
       return Status::OK();

@@ -36,8 +36,7 @@ SortKeyCode EncodeSortKey(const Tuple& tuple,
     if (filled == 2) break;
     const Value& v = tuple.value(key);
     if (v.type() == ValueType::kInt64) {
-      // The sign-flipped bijection: unsigned order is signed order.
-      words[filled++] = static_cast<uint64_t>(v.int64()) ^ (uint64_t{1} << 63);
+      words[filled++] = Int64CodeWord(v.int64());
       continue;
     }
     if (v.type() == ValueType::kString) {

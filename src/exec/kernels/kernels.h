@@ -79,6 +79,18 @@ struct SortKeyCode {
 
 SortKeyCode EncodeSortKey(const Tuple& tuple, const std::vector<size_t>& keys);
 
+/// The sign-flipped bits of an int64 key column: unsigned order is signed
+/// order.
+inline uint64_t Int64CodeWord(int64_t key) {
+  return static_cast<uint64_t>(key) ^ (uint64_t{1} << 63);
+}
+
+/// EncodeSortKey of a key that is one int64 column, in closed form, so a
+/// batched probe codes the int64 column it already extracted.
+inline SortKeyCode Int64KeyCode(int64_t key) {
+  return SortKeyCode{Int64CodeWord(key), 0};
+}
+
 /// True iff EncodeSortKey codes `keys` of a `schema` tuple exactly: every key
 /// column is int64 and there are at most two of them.
 bool SortKeyCodeIsComplete(const Schema& schema,

@@ -41,8 +41,11 @@ DivisionStats EstimateDivisionStats(const ResolvedDivision& resolved,
 
 namespace {
 
-/// Rough per-entry bytes for the in-memory hash tables (chain element +
-/// tuple estimate + bit-map share); used for the overflow prediction.
+/// Rough per-entry bytes for the in-memory hash tables; used for the
+/// overflow prediction. A TupleHashTable entry is charged exactly its 48-byte
+/// header plus its flat row (56 bytes for one int64 column); the margin
+/// above that covers wider and string keys and arena chunk tails. The bit
+/// maps are added separately below.
 constexpr double kHashEntryBytes = 96;
 
 }  // namespace

@@ -170,7 +170,7 @@ fi
 stage "release build+ctest" build_and_test release
 
 # Runs every bench binary on its RELDIV_BENCH_SMOKE workload (micro_kernels
-# on one fast kernel), then schema-checks the emitted BENCH_*.json files and
+# on one fast bit-map kernel and the hash-table probe path), then schema-checks the emitted BENCH_*.json files and
 # self-diffs the result set. Catches bench bit-rot and reporter schema drift
 # without paying for the full experiment grid.
 bench_smoke() {
@@ -186,9 +186,10 @@ bench_smoke() {
     RELDIV_BENCH_SMOKE=1 RELDIV_BENCH_DIR="$out" "build/bench/$b" \
       >/dev/null || { rm -rf "$out"; return 1; }
   done
-  echo "-- micro_kernels (BM_BitmapSet/64 only)"
+  echo "-- micro_kernels (BM_BitmapSet/64 and BM_HashTableProbe/1000 only)"
   RELDIV_BENCH_DIR="$out" build/bench/micro_kernels \
-    --benchmark_filter='BM_BitmapSet/64' --benchmark_min_time=0.01 \
+    --benchmark_filter='^BM_BitmapSet/64$|^BM_HashTableProbe/1000$' \
+    --benchmark_min_time=0.01 \
     >/dev/null || { rm -rf "$out"; return 1; }
   local status=0
   python3 tools/bench_report.py validate "$out" || status=1
