@@ -73,7 +73,7 @@ template <typename ValueAt>
 Status RowCodec::EncodeValues(ValueAt value_at, std::string* out) const {
   const size_t n = schema_.num_fields();
   if (fixed_width_) {
-    // All columns are 8-byte numerics: the row's size is known up front, so
+    // All columns are int64: the row's size is known up front, so
     // the buffer grows once and each value is stored in place.
     const size_t base = out->size();
     out->resize(base + n * 8);
@@ -85,14 +85,7 @@ Status RowCodec::EncodeValues(ValueAt value_at, std::string* out) const {
         return Status::InvalidArgument(
             "value type mismatch in field '" + schema_.field(i).name + "'");
       }
-      uint64_t bits;
-      if (types_[i] == ValueType::kInt64) {
-        bits = static_cast<uint64_t>(v.int64());
-      } else {
-        const double d = v.double_value();
-        std::memcpy(&bits, &d, sizeof(bits));
-      }
-      StoreLE64(bits, p);
+      StoreLE64(static_cast<uint64_t>(v.int64()), p);
     }
     return Status::OK();
   }
@@ -106,13 +99,6 @@ Status RowCodec::EncodeValues(ValueAt value_at, std::string* out) const {
       case ValueType::kInt64:
         PutU64(static_cast<uint64_t>(v.int64()), out);
         break;
-      case ValueType::kDouble: {
-        uint64_t bits;
-        double d = v.double_value();
-        std::memcpy(&bits, &d, sizeof(bits));
-        PutU64(bits, out);
-        break;
-      }
       case ValueType::kString: {
         const std::string& s = v.string_value();
         PutU32(static_cast<uint32_t>(s.size()), out);
@@ -149,7 +135,7 @@ Status RowCodec::Encode(const Tuple& tuple, const std::vector<size_t>& columns,
 
 Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
   if (fixed_width_) {
-    // All columns are 8-byte numerics: one bounds check for the whole row,
+    // All columns are int64: one bounds check for the whole row,
     // values overwritten in place so a reused tuple costs no allocation.
     const size_t n = schema_.num_fields();
     if (payload.size() != n * 8) {
@@ -158,14 +144,7 @@ Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
     tuple->Resize(n);
     const char* p = payload.data();
     for (size_t i = 0; i < n; ++i, p += 8) {
-      const uint64_t bits = LoadLE64(p);
-      if (types_[i] == ValueType::kInt64) {
-        tuple->value(i).SetInt64(static_cast<int64_t>(bits));
-      } else {
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple->value(i).SetDouble(d);
-      }
+      tuple->value(i).SetInt64(static_cast<int64_t>(LoadLE64(p)));
     }
     return Status::OK();
   }
@@ -179,16 +158,6 @@ Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
           return Status::Corruption("truncated int64 field");
         }
         tuple->Append(Value::Int64(static_cast<int64_t>(v)));
-        break;
-      }
-      case ValueType::kDouble: {
-        uint64_t bits;
-        if (!GetU64(payload, &pos, &bits)) {
-          return Status::Corruption("truncated double field");
-        }
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple->Append(Value::Double(d));
         break;
       }
       case ValueType::kString: {
@@ -232,14 +201,6 @@ bool RowCodec::PrefixEquals(const char* row, const Tuple& probe,
         if (v.int64() != static_cast<int64_t>(LoadLE64(p))) return false;
         p += 8;
         break;
-      case ValueType::kDouble: {
-        const uint64_t bits = LoadLE64(p);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        if (v.double_value() < d || v.double_value() > d) return false;
-        p += 8;
-        break;
-      }
       case ValueType::kString: {
         const uint32_t len = LoadLE32(p);
         const std::string& str = v.string_value();

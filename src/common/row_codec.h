@@ -12,7 +12,7 @@
 namespace reldiv {
 
 /// Serializes tuples to the byte format stored in record files:
-/// int64/double as 8 bytes little-endian, strings as a 4-byte length prefix
+/// int64 as 8 bytes little-endian, strings as a 4-byte length prefix
 /// followed by the bytes. Encoding is schema-driven; decoding verifies that
 /// the payload is consistent with the schema and returns Corruption
 /// otherwise.

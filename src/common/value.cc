@@ -1,7 +1,5 @@
 #include "common/value.h"
 
-#include <cstdio>
-
 #include "common/hash.h"
 
 namespace reldiv {
@@ -10,8 +8,6 @@ const char* ValueTypeName(ValueType type) {
   switch (type) {
     case ValueType::kInt64:
       return "int64";
-    case ValueType::kDouble:
-      return "double";
     case ValueType::kString:
       return "string";
   }
@@ -22,11 +18,6 @@ std::string Value::ToString() const {
   switch (type_) {
     case ValueType::kInt64:
       return std::to_string(int64_);
-    case ValueType::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", double_);
-      return buf;
-    }
     case ValueType::kString:
       return string_;
   }

@@ -12,13 +12,14 @@ namespace reldiv {
 /// Column data types supported by the engine. The paper's experiments use
 /// small fixed-width records (8-byte divisor/quotient, 16-byte dividend),
 /// which map onto kInt64 columns; strings support the university examples.
+/// The tag is mixed into every value hash, so the numbers are fixed: a
+/// renumbering would move every hash partition and bucket.
 enum class ValueType : uint8_t {
   kInt64 = 0,
-  kDouble = 1,
   kString = 2,
 };
 
-/// Name of a value type ("int64", "double", "string").
+/// Name of a value type ("int64", "string").
 const char* ValueTypeName(ValueType type);
 
 /// A single typed column value. Cheap to copy for numeric payloads; strings
@@ -29,13 +30,11 @@ class Value {
  public:
   Value() : type_(ValueType::kInt64), int64_(0) {}
   static Value Int64(int64_t v) { return Value(v); }
-  static Value Double(double v) { return Value(v); }
   static Value String(std::string v) { return Value(std::move(v)); }
 
   ValueType type() const { return type_; }
 
   int64_t int64() const { return int64_; }
-  double double_value() const { return double_; }
   const std::string& string_value() const { return string_; }
 
   /// Overwrites the value in place without reallocating (decode hot path).
@@ -43,11 +42,6 @@ class Value {
     if (!string_.empty()) string_.clear();
     type_ = ValueType::kInt64;
     int64_ = v;
-  }
-  void SetDouble(double v) {
-    if (!string_.empty()) string_.clear();
-    type_ = ValueType::kDouble;
-    double_ = v;
   }
 
   /// Three-way comparison; types compare by tag first, then by value.
@@ -60,10 +54,6 @@ class Value {
       case ValueType::kInt64:
         if (int64_ < other.int64_) return -1;
         if (int64_ > other.int64_) return 1;
-        return 0;
-      case ValueType::kDouble:
-        if (double_ < other.double_) return -1;
-        if (double_ > other.double_) return 1;
         return 0;
       case ValueType::kString:
         return string_.compare(other.string_) < 0
@@ -80,19 +70,13 @@ class Value {
     switch (type_) {
       case ValueType::kInt64:
         return HashCombine(tag, Hash64(static_cast<uint64_t>(int64_)));
-      case ValueType::kDouble: {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(double));
-        __builtin_memcpy(&bits, &double_, sizeof(bits));
-        return HashCombine(tag, Hash64(bits));
-      }
       case ValueType::kString:
         return HashCombine(tag, HashBytes(string_.data(), string_.size()));
     }
     return 0;
   }
 
-  /// Renders the value for diagnostics ("42", "3.5", "abc").
+  /// Renders the value for diagnostics ("42", "abc").
   std::string ToString() const;
 
   friend bool operator==(const Value& a, const Value& b) {
@@ -105,15 +89,11 @@ class Value {
 
  private:
   explicit Value(int64_t v) : type_(ValueType::kInt64), int64_(v) {}
-  explicit Value(double v) : type_(ValueType::kDouble), double_(v) {}
   explicit Value(std::string v)
       : type_(ValueType::kString), int64_(0), string_(std::move(v)) {}
 
   ValueType type_;
-  union {
-    int64_t int64_;
-    double double_;
-  };
+  int64_t int64_;
   std::string string_;
 };
 

@@ -317,6 +317,16 @@ Status HashDivisionCore::EmitComplete(std::vector<Tuple>* out) {
   return Status::OK();
 }
 
+Status HashDivisionCore::DivideCluster(Operator* input,
+                                       uint64_t expected_cardinality,
+                                       std::vector<Tuple>* out) {
+  RELDIV_RETURN_NOT_OK(ResetQuotientTable(expected_cardinality));
+  RELDIV_RETURN_NOT_OK(Drain(
+      input, ctx_->batch_capacity(), ctx_,
+      [&](TupleBatch& batch) { return ConsumeBatch(batch, out); }));
+  return EmitComplete(out);
+}
+
 HashDivisionOperator::HashDivisionOperator(
     ExecContext* ctx, std::unique_ptr<Operator> dividend,
     std::unique_ptr<Operator> divisor, std::vector<size_t> match_attrs,

@@ -78,6 +78,16 @@ class HashDivisionCore {
   /// were produced eagerly.
   Status EmitComplete(std::vector<Tuple>* out);
 
+  /// Steps 2 and 3 over one cluster of the dividend, the one cluster call
+  /// of §3.4 phases, the collection phase and §6 nodes: resets the quotient
+  /// table with `expected_cardinality` (ResetQuotientTable's hint), drains
+  /// `input` into ConsumeBatch with `out` as the early-output sink, and
+  /// emits the complete candidates into `out`. `input` is read with Drain()
+  /// on this core's context, so it is closed on every path after a good
+  /// Open.
+  Status DivideCluster(Operator* input, uint64_t expected_cardinality,
+                       std::vector<Tuple>* out);
+
   uint64_t divisor_count() const { return divisor_count_; }
   size_t quotient_candidates() const {
     return quotient_table_ == nullptr ? 0 : quotient_table_->size();

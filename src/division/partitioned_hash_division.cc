@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "common/check.h"
-#include "common/hash.h"
 #include "common/metric_names.h"
 #include "common/row_codec.h"
 #include "division/hash_division.h"
 #include "exec/exchange.h"
-#include "exec/mem_source.h"
 #include "exec/scan.h"
 #include "obs/event_log.h"
 #include "obs/telemetry.h"
@@ -28,62 +25,35 @@ constexpr size_t kMaxRepartitionDepth = 16;
 /// before the ResourceExhausted is accepted as final.
 constexpr size_t kMaxRestarts = 6;
 
-/// Maps a tuple to its cluster: a hash of the key columns modulo the
-/// partition count, which with salt 0 is HashPartitionOf. A non-zero salt
-/// (the recursion depth) perturbs the hash: a recursive re-split of an
-/// overflowing cluster must not reproduce the parent partitioning, or every
-/// tuple would land in the same half again.
-struct ClusterAssigner {
-  std::vector<size_t> attrs;
-  size_t num_partitions = 1;
-  uint64_t salt = 0;
-
-  size_t operator()(ExecContext* ctx, const Tuple& tuple) const {
-    ctx->CountHashes(1);
-    if (salt == 0) return HashPartitionOf(tuple, attrs, num_partitions);
-    return HashCombine(tuple.HashAt(attrs), salt) % num_partitions;
-  }
-};
-
-/// Drains `input` into temporary record files under `assigner`.
-Result<std::vector<std::unique_ptr<RecordFile>>> PartitionStream(
-    ExecContext* ctx, Operator* input, const ClusterAssigner& assigner,
-    const std::string& label) {
+/// §3.4 partitioning into temporary cluster files: DrainAndRoute (salted by
+/// `salt`) places each tuple of `input` by its `attrs`, and the store step
+/// appends it to its cluster's file in input order, so page writes and
+/// seeks follow the tuple order.
+Result<std::vector<std::unique_ptr<RecordFile>>> SpillClusters(
+    ExecContext* ctx, Operator* input, const std::vector<size_t>& attrs,
+    size_t num_partitions, uint64_t salt, const std::string& label) {
   std::vector<std::unique_ptr<RecordFile>> clusters;
-  clusters.reserve(assigner.num_partitions);
-  for (size_t i = 0; i < assigner.num_partitions; ++i) {
+  clusters.reserve(num_partitions);
+  for (size_t i = 0; i < num_partitions; ++i) {
     clusters.push_back(std::make_unique<RecordFile>(
         ctx->disk(), ctx->buffer_manager(),
         label + "-cluster-" + std::to_string(i)));
   }
-  RowCodec codec(input->output_schema());
+  const RowCodec codec(input->output_schema());
   std::string buffer;
-  RELDIV_RETURN_NOT_OK(Drain(
-      input, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) -> Status {
-        for (const Tuple& tuple : batch) {
-          const size_t p = assigner(ctx, tuple);
-          // §3.4: the partitioning function must map every tuple into one
-          // of the declared clusters, or the overflow pass would drop
-          // tuples.
-          RELDIV_DCHECK_LT(p, assigner.num_partitions)
-              << "cluster assigner produced an out-of-range partition";
+  RELDIV_RETURN_NOT_OK(DrainAndRoute(
+      ctx, input, attrs, num_partitions, salt,
+      [&](const TupleBatch& batch, const std::vector<size_t>& to) -> Status {
+        for (size_t i = 0; i < batch.size(); ++i) {
           buffer.clear();
-          RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &buffer));
+          RELDIV_RETURN_NOT_OK(codec.Encode(batch.tuple(i), &buffer));
           RELDIV_ASSIGN_OR_RETURN(Rid rid,
-                                  clusters[p]->Append(Slice(buffer)));
+                                  clusters[to[i]]->Append(Slice(buffer)));
           (void)rid;
         }
         return Status::OK();
       }));
   return clusters;
-}
-
-/// Partitions the stored relation `input` into temporary record files.
-Result<std::vector<std::unique_ptr<RecordFile>>> PartitionRelation(
-    ExecContext* ctx, const Relation& input, const ClusterAssigner& assigner,
-    const std::string& label) {
-  ScanOperator scan(ctx, input);
-  return PartitionStream(ctx, &scan, assigner, label);
 }
 
 /// Counts one recursive split (§3.4 overflow recovery) in the process-wide
@@ -120,15 +90,9 @@ Status CollectLevel(ExecContext* ctx, Operator* tagged,
     }
     RELDIV_RETURN_NOT_OK(
         collector.BuildDivisorTableFromNumbered(numbered, tags.size()));
-    status = collector.ResetQuotientTable(expected_cardinality);
     // Drain() closes `tagged` on every path, so a split below may reopen it.
-    if (status.ok()) {
-      status = Drain(tagged, ctx->batch_capacity(), ctx,
-                     [&](TupleBatch& batch) {
-                       return collector.ConsumeBatch(batch, nullptr);
-                     });
-    }
-    if (status.ok()) return collector.EmitComplete(out);
+    status = collector.DivideCluster(tagged, expected_cardinality, out);
+    if (status.ok()) return status;
   }
   if (status.code() != StatusCode::kResourceExhausted ||
       depth >= kMaxRepartitionDepth) {
@@ -138,11 +102,9 @@ Status CollectLevel(ExecContext* ctx, Operator* tagged,
   RecordRepartition("collection", depth);
   RELDIV_ASSIGN_OR_RETURN(
       auto halves,
-      PartitionStream(ctx, tagged,
-                      ClusterAssigner{std::move(quotient_cols), 2,
-                                      /*salt=*/depth + 1},
-                      "collection-repart-d" + std::to_string(depth + 1) +
-                          "-" + std::to_string(*repartitions)));
+      SpillClusters(ctx, tagged, quotient_cols, 2, /*salt=*/depth + 1,
+                    "collection-repart-d" + std::to_string(depth + 1) + "-" +
+                        std::to_string(*repartitions)));
   for (auto& half : halves) {
     if (half->num_records() == 0) continue;
     ScanOperator scan(ctx, Relation{schema, half.get()});
@@ -176,24 +138,18 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
     ExecContext* ctx, HashDivisionCore* core, RecordFile* cluster,
     size_t depth, const std::string& label, bool allow_repartition,
     PhaseOutput* out) {
-  Relation rel{resolved_.dividend.schema, cluster};
+  ScanOperator scan(ctx, Relation{resolved_.dividend.schema, cluster});
   // The cluster's record count bounds its quotient candidates, and the
   // planner hint (when present) bounds the total; the smaller wins.
   uint64_t hint = cluster->num_records();
   if (options_.expected_quotient_cardinality != 0) {
     hint = std::min<uint64_t>(hint, options_.expected_quotient_cardinality);
   }
-  Status status = core->ResetQuotientTable(hint == 0 ? 1 : hint);
+  const Status status =
+      core->DivideCluster(&scan, hint == 0 ? 1 : hint, &out->quotient);
   if (status.ok()) {
-    ScanOperator scan(ctx, rel);
-    status = Drain(&scan, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) {
-      return core->ConsumeBatch(batch, nullptr);
-    });
-  }
-  if (status.ok()) {
-    RELDIV_RETURN_NOT_OK(core->EmitComplete(&out->quotient));
     ++out->phases;
-    return Status::OK();
+    return status;
   }
   if (!allow_repartition || status.code() != StatusCode::kResourceExhausted ||
       depth >= kMaxRepartitionDepth || cluster->num_records() <= 1) {
@@ -207,11 +163,10 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
   RecordRepartition(label, depth);
   RELDIV_ASSIGN_OR_RETURN(
       auto halves,
-      PartitionRelation(
-          ctx, rel,
-          ClusterAssigner{resolved_.quotient_attrs, 2, /*salt=*/depth + 1},
-          label + "-repart-d" + std::to_string(depth + 1) + "-" +
-              std::to_string(out->repartitions)));
+      SpillClusters(ctx, &scan, resolved_.quotient_attrs, 2,
+                    /*salt=*/depth + 1,
+                    label + "-repart-d" + std::to_string(depth + 1) + "-" +
+                        std::to_string(out->repartitions)));
   for (auto& half : halves) {
     if (half->num_records() == 0) continue;
     RELDIV_RETURN_NOT_OK(DivideQuotientCluster(ctx, core, half.get(),
@@ -263,12 +218,11 @@ Status PartitionedHashDivisionOperator::RunPhaseRegion(
 Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   const size_t num_partitions =
       options_.num_partitions == 0 ? 1 : options_.num_partitions;
+  ScanOperator dividend_input(ctx_, resolved_.dividend);
   RELDIV_ASSIGN_OR_RETURN(
       auto clusters,
-      PartitionRelation(ctx_, resolved_.dividend,
-                        ClusterAssigner{resolved_.quotient_attrs,
-                                        num_partitions},
-                        "quotient-part"));
+      SpillClusters(ctx_, &dividend_input, resolved_.quotient_attrs,
+                    num_partitions, /*salt=*/0, "quotient-part"));
 
   // The divisor table is built once and kept in memory during all phases.
   // If IT overflows the budget, quotient partitioning cannot help (no
@@ -310,18 +264,16 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
   // tuples land in the same cluster.
   std::vector<size_t> divisor_all(resolved_.divisor.schema.num_fields());
   for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
+  ScanOperator divisor_input(ctx_, resolved_.divisor);
   RELDIV_ASSIGN_OR_RETURN(
       auto divisor_clusters,
-      PartitionRelation(ctx_, resolved_.divisor,
-                        ClusterAssigner{std::move(divisor_all),
-                                        num_partitions},
-                        label + "-s"));
+      SpillClusters(ctx_, &divisor_input, divisor_all, num_partitions,
+                    /*salt=*/0, label + "-s"));
+  ScanOperator dividend_input(ctx_, resolved_.dividend);
   RELDIV_ASSIGN_OR_RETURN(
       auto dividend_clusters,
-      PartitionRelation(ctx_, resolved_.dividend,
-                        ClusterAssigner{resolved_.match_attrs,
-                                        num_partitions},
-                        label + "-r"));
+      SpillClusters(ctx_, &dividend_input, resolved_.match_attrs,
+                    num_partitions, /*salt=*/0, label + "-r"));
 
   // Phases whose divisor cluster is empty constrain nothing (their for-all
   // condition is vacuous) and must not appear in the collection divisor.
@@ -350,17 +302,12 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
                              divisor_clusters[p].get()};
         ScanOperator divisor_scan(ectx, divisor_rel);
         RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
-        Relation dividend_rel{resolved_.dividend.schema,
-                              dividend_clusters[p].get()};
+        ScanOperator dividend_scan(
+            ectx, Relation{resolved_.dividend.schema,
+                           dividend_clusters[p].get()});
         if (!combined) {
-          RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-          ScanOperator dividend_scan(ectx, dividend_rel);
-          RELDIV_RETURN_NOT_OK(Drain(
-              &dividend_scan, ectx->batch_capacity(), ectx,
-              [&](TupleBatch& batch) {
-                return core.ConsumeBatch(batch, nullptr);
-              }));
-          RELDIV_RETURN_NOT_OK(core.EmitComplete(&out->quotient));
+          RELDIV_RETURN_NOT_OK(core.DivideCluster(
+              &dividend_scan, /*expected_cardinality=*/0, &out->quotient));
           ++out->phases;
           return Status::OK();
         }
@@ -371,10 +318,8 @@ Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
         const std::string sub_label = "combined-r" + std::to_string(p);
         RELDIV_ASSIGN_OR_RETURN(
             auto sub_clusters,
-            PartitionRelation(
-                ectx, dividend_rel,
-                ClusterAssigner{resolved_.quotient_attrs, quotient_parts},
-                sub_label));
+            SpillClusters(ectx, &dividend_scan, resolved_.quotient_attrs,
+                          quotient_parts, /*salt=*/0, sub_label));
         for (auto& sub : sub_clusters) {
           RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
               ectx, &core, sub.get(), 0, sub_label, allow_repartition, out));

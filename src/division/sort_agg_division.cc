@@ -8,35 +8,6 @@
 
 namespace reldiv {
 
-namespace {
-
-/// Sort spec lifting dividend tuples to (quotient attrs..., count=1) and
-/// summing counts for equal quotient keys — aggregation during sorting.
-SortSpec CountingSortSpec(const ResolvedDivision& resolved) {
-  SortSpec spec;
-  spec.keys.resize(resolved.quotient_attrs.size());
-  for (size_t i = 0; i < spec.keys.size(); ++i) spec.keys[i] = i;
-  spec.collapse_equal_keys = true;
-  const std::vector<size_t> quotient_attrs = resolved.quotient_attrs;
-  spec.lift = [quotient_attrs](const Tuple& t) {
-    Tuple lifted = t.Project(quotient_attrs);
-    lifted.Append(Value::Int64(1));
-    return lifted;
-  };
-  std::vector<Field> fields = resolved.quotient_schema.fields();
-  fields.push_back(Field{"count", ValueType::kInt64});
-  spec.lifted_schema = Schema(std::move(fields));
-  const size_t count_col = quotient_attrs.size();
-  spec.merge = [count_col](Tuple* acc, const Tuple& next) {
-    acc->value(count_col) =
-        Value::Int64(acc->value(count_col).int64() +
-                     next.value(count_col).int64());
-  };
-  return spec;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<Operator>> MakeSortAggregationDivisionPlan(
     ExecContext* ctx, const ResolvedDivision& resolved, bool with_join) {
   std::unique_ptr<Operator> dividend_input =
@@ -87,12 +58,12 @@ Result<std::unique_ptr<Operator>> MakeSortAggregationDivisionPlan(
   }
 
   // Aggregation during the (second) sort, then the count selection.
-  auto counted =
-      MaybeProfile(ctx,
-                   std::make_unique<SortOperator>(ctx,
-                                                  std::move(dividend_input),
-                                                  CountingSortSpec(resolved)),
-                   "sort(aggregate)");
+  auto counted = MaybeProfile(
+      ctx,
+      std::make_unique<SortOperator>(
+          ctx, std::move(dividend_input),
+          CountingSortSpec(resolved.dividend.schema, resolved.quotient_attrs)),
+      "sort(aggregate)");
   return std::unique_ptr<Operator>(std::make_unique<GroupCountFilterOperator>(
       ctx, std::move(counted), resolved.divisor));
 }

@@ -4,15 +4,59 @@
 #include <memory>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "exec/kernels/kernels.h"
 #include "exec/scheduler.h"
 
 namespace reldiv {
 
+namespace {
+
+/// HashPartitionOf's hash-only form: the partition of a key whose
+/// Tuple::HashAt is `hash`. The router's batched kernel path calls it on the
+/// kernel's hashes, which equal HashAt bit for bit.
+size_t PartitionOfHash(uint64_t hash, size_t num_partitions, uint64_t salt) {
+  if (salt != 0) hash = HashCombine(hash, salt);
+  return static_cast<size_t>(hash % num_partitions);
+}
+
+}  // namespace
+
 size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
-                       size_t num_partitions) {
+                       size_t num_partitions, uint64_t salt) {
   RELDIV_DCHECK_GT(num_partitions, 0u) << "partitioning into zero clusters";
-  return static_cast<size_t>(tuple.HashAt(attrs) % num_partitions);
+  return PartitionOfHash(tuple.HashAt(attrs), num_partitions, salt);
+}
+
+Status DrainAndRoute(ExecContext* ctx, Operator* source,
+                     const std::vector<size_t>& key_attrs,
+                     size_t num_partitions, uint64_t salt,
+                     const RoutedBatchSink& store) {
+  RELDIV_CHECK(num_partitions > 0);
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> hashes;
+  std::vector<size_t> partitions;
+  return Drain(
+      source, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) -> Status {
+        const size_t n = batch.size();
+        partitions.resize(n);
+        if (key_attrs.size() == 1 &&
+            kernels::ExtractInt64Column(batch, key_attrs[0], &keys)) {
+          hashes.resize(n);
+          kernels::HashInt64Keys(keys.data(), n, hashes.data());
+          for (size_t i = 0; i < n; ++i) {
+            partitions[i] = PartitionOfHash(hashes[i], num_partitions, salt);
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            partitions[i] =
+                HashPartitionOf(batch.tuple(i), key_attrs, num_partitions, salt);
+          }
+        }
+        // One partitioning-function application per routed tuple (§3.4).
+        ctx->CountHashes(n);
+        return store(batch, partitions);
+      });
 }
 
 Status RunFragments(
@@ -55,30 +99,12 @@ Status RunFragments(
 Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     ExecContext* ctx, Operator* source, const RowCodec& codec,
     const std::vector<size_t>& key_attrs, size_t num_partitions) {
-  RELDIV_CHECK(num_partitions > 0);
   std::vector<EncodedPartition> partitions(num_partitions);
-  std::vector<int64_t> keys;
-  std::vector<uint64_t> hashes;
-  RELDIV_RETURN_NOT_OK(Drain(
-      source, ctx->batch_capacity(), ctx, [&](TupleBatch& batch) -> Status {
-        // A single int64 key is hashed for the whole batch by the kernel,
-        // which equals Tuple::HashAt bit for bit, so rows land where
-        // HashPartitionOf would put them.
-        const bool kernel_hash =
-            key_attrs.size() == 1 &&
-            kernels::ExtractInt64Column(batch, key_attrs[0], &keys);
-        if (kernel_hash) {
-          hashes.resize(batch.size());
-          kernels::HashInt64Keys(keys.data(), batch.size(), hashes.data());
-        }
-        // One partitioning-function application per routed tuple (§3.4).
-        ctx->CountHashes(batch.size());
+  RELDIV_RETURN_NOT_OK(DrainAndRoute(
+      ctx, source, key_attrs, num_partitions, /*salt=*/0,
+      [&](const TupleBatch& batch, const std::vector<size_t>& to) -> Status {
         for (size_t i = 0; i < batch.size(); ++i) {
-          const Tuple& tuple = batch.tuple(i);
-          const size_t p =
-              kernel_hash ? static_cast<size_t>(hashes[i] % num_partitions)
-                          : HashPartitionOf(tuple, key_attrs, num_partitions);
-          RELDIV_RETURN_NOT_OK(partitions[p].Append(codec, tuple));
+          RELDIV_RETURN_NOT_OK(partitions[to[i]].Append(codec, batch.tuple(i)));
         }
         return Status::OK();
       }));

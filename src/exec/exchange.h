@@ -36,12 +36,35 @@ Status RunFragments(
     const std::function<Status(size_t fragment, ExecContext* fragment_ctx)>&
         body);
 
-/// The §3.4/§6 partitioning function: the cluster of `tuple` among
-/// `num_partitions` by a hash of its `attrs`. Deterministic — the same
-/// tuple always lands in the same cluster, which both overflow handling and
-/// shared-nothing redistribution rely on.
+/// The one partitioning function of §3.4 overflow clusters, in-process
+/// exchange fragments and §6 nodes: the cluster of `tuple` among
+/// `num_partitions` by a hash of its `attrs`, HashAt(attrs) % n. A non-zero
+/// `salt` (a recursion depth) is mixed into the hash first, so a recursive
+/// re-split of an overflowing cluster does not reproduce its parent's
+/// partitioning. Deterministic — the same tuple always lands in the same
+/// cluster, which both overflow handling and shared-nothing redistribution
+/// rely on.
 size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
-                       size_t num_partitions);
+                       size_t num_partitions, uint64_t salt = 0);
+
+/// The store step of DrainAndRoute: receives one batch and, in
+/// `partitions[i]`, the partition of `batch.tuple(i)`.
+using RoutedBatchSink = std::function<Status(
+    const TupleBatch& batch, const std::vector<size_t>& partitions)>;
+
+/// The one router of a partition step. Drains `source` with Drain()
+/// (cancellation polled before every pull, the source closed on every path
+/// after a good Open), computes each batch's partition indices
+/// HashPartitionOf(tuple, key_attrs, num_partitions, salt) — one batched
+/// kernel hash when the key is a single int64 column, at any salt — counts
+/// one Hash per routed tuple on `ctx` (§3.4's partitioning-function
+/// application), and hands each batch with its indices to `store`, once per
+/// batch. Where a row lands therefore depends only on the data, the key, the
+/// partition count and the salt, never on the batch size or worker count.
+Status DrainAndRoute(ExecContext* ctx, Operator* source,
+                     const std::vector<size_t>& key_attrs,
+                     size_t num_partitions, uint64_t salt,
+                     const RoutedBatchSink& store);
 
 /// One partition of an in-process hash exchange: its rows back to back in
 /// RowCodec encoding, row i ending at byte ends[i]. Routing a row appends
@@ -67,14 +90,11 @@ struct EncodedPartition {
   }
 };
 
-/// The serial repartition half of an in-process hash exchange: drains
-/// `source` (open → batches → close) and appends every tuple, encoded with
-/// `codec` (the source's output schema), to partition HashPartitionOf(tuple,
-/// key_attrs, num_partitions), counting one Hash per routed tuple on `ctx`.
-/// Partition contents, row order included, depend only on the data and the
-/// partition count, never on the worker count. Reads `source` with Drain():
-/// cancellation is polled before every pull, and the source is closed on
-/// every path after a good Open.
+/// The serial repartition half of an in-process hash exchange: routes
+/// `source` through DrainAndRoute (salt 0) and appends every tuple, encoded
+/// with `codec` (the source's output schema), to its partition. Partition
+/// contents, row order included, depend only on the data and the partition
+/// count, never on the worker count.
 Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     ExecContext* ctx, Operator* source, const RowCodec& codec,
     const std::vector<size_t>& key_attrs, size_t num_partitions);

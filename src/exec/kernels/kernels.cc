@@ -49,7 +49,7 @@ SortKeyCode EncodeSortKey(const Tuple& tuple,
         words[filled] |= static_cast<uint64_t>(byte) << (56 - 8 * i);
       }
     }
-    break;  // a string prefix or a double ends the code
+    break;  // a string prefix ends the code
   }
   return SortKeyCode{words[0], words[1]};
 }

@@ -63,9 +63,8 @@ bool ExtractInt64Column(const TupleBatch& batch, size_t col,
 /// integers (Do/Graefe/Naughton's normalized keys). The key columns fill the
 /// words in key order: an int64 takes a whole word, its sign-flipped bits,
 /// and coding goes on only while every earlier column was coded exactly. A
-/// string contributes its first eight bytes big-endian and ends the code; a
-/// double ends it uncoded (NaN makes any prefix unsafe). For tuples whose
-/// key columns agree in type:
+/// string contributes its first eight bytes big-endian and ends the code.
+/// For tuples whose key columns agree in type:
 ///
 ///   code(a) <  code(b)  =>  a.CompareAt(keys, b) < 0
 ///   code(a) == code(b)  =>  a.CompareAt(keys, b) == 0 if the code is

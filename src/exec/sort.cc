@@ -165,6 +165,29 @@ class SortOperator::RunReader {
   uint64_t segment_offset_ = 0;
 };
 
+SortSpec CountingSortSpec(const Schema& input_schema,
+                          std::vector<size_t> group) {
+  SortSpec spec;
+  spec.keys.resize(group.size());
+  for (size_t i = 0; i < spec.keys.size(); ++i) spec.keys[i] = i;
+  spec.collapse_equal_keys = true;
+  std::vector<Field> fields = input_schema.Project(group).fields();
+  fields.push_back(Field{"count", ValueType::kInt64});
+  spec.lifted_schema = Schema(std::move(fields));
+  const size_t count_col = group.size();
+  spec.lift = [group = std::move(group)](const Tuple& t) {
+    Tuple lifted = t.Project(group);
+    lifted.Append(Value::Int64(1));
+    return lifted;
+  };
+  spec.merge = [count_col](Tuple* acc, const Tuple& next) {
+    acc->value(count_col) =
+        Value::Int64(acc->value(count_col).int64() +
+                     next.value(count_col).int64());
+  };
+  return spec;
+}
+
 SortOperator::SortOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                            SortSpec spec)
     : ctx_(ctx),

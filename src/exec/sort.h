@@ -35,6 +35,12 @@ struct SortSpec {
   std::function<void(Tuple*, const Tuple&)> merge;
 };
 
+/// Aggregation during sorting (§2.2.1): lifts each tuple of `input_schema`
+/// to (its `group` columns..., count=1), sorts on the group columns, and
+/// sums the counts of equal keys.
+SortSpec CountingSortSpec(const Schema& input_schema,
+                          std::vector<size_t> group);
+
 /// External merge sort (§2.1/§5.1): quicksort run formation bounded by the
 /// context's sort space, runs written with 1 KB transfers for high fan-in,
 /// intermediate merges until one merge step is left, and the final merge

@@ -31,9 +31,9 @@ Status Route(Interconnect* net, size_t from, size_t to, const RowCodec& codec,
 }
 
 /// Runs one node's local hash-division: the divisor table is built from the
-/// node's divisor rows, and its dividend partition is drained a batch at a
-/// time into ConsumeBatch. Fills
-/// `metrics` and (with `trace`) emits one span on the node's lane.
+/// node's divisor rows, and its dividend partition is divided as one
+/// cluster (HashDivisionCore::DivideCluster). Fills `metrics` and (with
+/// `trace`) emits one span on the node's lane.
 Status LocalDivision(WorkerNode* node, const RowCodec& divisor_codec,
                      const EncodedPartition& divisor,
                      const RowCodec& dividend_codec,
@@ -52,13 +52,9 @@ Status LocalDivision(WorkerNode* node, const RowCodec& divisor_codec,
   HashDivisionCore core(node->ctx(), match_attrs, quotient_attrs, options);
   PartitionSourceOperator divisor_source(&divisor_codec, &divisor);
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_source));
-  RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
   PartitionSourceOperator dividend_source(&dividend_codec, &dividend);
-  RELDIV_RETURN_NOT_OK(Drain(&dividend_source, node->ctx()->batch_capacity(),
-                             node->ctx(), [&](TupleBatch& batch) {
-                               return core.ConsumeBatch(batch, quotient);
-                             }));
-  RELDIV_RETURN_NOT_OK(core.EmitComplete(quotient));
+  RELDIV_RETURN_NOT_OK(core.DivideCluster(
+      &dividend_source, /*expected_cardinality=*/0, quotient));
   metrics->local_ms = MsSince(start);
   metrics->quotient_tuples = quotient->size() - quotient_before;
   CpuCounters delta = *node->counters();

@@ -2,32 +2,6 @@
 
 namespace reldiv {
 
-const char* LogicalNodeKindName(LogicalNodeKind kind) {
-  switch (kind) {
-    case LogicalNodeKind::kRelation:
-      return "Relation";
-    case LogicalNodeKind::kSelect:
-      return "Select";
-    case LogicalNodeKind::kProject:
-      return "Project";
-    case LogicalNodeKind::kSemiJoin:
-      return "SemiJoin";
-    case LogicalNodeKind::kAntiJoin:
-      return "AntiJoin";
-    case LogicalNodeKind::kCrossJoin:
-      return "CrossJoin";
-    case LogicalNodeKind::kExcept:
-      return "Except";
-    case LogicalNodeKind::kGroupCount:
-      return "GroupCount";
-    case LogicalNodeKind::kCountFilter:
-      return "CountFilter";
-    case LogicalNodeKind::kDivision:
-      return "Division";
-  }
-  return "Unknown";
-}
-
 namespace {
 
 std::string IndexList(const std::vector<size_t>& indices) {

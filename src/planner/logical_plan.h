@@ -33,9 +33,6 @@ enum class LogicalNodeKind {
   kDivision,     ///< relational division
 };
 
-/// Name of a node kind ("Select", "Division", ...).
-const char* LogicalNodeKindName(LogicalNodeKind kind);
-
 /// Base class of the logical plan tree. Nodes own their children.
 class LogicalNode {
  public:

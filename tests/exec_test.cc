@@ -8,7 +8,9 @@
 
 #include "common/bitmap.h"
 #include "division/hash_division.h"
+#include "common/rng.h"
 #include "exec/database.h"
+#include "exec/exchange.h"
 #include "exec/filter.h"
 #include "exec/hash_table.h"
 #include "exec/kernels/kernels.h"
@@ -496,6 +498,58 @@ TEST_F(ExecTest, BucketsForTargetsAverageChainOfTwo) {
   EXPECT_EQ(TupleHashTable::BucketsFor(16), 16u);    // min
   EXPECT_EQ(TupleHashTable::BucketsFor(100), 64u);   // ~2 per bucket
   EXPECT_EQ(TupleHashTable::BucketsFor(4096), 2048u);
+}
+
+TEST_F(ExecTest, RouterPlacesRowsByThePartitionFunctionInInputOrder) {
+  // One int64 key takes the router's batched kernel hash; two int64 keys and
+  // a string key take the per-tuple form. Every form must put every row
+  // where HashPartitionOf puts it, at salt 0 and at a recursion salt.
+  const Schema schema{Field{"a", ValueType::kInt64},
+                      Field{"b", ValueType::kInt64},
+                      Field{"s", ValueType::kString}};
+  std::vector<Tuple> input;
+  Rng rng(3);
+  for (int64_t i = 0; i < 1000; ++i) {
+    input.push_back(Tuple{Value::Int64(rng.UniformInt(-500, 500)),
+                          Value::Int64(i),
+                          Value::String("k" + std::to_string(i % 37))});
+  }
+  constexpr size_t kParts = 7;
+  constexpr size_t kBatch = 64;  // 16 batches, the last one partial
+  db_->ctx()->set_batch_capacity(kBatch);
+  const std::vector<std::vector<size_t>> key_lists = {{0}, {0, 1}, {2}};
+  for (const std::vector<size_t>& keys : key_lists) {
+    std::vector<std::vector<std::vector<Tuple>>> by_salt;
+    for (uint64_t salt : {uint64_t{0}, uint64_t{3}}) {
+      SCOPED_TRACE("keys " + std::to_string(keys.size()) + "@" +
+                   std::to_string(keys[0]) + " salt " + std::to_string(salt));
+      MemSourceOperator source(schema, input);
+      const uint64_t hashes_before = db_->ctx()->counters()->hashes;
+      std::vector<std::vector<Tuple>> routed(kParts);
+      size_t calls = 0;
+      ASSERT_OK(DrainAndRoute(
+          db_->ctx(), &source, keys, kParts, salt,
+          [&](const TupleBatch& batch,
+              const std::vector<size_t>& to) -> Status {
+            ++calls;
+            EXPECT_EQ(to.size(), batch.size());
+            for (size_t i = 0; i < batch.size(); ++i) {
+              routed[to[i]].push_back(batch.tuple(i));
+            }
+            return Status::OK();
+          }));
+      std::vector<std::vector<Tuple>> expected(kParts);
+      for (const Tuple& tuple : input) {
+        expected[HashPartitionOf(tuple, keys, kParts, salt)].push_back(tuple);
+      }
+      EXPECT_EQ(routed, expected);
+      EXPECT_EQ(db_->ctx()->counters()->hashes - hashes_before, input.size());
+      EXPECT_EQ(calls, (input.size() + kBatch - 1) / kBatch);
+      by_salt.push_back(std::move(routed));
+    }
+    // The salt re-splits: a recursive split must not reproduce its parent.
+    EXPECT_NE(by_salt[0], by_salt[1]);
+  }
 }
 
 TEST_F(ExecTest, ScanOfRelationWithoutStoreFails) {

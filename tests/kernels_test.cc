@@ -83,23 +83,21 @@ TEST(KernelExtractTest, GathersAndRejects) {
 
 // --- Whole-key sort codes ---------------------------------------------------
 
-/// Tuples of one (int64, int64, int64, string, double) schema that tie and
-/// differ at every key position: both int64 extremes, the signs around
-/// zero, pairs that differ only in their low two bits, strings that tie on
-/// their first eight bytes, and doubles.
+/// Tuples of one (int64, int64, int64, string) schema that tie and differ at
+/// every key position: both int64 extremes, the signs around zero, pairs
+/// that differ only in their low two bits, and strings that tie on their
+/// first eight bytes.
 std::vector<Tuple> SortCodeTuples() {
   const int64_t ints[] = {std::numeric_limits<int64_t>::min(), -1, 0, 1, 2,
                           4, std::numeric_limits<int64_t>::max()};
   const char* strings[] = {"", "a", "ab", "abcdefghij", "abcdefghiz", "b"};
-  const double doubles[] = {-2.5, 0.0, 3.75};
   std::vector<Tuple> tuples;
   Rng rng(5);
   for (int i = 0; i < 300; ++i) {
     tuples.push_back(Tuple{Value::Int64(ints[rng.Uniform(std::size(ints))]),
                            Value::Int64(ints[rng.Uniform(std::size(ints))]),
                            Value::Int64(ints[rng.Uniform(std::size(ints))]),
-                           Value::String(strings[rng.Uniform(6)]),
-                           Value::Double(doubles[rng.Uniform(3)])});
+                           Value::String(strings[rng.Uniform(6)])});
   }
   return tuples;
 }
@@ -107,17 +105,16 @@ std::vector<Tuple> SortCodeTuples() {
 const Schema& SortCodeSchema() {
   static const Schema schema{
       Field{"a", ValueType::kInt64}, Field{"b", ValueType::kInt64},
-      Field{"c", ValueType::kInt64}, Field{"s", ValueType::kString},
-      Field{"d", ValueType::kDouble}};
+      Field{"c", ValueType::kInt64}, Field{"s", ValueType::kString}};
   return schema;
 }
 
 /// Key lists covering every way a code ends: two int64s, one, a reversed
-/// pair, three (the third uncoded), a string after an int64, a string or a
-/// double first, and no keys at all.
+/// pair, three (the third uncoded), a string after an int64, a string first,
+/// and no keys at all.
 const std::vector<std::vector<size_t>>& SortCodeKeyLists() {
   static const std::vector<std::vector<size_t>> lists = {
-      {0, 1}, {0}, {1, 0}, {0, 1, 2}, {0, 3}, {3}, {4}, {4, 0}, {}};
+      {0, 1}, {0}, {1, 0}, {0, 1, 2}, {0, 3}, {3}, {}};
   return lists;
 }
 
@@ -160,7 +157,7 @@ TEST(KernelSortKeyCodeTest, CompleteCodeTieIsKeyTie) {
   EXPECT_EQ(complete_lists, 4u);
   EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {0, 1, 2}));
   EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {0, 3}));
-  EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {4}));
+  EXPECT_FALSE(SortKeyCodeIsComplete(SortCodeSchema(), {3}));
 }
 
 TEST(KernelSortKeyCodeTest, DistinguishesWhereSafe) {
@@ -182,12 +179,10 @@ TEST(KernelSortKeyCodeTest, DistinguishesWhereSafe) {
   EXPECT_NE(code(Tuple{Value::Int64(3), Value::String("a")}, {0, 1}),
             code(Tuple{Value::Int64(3), Value::String("b")}, {0, 1}));
   // What the code cannot see ties, and the caller compares tuples: a third
-  // int64, string bytes past the eighth, any double.
+  // int64 and string bytes past the eighth.
   EXPECT_EQ(code(T(1, 2, 3), {0, 1, 2}), code(T(1, 2, 4), {0, 1, 2}));
   EXPECT_EQ(code(Tuple{Value::String("abcdefghij")}, {0}),
             code(Tuple{Value::String("abcdefghiz")}, {0}));
-  EXPECT_EQ(code(Tuple{Value::Double(1.0)}, {0}),
-            code(Tuple{Value::Double(2.0)}, {0}));
 }
 
 }  // namespace

@@ -264,14 +264,11 @@ Value DrawKeyValue(ValueType type, Rng* rng) {
   static const std::string kStrings[] = {
       "", "a", std::string("a\0", 2), "ab", "abcdefgh", "abcdefghA",
       "abcdefghB", "abcdefgi", "b", "\xff"};
-  static const double kDoubles[] = {-2.5, -0.0, 0.0, 1.0, 1.5, 3.75};
   switch (type) {
     case ValueType::kInt64:
       return Value::Int64(kInts[rng->Uniform(std::size(kInts))]);
     case ValueType::kString:
       return Value::String(kStrings[rng->Uniform(std::size(kStrings))]);
-    case ValueType::kDouble:
-      return Value::Double(kDoubles[rng->Uniform(std::size(kDoubles))]);
   }
   return Value();
 }
@@ -290,14 +287,12 @@ struct KeyShape {
 TEST(SortKeyCodeTest, MatchesStableSortAndKeepsComparisonTotals) {
   constexpr ValueType kI = ValueType::kInt64;
   constexpr ValueType kS = ValueType::kString;
-  constexpr ValueType kD = ValueType::kDouble;
   const KeyShape shapes[] = {
       {"int64", {kI}, {0}, {{4862, 5461}, {6272, 4872}}},
       {"int64x2", {kI, kI}, {0, 1}, {{6302, 6901}, {6601, 7812}}},
       {"keys {1, 0}", {kI, kI}, {1, 0}, {{6617, 7216}, {6713, 7927}}},
       {"int64+string", {kI, kS}, {0, 1}, {{5999, 6598}, {6869, 7516}}},
       {"string", {kS}, {0}, {{4587, 5186}, {6107, 4593}}},
-      {"double", {kD}, {0}, {{4634, 5233}, {5598, 3896}}},
       {"int64x3", {kI, kI, kI}, {0, 1, 2}, {{6310, 6909}, {6568, 8848}}},
   };
   for (const KeyShape& shape : shapes) {

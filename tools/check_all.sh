@@ -41,7 +41,9 @@
 #                               unwind leak- and race-free — DESIGN.md §10)
 #   parallel                   (the division property + lane-equivalence +
 #                               quotient-table growth + scheduler + §6
-#                               engine suites at
+#                               engine + §3.4 partitioned-division
+#                               suites, whose concurrent phases share the
+#                               one router, at
 #                               RELDIV_THREADS=1,4,8
 #                               under the TSan build: every worker count
 #                               must produce bit-identical quotients and
@@ -240,7 +242,7 @@ if [[ "$QUICK" == "0" ]]; then
     for threads in 1 4 8; do
       echo "-- parallel suites under tsan, RELDIV_THREADS=$threads"
       RELDIV_THREADS="$threads" ctest --preset tsan \
-        -R '(division_property_test|hash_division_core_test|intra_parallel_test|parallel_test|scheduler_test)' \
+        -R '(division_property_test|hash_division_core_test|intra_parallel_test|parallel_test|partitioned_division_test|scheduler_test)' \
         || rc=1
     done
     return "$rc"
