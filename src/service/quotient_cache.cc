@@ -23,6 +23,7 @@ void QuotientCacheEntry::Clear() {
   unmatched_.clear();
   free_numbers_.clear();
   width_ = 0;
+  quotient_.reset();
   dividend_version_ = 0;
   divisor_version_ = 0;
   built_ = false;
@@ -50,7 +51,10 @@ Status QuotientCacheEntry::ApplyDividendInsert(const Tuple& tuple) {
   }
   const uint32_t number = divisor_it->second.number;
   Candidate& candidate = CandidateFor(quotient_key);
-  if (candidate.counts[number]++ == 0) candidate.nonzero++;
+  if (candidate.counts[number]++ == 0 &&
+      ++candidate.nonzero == divisors_.size()) {
+    quotient_.reset();  // it joined the quotient
+  }
   candidate.total++;
   return Status::OK();
 }
@@ -80,7 +84,11 @@ Status QuotientCacheEntry::ApplyDividendDelete(const Tuple& tuple) {
     return Status::Internal("quotient cache: delete of unseen dividend row");
   }
   Candidate& candidate = candidate_it->second;
-  if (--candidate.counts[number] == 0) candidate.nonzero--;
+  if (--candidate.counts[number] == 0 &&
+      candidate.nonzero-- == divisors_.size()) {
+    // It left the quotient; a member is erased below only after this.
+    quotient_.reset();
+  }
   // Counted invalidation: the candidate disappears only when its last
   // supporting dividend row does.
   if (--candidate.total == 0) candidates_.erase(candidate_it);
@@ -93,6 +101,8 @@ Status QuotientCacheEntry::ApplyDivisorInsert(const Tuple& tuple) {
     it->second.copies++;
     return Status::OK();
   }
+  // A new distinct value raises `required`: membership may change anywhere.
+  quotient_.reset();
   uint32_t number;
   if (!free_numbers_.empty()) {
     number = free_numbers_.back();
@@ -125,7 +135,9 @@ Status QuotientCacheEntry::ApplyDivisorDelete(const Tuple& tuple) {
   }
   if (--it->second.copies > 0) return Status::OK();
   // Last copy gone: retire the number, parking its column in unmatched_ so
-  // a re-insert of the same value adopts the rows back.
+  // a re-insert of the same value adopts the rows back. `required` drops,
+  // so membership may change anywhere.
+  quotient_.reset();
   const uint32_t number = it->second.number;
   auto& bucket = unmatched_[tuple];
   for (auto candidate_it = candidates_.begin();
@@ -188,15 +200,18 @@ Status QuotientCacheEntry::Build(ExecContext* ctx) {
   return Status::OK();
 }
 
-std::vector<Tuple> QuotientCacheEntry::Quotient() const {
-  std::vector<Tuple> quotient;
+std::shared_ptr<const std::vector<Tuple>> QuotientCacheEntry::Quotient() {
+  if (quotient_ != nullptr) return quotient_;
+  auto quotient = std::make_shared<std::vector<Tuple>>();
   // Engine-wide convention: an empty divisor divides nothing.
-  if (divisors_.empty()) return quotient;
-  const uint32_t required = static_cast<uint32_t>(divisors_.size());
-  for (const auto& [key, candidate] : candidates_) {
-    if (candidate.nonzero == required) quotient.push_back(key);
+  if (!divisors_.empty()) {
+    const size_t required = divisors_.size();
+    for (const auto& [key, candidate] : candidates_) {
+      if (candidate.nonzero == required) quotient->push_back(key);
+    }
   }
-  return quotient;
+  quotient_ = std::move(quotient);
+  return quotient_;
 }
 
 bool QuotientCacheEntry::VersionsMatch() const {
@@ -207,6 +222,20 @@ bool QuotientCacheEntry::VersionsMatch() const {
 void QuotientCacheEntry::SyncVersions() {
   dividend_version_ = dividend_store_->version();
   divisor_version_ = divisor_store_->version();
+}
+
+void QuotientCache::Slot::Publish() {
+  std::shared_ptr<const Snapshot> published;
+  if (entry.built() && !entry.broken()) {
+    published = std::make_shared<const Snapshot>(Snapshot{
+        entry.Quotient(), entry.dividend_version(), entry.divisor_version()});
+  }
+  {
+    MutexLock lock(snapshot_mu);
+    snapshot.swap(published);
+  }
+  // The replaced snapshot (maybe the last owner of its quotient) is freed
+  // here, outside the pointer lock.
 }
 
 QuotientCache::QuotientCache(size_t max_entries)
@@ -251,6 +280,18 @@ std::shared_ptr<QuotientCache::Slot> QuotientCache::FindOrCreateSlot(
   return it->second;
 }
 
+void QuotientCache::CountHit() {
+  {
+    MutexLock lock(mu_);
+    hits_++;
+  }
+  if (Telemetry::counting()) {
+    MetricRegistry::Global()
+        .FindOrCreateCounter(metric_names::kQcacheHitsTotal)
+        ->Add(1);
+  }
+}
+
 void QuotientCache::CountInvalidation(const char* reason) {
   {
     MutexLock lock(mu_);
@@ -264,21 +305,13 @@ void QuotientCache::CountInvalidation(const char* reason) {
   }
 }
 
-Result<std::vector<Tuple>> QuotientCache::GetOrCompute(
+Result<QuotientCache::QuotientPtr> QuotientCache::GetOrCompute(
     const ResolvedDivision& resolved, ExecContext* ctx, bool* was_hit) {
   std::shared_ptr<Slot> slot = FindOrCreateSlot(resolved);
   MutexLock entry_lock(slot->mu);
   QuotientCacheEntry& entry = slot->entry;
   if (entry.built() && !entry.broken() && entry.VersionsMatch()) {
-    {
-      MutexLock lock(mu_);
-      hits_++;
-    }
-    if (Telemetry::counting()) {
-      MetricRegistry::Global()
-          .FindOrCreateCounter(metric_names::kQcacheHitsTotal)
-          ->Add(1);
-    }
+    CountHit();
     if (was_hit != nullptr) *was_hit = true;
     return entry.Quotient();
   }
@@ -303,10 +336,38 @@ Result<std::vector<Tuple>> QuotientCache::GetOrCompute(
     // A cancelled or failed build leaves partial state; drop it so the next
     // lookup starts from scratch.
     entry.Clear();
+    slot->Publish();
     return built;
   }
+  slot->Publish();
   if (was_hit != nullptr) *was_hit = false;
   return entry.Quotient();
+}
+
+QuotientCache::QuotientPtr QuotientCache::TryHit(
+    const ResolvedDivision& resolved) {
+  QuotientPtr quotient;
+  {
+    MutexLock lock(mu_);
+    auto it = slots_.find(KeyFor(resolved));
+    if (it == slots_.end()) return nullptr;
+    // The snapshot is loaded before the store versions: when they match,
+    // the stores stood at the stamped versions when it was loaded.
+    std::shared_ptr<const Snapshot> snapshot;
+    {
+      MutexLock snapshot_lock(it->second->snapshot_mu);
+      snapshot = it->second->snapshot;
+    }
+    if (snapshot == nullptr ||
+        snapshot->dividend_version != resolved.dividend.store->version() ||
+        snapshot->divisor_version != resolved.divisor.store->version()) {
+      return nullptr;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second->lru_pos);
+    quotient = snapshot->quotient;
+  }
+  CountHit();
+  return quotient;
 }
 
 void QuotientCache::OnStoreUpdate(RecordStore* store, const Tuple& tuple,
@@ -325,6 +386,7 @@ void QuotientCache::OnStoreUpdate(RecordStore* store, const Tuple& tuple,
     MutexLock entry_lock(slot->mu);
     QuotientCacheEntry& entry = slot->entry;
     if (!entry.built() || entry.broken()) continue;
+    const uint64_t applied_before = applied;
     if (entry.dividend_store() == store) {
       const uint64_t version = store->version();
       if (version <= entry.dividend_version()) {
@@ -361,6 +423,7 @@ void QuotientCache::OnStoreUpdate(RecordStore* store, const Tuple& tuple,
         entry.MarkBroken();
       }
     }
+    if (applied != applied_before || entry.broken()) slot->Publish();
   }
   if (applied > 0) {
     {

@@ -50,9 +50,13 @@ struct TupleLess {
 ///                       unmatched_.
 /// The quotient is exactly the candidates whose non-zero slot count equals
 /// the number of distinct divisors (empty when the divisor is empty, the
-/// engine-wide convention). Any inconsistency — a delete for a row the
-/// state never saw — marks the entry broken; the cache then falls back to
-/// version-checked invalidation and a rebuild.
+/// engine-wide convention). It is materialized once and shared: a step that
+/// can change membership — a candidate crossing nonzero == required, or a
+/// change to the distinct divisor set — drops it, and the next Quotient()
+/// call rebuilds it; every other step keeps the same vector. Any
+/// inconsistency — a delete for a row the state never saw — marks the entry
+/// broken; the cache then falls back to version-checked invalidation and a
+/// rebuild.
 ///
 /// Not thread-safe; QuotientCache guards each entry with its own mutex.
 class QuotientCacheEntry {
@@ -73,8 +77,10 @@ class QuotientCacheEntry {
   Status ApplyDivisorInsert(const Tuple& tuple);
   Status ApplyDivisorDelete(const Tuple& tuple);
 
-  /// Snapshot of the current quotient, in sorted (deterministic) order.
-  std::vector<Tuple> Quotient() const;
+  /// The current quotient, in sorted (deterministic) order. Immutable and
+  /// shared: repeated calls return the same vector until a maintenance step
+  /// changes membership.
+  std::shared_ptr<const std::vector<Tuple>> Quotient();
 
   /// True when the stamped versions equal the stores' current versions —
   /// i.e. every mutation since Build()/maintenance was notified through the
@@ -134,6 +140,8 @@ class QuotientCacheEntry {
   std::map<Tuple, std::map<Tuple, uint64_t, TupleLess>, TupleLess> unmatched_;
   std::vector<uint32_t> free_numbers_;
   size_t width_ = 0;  ///< count-vector length (max live number + 1)
+  /// Materialized quotient; null when a step may have changed membership.
+  std::shared_ptr<const std::vector<Tuple>> quotient_;
 
   uint64_t dividend_version_ = 0;
   uint64_t divisor_version_ = 0;
@@ -152,9 +160,12 @@ class QuotientCacheEntry {
 /// maintenance; without it every mutation costs a full rebuild on the next
 /// lookup (the version check catches the drift either way).
 ///
-/// Thread-safe. The cache mutex guards only the map and recency list; each
-/// entry has its own mutex, taken with the cache mutex released, so a slow
-/// cold build never blocks hits on other keys. A notified mutation is
+/// Thread-safe. The cache mutex guards only the map, the recency list and the
+/// statistics; each entry has its own mutex, taken with the cache mutex
+/// released, so a slow cold build never blocks hits on other keys. Every
+/// change to an entry (build, applied maintenance step, breakage, failed
+/// build) re-publishes the slot's immutable Snapshot, so TryHit serves a
+/// hit without the entry mutex. A notified mutation is
 /// applied only when the store version is exactly one ahead of the entry's
 /// synced version; racing writers that interleave (a gap appears) mark the
 /// entry broken, and the next lookup rebuilds — correctness never depends
@@ -163,15 +174,24 @@ class QuotientCache {
  public:
   static constexpr size_t kDefaultMaxEntries = 64;
 
+  using QuotientPtr = std::shared_ptr<const std::vector<Tuple>>;
+
   explicit QuotientCache(size_t max_entries = kDefaultMaxEntries);
 
   /// Serves the quotient for `resolved`: from the maintained entry when its
   /// versions match (hit), otherwise by (re)building from the stores. Sets
   /// *was_hit accordingly when non-null. `ctx` is polled for cancellation
   /// during builds and may be nullptr.
-  Result<std::vector<Tuple>> GetOrCompute(const ResolvedDivision& resolved,
-                                          ExecContext* ctx,
-                                          bool* was_hit = nullptr);
+  Result<QuotientPtr> GetOrCompute(const ResolvedDivision& resolved,
+                                   ExecContext* ctx, bool* was_hit = nullptr);
+
+  /// The hit path that takes no entry mutex: the published quotient when
+  /// the entry for `resolved` exists and its snapshot's stamped versions
+  /// equal both stores' current versions (counted as a hit), else null with
+  /// nothing counted. Never creates an entry, builds or invalidates; a
+  /// lookup that races a write between its version bump and its observer
+  /// sees a mismatch and returns null.
+  QuotientPtr TryHit(const ResolvedDivision& resolved);
 
   /// Database update-observer entry point: applies `tuple` to every resident
   /// entry in which `store` plays the dividend and/or divisor role.
@@ -205,17 +225,34 @@ class QuotientCache {
   };
   static Key KeyFor(const ResolvedDivision& resolved);
 
-  /// An entry plus its lock and recency position. shared_ptr so eviction
-  /// can drop the map slot while a builder still holds the entry.
+  /// What a hit reads: the quotient and the store versions it reflects.
+  struct Snapshot {
+    QuotientPtr quotient;
+    uint64_t dividend_version = 0;
+    uint64_t divisor_version = 0;
+  };
+
+  /// An entry plus its lock, published snapshot and recency position.
+  /// shared_ptr so eviction can drop the map slot while a builder still
+  /// holds the entry.
   struct Slot {
     explicit Slot(const ResolvedDivision& resolved) : entry(resolved) {}
+    /// Re-publishes the snapshot from the entry: null unless the entry is
+    /// built and not broken.
+    void Publish() REQUIRES(mu);
+
     Mutex mu;
     QuotientCacheEntry entry GUARDED_BY(mu);
+    /// Guards only the `snapshot` pointer, so TryHit never waits for a
+    /// build or a maintenance step holding `mu`.
+    Mutex snapshot_mu;
+    std::shared_ptr<const Snapshot> snapshot GUARDED_BY(snapshot_mu);
     std::list<Key>::iterator lru_pos;
   };
 
   std::shared_ptr<Slot> FindOrCreateSlot(const ResolvedDivision& resolved);
   void EnforceBound() REQUIRES(mu_);
+  void CountHit();
   void CountInvalidation(const char* reason);
 
   mutable Mutex mu_;

@@ -70,12 +70,27 @@ Result<std::shared_ptr<QueryTicket>> DivisionService::Submit(
   // direct plan) would run the query.
   RELDIV_RETURN_NOT_OK(
       ValidateDivisionOptions(request.algorithm, request.options));
+  const auto submit_time = std::chrono::steady_clock::now();
+  QuotientCache::QuotientPtr hit;
+  if (!request.bypass_cache) {
+    RELDIV_ASSIGN_OR_RETURN(ResolvedDivision resolved,
+                            ResolveDivision(request.query));
+    hit = cache_->TryHit(resolved);
+  }
   // QueryTicket's constructor is private to this friend, which make_shared
   // cannot reach; ownership transfers to the shared_ptr on the same line.
   std::shared_ptr<QueryTicket> ticket(
       // NOLINTNEXTLINE(reldiv/naked-new): private ctor, make_shared cannot
       new QueryTicket(tenant, std::move(request)));
-  ticket->submit_time_ = std::chrono::steady_clock::now();
+  ticket->submit_time_ = submit_time;
+  if (hit != nullptr) {
+    // A hit needs no lane, grant or entry lock: it completes here.
+    ticket->quotient_ = std::move(hit);
+    ticket->cache_hit_ = true;
+    ticket->exec_us_ = ElapsedUs(submit_time);
+    Finish(ticket.get());
+    return ticket;
+  }
   size_t depth = 0;
   {
     MutexLock lock(mu_);
@@ -108,40 +123,42 @@ Result<std::shared_ptr<QueryTicket>> DivisionService::Submit(
   return ticket;
 }
 
-std::vector<std::shared_ptr<QueryTicket>> DivisionService::AdmitWave() {
-  std::vector<std::shared_ptr<QueryTicket>> wave;
+std::shared_ptr<QueryTicket> DivisionService::AdmitOne() {
   MutexLock lock(mu_);
-  while (wave.size() < options_.max_concurrent) {
-    int64_t total_weight = 0;
-    TenantState* best = nullptr;
-    for (auto& [name, state] : tenants_) {
-      if (state.queue.empty()) continue;
-      const int64_t weight =
-          static_cast<int64_t>(std::max<uint64_t>(state.options.weight, 1));
-      state.credit += weight;
-      total_weight += weight;
-      if (best == nullptr || state.credit > best->credit) best = &state;
-    }
-    if (best == nullptr) break;
-    best->credit -= total_weight;
-    admission_log_.push_back(wave.emplace_back(std::move(best->queue.front()))
-                                 ->tenant());
-    best->queue.pop_front();
+  int64_t total_weight = 0;
+  TenantState* best = nullptr;
+  for (auto& [name, state] : tenants_) {
+    if (state.queue.empty()) continue;
+    const int64_t weight =
+        static_cast<int64_t>(std::max<uint64_t>(state.options.weight, 1));
+    state.credit += weight;
+    total_weight += weight;
+    if (best == nullptr || state.credit > best->credit) best = &state;
   }
-  return wave;
+  if (best == nullptr) return nullptr;
+  best->credit -= total_weight;
+  std::shared_ptr<QueryTicket> ticket = std::move(best->queue.front());
+  best->queue.pop_front();
+  admission_log_.push_back(ticket->tenant());
+  return ticket;
 }
 
 Status DivisionService::RunUntilIdle() {
-  while (true) {
-    std::vector<std::shared_ptr<QueryTicket>> wave = AdmitWave();
-    if (wave.empty()) return Status::OK();
-    const size_t dop = std::min(wave.size(), options_.max_concurrent);
-    RELDIV_RETURN_NOT_OK(TaskScheduler::Global().ParallelFor(
-        dop, wave.size(), [&wave, this](size_t i) {
-          ExecuteOne(wave[i].get());
-          return Status::OK();
-        }));
-  }
+  // An idle call wakes no lane.
+  std::shared_ptr<QueryTicket> first = AdmitOne();
+  if (first == nullptr) return Status::OK();
+  // Continuous dispatch: a lane admits its next ticket as soon as it is
+  // free, whatever the other lanes are running.
+  const size_t lanes = std::max<size_t>(options_.max_concurrent, 1);
+  return TaskScheduler::Global().ParallelFor(
+      lanes, lanes, [&first, this](size_t lane) {
+        std::shared_ptr<QueryTicket> ticket =
+            lane == 0 ? std::move(first) : AdmitOne();
+        for (; ticket != nullptr; ticket = AdmitOne()) {
+          ExecuteOne(ticket.get());
+        }
+        return Status::OK();
+      });
 }
 
 void DivisionService::ExecuteOne(QueryTicket* ticket) {
@@ -161,6 +178,10 @@ void DivisionService::ExecuteOne(QueryTicket* ticket) {
 
   ticket->exec_us_ = ElapsedUs(start);
   active_.fetch_sub(1, std::memory_order_relaxed);
+  Finish(ticket);
+}
+
+void DivisionService::Finish(QueryTicket* ticket) {
   queries_run_.fetch_add(1, std::memory_order_relaxed);
   if (ticket->status_.IsCancelled()) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -238,10 +259,10 @@ Status DivisionService::RunQuery(QueryTicket* ticket) {
                        ticket->request_.options));
   // Drain() closes the plan on every path: the cancellation unwind must
   // still run operator teardown so arenas reset and reservations release.
-  std::vector<Tuple> quotient;
+  auto quotient = std::make_shared<std::vector<Tuple>>();
   RELDIV_RETURN_NOT_OK(
       Drain(plan.get(), ctx.batch_capacity(), &ctx, [&](TupleBatch& batch) {
-        for (Tuple& tuple : batch) quotient.push_back(std::move(tuple));
+        for (Tuple& tuple : batch) quotient->push_back(std::move(tuple));
         return Status::OK();
       }));
   ticket->quotient_ = std::move(quotient);

@@ -31,7 +31,8 @@ struct TenantOptions {
 
 /// Service-wide knobs.
 struct ServiceOptions {
-  /// Queries executed concurrently per wave (scheduler lanes permitting).
+  /// Dispatch lanes: queued queries executed concurrently (the
+  /// RunUntilIdle caller plus max_concurrent - 1 scheduler workers).
   size_t max_concurrent = 4;
   /// Per-query memory grant brokered against the database's global pool.
   size_t grant_bytes = 1 << 20;
@@ -56,7 +57,8 @@ struct QueryRequest {
 /// Handle to one submitted query. Cancel() may be called from any thread at
 /// any time; the running query unwinds cooperatively with a kCancelled
 /// status, releasing its grant. Results are valid once done() is true
-/// (RunUntilIdle has returned, or done() observed true).
+/// (RunUntilIdle has returned, or done() observed true). A cache hit is
+/// done when Submit returns it.
 class QueryTicket {
  public:
   void Cancel() { cancel_.store(true, std::memory_order_relaxed); }
@@ -66,7 +68,12 @@ class QueryTicket {
   bool done() const { return done_.load(std::memory_order_acquire); }
 
   const Status& status() const { return status_; }
-  const std::vector<Tuple>& quotient() const { return quotient_; }
+  /// The quotient; empty until done() or when the query failed. A cache
+  /// hit shares the cache's published vector instead of copying it.
+  const std::vector<Tuple>& quotient() const {
+    static const std::vector<Tuple> kEmpty;
+    return quotient_ != nullptr ? *quotient_ : kEmpty;
+  }
   bool cache_hit() const { return cache_hit_; }
   const std::string& tenant() const { return tenant_; }
   uint64_t queue_wait_us() const { return queue_wait_us_; }
@@ -83,27 +90,30 @@ class QueryTicket {
   std::atomic<bool> cancel_{false};
   std::atomic<bool> done_{false};
   Status status_;
-  std::vector<Tuple> quotient_;
+  QuotientCache::QuotientPtr quotient_;
   bool cache_hit_ = false;
   uint64_t queue_wait_us_ = 0;
   uint64_t exec_us_ = 0;
 };
 
 /// Multi-query front end over one Database: accepts concurrent division
-/// requests, queues them FIFO per tenant behind bounded admission, admits
-/// waves by smooth weighted round-robin across tenants, and executes each
-/// wave on the shared TaskScheduler. Every query runs under its own memory
-/// grant — ReserveWithDeadline against the global pool (condvar wait, no
-/// busy spin), with a private per-query MemoryPool of exactly the grant
-/// size backing its hash tables and temp space — and its own ExecContext
-/// carrying the ticket's cancellation flag.
+/// requests, answers cache hits at Submit, queues the rest FIFO per tenant
+/// behind bounded admission, and executes them on max_concurrent lanes of
+/// the shared TaskScheduler, each lane admitting its next ticket by smooth
+/// weighted round-robin across tenants as soon as it is free. Every queued
+/// query runs under its own memory grant — ReserveWithDeadline against the
+/// global pool (condvar wait, no busy spin), with a private per-query
+/// MemoryPool of exactly the grant size backing its hash tables and temp
+/// space — and its own ExecContext carrying the ticket's cancellation flag.
 ///
 /// Repeat queries are served from the QuotientCache; the constructor wires
 /// the cache into the database's update-observer hook so catalog mutations
-/// maintain cached quotients incrementally instead of invalidating them.
+/// maintain cached quotients incrementally instead of invalidating them. A
+/// hit whose published snapshot matches the stores' versions is completed
+/// on the Submit caller's thread: no queue slot, no grant, no entry lock.
 ///
 /// Thread-safe: Submit/Cancel may race RunUntilIdle. RunUntilIdle itself is
-/// single-caller (one dispatcher; the parallelism is inside the waves).
+/// single-caller (one dispatcher; the parallelism is across its lanes).
 class DivisionService {
  public:
   explicit DivisionService(Database* db, ServiceOptions options = {});
@@ -112,19 +122,23 @@ class DivisionService {
   /// auto-registered with default TenantOptions on first Submit.
   void RegisterTenant(const std::string& tenant, TenantOptions options);
 
-  /// Enqueues a query. InvalidArgument, before the queue is touched, when
+  /// Answers a cache hit at once (the returned ticket is done, with
+  /// cache_hit() and a zero queue wait) or enqueues the query.
+  /// InvalidArgument, before the cache or the queue is touched, when
   /// ValidateDivisionOptions refuses the request's algorithm and options
-  /// (the cached path would otherwise ignore them). kResourceExhausted when
-  /// the tenant's bounded FIFO is full (admission control) — the caller
-  /// backs off and resubmits.
+  /// (the cached path would otherwise ignore them), or when a cached
+  /// request's query does not resolve. kResourceExhausted when the tenant's
+  /// bounded FIFO is full (admission control) — the caller backs off and
+  /// resubmits.
   Result<std::shared_ptr<QueryTicket>> Submit(const std::string& tenant,
                                               QueryRequest request);
 
-  /// Drains all queues: admits waves of up to max_concurrent queries by
-  /// weighted fairness and executes each wave in parallel, until every
-  /// queue is empty. Per-query failures (including cancellations and grant
-  /// timeouts) land in their tickets; the returned status is only about the
-  /// dispatch machinery itself.
+  /// Drains all queues on max_concurrent lanes: each lane admits one ticket
+  /// by weighted fairness, executes it, and admits the next, until every
+  /// queue is empty (tickets submitted while a lane still runs are drained
+  /// too). Per-query failures (including cancellations and grant timeouts)
+  /// land in their tickets; the returned status is only about the dispatch
+  /// machinery itself.
   Status RunUntilIdle();
 
   QuotientCache* cache() { return cache_.get(); }
@@ -139,9 +153,9 @@ class DivisionService {
   }
   size_t active_queries() const { return active_.load(); }
 
-  /// Tenant names in the order AdmitWave popped them — the deterministic
-  /// fairness trace the tests assert on (execution order within a wave is
-  /// up to the scheduler; admission order is not).
+  /// Tenant names in the order AdmitOne popped them — the deterministic
+  /// fairness trace the tests assert on (which lane runs a ticket, and
+  /// when, is up to the scheduler; admission order is not).
   std::vector<std::string> admission_log() const {
     MutexLock lock(mu_);
     return admission_log_;
@@ -154,14 +168,18 @@ class DivisionService {
     std::deque<std::shared_ptr<QueryTicket>> queue;
   };
 
-  /// Pops up to max_concurrent tickets by smooth weighted round-robin:
-  /// every backlogged tenant earns its weight in credit per pick, the
-  /// richest tenant is picked and pays back the total weight in play.
-  std::vector<std::shared_ptr<QueryTicket>> AdmitWave();
+  /// Pops one ticket by smooth weighted round-robin, or null when every
+  /// queue is empty: every backlogged tenant earns its weight in credit,
+  /// the richest tenant is picked and pays back the total weight in play.
+  std::shared_ptr<QueryTicket> AdmitOne();
 
-  /// Runs one query start to finish; never throws the status past the
-  /// ticket. Safe to call from scheduler lanes.
+  /// Runs one queued query start to finish; never throws the status past
+  /// the ticket. Safe to call from scheduler lanes.
   void ExecuteOne(QueryTicket* ticket);
+
+  /// Counts the finished query in the lifetime statistics and metrics,
+  /// then marks the ticket done (last, so a waiter sees every field).
+  void Finish(QueryTicket* ticket);
 
   /// Grant + context + plan/cache execution; the Status lands in the ticket.
   Status RunQuery(QueryTicket* ticket);

@@ -57,6 +57,23 @@ class QuotientCacheTest : public ::testing::Test {
     return rows;
   }
 
+  /// The quotient of the current table contents, from scratch.
+  std::vector<Tuple> Recomputed() {
+    return Sorted(
+        ReferenceDivision(Rows(dividend_), Rows(divisor_), {1}, {0}));
+  }
+
+  /// What TryHit serves: the published snapshot must be current
+  /// and equal to a from-scratch recompute.
+  QuotientCache::QuotientPtr ExpectPublishedMatchesRecompute() {
+    QuotientCache::QuotientPtr published = cache_.TryHit(Resolved());
+    EXPECT_NE(published, nullptr) << "no current snapshot is published";
+    if (published != nullptr) {
+      EXPECT_EQ(Sorted(*published), Recomputed());
+    }
+    return published;
+  }
+
   /// The cached quotient must be bit-identical to a from-scratch recompute
   /// by all four paper algorithms AND the brute-force reference.
   void ExpectCacheMatchesAllAlgorithms() {
@@ -66,11 +83,10 @@ class QuotientCacheTest : public ::testing::Test {
     for (const Tuple& t : Rows(divisor_)) state += " " + t.ToString();
     SCOPED_TRACE(state);
     bool hit = false;
-    ASSERT_OK_AND_ASSIGN(std::vector<Tuple> cached,
+    ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr cached,
                          cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
-    std::vector<Tuple> reference =
-        Sorted(ReferenceDivision(Rows(dividend_), Rows(divisor_), {1}, {0}));
-    EXPECT_EQ(Sorted(cached), reference);
+    std::vector<Tuple> reference = Recomputed();
+    EXPECT_EQ(Sorted(*cached), reference);
     for (DivisionAlgorithm algorithm :
          {DivisionAlgorithm::kNaive, DivisionAlgorithm::kSortAggregate,
           DivisionAlgorithm::kHashAggregate,
@@ -102,16 +118,16 @@ TEST_F(QuotientCacheTest, ColdBuildThenHit) {
     }
   }
   bool hit = true;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_FALSE(hit);
-  EXPECT_EQ(Sorted(quotient), (std::vector<Tuple>{T(0), T(1), T(3)}));
+  EXPECT_EQ(Sorted(*quotient), (std::vector<Tuple>{T(0), T(1), T(3)}));
   EXPECT_EQ(cache_.misses(), 1u);
 
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit);
-  EXPECT_EQ(Sorted(quotient), (std::vector<Tuple>{T(0), T(1), T(3)}));
+  EXPECT_EQ(Sorted(*quotient), (std::vector<Tuple>{T(0), T(1), T(3)}));
   EXPECT_EQ(cache_.hits(), 1u);
   EXPECT_EQ(cache_.invalidations(), 0u);
 }
@@ -121,9 +137,9 @@ TEST_F(QuotientCacheTest, InsertMaintainsBitSet) {
   ASSERT_OK(db_->Insert("s", T(1)));
   ASSERT_OK(db_->Insert("r", T(7, 0)));
   bool hit = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
-  EXPECT_TRUE(quotient.empty());
+  EXPECT_TRUE(quotient->empty());
 
   // Bit-set on insert: completing q=7's divisor set flips it in without a
   // rebuild.
@@ -131,7 +147,7 @@ TEST_F(QuotientCacheTest, InsertMaintainsBitSet) {
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit) << "maintained entry must stay serviceable";
-  EXPECT_EQ(quotient, (std::vector<Tuple>{T(7)}));
+  EXPECT_EQ(*quotient, (std::vector<Tuple>{T(7)}));
   EXPECT_GE(cache_.incremental_updates(), 1u);
   EXPECT_EQ(cache_.invalidations(), 0u);
 }
@@ -143,9 +159,9 @@ TEST_F(QuotientCacheTest, CountedDeleteWithDuplicates) {
   ASSERT_OK(db_->Insert("r", T(5, 0)));
   ASSERT_OK(db_->Insert("r", T(5, 0)));
   bool hit = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
-  EXPECT_EQ(quotient, (std::vector<Tuple>{T(5)}));
+  EXPECT_EQ(*quotient, (std::vector<Tuple>{T(5)}));
 
   // DeleteWhere removes BOTH copies (it deletes every matching row); to
   // exercise one-at-a-time counted deletes, rebuild the pair afterwards.
@@ -156,7 +172,7 @@ TEST_F(QuotientCacheTest, CountedDeleteWithDuplicates) {
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit);
-  EXPECT_TRUE(quotient.empty());
+  EXPECT_TRUE(quotient->empty());
   ExpectCacheMatchesAllAlgorithms();
 }
 
@@ -166,9 +182,9 @@ TEST_F(QuotientCacheTest, DivisorGrowthWidensBitmaps) {
   ASSERT_OK(db_->Insert("r", T(1, 1)));  // parked: no divisor 1 yet
   ASSERT_OK(db_->Insert("r", T(2, 0)));
   bool hit = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
-  EXPECT_EQ(Sorted(quotient), (std::vector<Tuple>{T(1), T(2)}));
+  EXPECT_EQ(Sorted(*quotient), (std::vector<Tuple>{T(1), T(2)}));
 
   // Divisor growth: the new value widens the maintained bit maps and adopts
   // the parked (1, 1) row; q=2 now lacks divisor 1 and must drop out.
@@ -176,8 +192,61 @@ TEST_F(QuotientCacheTest, DivisorGrowthWidensBitmaps) {
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit);
-  EXPECT_EQ(quotient, (std::vector<Tuple>{T(1)}));
+  EXPECT_EQ(*quotient, (std::vector<Tuple>{T(1)}));
   ExpectCacheMatchesAllAlgorithms();
+}
+
+TEST_F(QuotientCacheTest, SnapshotIsRebuiltOnlyWhenMembershipCanChange) {
+  ASSERT_OK(db_->Insert("s", T(0)));
+  ASSERT_OK(db_->Insert("s", T(1)));
+  for (int64_t q = 0; q < 3; ++q) {
+    ASSERT_OK(db_->Insert("r", T(q, 0)));
+    if (q != 0) ASSERT_OK(db_->Insert("r", T(q, 1)));  // q=0 lacks 1
+  }
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr built,
+                       cache_.GetOrCompute(Resolved(), db_->ctx(), nullptr));
+  EXPECT_EQ(*built, (std::vector<Tuple>{T(1), T(2)}));
+  EXPECT_EQ(ExpectPublishedMatchesRecompute(), built);
+
+  // A fresh one-row partial candidate cannot join the quotient, and
+  // deleting it again cannot change it: hits around either step share the
+  // one vector.
+  ASSERT_OK(db_->Insert("r", T(100, 0)));
+  EXPECT_EQ(ExpectPublishedMatchesRecompute(), built);
+  ASSERT_OK(db_->DeleteWhere("r", [](const Tuple& t) {
+              return t.value(0).int64() == 100;
+            }).status());
+  EXPECT_EQ(ExpectPublishedMatchesRecompute(), built);
+
+  // Each step that can change membership publishes a new vector.
+  QuotientCache::QuotientPtr previous = built;
+  auto expect_new_snapshot = [&](const std::string& step,
+                                 const std::vector<Tuple>& expected) {
+    SCOPED_TRACE(step);
+    QuotientCache::QuotientPtr published = ExpectPublishedMatchesRecompute();
+    ASSERT_NE(published, nullptr);
+    EXPECT_NE(published, previous);
+    EXPECT_EQ(*published, expected);
+    bool hit = false;
+    ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr looked_up,
+                         cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(looked_up, published);
+    previous = published;
+  };
+  ASSERT_OK(db_->Insert("r", T(0, 1)));
+  expect_new_snapshot("completing q=0", {T(0), T(1), T(2)});
+  ASSERT_OK(db_->Insert("s", T(2)));
+  expect_new_snapshot("divisor insert", {});
+  ASSERT_OK(db_->DeleteWhere("s", [](const Tuple& t) {
+              return t.value(0).int64() == 2;
+            }).status());
+  expect_new_snapshot("divisor delete", {T(0), T(1), T(2)});
+  ASSERT_OK(db_->DeleteWhere("r", [](const Tuple& t) {
+              return t.value(0).int64() == 2;
+            }).status());
+  expect_new_snapshot("deleting a member's last row", {T(0), T(1)});
+  EXPECT_EQ(cache_.invalidations(), 0u);
 }
 
 TEST_F(QuotientCacheTest, EntryWidthGrowsAndNumbersRecycle) {
@@ -202,9 +271,9 @@ TEST_F(QuotientCacheTest, EmptyDivisorAfterDeletesYieldsEmptyQuotient) {
   ASSERT_OK(db_->Insert("s", T(0)));
   ASSERT_OK(db_->Insert("r", T(1, 0)));
   bool hit = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
-  EXPECT_EQ(quotient, (std::vector<Tuple>{T(1)}));
+  EXPECT_EQ(*quotient, (std::vector<Tuple>{T(1)}));
 
   ASSERT_OK_AND_ASSIGN(uint64_t deleted,
                        db_->DeleteWhere("s", [](const Tuple&) { return true; }));
@@ -212,7 +281,7 @@ TEST_F(QuotientCacheTest, EmptyDivisorAfterDeletesYieldsEmptyQuotient) {
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit);
-  EXPECT_TRUE(quotient.empty()) << "empty divisor divides nothing";
+  EXPECT_TRUE(quotient->empty()) << "empty divisor divides nothing";
   ExpectCacheMatchesAllAlgorithms();
 }
 
@@ -230,18 +299,25 @@ TEST_F(QuotientCacheTest, UnnotifiedMutationForcesVersionInvalidation) {
   ASSERT_OK(codec.Encode(T(2, 0), &buffer));
   ASSERT_OK(dividend_.store->Append(Slice(buffer)).status());
 
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  // The published snapshot is stale now: TryHit misses and
+  // counts nothing, neither a hit nor an invalidation.
+  const uint64_t hits_before = cache_.hits();
+  EXPECT_EQ(cache_.TryHit(Resolved()), nullptr);
+  EXPECT_EQ(cache_.hits(), hits_before);
+  EXPECT_EQ(cache_.invalidations(), 0u);
+
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache_.invalidations(), 1u);
-  EXPECT_EQ(Sorted(quotient), (std::vector<Tuple>{T(1), T(2)}));
+  EXPECT_EQ(Sorted(*quotient), (std::vector<Tuple>{T(1), T(2)}));
 
   // The rebuild re-synced; maintenance takes over again.
   ASSERT_OK(db_->Insert("r", T(3, 0)));
   ASSERT_OK_AND_ASSIGN(quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_TRUE(hit);
-  EXPECT_EQ(Sorted(quotient), (std::vector<Tuple>{T(1), T(2), T(3)}));
+  EXPECT_EQ(Sorted(*quotient), (std::vector<Tuple>{T(1), T(2), T(3)}));
 }
 
 TEST_F(QuotientCacheTest, LruEvictionCapsResidentEntries) {
@@ -279,10 +355,10 @@ TEST_F(QuotientCacheTest, CancelledBuildUnwindsCleanly) {
   // A later uncancelled lookup starts from scratch and succeeds.
   cancel.store(false);
   bool hit = true;
-  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient,
+  ASSERT_OK_AND_ASSIGN(QuotientCache::QuotientPtr quotient,
                        cache_.GetOrCompute(Resolved(), db_->ctx(), &hit));
   EXPECT_FALSE(hit);
-  EXPECT_EQ(quotient.size(), 600u);
+  EXPECT_EQ(quotient->size(), 600u);
   db_->ctx()->set_cancellation_flag(nullptr);
 }
 
@@ -335,6 +411,9 @@ TEST_F(QuotientCacheTest, RandomizedMaintenanceMatchesRecompute) {
       ASSERT_OK(db_->Insert("r", T(random_value(8), d)));
       live_rows++;
     }
+    // From the second round on the entry is resident, so every step must
+    // have re-published a current snapshot.
+    if (round > 0) ExpectPublishedMatchesRecompute();
     ExpectCacheMatchesAllAlgorithms();
   }
   // The workload must actually have exercised the maintenance paths.

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -405,6 +406,213 @@ TEST_F(DivisionServiceTest, WeightedFairnessShapesAdmissionOrder) {
       "heavy", "heavy", "light", "heavy",
       "heavy", "light", "light", "light"};
   EXPECT_EQ(service.admission_log(), expected_order);
+}
+
+TEST_F(DivisionServiceTest, TicketsSubmittedDuringRunUntilIdleAllComplete) {
+  MakeDatabase(8 * 1024 * 1024);
+  ServiceOptions options;
+  options.max_concurrent = 3;
+  DivisionService service(db_.get(), options);
+  QueryRequest cold = Request();
+  cold.bypass_cache = true;  // queued whatever the cache holds
+
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_OK_AND_ASSIGN(auto ticket, service.Submit("a", cold));
+    tickets.push_back(std::move(ticket));
+  }
+  // A second thread keeps submitting, cold and cached reads for two
+  // tenants, while the lanes drain: a free lane admits whatever is queued.
+  std::vector<std::shared_ptr<QueryTicket>> late;
+  Status submit_status;
+  std::thread submitter([&] {
+    for (int i = 0; i < 24 && submit_status.ok(); ++i) {
+      auto ticket = service.Submit(i % 2 == 0 ? "a" : "b",
+                                   i % 3 == 0 ? Request() : cold);
+      if (ticket.ok()) {
+        late.push_back(ticket.MoveValue());
+      } else {
+        submit_status = ticket.status();
+      }
+    }
+  });
+  ASSERT_OK(service.RunUntilIdle());
+  submitter.join();
+  ASSERT_OK(submit_status);
+  // Tickets queued after the lanes went idle wait for the next call.
+  ASSERT_OK(service.RunUntilIdle());
+
+  tickets.insert(tickets.end(), late.begin(), late.end());
+  ASSERT_EQ(tickets.size(), 30u);
+  for (const auto& ticket : tickets) {
+    EXPECT_TRUE(ticket->done());
+    ASSERT_OK(ticket->status());
+    EXPECT_EQ(Sorted(ticket->quotient()), expected_);
+  }
+  EXPECT_EQ(service.queries_run(), 30u);
+  // Every ticket that was not answered at Submit was admitted exactly once.
+  size_t answered_at_submit = 0;
+  for (const auto& ticket : tickets) {
+    if (ticket->cache_hit() && ticket->queue_wait_us() == 0) {
+      answered_at_submit++;
+    }
+  }
+  EXPECT_LE(answered_at_submit, 8u);  // at most the 8 cached reads
+  EXPECT_EQ(service.admission_log().size(), 30u - answered_at_submit);
+}
+
+TEST_F(DivisionServiceTest, CacheHitIsAnsweredAtSubmitWithoutAGrant) {
+  MakeDatabase(4 << 20);
+  ServiceOptions options;
+  options.grant_bytes = 1 << 20;
+  options.grant_timeout = milliseconds(40);
+  DivisionService service(db_.get(), options);
+  ASSERT_OK_AND_ASSIGN(auto warm, service.Submit("t", Request()));
+  EXPECT_FALSE(warm->done()) << "nothing is cached yet: the read queues";
+  ASSERT_OK(service.RunUntilIdle());
+  ASSERT_OK(warm->status());
+  EXPECT_FALSE(warm->cache_hit());
+
+  // Hold the whole global pool: no query can take a grant now.
+  MemoryPool* pool = db_->pool();
+  const size_t held = pool->available();
+  ASSERT_TRUE(pool->Reserve(held));
+  const uint64_t run_before = service.queries_run();
+  const uint64_t hits_before = service.cache()->hits();
+  const size_t admitted_before = service.admission_log().size();
+
+  ASSERT_OK_AND_ASSIGN(auto hit, service.Submit("t", Request()));
+  EXPECT_TRUE(hit->done()) << "a hit completes inside Submit";
+  ASSERT_OK(hit->status());
+  EXPECT_TRUE(hit->cache_hit());
+  EXPECT_EQ(hit->queue_wait_us(), 0u);
+  EXPECT_EQ(Sorted(hit->quotient()), expected_);
+  EXPECT_EQ(service.queries_run(), run_before + 1);
+  EXPECT_EQ(service.cache()->hits(), hits_before + 1);
+  // No grant was taken or waited for, and the ticket was never queued.
+  EXPECT_EQ(pool->used(), pool->budget());
+  EXPECT_EQ(service.grant_timeouts(), 0u);
+  EXPECT_EQ(service.admission_log().size(), admitted_before);
+
+  // A cold read on the same service still needs a grant, and times out.
+  QueryRequest cold = Request();
+  cold.bypass_cache = true;
+  ASSERT_OK_AND_ASSIGN(auto starved, service.Submit("t", cold));
+  EXPECT_FALSE(starved->done());
+  ASSERT_OK(service.RunUntilIdle());
+  EXPECT_TRUE(starved->status().IsResourceExhausted())
+      << starved->status().ToString();
+  EXPECT_EQ(service.grant_timeouts(), 1u);
+  pool->Release(held);
+}
+
+// Cached reads racing observer maintenance. Four threads submit cached
+// reads while a fifth moves q=0 into and out of the quotient through the
+// catalog (Insert / DeleteWhere pairs) and, between writes, drains the reads
+// that fell through to the queue — so no query scans while a write runs. A
+// read that lands between a write's version bump and its observer must fall
+// through, never see a stale quotient and never invalidate. Sized by
+// RELDIV_STRESS_ITERS (write pairs); check_all.sh runs it under TSan.
+TEST_F(DivisionServiceTest, CachedReadsRacingMaintenanceSeeOnlyValidQuotients) {
+  uint64_t iters = 50;
+  if (const char* env = std::getenv("RELDIV_STRESS_ITERS")) {
+    const uint64_t parsed = std::strtoull(env, nullptr, 10);
+    if (parsed > 0) iters = parsed;
+  }
+  MakeDatabase(8 * 1024 * 1024);
+  constexpr int kReaders = 4;
+  constexpr size_t kQueueDepth = 1 << 16;
+  DivisionService service(db_.get(), ServiceOptions{});
+  for (int r = 0; r < kReaders; ++r) {
+    service.RegisterTenant("reader" + std::to_string(r),
+                           TenantOptions{1, kQueueDepth});
+  }
+  ASSERT_OK_AND_ASSIGN(auto warm, service.Submit("reader0", Request()));
+  ASSERT_OK(service.RunUntilIdle());
+  ASSERT_OK(warm->status());
+
+  // q=0 lacks only d=2; inserting (0, 2) completes it.
+  const std::vector<Tuple> without = expected_;
+  std::vector<Tuple> with = expected_;
+  with.push_back(T(0));
+  with = Sorted(with);
+
+  // Each reader checks its hits as they return and keeps only the tickets
+  // that fell through to the queue.
+  struct Reader {
+    std::vector<std::shared_ptr<QueryTicket>> queued;
+    uint64_t at_submit = 0;
+    uint64_t wrong = 0;
+    Status status;
+  };
+  auto valid = [&](const QueryTicket& ticket) {
+    const std::vector<Tuple> quotient = Sorted(ticket.quotient());
+    return ticket.status().ok() && ticket.cache_hit() &&
+           (quotient == without || quotient == with);
+  };
+  std::atomic<bool> writing{true};
+  std::atomic<int> started{0};  // readers whose first Submit has returned
+  std::vector<Reader> state(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Reader& reader = state[r];
+      const std::string tenant = "reader" + std::to_string(r);
+      while (writing.load(std::memory_order_acquire) &&
+             reader.queued.size() < kQueueDepth) {
+        auto ticket = service.Submit(tenant, Request());
+        if (reader.at_submit + reader.queued.size() == 0) started++;
+        if (!ticket.ok()) {
+          reader.status = ticket.status();
+          return;
+        }
+        if (!(*ticket)->done()) {
+          reader.queued.push_back(ticket.MoveValue());
+          continue;
+        }
+        reader.at_submit++;
+        if (!valid(**ticket)) reader.wrong++;
+      }
+    });
+  }
+  // Every reader has read once before the first write, so the writes race
+  // live readers however the threads are scheduled.
+  while (started.load() < kReaders) std::this_thread::yield();
+  Status writer_status;
+  for (uint64_t i = 0; i < iters && writer_status.ok(); ++i) {
+    writer_status = db_->Insert("r", T(0, 2));
+    if (writer_status.ok()) writer_status = service.RunUntilIdle();
+    if (writer_status.ok()) {
+      writer_status = db_->DeleteWhere("r", [](const Tuple& t) {
+                            return t.value(0).int64() == 0 &&
+                                   t.value(1).int64() == 2;
+                          }).status();
+    }
+    if (writer_status.ok()) writer_status = service.RunUntilIdle();
+  }
+  writing.store(false, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_OK(writer_status);
+  ASSERT_OK(service.RunUntilIdle());
+
+  uint64_t at_submit = 0;
+  for (const Reader& reader : state) {
+    ASSERT_OK(reader.status);
+    EXPECT_EQ(reader.wrong, 0u) << "a hit at Submit saw a wrong quotient";
+    at_submit += reader.at_submit;
+    for (const auto& ticket : reader.queued) {
+      ASSERT_TRUE(ticket->done());
+      EXPECT_TRUE(valid(*ticket)) << ticket->status().ToString();
+    }
+  }
+  EXPECT_GT(at_submit, 0u);
+  EXPECT_EQ(service.cache()->invalidations(), 0u);
+  EXPECT_EQ(service.cache()->incremental_updates(), 2 * iters);
+  // The table's pages grew with the writes; with every frame dropped only a
+  // leaked grant could hold pool memory.
+  ASSERT_OK(db_->buffer_manager()->FlushAll());
+  ASSERT_OK(db_->buffer_manager()->DropAll());
+  EXPECT_EQ(db_->pool()->used(), 0u) << "grants leaked";
 }
 
 TEST_F(DivisionServiceTest, AdmissionControlBoundsTenantQueues) {

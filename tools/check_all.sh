@@ -297,9 +297,9 @@ if [[ "$QUICK" == "0" ]]; then
   # sanitizers watch the grant/backoff paths (a condvar-waiting Fix or
   # ReserveWithDeadline must neither leak nor race on timeout or
   # cancellation unwind), and the TSan leg sweeps worker counts because
-  # waves execute on whatever lanes the scheduler defaults to while the
-  # cache's incremental maintenance runs on the mutating thread
-  # (DESIGN.md §16).
+  # queued queries run on scheduler lanes and cache hits on the submitting
+  # threads while the cache's incremental maintenance runs on the mutating
+  # thread (DESIGN.md §16).
   service_stage() {
     local preset threads rc=0
     for preset in asan tsan; do
