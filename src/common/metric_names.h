@@ -50,7 +50,7 @@ inline constexpr char kGaugeIntermediateMerges[] = "intermediate_merges";
 inline constexpr char kGaugePhasesRun[] = "phases_run";
 inline constexpr char kGaugeRepartitions[] = "repartitions";
 inline constexpr char kGaugeEscalations[] = "escalations";
-inline constexpr char kGaugeRestarts[] = "restarts";
+inline constexpr char kGaugeDivisorSplits[] = "divisor_splits";
 
 // ---- Process-wide telemetry (obs/telemetry.h MetricRegistry). Prometheus
 // naming conventions: `_total` suffix on monotone counters, unit suffix on

@@ -55,13 +55,12 @@ Status ValidateDivisionOptions(DivisionAlgorithm algorithm,
         "hash-division: parallel_fragments is incompatible with "
         "early_output (eager emission is ordered by dividend arrival)");
   }
-  if (options.num_quotient_subpartitions != 0 &&
-      (algorithm != DivisionAlgorithm::kHashDivisionPartitioned ||
-       options.partition_strategy == PartitionStrategy::kDivisor)) {
+  if (algorithm == DivisionAlgorithm::kHashDivisionPartitioned &&
+      (options.num_partitions == 0 ||
+       (options.partition_strategy != PartitionStrategy::kQuotient &&
+        options.partition_strategy != PartitionStrategy::kDivisor))) {
     return Status::InvalidArgument(
-        name +
-        ": num_quotient_subpartitions applies to partitioned hash-division "
-        "with the combined or quotient strategy only");
+        name + ": needs num_partitions > 0 and a known partition_strategy");
   }
   return Status::OK();
 }

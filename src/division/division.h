@@ -31,20 +31,14 @@ const char* DivisionAlgorithmName(DivisionAlgorithm algorithm);
 enum class PartitionStrategy {
   kQuotient,  ///< partition dividend on quotient attrs; divisor stays resident
   kDivisor,   ///< partition both on divisor attrs; needs a collection phase
-  /// Both tables too large (§3.4's closing question / §6 "combinations of
-  /// the techniques"): divisor partitioning on the outside, quotient
-  /// partitioning of each divisor cluster's dividend on the inside, then
-  /// the usual collection phase over the divisor-cluster tags.
-  kCombined,
 };
 
 /// Tuning and semantics options shared by the algorithm entry points.
 ///
 /// Each field states which algorithms read it. ValidateDivisionOptions
 /// refuses a field set for an algorithm that cannot honour it, so no plan
-/// silently ignores or clears an option. `eliminate_duplicates`, the
-/// cardinality hints and the two §3.4 partitioning fields are accepted
-/// everywhere.
+/// silently ignores or clears an option. `eliminate_duplicates` and the
+/// cardinality hints are accepted everywhere.
 struct DivisionOptions {
   /// States that the inputs may hold duplicates. Every algorithm honours
   /// it, so it is accepted everywhere: the aggregation algorithms, which
@@ -67,17 +61,12 @@ struct DivisionOptions {
   uint64_t expected_divisor_cardinality = 0;
   uint64_t expected_quotient_cardinality = 0;
 
-  /// Partitioned hash-division (§3.4): the strategy and the partition
-  /// count. Not validated; the planners write both for every algorithm.
+  /// Partitioned hash-division (§3.4): the strategy and the starting
+  /// partition count (an overflowing cluster splits). The planners write
+  /// both for every algorithm; kHashDivisionPartitioned alone reads them
+  /// and refuses a strategy outside the enum and a zero count.
   PartitionStrategy partition_strategy = PartitionStrategy::kQuotient;
   size_t num_partitions = 4;
-
-  /// kHashDivisionPartitioned only, with kCombined or with kQuotient (whose
-  /// overflow escalates to combined): quotient sub-partitions within each
-  /// divisor cluster (0 = same as num_partitions). A non-zero value is
-  /// refused with any other algorithm and with kDivisor, which never reads
-  /// it.
-  size_t num_quotient_subpartitions = 0;
 
   /// kHashDivision only: in-process quotient partitioning (§6 applied to
   /// intra-node parallelism). 0 = serial (the default). When > 0 the
@@ -97,11 +86,10 @@ struct DivisionOptions {
 
 /// InvalidArgument when `options` sets a field that `algorithm` cannot
 /// honour: early_output or parallel_fragments > 0 with anything but
-/// kHashDivision, both of them together, or num_quotient_subpartitions != 0
-/// with anything but kHashDivisionPartitioned under kQuotient or
-/// kCombined. MakeDivisionPlan and the two hash-division operators' Open
-/// call it; the planners call it for every algorithm they may run before
-/// they run any.
+/// kHashDivision, both of them together, or, for kHashDivisionPartitioned,
+/// num_partitions == 0 or a partition_strategy that names no strategy.
+/// MakeDivisionPlan and the two hash-division operators' Open call it; the
+/// planners call it for every algorithm they may run before they run any.
 Status ValidateDivisionOptions(DivisionAlgorithm algorithm,
                                const DivisionOptions& options);
 

@@ -321,10 +321,13 @@ Status HashDivisionCore::DivideCluster(Operator* input,
                                        uint64_t expected_cardinality,
                                        std::vector<Tuple>* out) {
   RELDIV_RETURN_NOT_OK(ResetQuotientTable(expected_cardinality));
-  RELDIV_RETURN_NOT_OK(Drain(
+  Status status = Drain(
       input, ctx_->batch_capacity(), ctx_,
-      [&](TupleBatch& batch) { return ConsumeBatch(batch, out); }));
-  return EmitComplete(out);
+      [&](TupleBatch& batch) { return ConsumeBatch(batch, out); });
+  if (status.ok()) return EmitComplete(out);
+  quotient_table_.reset();  // a split that follows needs the memory
+  quotient_arena_.reset();
+  return status;
 }
 
 HashDivisionOperator::HashDivisionOperator(

@@ -84,7 +84,7 @@ class HashDivisionCore {
   /// `input` into ConsumeBatch with `out` as the early-output sink, and
   /// emits the complete candidates into `out`. `input` is read with Drain()
   /// on this core's context, so it is closed on every path after a good
-  /// Open.
+  /// Open; a failed drain (a §3.4 overflow) releases the quotient table.
   Status DivideCluster(Operator* input, uint64_t expected_cardinality,
                        std::vector<Tuple>* out);
 

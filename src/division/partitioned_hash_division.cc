@@ -1,6 +1,7 @@
 #include "division/partitioned_hash_division.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/metric_names.h"
 #include "common/row_codec.h"
@@ -15,15 +16,11 @@ namespace reldiv {
 
 namespace {
 
-/// Ceiling on the recursive cluster-split depth (quotient strategy). Each
-/// level halves a cluster in expectation, so 16 levels shrink any practical
-/// cluster to single tuples; a cluster that still overflows then is a
-/// single entry larger than the budget, which no partitioning can fix.
+/// Ceiling on the recursive cluster-split depth. Each level halves a
+/// cluster in expectation, so 16 levels shrink any practical cluster to
+/// single tuples; a cluster that still overflows then is a single entry
+/// larger than the budget, which no partitioning can fix.
 constexpr size_t kMaxRepartitionDepth = 16;
-
-/// Restart-with-doubled-partitions attempts (divisor/combined strategies)
-/// before the ResourceExhausted is accepted as final.
-constexpr size_t kMaxRestarts = 6;
 
 /// §3.4 partitioning into temporary cluster files: DrainAndRoute (salted by
 /// `salt`) places each tuple of `input` by its `attrs`, and the store step
@@ -54,6 +51,22 @@ Result<std::vector<std::unique_ptr<RecordFile>>> SpillClusters(
         return Status::OK();
       }));
   return clusters;
+}
+
+/// A cluster's quotient-table hint: its record count bounds its quotient
+/// candidates, and the planner hint (when present) the total.
+uint64_t QuotientHint(const RecordFile& cluster,
+                      const DivisionOptions& options) {
+  const uint64_t n = std::max<uint64_t>(cluster.num_records(), 1);
+  const uint64_t total = options.expected_quotient_cardinality;
+  return total == 0 ? n : std::min(n, total);
+}
+
+/// Every column of `schema`: the divisor's partitioning attributes.
+std::vector<size_t> AllColumns(const Schema& schema) {
+  std::vector<size_t> columns(schema.num_fields());
+  std::iota(columns.begin(), columns.end(), 0);
+  return columns;
 }
 
 /// Counts one recursive split (§3.4 overflow recovery) in the process-wide
@@ -136,22 +149,16 @@ PartitionedHashDivisionOperator::~PartitionedHashDivisionOperator() = default;
 
 Status PartitionedHashDivisionOperator::DivideQuotientCluster(
     ExecContext* ctx, HashDivisionCore* core, RecordFile* cluster,
-    size_t depth, const std::string& label, bool allow_repartition,
-    PhaseOutput* out) {
+    uint64_t expected_cardinality, size_t depth, const std::string& label,
+    bool allow_split, PhaseOutput* out) {
   ScanOperator scan(ctx, Relation{resolved_.dividend.schema, cluster});
-  // The cluster's record count bounds its quotient candidates, and the
-  // planner hint (when present) bounds the total; the smaller wins.
-  uint64_t hint = cluster->num_records();
-  if (options_.expected_quotient_cardinality != 0) {
-    hint = std::min<uint64_t>(hint, options_.expected_quotient_cardinality);
-  }
   const Status status =
-      core->DivideCluster(&scan, hint == 0 ? 1 : hint, &out->quotient);
+      core->DivideCluster(&scan, expected_cardinality, &out->quotient);
   if (status.ok()) {
     ++out->phases;
     return status;
   }
-  if (!allow_repartition || status.code() != StatusCode::kResourceExhausted ||
+  if (!allow_split || status.code() != StatusCode::kResourceExhausted ||
       depth >= kMaxRepartitionDepth || cluster->num_records() <= 1) {
     return status;  // not recoverable by splitting (or splitting disallowed)
   }
@@ -169,9 +176,65 @@ Status PartitionedHashDivisionOperator::DivideQuotientCluster(
                         std::to_string(out->repartitions)));
   for (auto& half : halves) {
     if (half->num_records() == 0) continue;
-    RELDIV_RETURN_NOT_OK(DivideQuotientCluster(ctx, core, half.get(),
-                                               depth + 1, label,
-                                               allow_repartition, out));
+    RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
+        ctx, core, half.get(), QuotientHint(*half, options_), depth + 1,
+        label, allow_split, out));
+  }
+  return Status::OK();
+}
+
+Status PartitionedHashDivisionOperator::DivideDivisorCluster(
+    ExecContext* ctx, RecordFile* divisor, RecordFile* dividend, size_t depth,
+    const std::string& label, bool allow_split, PhaseOutput* out) {
+  // An empty divisor cluster constrains nothing (its for-all condition is
+  // vacuous): no phase, and no tag in the collection divisor.
+  if (divisor->num_records() == 0) return Status::OK();
+  const Relation divisor_rel{resolved_.divisor.schema, divisor};
+  const size_t kept = out->quotient.size();
+  Status status;
+  {
+    // A failed attempt's tables go before the clusters are split.
+    HashDivisionCore core(ctx, resolved_.match_attrs,
+                          resolved_.quotient_attrs, options_);
+    ScanOperator divisor_scan(ctx, divisor_rel);
+    status = core.BuildDivisorTable(&divisor_scan);
+    if (status.ok()) {
+      status = DivideQuotientCluster(ctx, &core, dividend,
+                                     /*expected_cardinality=*/0, 0, label,
+                                     allow_split, out);
+    }
+  }
+  if (status.ok()) {
+    out->tag_ends.push_back(out->quotient.size());
+    return status;
+  }
+  if (!allow_split || status.code() != StatusCode::kResourceExhausted ||
+      depth >= kMaxRepartitionDepth || divisor->num_records() <= 1) {
+    return status;
+  }
+  // Split divisor and dividend cluster with the same depth-salted function
+  // on the divisor attrs; a dividend half whose divisor half is empty
+  // matches no divisor tuple.
+  out->quotient.erase(out->quotient.begin() + kept, out->quotient.end());
+  ++out->divisor_splits;
+  RecordRepartition(label, depth);
+  const std::string split_label =
+      label + "-split-" + std::to_string(out->divisor_splits);
+  ScanOperator divisor_scan(ctx, divisor_rel);
+  RELDIV_ASSIGN_OR_RETURN(
+      auto divisor_halves,
+      SpillClusters(ctx, &divisor_scan, AllColumns(divisor_rel.schema), 2,
+                    /*salt=*/depth + 1, split_label + "-s"));
+  ScanOperator dividend_scan(ctx,
+                             Relation{resolved_.dividend.schema, dividend});
+  RELDIV_ASSIGN_OR_RETURN(
+      auto dividend_halves,
+      SpillClusters(ctx, &dividend_scan, resolved_.match_attrs, 2,
+                    /*salt=*/depth + 1, split_label + "-r"));
+  for (size_t h = 0; h < 2; ++h) {
+    RELDIV_RETURN_NOT_OK(DivideDivisorCluster(
+        ctx, divisor_halves[h].get(), dividend_halves[h].get(), depth + 1,
+        label, allow_split, out));
   }
   return Status::OK();
 }
@@ -183,8 +246,7 @@ Status PartitionedHashDivisionOperator::RunPhaseRegion(
   std::vector<char> deferred(num_phases, 0);
   RELDIV_RETURN_NOT_OK(RunFragments(
       ctx_, num_phases, [&](size_t i, ExecContext* fctx) -> Status {
-        Status status =
-            body(i, fctx, /*allow_repartition=*/false, &(*outputs)[i]);
+        Status status = body(i, fctx, /*allow_split=*/false, &(*outputs)[i]);
         if (status.code() != StatusCode::kResourceExhausted) return status;
         // Concurrent phases share the memory budget, so this overflow may
         // be an artifact of the schedule. Discard the attempt completely —
@@ -201,33 +263,33 @@ Status PartitionedHashDivisionOperator::RunPhaseRegion(
       }));
   // Deferred phases rerun one at a time on the parent context with the full
   // budget and overflow recovery enabled; a phase that STILL overflows
-  // propagates ResourceExhausted so Open() can escalate or restart.
+  // propagates ResourceExhausted (the quotient strategy then falls to the
+  // divisor strategy).
   Status status;
   for (size_t i = 0; i < num_phases && status.ok(); ++i) {
     if (deferred[i]) {
-      status = body(i, ctx_, /*allow_repartition=*/true, &(*outputs)[i]);
+      status = body(i, ctx_, /*allow_split=*/true, &(*outputs)[i]);
     }
   }
   for (const PhaseOutput& out : *outputs) {
     phases_run_ += out.phases;
     repartitions_ += out.repartitions;
+    divisor_splits_ += out.divisor_splits;
   }
   return status;
 }
 
 Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
-  const size_t num_partitions =
-      options_.num_partitions == 0 ? 1 : options_.num_partitions;
   ScanOperator dividend_input(ctx_, resolved_.dividend);
   RELDIV_ASSIGN_OR_RETURN(
       auto clusters,
       SpillClusters(ctx_, &dividend_input, resolved_.quotient_attrs,
-                    num_partitions, /*salt=*/0, "quotient-part"));
+                    options_.num_partitions, /*salt=*/0, "quotient-part"));
 
   // The divisor table is built once and kept in memory during all phases.
   // If IT overflows the budget, quotient partitioning cannot help (no
   // phase shrinks it) — the ResourceExhausted propagates to Open(), which
-  // escalates to the combined strategy.
+  // falls to the divisor strategy.
   HashDivisionCore core(ctx_, resolved_.match_attrs, resolved_.quotient_attrs,
                         options_);
   ScanOperator divisor_scan(ctx_, resolved_.divisor);
@@ -239,14 +301,14 @@ Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   std::vector<PhaseOutput> outputs;
   RELDIV_RETURN_NOT_OK(RunPhaseRegion(
       clusters.size(),
-      [&](size_t c, ExecContext* ectx, bool allow_repartition,
-          PhaseOutput* out) {
+      [&](size_t c, ExecContext* ectx, bool allow_split, PhaseOutput* out) {
         HashDivisionCore cluster_core(ectx, resolved_.match_attrs,
                                       resolved_.quotient_attrs, options_);
         cluster_core.BorrowDivisorTable(core);
         return DivideQuotientCluster(
-            ectx, &cluster_core, clusters[c].get(), 0,
-            "quotient-part-c" + std::to_string(c), allow_repartition, out);
+            ectx, &cluster_core, clusters[c].get(),
+            QuotientHint(*clusters[c], options_), 0,
+            "quotient-part-c" + std::to_string(c), allow_split, out);
       },
       &outputs));
   for (PhaseOutput& out : outputs) {
@@ -255,108 +317,74 @@ Status PartitionedHashDivisionOperator::RunQuotientPartitioned() {
   return Status::OK();
 }
 
-Status PartitionedHashDivisionOperator::RunDivisorPartitioned(
-    PartitionStrategy strategy, size_t num_partitions) {
-  const bool combined = strategy == PartitionStrategy::kCombined;
-  const std::string label = combined ? "combined" : "divisor-part";
+Status PartitionedHashDivisionOperator::RunDivisorPartitioned() {
+  const size_t num_partitions = options_.num_partitions;
   // The same partitioning function must be applied to the divisor (on all
   // its columns) and the dividend (on the divisor attributes) so matching
   // tuples land in the same cluster.
-  std::vector<size_t> divisor_all(resolved_.divisor.schema.num_fields());
-  for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
   ScanOperator divisor_input(ctx_, resolved_.divisor);
   RELDIV_ASSIGN_OR_RETURN(
       auto divisor_clusters,
-      SpillClusters(ctx_, &divisor_input, divisor_all, num_partitions,
-                    /*salt=*/0, label + "-s"));
+      SpillClusters(ctx_, &divisor_input,
+                    AllColumns(resolved_.divisor.schema), num_partitions,
+                    /*salt=*/0, "divisor-part-s"));
   ScanOperator dividend_input(ctx_, resolved_.dividend);
   RELDIV_ASSIGN_OR_RETURN(
       auto dividend_clusters,
       SpillClusters(ctx_, &dividend_input, resolved_.match_attrs,
-                    num_partitions, /*salt=*/0, label + "-r"));
+                    num_partitions, /*salt=*/0, "divisor-part-r"));
 
-  // Phases whose divisor cluster is empty constrain nothing (their for-all
-  // condition is vacuous) and must not appear in the collection divisor.
-  std::vector<int64_t> participating;
-  for (size_t p = 0; p < num_partitions; ++p) {
-    if (divisor_clusters[p]->num_records() != 0) {
-      participating.push_back(static_cast<int64_t>(p));
-    }
-  }
-
-  // One phase per participating divisor cluster: each builds that
-  // cluster's divisor table and divides the matching dividend cluster.
-  // Phases share nothing but the (thread-safe) storage layer.
-  const size_t quotient_parts = options_.num_quotient_subpartitions == 0
-                                    ? num_partitions
-                                    : options_.num_quotient_subpartitions;
+  // One phase per non-empty divisor cluster: each builds that cluster's
+  // divisor table and divides the matching dividend cluster. Phases share
+  // nothing but the (thread-safe) storage layer.
   std::vector<PhaseOutput> outputs;
   RELDIV_RETURN_NOT_OK(RunPhaseRegion(
-      participating.size(),
-      [&](size_t i, ExecContext* ectx, bool allow_repartition,
-          PhaseOutput* out) -> Status {
-        const size_t p = static_cast<size_t>(participating[i]);
-        HashDivisionCore core(ectx, resolved_.match_attrs,
-                              resolved_.quotient_attrs, options_);
-        Relation divisor_rel{resolved_.divisor.schema,
-                             divisor_clusters[p].get()};
-        ScanOperator divisor_scan(ectx, divisor_rel);
-        RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_scan));
-        ScanOperator dividend_scan(
-            ectx, Relation{resolved_.dividend.schema,
-                           dividend_clusters[p].get()});
-        if (!combined) {
-          RELDIV_RETURN_NOT_OK(core.DivideCluster(
-              &dividend_scan, /*expected_cardinality=*/0, &out->quotient));
-          ++out->phases;
-          return Status::OK();
-        }
-        // §3.4's closing question — neither table fits: the divisor
-        // clusters shrink the divisor table and the bit maps, and
-        // quotient sub-partitioning of the cluster's dividend shrinks the
-        // quotient table; an inner overflow splits just that sub-cluster.
-        const std::string sub_label = "combined-r" + std::to_string(p);
-        RELDIV_ASSIGN_OR_RETURN(
-            auto sub_clusters,
-            SpillClusters(ectx, &dividend_scan, resolved_.quotient_attrs,
-                          quotient_parts, /*salt=*/0, sub_label));
-        for (auto& sub : sub_clusters) {
-          RELDIV_RETURN_NOT_OK(DivideQuotientCluster(
-              ectx, &core, sub.get(), 0, sub_label, allow_repartition, out));
-        }
-        return Status::OK();
+      num_partitions,
+      [&](size_t p, ExecContext* ectx, bool allow_split, PhaseOutput* out) {
+        return DivideDivisorCluster(
+            ectx, divisor_clusters[p].get(), dividend_clusters[p].get(), 0,
+            "divisor-part-p" + std::to_string(p), allow_split, out);
       },
       &outputs));
 
-  // Tag each phase's quotient cluster with its phase number and spool the
-  // union, in phase order, to one temporary file whose schema is (quotient
-  // attrs..., phase) — so its contents never depend on the worker count.
+  // Tag each phase's quotient cluster and spool the union, in phase order,
+  // to one temporary file whose schema is (quotient attrs..., phase) — so
+  // its contents never depend on the worker count. An unsplit phase is
+  // tagged with its partition number; the halves of a split phase take
+  // fresh tags from num_partitions on, in phase order, then split order.
   std::vector<Field> tagged_fields = resolved_.quotient_schema.fields();
   tagged_fields.push_back(Field{"phase", ValueType::kInt64});
   RecordFile tagged_store(ctx_->disk(), ctx_->buffer_manager(),
-                          label + "-quotient-clusters");
+                          "divisor-part-quotient-clusters");
   Relation tagged{Schema(std::move(tagged_fields)), &tagged_store};
   RowCodec tagged_codec(tagged.schema);
   std::string buffer;
-  for (size_t i = 0; i < outputs.size(); ++i) {
-    for (Tuple& q : outputs[i].quotient) {
-      q.Append(Value::Int64(participating[i]));
-      buffer.clear();
-      RELDIV_RETURN_NOT_OK(tagged_codec.Encode(q, &buffer));
-      RELDIV_ASSIGN_OR_RETURN(Rid rid, tagged_store.Append(Slice(buffer)));
-      (void)rid;
+  std::vector<int64_t> tags;
+  int64_t next_tag = static_cast<int64_t>(num_partitions);
+  for (size_t p = 0; p < num_partitions; ++p) {
+    PhaseOutput& out = outputs[p];
+    size_t begin = 0;
+    for (size_t end : out.tag_ends) {
+      tags.push_back(out.tag_ends.size() == 1 ? static_cast<int64_t>(p)
+                                              : next_tag++);
+      for (; begin < end; ++begin) {
+        Tuple& q = out.quotient[begin];
+        q.Append(Value::Int64(tags.back()));
+        buffer.clear();
+        RELDIV_RETURN_NOT_OK(tagged_codec.Encode(q, &buffer));
+        RELDIV_ASSIGN_OR_RETURN(Rid rid, tagged_store.Append(Slice(buffer)));
+        (void)rid;
+      }
     }
   }
-  // Entire divisor empty: empty quotient by convention.
-  if (participating.empty()) return Status::OK();
 
-  // Collection phase: divide the tagged union over the participating
-  // phase numbers.
+  // Entire divisor empty: empty quotient by convention.
+  if (tags.empty()) return Status::OK();
+  // Collection phase: divide the tagged union over the phase tags.
   ScanOperator tagged_scan(ctx_, tagged);
-  return CollectTaggedQuotients(
-      ctx_, &tagged_scan, participating,
-      combined ? 0 : options_.expected_quotient_cardinality, &results_,
-      &repartitions_);
+  return CollectTaggedQuotients(ctx_, &tagged_scan, tags,
+                                options_.expected_quotient_cardinality,
+                                &results_, &repartitions_);
 }
 
 Status PartitionedHashDivisionOperator::Open() {
@@ -365,45 +393,21 @@ Status PartitionedHashDivisionOperator::Open() {
   phases_run_ = 0;
   repartitions_ = 0;
   escalations_ = 0;
-  restarts_ = 0;
+  divisor_splits_ = 0;
   RELDIV_RETURN_NOT_OK(ValidateDivisionOptions(
       DivisionAlgorithm::kHashDivisionPartitioned, options_));
-
-  PartitionStrategy strategy = options_.partition_strategy;
-  size_t parts = options_.num_partitions == 0 ? 1 : options_.num_partitions;
-  if (strategy == PartitionStrategy::kQuotient) {
-    Status status = RunQuotientPartitioned();
+  if (options_.partition_strategy == PartitionStrategy::kQuotient) {
+    const Status status = RunQuotientPartitioned();
     if (status.code() != StatusCode::kResourceExhausted) return status;
-    // The resident divisor table (or an unsplittable cluster) outgrew the
-    // budget; quotient partitioning alone cannot recover, so escalate to
-    // the combined strategy, which also shrinks the divisor table.
-    escalations_++;
+    // The resident divisor table (or a cluster no quotient split shrinks)
+    // outgrew the budget: fall to the divisor strategy, which splits it.
+    ++escalations_;
     if (Telemetry::counting()) {
-      EventLog::Flight().Record("fallback", "escalate_to_combined",
+      EventLog::Flight().Record("fallback", "fall_to_divisor_partitioning",
                                 "partitioned_hash_division");
     }
-    strategy = PartitionStrategy::kCombined;
-  } else if (strategy != PartitionStrategy::kDivisor &&
-             strategy != PartitionStrategy::kCombined) {
-    return Status::NotSupported("unknown partition strategy");
   }
-
-  Status status;
-  for (size_t attempt = 0;; ++attempt) {
-    results_.clear();
-    phases_run_ = 0;
-    status = RunDivisorPartitioned(strategy, parts);
-    if (status.code() != StatusCode::kResourceExhausted) return status;
-    if (attempt >= kMaxRestarts) return status;
-    // A cluster outgrew the budget at this partition count: restart with
-    // twice the partitions, which halves every cluster in expectation.
-    restarts_++;
-    if (Telemetry::counting()) {
-      EventLog::Flight().Record("fallback", "restart_doubled_partitions",
-                                "partitioned_hash_division", parts * 2);
-    }
-    parts *= 2;
-  }
+  return RunDivisorPartitioned();
 }
 
 Status PartitionedHashDivisionOperator::NextBatch(TupleBatch* batch,

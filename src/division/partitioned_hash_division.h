@@ -45,46 +45,37 @@ Status CollectTaggedQuotients(ExecContext* ctx, Operator* tagged,
 /// quotient is the concatenation of the per-phase quotients.
 ///
 /// Divisor partitioning: divisor and dividend are partitioned with the same
-/// function on the divisor attrs. Each phase produces a quotient cluster
-/// tagged with its phase number; a final collection phase divides the union
-/// of the tagged clusters over the set of participating phase numbers —
-/// "this problem is exactly the division problem again" — skipping step 1 of
-/// hash-division because the phase tag directly indexes the bit map. Phases
-/// whose divisor cluster is empty constrain nothing and are excluded from
-/// the collection divisor.
+/// function on the divisor attrs. Each phase tags its quotient cluster; a
+/// final collection phase divides the union of the tagged clusters over the
+/// set of tags — "this problem is exactly the division problem again" —
+/// skipping step 1 of hash-division because the tag directly indexes the
+/// bit map. An empty divisor cluster constrains nothing and gets no tag.
 ///
-/// Overflow recovery (§3.4's "overflow avoidance ... may fail"): the
-/// partition count is a planning estimate, so a cluster can still outgrow
-/// the memory budget at run time. Four recovery mechanisms compose:
-///  - Quotient strategy: a dividend cluster whose quotient table overflows
-///    is recursively split in two with a depth-salted hash and each half is
-///    divided on its own (`repartitions` gauge).
-///  - Quotient strategy: if the resident divisor table itself overflows,
-///    quotient partitioning cannot help (the divisor table is per-phase
-///    state it never shrinks), so the operator escalates to the combined
-///    strategy (`escalations` gauge).
-///  - Divisor / combined strategies: a per-phase overflow restarts the whole
-///    run with twice the partitions (`restarts` gauge), bounded; clusters
-///    halve in expectation each restart.
-///  - Divisor / combined strategies: an overflowing collection phase splits
-///    the tagged quotient file in two on the quotient attrs and collects
-///    each half on its own (`repartitions` gauge; CollectTaggedQuotients).
-///    More partitions could not help there: the collector holds one entry
-///    per candidate that completed some cluster.
+/// Overflow recovery (§3.4's "overflow avoidance ... may fail"; for two
+/// tables too large the paper only says to "resort to combinations of the
+/// techniques") is one recursive rule: the cluster that overflowed splits
+/// in two, with a depth-salted hash, on the attrs of the table that
+/// overflowed.
+///  - Quotient table: the dividend cluster (or the collection phase's
+///    tagged file) splits on the quotient attrs (`repartitions` gauge).
+///  - Divisor table of a divisor-strategy phase, or a quotient split that
+///    bottoms out: divisor and dividend cluster split on the divisor attrs,
+///    each non-empty divisor half a phase with its own collection tag
+///    (`divisor_splits` gauge).
+///  - The quotient strategy's resident divisor table: the run falls to the
+///    divisor strategy at the same partition count (`escalations` gauge).
 /// Only ResourceExhausted triggers recovery; any other failure (an I/O
 /// fault, a corrupt page) propagates unchanged.
 ///
-/// Intra-node parallelism: the per-cluster (quotient strategy) and per-phase
-/// (divisor/combined strategies) loops run as morsels on the TaskScheduler,
+/// Intra-node parallelism: the per-cluster (quotient strategy) and
+/// per-phase (divisor strategy) loops run as morsels on the TaskScheduler,
 /// one fragment per cluster/phase with a private ExecContext and
 /// HashDivisionCore; quotient-strategy fragments borrow the one resident
 /// divisor table read-only. The decomposition is the §3.4 partitioning
-/// itself — fixed by num_partitions, never by worker count — and results
-/// and counters are merged in cluster/phase order, so the quotient and all
-/// Table 1 CPU counter totals of a SUCCESSFUL run are identical at any
-/// RELDIV_THREADS. (When a run fails and restarts, the counted work of the
-/// failed attempt depends on which fragments progressed before the error
-/// won — only successful attempts are counter-reproducible.)
+/// itself — fixed by num_partitions, never by worker count — nothing splits
+/// inside a concurrent region (RunPhaseRegion), and results and counters
+/// are merged in cluster/phase order, so the quotient and all Table 1 CPU
+/// counter totals are identical at any RELDIV_THREADS.
 class PartitionedHashDivisionOperator : public Operator {
  public:
   PartitionedHashDivisionOperator(ExecContext* ctx,
@@ -100,10 +91,12 @@ class PartitionedHashDivisionOperator : public Operator {
 
   /// Number of phases actually executed (test hook).
   size_t phases_run() const { return phases_run_; }
-  /// Recursive cluster splits taken by the quotient strategy (test hook).
+  /// Cluster splits on the quotient attrs (test hook).
   size_t repartitions() const { return repartitions_; }
-  /// Full restarts with a doubled partition count (test hook).
-  size_t restarts() const { return restarts_; }
+  /// Divisor-cluster splits on the divisor attrs (test hook).
+  size_t divisor_splits() const { return divisor_splits_; }
+  /// Falls from the quotient to the divisor strategy (test hook).
+  size_t escalations() const { return escalations_; }
 
   /// Partition passes executed over the spooled clusters, plus the overflow
   /// recovery counters (see the class comment).
@@ -114,31 +107,31 @@ class PartitionedHashDivisionOperator : public Operator {
                          static_cast<double>(repartitions_));
     gauges->emplace_back(metric_names::kGaugeEscalations,
                          static_cast<double>(escalations_));
-    gauges->emplace_back(metric_names::kGaugeRestarts,
-                         static_cast<double>(restarts_));
+    gauges->emplace_back(metric_names::kGaugeDivisorSplits,
+                         static_cast<double>(divisor_splits_));
   }
 
  private:
   /// What one §3.4 phase (a cluster of the quotient strategy, a divisor
-  /// cluster of the divisor/combined strategies) produced.
+  /// cluster of the divisor strategy) produced.
   struct PhaseOutput {
     std::vector<Tuple> quotient;
-    size_t phases = 0;        ///< phases completed, recursive splits included
-    size_t repartitions = 0;  ///< recursive cluster splits taken
+    /// Divisor strategy: where each collection tag's quotient ends in
+    /// `quotient`, in split order (one entry unless the phase split).
+    std::vector<size_t> tag_ends;
+    size_t phases = 0;          ///< phases completed, recursive splits included
+    size_t repartitions = 0;    ///< cluster splits on the quotient attrs
+    size_t divisor_splits = 0;  ///< cluster splits on the divisor attrs
   };
-  /// Runs phase `i` with all work charged to `ctx`. With
-  /// `allow_repartition` false the first overflow surfaces as
-  /// ResourceExhausted instead of being recovered from.
-  using PhaseBody = std::function<Status(
-      size_t i, ExecContext* ctx, bool allow_repartition, PhaseOutput* out)>;
+  /// Runs phase `i`, charging `ctx`; with `allow_split` false the first
+  /// overflow surfaces as ResourceExhausted instead of being recovered.
+  using PhaseBody = std::function<Status(size_t i, ExecContext* ctx,
+                                         bool allow_split, PhaseOutput* out)>;
 
   Status RunQuotientPartitioned();
-  /// The divisor and combined strategies: partition divisor and dividend on
-  /// the divisor attrs, run one phase per non-empty divisor cluster, tag
-  /// and spool the phase quotients in phase order, and collect them. The
-  /// strategies differ only in the phase body.
-  Status RunDivisorPartitioned(PartitionStrategy strategy,
-                               size_t num_partitions);
+  /// Partitions both inputs on the divisor attrs, runs one phase per
+  /// non-empty divisor cluster and collects the tagged phase quotients.
+  Status RunDivisorPartitioned();
 
   /// Runs `num_phases` independent phases as one RunFragments region, with
   /// overflow recovery disallowed. An in-region ResourceExhausted may be an
@@ -151,18 +144,30 @@ class PartitionedHashDivisionOperator : public Operator {
                         std::vector<PhaseOutput>* outputs);
 
   /// Divides one dividend cluster against `core`'s (possibly borrowed)
-  /// divisor table, recursively splitting the cluster when its quotient
-  /// table overflows the memory budget. `depth` salts the split hash so a
-  /// re-split does not reproduce the parent partitioning. All work is
-  /// charged to `ctx` and quotient tuples and phase/split tallies go to
-  /// `out`. `label` prefixes the temporary spill files of recursive splits
-  /// — it must be unique per concurrent caller. With `allow_repartition`
-  /// false the first overflow surfaces as ResourceExhausted instead of
-  /// splitting (see RunPhaseRegion).
+  /// divisor table (DivideCluster hint `expected_cardinality`), recursively
+  /// splitting the cluster when its quotient table overflows the memory
+  /// budget. `depth` salts the split hash so a re-split does not reproduce
+  /// the parent partitioning. All work is charged to `ctx`; quotient tuples
+  /// and phase/split tallies go to `out`. `label` prefixes the spill files
+  /// of recursive splits and must be unique per concurrent caller. With
+  /// `allow_split` false the first overflow surfaces as ResourceExhausted
+  /// instead of splitting (see RunPhaseRegion).
   Status DivideQuotientCluster(ExecContext* ctx, HashDivisionCore* core,
-                               RecordFile* cluster, size_t depth,
-                               const std::string& label,
-                               bool allow_repartition, PhaseOutput* out);
+                               RecordFile* cluster,
+                               uint64_t expected_cardinality, size_t depth,
+                               const std::string& label, bool allow_split,
+                               PhaseOutput* out);
+
+  /// One divisor-strategy phase: builds `divisor`'s table, divides
+  /// `dividend` with DivideQuotientCluster and closes a tag in
+  /// `out->tag_ends`. If that still overflows and `divisor` has more than
+  /// one row, the attempt's quotient is dropped and both clusters split in
+  /// two on the divisor attrs (salted by `depth`), each half with a
+  /// non-empty divisor a phase of its own. Other arguments as above.
+  Status DivideDivisorCluster(ExecContext* ctx, RecordFile* divisor,
+                              RecordFile* dividend, size_t depth,
+                              const std::string& label, bool allow_split,
+                              PhaseOutput* out);
 
   ExecContext* ctx_;
   ResolvedDivision resolved_;
@@ -174,7 +179,7 @@ class PartitionedHashDivisionOperator : public Operator {
   size_t phases_run_ = 0;
   size_t repartitions_ = 0;
   size_t escalations_ = 0;
-  size_t restarts_ = 0;
+  size_t divisor_splits_ = 0;
 };
 
 }  // namespace reldiv

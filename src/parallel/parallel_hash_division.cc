@@ -98,8 +98,8 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
     const Schema& dividend_schema, const Schema& divisor_schema,
     const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
     const std::vector<size_t>& match_attrs) {
-  // Each node runs one serial hash-division core, which has neither
-  // fragments nor quotient sub-partitions to give those options meaning.
+  // Each node runs one serial hash-division core, which has no fragments
+  // to give that option meaning.
   if (options_.division.parallel_fragments > 0) {
     return Status::InvalidArgument(
         "parallel hash-division: parallel_fragments does not apply to the "

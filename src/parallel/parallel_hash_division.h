@@ -38,10 +38,10 @@ struct ParallelDivisionOptions {
 
   /// Hash-division tuning forwarded to each node's local division. Execute
   /// refuses, with InvalidArgument, `parallel_fragments > 0` and whatever
-  /// ValidateDivisionOptions refuses for kHashDivision (among them
-  /// `num_quotient_subpartitions != 0`). `partition_strategy` and
-  /// `num_partitions` are not validated and have no effect here: the
-  /// strategy that applies is `strategy` above.
+  /// ValidateDivisionOptions refuses for kHashDivision. `partition_strategy`
+  /// and `num_partitions` belong to partitioned hash-division, so they are
+  /// not validated and have no effect here: the strategy that applies is
+  /// `strategy` above.
   DivisionOptions division;
 
   /// Optional trace (obs/event_log.h): the engine attaches it to the

@@ -145,10 +145,9 @@ TEST_P(HashDivisionVariantTest, VariantsMatchReference) {
         Divide(db->ctx(), query, DivisionAlgorithm::kHashDivision, early));
     EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
   }
-  // All three partitioning strategies, several partition counts.
+  // Both partitioning strategies, several partition counts.
   for (PartitionStrategy strategy :
-       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor,
-        PartitionStrategy::kCombined}) {
+       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor}) {
     for (size_t partitions : {1, 3, 8}) {
       DivisionOptions part;
       part.partition_strategy = strategy;

@@ -441,8 +441,9 @@ TEST_F(DivisionTest, EveryEntryPointRefusesOrHonoursEveryOption) {
   // Entry-point families; each row names the families that accept it.
   constexpr int kHash = 1;         // kHashDivision and its operator
   constexpr int kPartitioned = 2;  // kHashDivisionPartitioned and its operator
-  constexpr int kOthers = 4;       // the other five algorithms, the planners
-  constexpr int kAll = kHash | kPartitioned | kOthers;
+  constexpr int kOthers = 4;       // the other five algorithms
+  constexpr int kPlanners = 8;     // check against every algorithm
+  constexpr int kAll = kHash | kPartitioned | kOthers | kPlanners;
   constexpr int kNone = 0;
   const struct {
     const char* name;
@@ -463,28 +464,15 @@ TEST_F(DivisionTest, EveryEntryPointRefusesOrHonoursEveryOption) {
          o->partition_strategy = PartitionStrategy::kDivisor;
        },
        kAll},
-      {"partition_strategy combined",
+      {"partition_strategy outside the enum",
        [](DivisionOptions* o) {
-         o->partition_strategy = PartitionStrategy::kCombined;
+         o->partition_strategy = static_cast<PartitionStrategy>(2);
        },
-       kAll},
+       kHash | kOthers},
       {"num_partitions", [](DivisionOptions* o) { o->num_partitions = 7; },
        kAll},
-      {"num_quotient_subpartitions (quotient strategy)",
-       [](DivisionOptions* o) { o->num_quotient_subpartitions = 3; },
-       kPartitioned},
-      {"num_quotient_subpartitions (combined strategy)",
-       [](DivisionOptions* o) {
-         o->partition_strategy = PartitionStrategy::kCombined;
-         o->num_quotient_subpartitions = 3;
-       },
-       kPartitioned},
-      {"num_quotient_subpartitions (divisor strategy)",
-       [](DivisionOptions* o) {
-         o->partition_strategy = PartitionStrategy::kDivisor;
-         o->num_quotient_subpartitions = 3;
-       },
-       kNone},
+      {"num_partitions 0", [](DivisionOptions* o) { o->num_partitions = 0; },
+       kHash | kOthers},
       {"parallel_fragments",
        [](DivisionOptions* o) { o->parallel_fragments = 4; }, kHash},
       {"parallel_fragments with early_output",
@@ -515,14 +503,14 @@ TEST_F(DivisionTest, EveryEntryPointRefusesOrHonoursEveryOption) {
                        }});
   }
   entries.push_back(
-      {"PlanDivision", kOthers,
+      {"PlanDivision", kPlanners,
        [&](const DivisionOptions& options) -> Result<std::vector<Tuple>> {
          RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Operator> plan,
                                  PlanDivision(ctx, query, options));
          return CollectAll(ctx, plan.get());
        }});
   entries.push_back(
-      {"PlanAdaptiveDivision", kOthers,
+      {"PlanAdaptiveDivision", kPlanners,
        [&](const DivisionOptions& options) -> Result<std::vector<Tuple>> {
          AdaptiveOptions adaptive;
          adaptive.division = options;

@@ -206,7 +206,7 @@ TEST_F(FaultInjectionTest, WriteFaultSurfacesOnWriteBack) {
 
 // (a) of the differential contract: a recoverable fault — one transient
 // memory denial — is absorbed (buffer manager evicts, partitioned division
-// restarts) and the quotient is still exact.
+// splits the cluster that overflowed) and the quotient is still exact.
 TEST_F(FaultInjectionTest, TransientMemoryDenialRecoversExactly) {
   for (DivisionAlgorithm algorithm :
        {DivisionAlgorithm::kHashDivision,

@@ -14,6 +14,7 @@
 #include "common/metric_names.h"
 #include "division/division.h"
 #include "division/hash_division.h"
+#include "division/partitioned_hash_division.h"
 #include "exec/database.h"
 #include "exec/exchange.h"
 #include "exec/scan.h"
@@ -208,49 +209,58 @@ TEST_F(IntraParallelTest, ParallelFragmentsAreLaneEquivalentPerFragmentCount) {
 
 TEST_F(IntraParallelTest, PartitionedStrategiesAreLaneEquivalent) {
   // hash_memory_bytes 0 is unbounded. The 8 KiB budget makes in-region
-  // phases overflow, so the defer-and-rerun path runs at every worker count
-  // (and, for the combined strategy, the collection split as well).
+  // phases overflow, so the defer-and-rerun path and the quotient splits
+  // run at every worker count; 600 bytes is below a divisor cluster's
+  // table plus one candidate, so divisor clusters split as well (and the
+  // quotient strategy falls to the divisor strategy).
   constexpr size_t kTight = 8 * 1024;
+  constexpr size_t kTighter = 600;
   const struct {
     PartitionStrategy strategy;
     size_t hash_memory_bytes;
   } cases[] = {{PartitionStrategy::kQuotient, 0},
                {PartitionStrategy::kDivisor, 0},
-               {PartitionStrategy::kCombined, 0},
                {PartitionStrategy::kQuotient, kTight},
-               {PartitionStrategy::kCombined, kTight}};
+               {PartitionStrategy::kDivisor, kTight},
+               {PartitionStrategy::kQuotient, kTighter},
+               {PartitionStrategy::kDivisor, kTighter}};
   TelemetryCounter* repartitions_total =
       MetricRegistry::Global().FindOrCreateCounter(
           metric_names::kRepartitionsTotal);
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved, ResolveDivision(Query()));
   for (const auto& c : cases) {
     DivisionOptions options;
     options.partition_strategy = c.strategy;
     options.num_partitions = 3;
-    // Refused with divisor partitioning, which never reads it.
-    if (c.strategy != PartitionStrategy::kDivisor) {
-      options.num_quotient_subpartitions = 2;
-    }
     const std::string name =
-        std::string(c.strategy == PartitionStrategy::kQuotient
-                        ? "quotient"
-                        : (c.strategy == PartitionStrategy::kDivisor
-                               ? "divisor"
-                               : "combined")) +
+        std::string(c.strategy == PartitionStrategy::kQuotient ? "quotient"
+                                                               : "divisor") +
         " with hash_memory_bytes " + std::to_string(c.hash_memory_bytes);
     db_->ctx()->set_hash_memory_bytes(c.hash_memory_bytes);
+    size_t divisor_splits = 0;
+    auto run_at = [&](size_t dop) {
+      return ColdRun(dop, [&](ExecContext* ctx, std::vector<Tuple>* out) {
+        PartitionedHashDivisionOperator op(ctx, resolved, options);
+        RELDIV_ASSIGN_OR_RETURN(*out, CollectAll(ctx, &op));
+        divisor_splits = op.divisor_splits();
+        return Status::OK();
+      });
+    };
     const uint64_t repartitions_before = repartitions_total->value();
-    ASSERT_OK_AND_ASSIGN(
-        RunOutcome base,
-        RunAt(1, DivisionAlgorithm::kHashDivisionPartitioned, options));
+    ASSERT_OK_AND_ASSIGN(RunOutcome base, run_at(1));
     EXPECT_EQ(Sorted(base.quotient), workload_.expected_quotient) << name;
+    const size_t base_divisor_splits = divisor_splits;
     if (c.hash_memory_bytes != 0) {
       EXPECT_GT(repartitions_total->value(), repartitions_before) << name;
     }
-    for (size_t dop : {4u, 8u}) {
-      ASSERT_OK_AND_ASSIGN(
-          RunOutcome run,
-          RunAt(dop, DivisionAlgorithm::kHashDivisionPartitioned, options));
+    EXPECT_EQ(base_divisor_splits > 0, c.hash_memory_bytes == kTighter)
+        << name;
+    for (size_t dop : {3u, 4u, 8u}) {
+      ASSERT_OK_AND_ASSIGN(RunOutcome run, run_at(dop));
       ExpectIdentical(base, run, name + " at dop " + std::to_string(dop));
+      ExpectSameStorage(base, run, name + " at dop " + std::to_string(dop));
+      EXPECT_EQ(divisor_splits, base_divisor_splits) << name << " at dop "
+                                                     << dop;
     }
   }
 }

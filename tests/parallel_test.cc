@@ -339,22 +339,16 @@ TEST_F(ParallelDivisionTest, RejectsArityMismatch) {
 
 TEST_F(ParallelDivisionTest, RefusesLocalOptionsItNeverReads) {
   GeneratedWorkload w = MakeWorkload(29);
-  for (int refused = 0; refused < 2; ++refused) {
-    ParallelDivisionOptions options;
-    if (refused == 0) {
-      options.division.parallel_fragments = 4;
-    } else {
-      options.division.num_quotient_subpartitions = 2;
-    }
-    ParallelHashDivisionEngine engine(options);
-    auto result = engine.Execute(w.dividend_schema, w.divisor_schema,
-                                 w.dividend, w.divisor, {1});
-    ASSERT_FALSE(result.ok()) << "option " << refused;
-    EXPECT_TRUE(result.status().IsInvalidArgument())
-        << result.status().ToString();
-    // Refused before any shipment.
-    EXPECT_EQ(engine.interconnect().messages(), 0u);
-  }
+  ParallelDivisionOptions options;
+  options.division.parallel_fragments = 4;
+  ParallelHashDivisionEngine engine(options);
+  auto result = engine.Execute(w.dividend_schema, w.divisor_schema,
+                               w.dividend, w.divisor, {1});
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  // Refused before any shipment.
+  EXPECT_EQ(engine.interconnect().messages(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "division/partitioned_hash_division.h"
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "division/division.h"
 #include "exec/database.h"
@@ -93,7 +95,10 @@ TEST_F(PartitionedDivisionTest, PhasesRunMatchesPartitionCount) {
   }
 }
 
-TEST_F(PartitionedDivisionTest, CombinedStrategyMatchesReference) {
+TEST_F(PartitionedDivisionTest, DivisorStrategyMatchesReference) {
+  // Duplicates, incomplete candidates and dividend tuples that match no
+  // divisor tuple, at several partition counts; the tight budgets make the
+  // phases split their quotient and divisor clusters.
   DatabaseOptions options;
   options.pool_bytes = 0;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open(options));
@@ -106,72 +111,71 @@ TEST_F(PartitionedDivisionTest, CombinedStrategyMatchesReference) {
   spec.seed = 41;
   GeneratedWorkload workload = GenerateWorkload(spec);
   Relation dividend, divisor;
-  ASSERT_OK(LoadWorkload(db.get(), workload, "comb", &dividend, &divisor));
+  ASSERT_OK(LoadWorkload(db.get(), workload, "div", &dividend, &divisor));
   DivisionQuery query{dividend, divisor, {"divisor_id"}};
-  for (size_t divisor_parts : {1, 3, 6}) {
-    for (size_t quotient_parts : {0, 1, 5}) {  // 0 = default
+  for (size_t partitions : {1, 3, 6}) {
+    for (size_t budget : {0, 4096, 1024}) {  // 0 = unbounded
+      db->ctx()->set_hash_memory_bytes(budget);
       DivisionOptions div_options;
-      div_options.partition_strategy = PartitionStrategy::kCombined;
-      div_options.num_partitions = divisor_parts;
-      div_options.num_quotient_subpartitions = quotient_parts;
+      div_options.partition_strategy = PartitionStrategy::kDivisor;
+      div_options.num_partitions = partitions;
       ASSERT_OK_AND_ASSIGN(
           std::vector<Tuple> quotient,
           Divide(db->ctx(), query,
                  DivisionAlgorithm::kHashDivisionPartitioned, div_options));
       EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient)
-          << divisor_parts << "x" << quotient_parts;
+          << partitions << " partitions, budget " << budget;
     }
   }
 }
 
-TEST_F(PartitionedDivisionTest, CombinedStrategyResolvesDoubleOverflow) {
-  // Divisor and quotient tables together far exceed the budget, so plain
-  // hash-division must overflow; the combined strategy shrinks both tables
-  // (divisor clusters outside, quotient sub-clusters inside) and completes.
+TEST_F(PartitionedDivisionTest, DivisorStrategySplitsBothTablesInOneRun) {
+  // Divisor and quotient tables together far exceed the 2 KiB budget, so
+  // plain hash-division overflows. Divisor partitioning into 2 clusters
+  // leaves each phase's divisor table (~32 rows) too large as well: that
+  // phase's divisor cluster splits on the divisor attrs, and the quotient
+  // tables split their dividend clusters on the quotient attrs, all in one
+  // run.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
   WorkloadSpec spec;
-  spec.divisor_cardinality = 1500;
-  spec.quotient_candidates = 1500;
-  spec.candidate_completeness = 0.3;
-  spec.seed = 42;
+  spec.divisor_cardinality = 64;
+  spec.quotient_candidates = 200;
+  spec.candidate_completeness = 0.5;
+  spec.nonmatching_tuples = 100;
+  spec.dividend_duplicates = 20;
+  spec.seed = 43;
   GeneratedWorkload workload = GenerateWorkload(spec);
+  Relation dividend, divisor;
+  ASSERT_OK(LoadWorkload(db.get(), workload, "dbl", &dividend, &divisor));
+  DivisionQuery query{dividend, divisor, {"divisor_id"}};
+  db->ctx()->set_hash_memory_bytes(2 * 1024);
 
-  auto run = [&](DivisionAlgorithm algorithm,
-                 PartitionStrategy strategy) -> Result<std::vector<Tuple>> {
-    DatabaseOptions options;
-    options.pool_bytes = 160 * 1024;
-    RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
-                            Database::Open(options));
-    Relation dividend, divisor;
-    RELDIV_RETURN_NOT_OK(
-        LoadWorkload(db.get(), workload, "dbl", &dividend, &divisor));
-    DivisionQuery query{dividend, divisor, {"divisor_id"}};
-    DivisionOptions div_options;
-    div_options.partition_strategy = strategy;
-    div_options.num_partitions = 24;
-    // Read by the combined run only; plain hash-division refuses it.
-    if (algorithm == DivisionAlgorithm::kHashDivisionPartitioned) {
-      div_options.num_quotient_subpartitions = 24;
-    }
-    return Divide(db->ctx(), query, algorithm, div_options);
-  };
-
-  auto plain = run(DivisionAlgorithm::kHashDivision,
-                   PartitionStrategy::kQuotient);
-  ASSERT_FALSE(plain.ok());  // both tables at once bust the budget
+  auto plain = Divide(db->ctx(), query, DivisionAlgorithm::kHashDivision);
+  ASSERT_FALSE(plain.ok());
   EXPECT_TRUE(plain.status().IsResourceExhausted());
 
-  auto combined = run(DivisionAlgorithm::kHashDivisionPartitioned,
-                      PartitionStrategy::kCombined);
-  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
-  EXPECT_EQ(Sorted(combined.MoveValue()), workload.expected_quotient);
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved, ResolveDivision(query));
+  DivisionOptions div_options;
+  div_options.partition_strategy = PartitionStrategy::kDivisor;
+  div_options.num_partitions = 2;
+  PartitionedHashDivisionOperator op(db->ctx(), resolved, div_options);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> quotient, CollectAll(&op));
+  EXPECT_EQ(Sorted(std::move(quotient)), workload.expected_quotient);
+  GaugeList gauges;
+  op.ExportGauges(&gauges);
+  std::map<std::string, double> gauge;
+  for (const auto& [name, value] : gauges) gauge[name] = value;
+  EXPECT_GT(gauge[metric_names::kGaugeDivisorSplits], 0.0);
+  EXPECT_GT(gauge[metric_names::kGaugeRepartitions], 0.0);
+  EXPECT_EQ(gauge[metric_names::kGaugeEscalations], 0.0);
 }
 
-TEST_F(PartitionedDivisionTest, CollectionOverflowSplitsInsteadOfRestarting) {
-  // Every combined phase fits 24 KiB once its dividend is sub-partitioned,
-  // but the collector holds one entry per candidate that completed some
-  // divisor cluster, which no partition count shrinks: restarting with
-  // doubled partitions would only redo the whole run. The collection phase
-  // splits the tagged file on the quotient attrs instead.
+TEST_F(PartitionedDivisionTest, QuotientOverflowSplitsOnlyTheQuotientCluster) {
+  // The divisor clusters fit 24 KiB, but every phase's quotient table and
+  // the collector (one entry per candidate that completed some divisor
+  // cluster, which no partition count shrinks) do not. Only the table
+  // that overflowed is split: the dividend clusters and the tagged
+  // quotient file split on the quotient attrs; no divisor cluster splits.
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Database> db, Database::Open());
   Relation dividend, divisor;
   std::vector<Tuple> expected;
@@ -180,61 +184,55 @@ TEST_F(PartitionedDivisionTest, CollectionOverflowSplitsInsteadOfRestarting) {
                        ResolveDivision(
                            DivisionQuery{dividend, divisor, {"divisor_id"}}));
   DivisionOptions div_options;
-  div_options.partition_strategy = PartitionStrategy::kCombined;
+  div_options.partition_strategy = PartitionStrategy::kDivisor;
   div_options.num_partitions = 2;
-  div_options.num_quotient_subpartitions = 2;
   db->ctx()->set_hash_memory_bytes(24 * 1024);
   PartitionedHashDivisionOperator op(db->ctx(), resolved, div_options);
-  Result<std::vector<Tuple>> out = CollectAll(&op);
-  ASSERT_TRUE(out.ok()) << out.status().ToString() << " after "
-                        << op.restarts() << " restarts";
-  EXPECT_EQ(Sorted(out.MoveValue()), expected);
-  EXPECT_EQ(op.restarts(), 0u);
+  ASSERT_OK_AND_ASSIGN(std::vector<Tuple> out, CollectAll(&op));
+  EXPECT_EQ(Sorted(std::move(out)), expected);
+  EXPECT_GT(op.repartitions(), 0u);
+  EXPECT_EQ(op.divisor_splits(), 0u);
 }
 
 // Pins the operator's observable behaviour: for each strategy, and under
-// hash budgets that force each overflow recovery (a recursive split, the
-// escalation from quotient to combined partitioning, restarts with doubled
-// partitions), the quotient in emission order, the Table 1 counters, the
-// disk transfers and the recovery gauges. The run is serial (dop 1) so the
-// transfers follow one schedule, and each case gets a fresh database with
-// a 64 KiB pool, so spill files really reach the disk.
+// hash budgets that force each overflow recovery (a quotient split, the
+// fall from quotient to divisor partitioning, a divisor split), the
+// quotient in emission order, the Table 1 counters, the disk transfers and
+// the recovery gauges. The run is serial (dop 1) so the transfers follow
+// one schedule, and each case gets a fresh database with a 64 KiB pool, so
+// spill files really reach the disk.
 TEST_F(PartitionedDivisionTest, GoldenRunsPinEveryStrategyAndRecovery) {
   struct Case {
     const char* name;
     PartitionStrategy strategy;
     size_t num_partitions;
-    size_t num_quotient_subpartitions;
     size_t hash_memory_bytes;
     std::vector<int64_t> quotient;  // quotient_id in emission order
     CpuCounters counters;
     uint64_t read_transfers;
     uint64_t write_transfers;
     uint64_t seeks;
-    double phases_run, repartitions, escalations, restarts;
+    double phases_run, repartitions, escalations, divisor_splits;
   };
   const Case cases[] = {
-      {"quotient", PartitionStrategy::kQuotient, 4, 0, 0,
+      {"quotient", PartitionStrategy::kQuotient, 4, 0,
        {8, 7, 5, 9, 1, 6, 3, 4, 2, 0}, {534, 655, 0, 289}, 2, 0, 2,
        4, 0, 0, 0},
-      {"quotient+repartition", PartitionStrategy::kQuotient, 4, 0, 800,
+      {"quotient+repartition", PartitionStrategy::kQuotient, 4, 800,
        {8, 7, 5, 9, 6, 1, 0, 4, 2, 3}, {1095, 1734, 0, 410}, 4, 14, 18,
        12, 8, 0, 0},
-      {"quotient+escalation", PartitionStrategy::kQuotient, 4, 0, 500,
-       {6, 9, 5, 8, 7, 0, 1, 4, 2, 3}, {1845, 3946, 0, 773}, 21, 115, 136,
-       35, 51, 1, 0},
-      {"divisor", PartitionStrategy::kDivisor, 2, 0, 0,
+      {"quotient+escalation", PartitionStrategy::kQuotient, 4, 500,
+       {6, 9, 5, 8, 7, 0, 1, 4, 2, 3}, {2420, 5152, 0, 918}, 19, 120, 139,
+       42, 64, 1, 0},
+      {"divisor", PartitionStrategy::kDivisor, 2, 0,
        {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {499, 735, 0, 424}, 2, 0, 2,
        2, 0, 0, 0},
-      {"divisor+restart", PartitionStrategy::kDivisor, 2, 0, 2800,
-       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {1223, 2148, 0, 1054}, 12, 19, 31,
-       4, 0, 0, 2},
-      {"combined", PartitionStrategy::kCombined, 2, 2, 0,
-       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {556, 954, 0, 424}, 3, 4, 7,
-       4, 0, 0, 0},
-      {"combined+repartition", PartitionStrategy::kCombined, 2, 2, 1000,
-       {6, 5, 8, 9, 1, 7, 0, 3, 2, 4}, {1135, 2246, 0, 620}, 7, 23, 30,
-       10, 8, 0, 0},
+      {"divisor+repartition", PartitionStrategy::kDivisor, 2, 2800,
+       {3, 6, 2, 4, 5, 1, 7, 8, 0, 9}, {804, 1297, 0, 531}, 2, 1, 3,
+       3, 1, 0, 0},
+      {"divisor+divisor split", PartitionStrategy::kDivisor, 2, 400,
+       {9, 6, 8, 5, 7, 0, 1, 4, 2, 3}, {2705, 6216, 0, 992}, 18, 147, 165,
+       51, 79, 0, 1},
   };
   WorkloadSpec spec;
   spec.divisor_cardinality = 8;
@@ -263,7 +261,6 @@ TEST_F(PartitionedDivisionTest, GoldenRunsPinEveryStrategyAndRecovery) {
     DivisionOptions div_options;
     div_options.partition_strategy = c.strategy;
     div_options.num_partitions = c.num_partitions;
-    div_options.num_quotient_subpartitions = c.num_quotient_subpartitions;
     const CpuCounters cpu_before = *ctx->counters();
     const DiskStats io_before = ctx->disk()->stats();
     PartitionedHashDivisionOperator op(ctx, resolved, div_options);
@@ -288,7 +285,7 @@ TEST_F(PartitionedDivisionTest, GoldenRunsPinEveryStrategyAndRecovery) {
         {metric_names::kGaugePhasesRun, c.phases_run},
         {metric_names::kGaugeRepartitions, c.repartitions},
         {metric_names::kGaugeEscalations, c.escalations},
-        {metric_names::kGaugeRestarts, c.restarts}};
+        {metric_names::kGaugeDivisorSplits, c.divisor_splits}};
     EXPECT_EQ(gauges, expected_gauges);
   }
 }

@@ -145,8 +145,8 @@ Result<std::vector<Tuple>> DivideAdaptively(ExecContext* ctx,
 // (which sites, which trigger policies, which error codes) and one of the
 // seven algorithms from a seeded Rng, then demands the differential
 // contract — either the exact reference quotient (the faults were absorbed
-// by eviction, the memory-pressure degrade, or a restart) or a clean non-OK
-// Status at the root.
+// by eviction, the memory-pressure degrade, or a cluster split) or a clean
+// non-OK Status at the root.
 // The faults stage of tools/check_all.sh reruns this under ASan/TSan, which
 // upgrades "clean" to "no leak, no use-after-free, no race". Iteration
 // count can be raised via RELDIV_STRESS_ITERS; the seed of a failing

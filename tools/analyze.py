@@ -92,7 +92,7 @@ clang-tidy cannot express. Rules:
                        of the stream, carries a suppression saying so.
   option-override      no assignment in src/ to a DivisionOptions field
                        that ValidateDivisionOptions checks (early_output,
-                       parallel_fragments, num_quotient_subpartitions).
+                       parallel_fragments).
                        A plan refuses an option it cannot honour; a copy
                        of the caller's options with the field quietly
                        cleared would run a different query than the one
@@ -649,9 +649,8 @@ class Analyzer:
             "non-deterministic libc RNG; use common/rng.h (seeded "
             "xorshift128+) for reproducibility"),
         "option-override": (
-            re.compile(r"(?:\.|->)\s*(?:early_output|parallel_fragments|"
-                       r"num_quotient_subpartitions)\s*(?:[-+*/%&|^]|<<|>>)?="
-                       r"(?!=)"),
+            re.compile(r"(?:\.|->)\s*(?:early_output|parallel_fragments)"
+                       r"\s*(?:[-+*/%&|^]|<<|>>)?=(?!=)"),
             "assignment to a validated DivisionOptions field; refuse an "
             "option the plan cannot honour (ValidateDivisionOptions) "
             "instead of overriding the caller's value"),

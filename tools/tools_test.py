@@ -215,7 +215,7 @@ class AnalyzeRuleTest(unittest.TestCase):
             "src/exec/a.cc",
             "void F(MetricRegistry* r) {\n"
             "  r->FindOrCreateCounter(metric_names::kSchedTasksTotal);\n"
-            "  r->FindOrCreateGauge(metric_names::kGaugeRestarts);\n"
+            "  r->FindOrCreateGauge(metric_names::kGaugePhasesRun);\n"
             '  r->FindOrCreateHistogram(metric_names::kQueryWallMicros,\n'
             '                           "algorithm", "hash");\n'
             "}\n")
@@ -363,7 +363,7 @@ class AnalyzeRuleTest(unittest.TestCase):
             "  DivisionOptions tuned = options;\n"
             "  tuned.early_output = false;\n"
             "  out->parallel_fragments = 0;\n"
-            "  tuned.num_quotient_subpartitions += 1;\n"
+            "  tuned.parallel_fragments += 1;\n"
             "  return Status::OK();\n}\n")
         found = self.fresh(["option-override"])
         self.assertEqual(rules_of(found), ["option-override"] * 3)
@@ -380,8 +380,8 @@ class AnalyzeRuleTest(unittest.TestCase):
             "src/division/newop.cc",
             "bool Eager(const DivisionOptions& o) {\n"
             "  // o.early_output = false would clear the caller's flag\n"
-            "  return o.early_output == true || o.parallel_fragments != 0 ||\n"
-            "         o.num_quotient_subpartitions >= 2;\n}\n")
+            "  return o.early_output == true || o.parallel_fragments >= 2;\n"
+            "}\n")
         self.assertEqual(self.fresh(["option-override"]), [])
 
     def test_option_override_suppressed_with_rationale(self):
