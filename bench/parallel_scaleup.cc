@@ -291,43 +291,56 @@ Status RunIntraNode(bench::BenchReporter* report) {
   DivisionQuery query{dividend, divisor, {"divisor_id"}};
   DivisionOptions parallel_options;
   parallel_options.parallel_fragments = kFragments;
+  // Each dop runs kReps cold queries, like the §6 rows: the counters must
+  // repeat exactly, and the wall column is their median.
+  const size_t kReps = bench::SmokeMode() ? 1 : 5;
   CpuCounters op_totals1;
   uint64_t op_quotient1 = 0;
   for (size_t threads : {1, 4, 8}) {
-    ctx->set_dop(threads);
-    uint64_t quotient_size = 0;
-    Result<ExperimentalCost> cost = bench::RunDivision(
-        db.get(), query, DivisionAlgorithm::kHashDivision, parallel_options,
-        &quotient_size);
-    ctx->set_dop(1);
-    RELDIV_RETURN_NOT_OK(cost.status());
-    if (quotient_size != workload.expected_quotient.size()) {
-      return Status::Internal("operator-path quotient has the wrong size");
-    }
-    if (threads == 1) {
-      op_totals1 = cost.value().cpu_counters;
-      op_quotient1 = quotient_size;
-    }
-    if (cost.value().cpu_counters.comparisons != op_totals1.comparisons ||
-        cost.value().cpu_counters.hashes != op_totals1.hashes ||
-        cost.value().cpu_counters.moves != op_totals1.moves ||
-        cost.value().cpu_counters.bit_ops != op_totals1.bit_ops ||
-        quotient_size != op_quotient1) {
-      return Status::Internal("operator-path counters moved with dop");
-    }
-    std::printf("  dop=%zu: wall %.1f ms, cpu %.1f ms, io %.1f ms, "
-                "%llu rows (counters identical to dop=1)\n",
-                threads, cost.value().wall_ms, cost.value().cpu_ms,
-                cost.value().io_ms,
-                static_cast<unsigned long long>(quotient_size));
     bench::BenchRow* row =
         report->AddRow("operator dop=" + std::to_string(threads));
-    row->AddWallMs(cost.value().wall_ms);
-    row->counters += cost.value().cpu_counters;
-    row->io = cost.value().io_stats;
-    row->AddValue("cpu_ms", cost.value().cpu_ms);
-    row->AddValue("io_ms", cost.value().io_ms);
-    row->AddValue("quotient_tuples", static_cast<double>(quotient_size));
+    ExperimentalCost first;
+    std::vector<double> wall_ms;
+    for (size_t rep = 0; rep < kReps; ++rep) {
+      ctx->set_dop(threads);
+      uint64_t quotient_size = 0;
+      Result<ExperimentalCost> cost = bench::RunDivision(
+          db.get(), query, DivisionAlgorithm::kHashDivision, parallel_options,
+          &quotient_size);
+      ctx->set_dop(1);
+      RELDIV_RETURN_NOT_OK(cost.status());
+      if (quotient_size != workload.expected_quotient.size()) {
+        return Status::Internal("operator-path quotient has the wrong size");
+      }
+      if (threads == 1 && rep == 0) {
+        op_totals1 = cost.value().cpu_counters;
+        op_quotient1 = quotient_size;
+      }
+      if (rep == 0) first = cost.value();
+      if (cost.value().cpu_counters.comparisons != op_totals1.comparisons ||
+          cost.value().cpu_counters.hashes != op_totals1.hashes ||
+          cost.value().cpu_counters.moves != op_totals1.moves ||
+          cost.value().cpu_counters.bit_ops != op_totals1.bit_ops ||
+          quotient_size != op_quotient1) {
+        return Status::Internal("operator-path counters moved with dop");
+      }
+      if (cost.value().io_stats.transfers != first.io_stats.transfers ||
+          cost.value().io_stats.seeks != first.io_stats.seeks) {
+        return Status::Internal("operator-path I/O moved between runs");
+      }
+      row->AddWallMs(cost.value().wall_ms);
+      wall_ms.push_back(cost.value().wall_ms);
+    }
+    std::printf("  dop=%zu: wall %.1f ms (median of %zu), cpu %.1f ms, io "
+                "%.1f ms, %llu rows (counters identical to dop=1)\n",
+                threads, bench::PercentileNs(wall_ms, 50), kReps,
+                first.cpu_ms, first.io_ms,
+                static_cast<unsigned long long>(op_quotient1));
+    row->counters += first.cpu_counters;
+    row->io = first.io_stats;
+    row->AddValue("cpu_ms", first.cpu_ms);
+    row->AddValue("io_ms", first.io_ms);
+    row->AddValue("quotient_tuples", static_cast<double>(op_quotient1));
   }
 
   std::printf(

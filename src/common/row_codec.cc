@@ -31,27 +31,12 @@ bool GetU64(Slice payload, size_t* pos, uint64_t* v) {
   return true;
 }
 
-// Unchecked little-endian load; the byte loop compiles to a single load on
-// little-endian targets and stays correct elsewhere.
-uint64_t LoadLE64(const char* p) {
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return out;
-}
-
 uint32_t LoadLE32(const char* p) {
   uint32_t out = 0;
   for (int i = 0; i < 4; ++i) {
     out |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
   return out;
-}
-
-// Unchecked little-endian store, the mirror of LoadLE64.
-void StoreLE64(uint64_t v, char* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 bool GetU32(Slice payload, size_t* pos, uint32_t* v) {
@@ -85,7 +70,7 @@ Status RowCodec::EncodeValues(ValueAt value_at, std::string* out) const {
         return Status::InvalidArgument(
             "value type mismatch in field '" + schema_.field(i).name + "'");
       }
-      StoreLE64(static_cast<uint64_t>(v.int64()), p);
+      StoreInt64(v.int64(), p);
     }
     return Status::OK();
   }
@@ -144,7 +129,7 @@ Status RowCodec::Decode(Slice payload, Tuple* tuple) const {
     tuple->Resize(n);
     const char* p = payload.data();
     for (size_t i = 0; i < n; ++i, p += 8) {
-      tuple->value(i).SetInt64(static_cast<int64_t>(LoadLE64(p)));
+      tuple->value(i).SetInt64(LoadInt64(p));
     }
     return Status::OK();
   }
@@ -198,7 +183,7 @@ bool RowCodec::PrefixEquals(const char* row, const Tuple& probe,
     if (v.type() != types_[i]) return false;
     switch (types_[i]) {
       case ValueType::kInt64:
-        if (v.int64() != static_cast<int64_t>(LoadLE64(p))) return false;
+        if (v.int64() != LoadInt64(p)) return false;
         p += 8;
         break;
       case ValueType::kString: {

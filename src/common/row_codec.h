@@ -29,6 +29,27 @@ class RowCodec {
 
   const Schema& schema() const { return schema_; }
 
+  /// Bytes of every row when all fields are int64 (8 per field), else 0:
+  /// rows of a fixed width are located by their index alone.
+  size_t fixed_row_bytes() const {
+    return fixed_width_ ? types_.size() * 8 : 0;
+  }
+
+  /// The int64 field format, 8 bytes little-endian, unchecked: field `c` of
+  /// a fixed-width row starts at byte 8 * c.
+  static void StoreInt64(int64_t v, char* p) {
+    for (int i = 0; i < 8; ++i) {
+      p[i] = static_cast<char>((static_cast<uint64_t>(v) >> (8 * i)) & 0xff);
+    }
+  }
+  static int64_t LoadInt64(const char* p) {
+    uint64_t out = 0;
+    for (int i = 0; i < 8; ++i) {
+      out |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+    }
+    return static_cast<int64_t>(out);
+  }
+
   /// Appends the encoding of `tuple` to `out`. InvalidArgument on a
   /// schema/tuple mismatch.
   Status Encode(const Tuple& tuple, std::string* out) const;

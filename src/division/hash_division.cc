@@ -197,95 +197,109 @@ void HashDivisionCore::FlushCounts(const PendingCounts& pending) {
   if (pending.comparisons != 0) ctx_->CountComparisons(pending.comparisons);
 }
 
-Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
-                                      std::vector<Tuple>* early_out) {
+Status HashDivisionCore::BeginBatch() {
   if (divisor_view_ == nullptr || quotient_table_ == nullptr) {
     return Status::Internal("hash-division tables not initialized");
   }
   // Cooperative cancellation checkpoint: one flag load per batch keeps a
   // long dividend consumption responsive to DivisionService::Cancel without
   // touching the per-tuple hot loop.
-  RELDIV_RETURN_NOT_OK(ctx_->CheckCancelled());
-  // The vectorized step-2 loop, staged across the batch. Pass 1 probes the
-  // (small, cache-resident) divisor table and computes + counts the quotient
-  // key hash for every match, issuing a bucket prefetch; pass 2 prefetches
-  // the chain heads; pass 3 walks the chains and extends the bit maps, in
-  // batch order, against the live table. The counted work per tuple is
-  // the same at every batch size (capacity 1 is the paper's tuple-at-a-time
-  // loop) — pass order only overlaps the memory stalls of independent
-  // probes. (On an error mid-batch the interleaving of counted work differs
-  // between batch sizes, but the whole query fails then.)
-  PendingCounts pending;
+  return ctx_->CheckCancelled();
+}
+
+// The vectorized step-2 loop, staged across the batch. Pass 1 probes the
+// (small, cache-resident) divisor table and computes + counts the quotient
+// key hash for every match, issuing a bucket prefetch; pass 2 prefetches
+// the chain heads; pass 3 walks the chains and extends the bit maps, in
+// batch order, against the live table. The counted work per tuple is the
+// same at every batch size (capacity 1 is the paper's tuple-at-a-time loop)
+// — pass order only overlaps the memory stalls of independent probes. (On
+// an error mid-batch the interleaving of counted work differs between batch
+// sizes, but the whole query fails then.)
+Status HashDivisionCore::ConsumeBatch(const TupleBatch& batch,
+                                      std::vector<Tuple>* early_out) {
+  // The paper's workload shape (single int64 divisor attribute, single int64
+  // quotient attribute) takes the int64 probe. Eligibility is decided by
+  // UNCOUNTED column extraction before anything is charged, so an
+  // ineligible batch falls through to the generic loop with untouched
+  // counters.
+  if (match_attrs_.size() == 1 && quotient_attrs_.size() == 1 &&
+      kernels::ExtractInt64Column(batch, match_attrs_[0], &match_keys_) &&
+      kernels::ExtractInt64Column(batch, quotient_attrs_[0], &quotient_col_)) {
+    return ConsumeInt64Keys(match_keys_.data(), quotient_col_.data(),
+                            batch.size(), early_out);
+  }
+  RELDIV_RETURN_NOT_OK(BeginBatch());
   staged_.clear();
-  // Kernelized pass 1 for the paper's workload shape (single int64 divisor
-  // attribute, single int64 quotient attribute): all probe hashes come from
-  // one batched kernel call. Eligibility is decided by UNCOUNTED column
-  // extraction before anything is charged, so an ineligible batch falls
-  // through to the generic loop with untouched counters. The kernel hash
+  for (const Tuple& dividend : batch) {
+    TupleHashTable::Entry* divisor_entry =
+        divisor_view_->FindCounted(ctx_, dividend, match_attrs_);
+    if (divisor_entry == nullptr) {
+      continue;  // immediate discard — no matching divisor tuple
+    }
+    const uint64_t quotient_hash =
+        quotient_table_->ProbeHash(dividend, quotient_attrs_);
+    quotient_table_->PrefetchBucket(quotient_hash);
+    staged_.push_back({&dividend, divisor_entry->num, quotient_hash});
+  }
+  return ExtendStaged(/*int64_keys=*/false, early_out);
+}
+
+Status HashDivisionCore::ConsumeInt64Keys(const int64_t* match,
+                                          const int64_t* quotient, size_t n,
+                                          std::vector<Tuple>* early_out) {
+  RELDIV_RETURN_NOT_OK(BeginBatch());
+  // All probe hashes come from one batched kernel call. The kernel hash
   // equals Tuple::HashAt bit for bit (kernels.h pins this), and the batched
   // CountHashes charges — one per divisor probe, one per matched tuple's
   // quotient probe — total exactly what the generic loop charges per tuple.
-  // Both probes then decide on the extracted keys' codes
-  // (kernels::Int64KeyCode), so no chain walk reads a stored or a dividend
-  // tuple.
-  const bool kernel_path =
-      match_attrs_.size() == 1 && quotient_attrs_.size() == 1 &&
-      kernels::ExtractInt64Column(batch, match_attrs_[0], &match_keys_) &&
-      kernels::ExtractInt64Column(batch, quotient_attrs_[0], &quotient_col_);
-  if (kernel_path) {
-    const size_t n = batch.size();
-    match_hashes_.resize(n);
-    kernels::HashInt64Keys(match_keys_.data(), n, match_hashes_.data());
-    if (n != 0) ctx_->CountHashes(n);
-    quotient_keys_matched_.clear();
-    size_t i = 0;
-    for (const Tuple& dividend : batch) {
-      TupleHashTable::Entry* divisor_entry = divisor_view_->FindInt64Counted(
-          ctx_, match_keys_[i], match_hashes_[i]);
-      if (divisor_entry != nullptr) {
-        staged_.push_back({&dividend, divisor_entry->num, 0});
-        quotient_keys_matched_.push_back(quotient_col_[i]);
-      }
-      ++i;
-    }
-    const size_t matched = staged_.size();
-    quotient_hashes_.resize(matched);
-    kernels::HashInt64Keys(quotient_keys_matched_.data(), matched,
-                           quotient_hashes_.data());
-    if (matched != 0) ctx_->CountHashes(matched);
-    for (size_t j = 0; j < matched; ++j) {
-      staged_[j].quotient_hash = quotient_hashes_[j];
-      quotient_table_->PrefetchBucket(quotient_hashes_[j]);
-    }
-  } else {
-    for (const Tuple& dividend : batch) {
-      TupleHashTable::Entry* divisor_entry =
-          divisor_view_->FindCounted(ctx_, dividend, match_attrs_);
-      if (divisor_entry == nullptr) {
-        continue;  // immediate discard — no matching divisor tuple
-      }
-      const uint64_t quotient_hash =
-          quotient_table_->ProbeHash(dividend, quotient_attrs_);
-      quotient_table_->PrefetchBucket(quotient_hash);
-      staged_.push_back({&dividend, divisor_entry->num, quotient_hash});
+  // Both probes then decide on the keys' codes (kernels::Int64KeyCode), so
+  // no chain walk reads a stored or a dividend tuple.
+  staged_.clear();
+  match_hashes_.resize(n);
+  kernels::HashInt64Keys(match, n, match_hashes_.data());
+  if (n != 0) ctx_->CountHashes(n);
+  quotient_keys_matched_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    TupleHashTable::Entry* divisor_entry =
+        divisor_view_->FindInt64Counted(ctx_, match[i], match_hashes_[i]);
+    if (divisor_entry != nullptr) {
+      staged_.push_back({nullptr, divisor_entry->num, 0});
+      quotient_keys_matched_.push_back(quotient[i]);
     }
   }
+  const size_t matched = staged_.size();
+  quotient_hashes_.resize(matched);
+  kernels::HashInt64Keys(quotient_keys_matched_.data(), matched,
+                         quotient_hashes_.data());
+  if (matched != 0) ctx_->CountHashes(matched);
+  for (size_t j = 0; j < matched; ++j) {
+    staged_[j].quotient_hash = quotient_hashes_[j];
+    quotient_table_->PrefetchBucket(quotient_hashes_[j]);
+  }
+  return ExtendStaged(/*int64_keys=*/true, early_out);
+}
+
+Status HashDivisionCore::ExtendStaged(bool int64_keys,
+                                      std::vector<Tuple>* early_out) {
   for (const StagedProbe& staged : staged_) {
     TupleHashTable::Prefetch(quotient_table_->BucketHead(staged.quotient_hash));
   }
+  PendingCounts pending;
   for (size_t j = 0; j < staged_.size(); ++j) {
     // Probe / extend the quotient table on the quotient attributes; the
-    // candidate is stored only when the probe misses, and the kernel path
-    // decides on the extracted key's code without reading a tuple.
+    // candidate is stored only when the probe misses, and the int64 path
+    // decides on the key's code without reading a tuple.
     const StagedProbe& staged = staged_[j];
     bool inserted = false;
     Result<TupleHashTable::Entry*> candidate =
-        kernel_path ? quotient_table_->FindOrInsertInt64(
-                          quotient_keys_matched_[j], staged.quotient_hash,
-                          &inserted)
-                    : quotient_table_->FindOrInsertPrehashed(
-                          *staged.dividend, quotient_attrs_,
-                          staged.quotient_hash, &inserted);
+        int64_keys
+            ? quotient_table_->FindOrInsertInt64(quotient_keys_matched_[j],
+                                                 staged.quotient_hash,
+                                                 &inserted)
+            : quotient_table_->FindOrInsertPrehashed(
+                  *staged.dividend, quotient_attrs_, staged.quotient_hash,
+                  &inserted);
     Status status = candidate.ok()
                         ? ExtendCandidate(candidate.value(), inserted,
                                           staged.divisor_number, early_out,
@@ -377,21 +391,20 @@ Status HashDivisionOperator::Open() {
 
 namespace {
 
-/// Refills `batch` with rows [begin, begin + batch->capacity()) of one
-/// fragment, clipped at its end.
-using FragmentReader =
-    std::function<Status(size_t fragment, size_t begin, TupleBatch* batch)>;
+/// Runs step 2 of fragment `fragment` into `core`, whose quotient table is
+/// ready, charging `fragment_ctx`.
+using FragmentFeed = std::function<Status(
+    size_t fragment, ExecContext* fragment_ctx, HashDivisionCore* core)>;
 
 /// The fragment body of both RunDivisionFragments entry points: fragment f
-/// holds rows[f] rows, which `read` hands over a batch at a time to a
-/// private core's ConsumeBatch.
+/// holds rows[f] rows, which `feed` hands to a private core.
 Status DivideFragments(ExecContext* ctx,
                        const std::vector<size_t>& match_attrs,
                        const std::vector<size_t>& quotient_attrs,
                        const DivisionOptions& options,
                        const HashDivisionCore& shared_core,
                        const std::vector<size_t>& rows,
-                       const FragmentReader& read,
+                       const FragmentFeed& feed,
                        std::vector<Tuple>* results) {
   const size_t fragments = rows.size();
   // Fragment decomposition fixed by the repartitioning, independent of
@@ -417,17 +430,7 @@ Status DivideFragments(ExecContext* ctx,
         }
         RELDIV_RETURN_NOT_OK(
             fragment_core.ResetQuotientTable(hint == 0 ? 1 : hint));
-        // Not charged to the pool, like the drain's batch: up to dop
-        // concurrent fragment batches would otherwise take a share of a
-        // small pool that depends on the schedule, and the tables could
-        // overflow at one dop but not at another.
-        TupleBatch batch(fctx->batch_capacity());
-        // Read by row index, not drained: the tuple-bucket reader has no
-        // operator to pull (ROADMAP item 1 retires it with its benchmark).
-        for (size_t begin = 0; begin < rows[f]; begin += batch.size()) {
-          RELDIV_RETURN_NOT_OK(read(f, begin, &batch));
-          RELDIV_RETURN_NOT_OK(fragment_core.ConsumeBatch(batch, nullptr));
-        }
+        RELDIV_RETURN_NOT_OK(feed(f, fctx, &fragment_core));
         return fragment_core.EmitComplete(&outs[f]);
       }));
 
@@ -454,10 +457,42 @@ Status RunDivisionFragments(ExecContext* ctx,
   for (const EncodedPartition& partition : partitions) {
     rows.push_back(partition.rows());
   }
+  // Fixed-width rows with one int64 match and one int64 quotient column are
+  // the batches ConsumeBatch would send to ConsumeInt64Keys: gather the two
+  // key columns from the pages instead, and build no tuple.
+  const bool int64_keys = codec.fixed_row_bytes() != 0 &&
+                          match_attrs.size() == 1 &&
+                          quotient_attrs.size() == 1;
   return DivideFragments(
       ctx, match_attrs, quotient_attrs, options, shared_core, rows,
-      [&](size_t f, size_t begin, TupleBatch* batch) {
-        return DecodeRows(codec, partitions[f], begin, batch);
+      [&](size_t f, ExecContext* fctx, HashDivisionCore* core) -> Status {
+        const EncodedPartition& partition = partitions[f];
+        // The scratch below is not charged to the pool, like the drain's
+        // batch: up to dop concurrent fragments would otherwise take a
+        // share of a small pool that depends on the schedule, and the
+        // tables could overflow at one dop but not at another.
+        const size_t capacity = fctx->batch_capacity();
+        if (int64_keys) {
+          std::vector<int64_t> match(capacity);
+          std::vector<int64_t> quotient(capacity);
+          for (size_t begin = 0; begin < partition.rows(); begin += capacity) {
+            const size_t n = std::min(capacity, partition.rows() - begin);
+            partition.GatherInt64Column(match_attrs[0], begin, n,
+                                        match.data());
+            partition.GatherInt64Column(quotient_attrs[0], begin, n,
+                                        quotient.data());
+            RELDIV_RETURN_NOT_OK(core->ConsumeInt64Keys(
+                match.data(), quotient.data(), n, nullptr));
+          }
+          return Status::OK();
+        }
+        TupleBatch batch(capacity);
+        for (size_t begin = 0; begin < partition.rows();
+             begin += batch.size()) {
+          RELDIV_RETURN_NOT_OK(DecodeRows(codec, partition, begin, &batch));
+          RELDIV_RETURN_NOT_OK(core->ConsumeBatch(batch, nullptr));
+        }
+        return Status::OK();
       },
       results);
 }
@@ -473,11 +508,17 @@ Status RunDivisionFragments(ExecContext* ctx,
   for (const std::vector<Tuple>& bucket : buckets) rows.push_back(bucket.size());
   return DivideFragments(
       ctx, match_attrs, quotient_attrs, options, shared_core, rows,
-      [&](size_t f, size_t begin, TupleBatch* batch) {
-        batch->Clear();
-        const size_t end = std::min(rows[f], begin + batch->capacity());
-        for (size_t i = begin; i < end; ++i) {
-          *batch->AddSlotForOverwrite() = buckets[f][i];
+      [&](size_t f, ExecContext* fctx, HashDivisionCore* core) -> Status {
+        // Copied by row index: the tuple-bucket adapter has no operator to
+        // pull (ROADMAP item 1 retires it with its benchmark).
+        TupleBatch batch(fctx->batch_capacity());
+        for (size_t begin = 0; begin < rows[f]; begin += batch.size()) {
+          batch.Clear();
+          const size_t end = std::min(rows[f], begin + batch.capacity());
+          for (size_t i = begin; i < end; ++i) {
+            *batch.AddSlotForOverwrite() = buckets[f][i];
+          }
+          RELDIV_RETURN_NOT_OK(core->ConsumeBatch(batch, nullptr));
         }
         return Status::OK();
       },

@@ -70,8 +70,18 @@ class HashDivisionCore {
   /// accumulated totals, so Table 1–4 accounting is independent of the batch
   /// size. With early output enabled, quotient tuples whose bit map just
   /// filled are appended to `early_out` (§3.3, point 2); otherwise
-  /// `early_out` may be nullptr.
+  /// `early_out` may be nullptr. With one int64 match and one int64
+  /// quotient attribute the batch takes ConsumeInt64Keys on its extracted
+  /// key columns.
   Status ConsumeBatch(const TupleBatch& batch, std::vector<Tuple>* early_out);
+
+  /// Step 2 for one match attribute and one quotient attribute, both int64,
+  /// given as key columns: dividend tuple i has match key match[i] and
+  /// quotient key quotient[i], i < n. The same probes, counts and early
+  /// output as ConsumeBatch over the tuples, without a tuple in sight, so a
+  /// fragment can feed it columns gathered straight from its partition.
+  Status ConsumeInt64Keys(const int64_t* match, const int64_t* quotient,
+                          size_t n, std::vector<Tuple>* early_out);
 
   /// Step 3: scans the quotient table and appends every tuple whose bit map
   /// contains no zero. A no-op when early output is enabled — those tuples
@@ -127,9 +137,18 @@ class HashDivisionCore {
                          PendingCounts* pending);
   void FlushCounts(const PendingCounts& pending);
 
-  /// Scratch for ConsumeBatch's staged probe: dividend tuples that matched a
-  /// divisor tuple, awaiting their quotient-table chain walk (on the kernel
-  /// path, by the key in quotient_keys_matched_ at the same index).
+  /// The start of every step-2 batch: Internal before the tables exist, and
+  /// the batch's cancellation checkpoint.
+  Status BeginBatch();
+  /// Passes 2 and 3 of a step-2 batch over staged_: prefetch the chain
+  /// heads, then probe or extend the quotient table in batch order, by the
+  /// key in quotient_keys_matched_ when `int64_keys`, else by the staged
+  /// dividend tuple.
+  Status ExtendStaged(bool int64_keys, std::vector<Tuple>* early_out);
+
+  /// Scratch for the staged probe: dividend tuples that matched a divisor
+  /// tuple, awaiting their quotient-table chain walk (on the int64 path,
+  /// by the key in quotient_keys_matched_ at the same index, with no tuple).
   struct StagedProbe {
     const Tuple* dividend;
     uint64_t divisor_number;
@@ -137,9 +156,9 @@ class HashDivisionCore {
   };
   std::vector<StagedProbe> staged_;
 
-  /// Scratch for the kernelized (single-int64-key) batch path: extracted key
-  /// columns and the batched probe hashes (exec/kernels). Reused across
-  /// batches, so the steady state allocates nothing.
+  /// Scratch for the int64 path: ConsumeBatch's extracted key columns, the
+  /// matched quotient keys and the batched probe hashes (exec/kernels).
+  /// Reused across batches, so the steady state allocates nothing.
   std::vector<int64_t> match_keys_;
   std::vector<int64_t> quotient_col_;
   std::vector<int64_t> quotient_keys_matched_;
@@ -170,10 +189,14 @@ class HashDivisionCore {
 
 /// The fragment-parallel half of §6 quotient partitioning in-process, run by
 /// HashDivisionOperator::OpenParallel on the partitions of
-/// DrainAndEncodeRepartition (exec/exchange.h): each partition is decoded a
-/// batch at a time into ConsumeBatch of a private core that borrows
-/// `shared_core`'s divisor table, charges a private counter context and
-/// sizes its quotient table from the partition's row count. The fragment
+/// DrainAndEncodeRepartition (exec/exchange.h). Each partition feeds a
+/// private core that borrows `shared_core`'s divisor table, charges a
+/// private counter context and sizes its quotient table from the
+/// partition's row count. A fixed-width partition with one int64 match and
+/// one int64 quotient attribute hands ConsumeInt64Keys its two key columns,
+/// gathered from its pages a batch at a time, and builds no tuple; any
+/// other partition is decoded a batch at a time into ConsumeBatch. The
+/// fragment
 /// outputs are concatenated into `results` in fragment order —
 /// deterministic for any worker count. Fragment counters merge into `ctx` in
 /// fragment order even on failure.

@@ -1,6 +1,7 @@
 #include "exec/exchange.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "common/check.h"
@@ -96,13 +97,89 @@ Status RunFragments(
   return status;
 }
 
+void EncodedPartition::OpenPage(size_t bytes) {
+  const size_t capacity = std::max(kPartitionPageBytes, bytes);
+  pages_.push_back({std::make_unique_for_overwrite<char[]>(capacity), rows_});
+  cursor_ = pages_.back().data.get();
+  limit_ = cursor_ + capacity;
+}
+
+size_t EncodedPartition::PageOf(size_t i) const {
+  RELDIV_DCHECK_LT(i, rows_) << "row beyond the partition";
+  if (row_bytes_ != 0) return i / rows_per_page_;
+  const auto after = std::upper_bound(
+      pages_.begin(), pages_.end(), i,
+      [](size_t row, const Page& page) { return row < page.first_row; });
+  return static_cast<size_t>(after - pages_.begin()) - 1;
+}
+
+Status EncodedPartition::Append(const RowCodec& codec, const Tuple& tuple) {
+  scratch_.clear();
+  RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &scratch_));
+  RELDIV_DCHECK(row_bytes_ == 0 || scratch_.size() == row_bytes_)
+      << "row of another schema";
+  std::memcpy(Reserve(scratch_.size()), scratch_.data(), scratch_.size());
+  if (row_bytes_ == 0) {
+    ends_.push_back(static_cast<size_t>(cursor_ - pages_.back().data.get()));
+  }
+  return Status::OK();
+}
+
+void EncodedPartition::GatherInt64Column(size_t column, size_t begin,
+                                         size_t n, int64_t* out) const {
+  RELDIV_DCHECK_LT(8 * column, row_bytes_)
+      << "int64 gather outside a fixed-width row";
+  const size_t offset = 8 * column;
+  ForEachRow(begin, begin + n, [&](Slice row) {
+    *out++ = RowCodec::LoadInt64(row.data() + offset);
+  });
+}
+
+std::vector<EncodedPartition> MakeEncodedPartitions(const RowCodec& codec,
+                                                    size_t n) {
+  std::vector<EncodedPartition> partitions;
+  partitions.reserve(n);
+  for (size_t i = 0; i < n; ++i) partitions.emplace_back(codec);
+  return partitions;
+}
+
+namespace {
+
+/// Gathers every column of `batch` into `columns` iff each of its rows is
+/// `arity` int64 values: the rows a fixed-width codec of that arity
+/// encodes. False sends the batch to the per-row encoder, which reports any
+/// mismatch.
+bool ExtractFixedWidthColumns(const TupleBatch& batch, size_t arity,
+                              std::vector<std::vector<int64_t>>* columns) {
+  for (const Tuple& tuple : batch) {
+    if (tuple.size() != arity) return false;
+  }
+  columns->resize(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    if (!kernels::ExtractInt64Column(batch, c, &(*columns)[c])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     ExecContext* ctx, Operator* source, const RowCodec& codec,
     const std::vector<size_t>& key_attrs, size_t num_partitions) {
-  std::vector<EncodedPartition> partitions(num_partitions);
+  std::vector<EncodedPartition> partitions =
+      MakeEncodedPartitions(codec, num_partitions);
+  std::vector<std::vector<int64_t>> columns;
   RELDIV_RETURN_NOT_OK(DrainAndRoute(
       ctx, source, key_attrs, num_partitions, /*salt=*/0,
       [&](const TupleBatch& batch, const std::vector<size_t>& to) -> Status {
+        if (codec.fixed_row_bytes() != 0 &&
+            ExtractFixedWidthColumns(batch, codec.schema().num_fields(),
+                                     &columns)) {
+          for (size_t i = 0; i < batch.size(); ++i) {
+            partitions[to[i]].AppendInt64Row(columns, i);
+          }
+          return Status::OK();
+        }
         for (size_t i = 0; i < batch.size(); ++i) {
           RELDIV_RETURN_NOT_OK(partitions[to[i]].Append(codec, batch.tuple(i)));
         }
@@ -114,12 +191,15 @@ Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
 Status DecodeRows(const RowCodec& codec, const EncodedPartition& partition,
                   size_t begin, TupleBatch* batch) {
   batch->Clear();
-  const size_t end = std::min(partition.rows(), begin + batch->capacity());
-  for (size_t i = begin; i < end; ++i) {
-    RELDIV_RETURN_NOT_OK(
-        codec.Decode(partition.row(i), batch->AddSlotForOverwrite()));
-  }
-  return Status::OK();
+  Status status;
+  partition.ForEachRow(
+      begin, std::min(partition.rows(), begin + batch->capacity()),
+      [&](Slice row) {
+        if (status.ok()) {
+          status = codec.Decode(row, batch->AddSlotForOverwrite());
+        }
+      });
+  return status;
 }
 
 Status PartitionSourceOperator::NextBatch(TupleBatch* batch, bool* has_more) {
@@ -140,10 +220,13 @@ Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
   std::vector<std::vector<Tuple>> buckets(num_partitions);
   for (size_t p = 0; p < num_partitions; ++p) {
     buckets[p].resize(partitions[p].rows());
-    for (size_t i = 0; i < partitions[p].rows(); ++i) {
-      RELDIV_RETURN_NOT_OK(codec.Decode(partitions[p].row(i), &buckets[p][i]));
-    }
-    partitions[p] = EncodedPartition{};  // keep one copy alive at a time
+    Tuple* next = buckets[p].data();
+    Status status;
+    partitions[p].ForEachRow(0, partitions[p].rows(), [&](Slice row) {
+      if (status.ok()) status = codec.Decode(row, next++);
+    });
+    RELDIV_RETURN_NOT_OK(status);
+    partitions[p] = EncodedPartition(codec);  // keep one copy alive at a time
   }
   return buckets;
 }

@@ -1,10 +1,13 @@
 #ifndef RELDIV_EXEC_EXCHANGE_H_
 #define RELDIV_EXEC_EXCHANGE_H_
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/row_codec.h"
 #include "common/slice.h"
 #include "exec/batch.h"
@@ -66,35 +69,128 @@ Status DrainAndRoute(ExecContext* ctx, Operator* source,
                      size_t num_partitions, uint64_t salt,
                      const RoutedBatchSink& store);
 
-/// One partition of an in-process hash exchange: its rows back to back in
-/// RowCodec encoding, row i ending at byte ends[i]. Routing a row appends
-/// its encoding — no per-row allocation, and the source's batch slots stay
-/// reusable — and the receiving fragment decodes rows into a batch of its
-/// own (DecodeRows). The encoded rows are also what the §6 engine's
-/// interconnect ships: a shipment's bytes are the rows it appended.
-struct EncodedPartition {
-  std::string bytes;
-  std::vector<size_t> ends;
+/// Bytes per page of an EncodedPartition. A page is allocated once and
+/// never copied or grown, so a partition grows without moving its rows.
+inline constexpr size_t kPartitionPageBytes = 64 * 1024;
 
-  size_t rows() const { return ends.size(); }
-  Slice row(size_t i) const {
-    const size_t begin = i == 0 ? 0 : ends[i - 1];
-    return Slice(bytes.data() + begin, ends[i] - begin);
+/// One partition of an in-process hash exchange, and what the §6 engine's
+/// interconnect ships: rows in RowCodec encoding, back to back in fixed-size
+/// pages. A row never straddles a page; a page that cannot hold the next
+/// row is left with a tail unused, and a row longer than a page gets a page
+/// of its own size. When every column is int64 (RowCodec::fixed_row_bytes),
+/// a row's index alone locates it and the partition keeps nothing per row;
+/// variable-width rows also record where each ends in its page. Appending
+/// allocates nothing per row and the source's batch slots stay reusable.
+/// Receivers decode rows into a batch of their own (DecodeRows) or, on the
+/// int64 kernel path, gather key columns in place (GatherInt64Column).
+/// Not charged to the memory pool. Concurrent readers are safe; a writer
+/// must be alone.
+class EncodedPartition {
+ public:
+  /// An empty partition for rows of `codec`'s schema.
+  explicit EncodedPartition(const RowCodec& codec)
+      : row_bytes_(codec.fixed_row_bytes()),
+        rows_per_page_(row_bytes_ == 0
+                           ? 0
+                           : std::max<size_t>(1, kPartitionPageBytes /
+                                                     row_bytes_)) {}
+
+  size_t rows() const { return rows_; }
+  /// Bytes of the rows appended, page tails excluded: a shipment's size.
+  size_t byte_size() const { return bytes_; }
+
+  /// Appends `tuple`, encoded with `codec` (the constructor's schema), as
+  /// the next row. InvalidArgument on a schema mismatch.
+  Status Append(const RowCodec& codec, const Tuple& tuple);
+
+  /// Appends row `i` of a fixed-width batch held as one int64 array per
+  /// column, without building or encoding a tuple.
+  void AppendInt64Row(const std::vector<std::vector<int64_t>>& columns,
+                      size_t i) {
+    char* p = Reserve(row_bytes_);
+    for (const std::vector<int64_t>& column : columns) {
+      RowCodec::StoreInt64(column[i], p);
+      p += 8;
+    }
   }
 
-  /// Appends `tuple`, encoded with `codec`, as the next row.
-  Status Append(const RowCodec& codec, const Tuple& tuple) {
-    RELDIV_RETURN_NOT_OK(codec.Encode(tuple, &bytes));
-    ends.push_back(bytes.size());
-    return Status::OK();
+  /// Calls `fn(Slice row)` on rows [begin, end) in order, walking the pages
+  /// once.
+  template <typename Fn>
+  void ForEachRow(size_t begin, size_t end, Fn&& fn) const;
+
+  /// out[k] = column `column` of row begin + k, for k < n, read in place.
+  /// Fixed-width partitions only.
+  void GatherInt64Column(size_t column, size_t begin, size_t n,
+                         int64_t* out) const;
+
+ private:
+  struct Page {
+    std::unique_ptr<char[]> data;
+    size_t first_row;  ///< index of the page's first row
+  };
+
+  /// Room for the next row of `bytes` bytes, counted as appended.
+  char* Reserve(size_t bytes) {
+    if (static_cast<size_t>(limit_ - cursor_) < bytes || pages_.empty()) {
+      OpenPage(bytes);
+    }
+    char* at = cursor_;
+    cursor_ += bytes;
+    bytes_ += bytes;
+    rows_++;
+    return at;
   }
+  void OpenPage(size_t bytes);
+  /// The page holding row `i`.
+  size_t PageOf(size_t i) const;
+
+  size_t row_bytes_;      ///< fixed row width; 0 = variable width
+  size_t rows_per_page_;  ///< fixed width only
+  std::vector<Page> pages_;
+  /// Variable width only: row i ends at byte ends_[i] of its page.
+  std::vector<size_t> ends_;
+  char* cursor_ = nullptr;  ///< next free byte of the last page
+  char* limit_ = nullptr;   ///< end of the last page
+  size_t rows_ = 0;
+  size_t bytes_ = 0;
+  std::string scratch_;  ///< Append's encoding buffer
 };
+
+template <typename Fn>
+void EncodedPartition::ForEachRow(size_t begin, size_t end, Fn&& fn) const {
+  RELDIV_DCHECK_LE(end, rows_) << "rows beyond the partition";
+  size_t i = begin;
+  for (size_t p = i < end ? PageOf(i) : 0; i < end; ++p) {
+    const Page& page = pages_[p];
+    const size_t stop =
+        std::min(end, p + 1 < pages_.size() ? pages_[p + 1].first_row : rows_);
+    const char* data = page.data.get();
+    if (row_bytes_ != 0) {
+      for (const char* at = data + (i - page.first_row) * row_bytes_;
+           i < stop; ++i, at += row_bytes_) {
+        fn(Slice(at, row_bytes_));
+      }
+      continue;
+    }
+    for (size_t from = i == page.first_row ? 0 : ends_[i - 1]; i < stop;
+         from = ends_[i++]) {
+      fn(Slice(data + from, ends_[i] - from));
+    }
+  }
+}
+
+/// `n` empty partitions for rows of `codec`'s schema.
+std::vector<EncodedPartition> MakeEncodedPartitions(const RowCodec& codec,
+                                                    size_t n);
 
 /// The serial repartition half of an in-process hash exchange: routes
 /// `source` through DrainAndRoute (salt 0) and appends every tuple, encoded
-/// with `codec` (the source's output schema), to its partition. Partition
-/// contents, row order included, depend only on the data and the partition
-/// count, never on the worker count.
+/// with `codec` (the source's output schema), to its partition. A batch of
+/// fixed-width rows is stored from its extracted int64 columns
+/// (EncodedPartition::AppendInt64Row), with no per-row RowCodec call.
+/// Partition contents, row order included, depend only on the data and the
+/// partition count, never on the worker count.
 Result<std::vector<EncodedPartition>> DrainAndEncodeRepartition(
     ExecContext* ctx, Operator* source, const RowCodec& codec,
     const std::vector<size_t>& key_attrs, size_t num_partitions);

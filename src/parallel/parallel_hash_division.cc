@@ -26,8 +26,9 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 /// free, Interconnect::Ship).
 Status Route(Interconnect* net, size_t from, size_t to, const RowCodec& codec,
              const Tuple& tuple, EncodedPartition* partition) {
+  const size_t before = partition->byte_size();
   RELDIV_RETURN_NOT_OK(partition->Append(codec, tuple));
-  return net->Ship(from, to, partition->row(partition->rows() - 1).size());
+  return net->Ship(from, to, partition->byte_size() - before);
 }
 
 /// Runs one node's local hash-division: the divisor table is built from the
@@ -136,13 +137,14 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
   const std::vector<size_t> divisor_all =
       AllColumns(divisor_schema.num_fields());
   const RowCodec divisor_codec(divisor_schema);
-  std::vector<EncodedPartition> divisor_in(by_quotient ? 1 : n);
+  std::vector<EncodedPartition> divisor_in =
+      MakeEncodedPartitions(divisor_codec, by_quotient ? 1 : n);
   std::unique_ptr<BitVectorFilter> filter;
   if (options_.use_bit_vector_filter) {
     filter = std::make_unique<BitVectorFilter>(options_.bit_vector_bits);
   }
   for (size_t from = 0; from < n; ++from) {
-    const size_t fragment_begin = divisor_in[0].bytes.size();
+    const size_t fragment_begin = divisor_in[0].byte_size();
     for (size_t i = from; i < divisor.size(); i += n) {
       if (filter != nullptr) filter->InsertHash(divisor[i].HashAt(divisor_all));
       if (by_quotient) {
@@ -155,7 +157,7 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
     }
     if (by_quotient) {
       RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(
-          from, divisor_in[0].bytes.size() - fragment_begin));
+          from, divisor_in[0].byte_size() - fragment_begin));
     }
   }
   if (filter != nullptr && !by_quotient) {
@@ -169,7 +171,8 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
   const std::vector<size_t>& key_attrs =
       by_quotient ? quotient_attrs : match_attrs;
   const RowCodec dividend_codec(dividend_schema);
-  std::vector<EncodedPartition> dividend_in(n);
+  std::vector<EncodedPartition> dividend_in =
+      MakeEncodedPartitions(dividend_codec, n);
   for (size_t from = 0; from < n; ++from) {
     for (size_t i = from; i < dividend.size(); i += n) {
       const Tuple& tuple = dividend[i];
@@ -245,7 +248,8 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
     tagged_fields.push_back(Field{"node", ValueType::kInt64});
     const RowCodec tagged_codec{Schema(std::move(tagged_fields))};
     const size_t collector_count = options_.decentralized_collection ? n : 1;
-    std::vector<EncodedPartition> tagged(collector_count);
+    std::vector<EncodedPartition> tagged =
+        MakeEncodedPartitions(tagged_codec, collector_count);
     std::vector<int64_t> tags;
     for (size_t i : participating) {
       tags.push_back(static_cast<int64_t>(i));

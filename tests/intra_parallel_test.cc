@@ -124,6 +124,24 @@ class IntraParallelTest : public ::testing::Test {
                                 buckets, out);
   }
 
+  /// The workload's dividend with its int64 quotient column replaced by a
+  /// variable-length string, loaded as table "lane_strings"; `rows` gets
+  /// its tuples.
+  Result<Relation> StringDividend(std::vector<Tuple>* rows) {
+    const Schema schema{Field{"student", ValueType::kString},
+                        Field{"divisor_id", ValueType::kInt64}};
+    RELDIV_ASSIGN_OR_RETURN(Relation relation,
+                            db_->CreateTable("lane_strings", schema));
+    for (const Tuple& tuple : workload_.dividend) {
+      const int64_t id = tuple.value(0).int64();
+      rows->push_back(Tuple{Value::String("s" + std::string(id % 7, '#') +
+                                           std::to_string(id)),
+                            tuple.value(1)});
+      RELDIV_RETURN_NOT_OK(db_->Insert("lane_strings", rows->back()));
+    }
+    return relation;
+  }
+
   static void ExpectIdentical(const RunOutcome& base, const RunOutcome& run,
                               const std::string& what) {
     EXPECT_EQ(run.quotient, base.quotient) << what << ": quotient drifted";
@@ -283,33 +301,46 @@ TEST_F(IntraParallelTest, InjectedFaultSurfacesCleanlyFromAParallelPlan) {
   EXPECT_EQ(Sorted(std::move(quotient)), workload_.expected_quotient);
 }
 
+TEST_F(IntraParallelTest, GenericFragmentPathIsLaneEquivalent) {
+  // A string quotient column: the fragments cannot take the int64 probe, so
+  // each decodes its rows into batches for ConsumeBatch. That path, too,
+  // must not let the worker count move a counter, a transfer, a buffer
+  // statistic or the emission order.
+  std::vector<Tuple> rows;
+  ASSERT_OK_AND_ASSIGN(Relation string_dividend, StringDividend(&rows));
+  const DivisionQuery query{string_dividend, divisor_, {"divisor_id"}};
+  DivisionOptions options;
+  options.parallel_fragments = 8;
+  const auto run_at = [&](size_t dop) {
+    return ColdRun(dop, [&](ExecContext* ctx, std::vector<Tuple>* out) {
+      RELDIV_ASSIGN_OR_RETURN(
+          *out, Divide(ctx, query, DivisionAlgorithm::kHashDivision, options));
+      return Status::OK();
+    });
+  };
+  ASSERT_OK_AND_ASSIGN(RunOutcome base, run_at(1));
+  EXPECT_EQ(Sorted(base.quotient),
+            Sorted(ReferenceDivision(rows, workload_.divisor, {1}, {0})));
+  for (size_t dop : {3u, 8u}) {
+    const std::string what = "string dividend at dop " + std::to_string(dop);
+    ASSERT_OK_AND_ASSIGN(RunOutcome run, run_at(dop));
+    ExpectIdentical(base, run, what);  // the quotient in emission order
+    ExpectSameStorage(base, run, what);
+  }
+}
+
 TEST_F(IntraParallelTest, ParallelDivideEqualsThePublicRebuild) {
   // The dividend again with a variable-length string quotient column, so
-  // the exchange's byte buffers carry rows of different sizes.
-  const Schema string_schema{Field{"student", ValueType::kString},
-                             Field{"divisor_id", ValueType::kInt64}};
-  const auto student = [](const Value& id) {
-    return Value::String("s" + std::string(id.int64() % 7, '#') +
-                         std::to_string(id.int64()));
-  };
-  ASSERT_OK_AND_ASSIGN(Relation string_dividend,
-                       db_->CreateTable("lane_strings", string_schema));
-  for (const Tuple& tuple : workload_.dividend) {
-    ASSERT_OK(db_->Insert("lane_strings",
-                          Tuple{student(tuple.value(0)), tuple.value(1)}));
-  }
-  std::vector<Tuple> string_expected;
-  for (const Tuple& tuple : workload_.expected_quotient) {
-    string_expected.push_back(Tuple{student(tuple.value(0))});
-  }
-
+  // the exchange's pages carry rows of different sizes.
+  std::vector<Tuple> rows;
+  ASSERT_OK_AND_ASSIGN(Relation string_dividend, StringDividend(&rows));
   const struct {
     DivisionQuery query;
     std::vector<Tuple> expected;
     const char* name;
   } cases[] = {{Query(), workload_.expected_quotient, "int64"},
                {{string_dividend, divisor_, {"divisor_id"}},
-                Sorted(string_expected),
+                Sorted(ReferenceDivision(rows, workload_.divisor, {1}, {0})),
                 "string"}};
   for (const auto& c : cases) {
     for (size_t fragments : {1u, 3u, 16u}) {

@@ -65,7 +65,7 @@ TEST_F(OperatorContractTest, PartitionSourceReopensAndAgreesAcrossBatchSizes) {
   const RowCodec codec(Schema{Field{"name", ValueType::kString},
                               Field{"b", ValueType::kInt64}});
   std::vector<Tuple> input;
-  EncodedPartition partition;
+  EncodedPartition partition(codec);
   for (int i = 0; i < 5; ++i) {
     input.push_back(Tuple{Value::String(std::string(i, 'x')), Value::Int64(i)});
     ASSERT_OK(partition.Append(codec, input.back()));

@@ -242,7 +242,7 @@ if [[ "$QUICK" == "0" ]]; then
     for threads in 1 4 8; do
       echo "-- parallel suites under tsan, RELDIV_THREADS=$threads"
       RELDIV_THREADS="$threads" ctest --preset tsan \
-        -R '(division_property_test|hash_division_core_test|intra_parallel_test|parallel_test|partitioned_division_test|scheduler_test)' \
+        -R '(division_property_test|exchange_test|hash_division_core_test|intra_parallel_test|parallel_test|partitioned_division_test|scheduler_test)' \
         || rc=1
     done
     return "$rc"
